@@ -38,6 +38,11 @@ class UnsupportedMonomial(HwmtError):
     """A coefficient key lies outside the dual polytope."""
 
 
+class MalformedPencil(HwmtError):
+    """A pencil repeats an exponent, or its psi term is not psi times the
+    origin monomial."""
+
+
 class UnknownFamily(HwmtError):
     """No named family with that tag."""
 

@@ -2,10 +2,18 @@
 
 The constant term of (sum_i c_i x^{w_i})^e is a sum over nonnegative
 integer vectors a with sum(a) = e and sum_i a_i w_i = 0, each contributing
-multinomial(e; a) * prod c_i^{a_i}.  Those vectors are lattice points of a
-simplex slice of the kernel lattice of the exponent matrix; a depth-first
-search with per-coordinate interval pruning enumerates them without ever
-expanding f^(p-1).
+multinomial(e; a) * prod c_i^{a_i}.  After duplicate exponents are merged
+and the origin term is split off (it takes whatever budget e - sum(a) the
+others leave), those vectors are the points of the kernel lattice of the
+remaining exponent matrix in a simplex.  One engine, ``_kernel_points``,
+enumerates them through the integer coefficients of the lattice's HNF
+basis: each pivot bounds its coefficient and partial sums on the free
+columns prune, so the cost follows the rank of the kernel and the number
+of surviving vectors rather than the number of monomials.
+``constant_term_power``, ``hasse_witt_polynomial`` and
+``period_coefficients`` all use it and differ only in how they weight a
+vector.  ``zero_sum_exponents``, a depth-first search over every exponent
+coordinate, is the independent reference that the tests compare against.
 """
 
 from dataclasses import dataclass
@@ -21,6 +29,7 @@ from .errors import (
 )
 from .families import FamilyTag, get_family, identify_family
 from .hypergeometric import frac_mod, require_prime, truncated_pFq
+from .intlinalg import left_kernel
 from .pencil import LaurentPencil, LaurentPolynomial, build_vertex_pencil, specialize
 from .polytope import LatticePolytope, is_kernel_pair, polar_dual
 
@@ -43,9 +52,10 @@ def zero_sum_exponents(exponents, e):
     """Yield all nonnegative integer vectors a with sum(a) = e and
     sum_i a_i * exponents[i] = 0.
 
-    The search fixes a_i coordinate by coordinate; a branch survives only
-    while each lattice coordinate of the running sum can still be pulled
-    back to zero by the remaining budget.
+    Reference enumerator for the tests; the library computes through
+    ``_kernel_points``.  The search fixes a_i coordinate by coordinate; a
+    branch survives only while each lattice coordinate of the running sum
+    can still be pulled back to zero by the remaining budget.
     """
     k = len(exponents)
     if k == 0:
@@ -97,11 +107,135 @@ def zero_sum_exponents(exponents, e):
     yield from rec(0, e)
 
 
-def _order_origin_last(terms):
-    """Reorder (exponent, coeff) pairs so a zero exponent, if present, comes
-    last; the DFS then dumps leftover budget there in one step."""
-    tagged = sorted(terms, key=lambda t: all(x == 0 for x in t[0]))
-    return tagged
+def _kernel_points(exps, e, exact):
+    """Every nonnegative integer vector a with sum_i a_i exps[i] = 0 and
+    sum(a) <= e (sum(a) == e when ``exact``), as a list of tuples.
+
+    Every such a is c @ B for one integer vector c, where B is the row-HNF
+    basis of the left kernel of ``exps``; c is enumerated row by row.  Row
+    t fixes the pivot column of B[t]: its value u_t = a[pivot_t] runs
+    through [0, e] in steps of the pivot entry, and with it every column
+    before the next pivot is final.  The other (free) columns are rational
+    combinations of the pivot values, a[j] = sum_t u_t M[t][j] with
+    M = B_pivots^-1 @ B, so each u_t is kept to the interval where every
+    free column can still end nonnegative and the least that the free
+    columns still add to sum(a) fits the budget.  At the last row the free
+    columns are final and the interval is exact.
+    """
+    k = len(exps)
+    basis = left_kernel(exps)
+    r = len(basis)
+    if r == 0:
+        return [(0,) * k] if e == 0 or not exact else []
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    free = [j for j in range(k) if j not in pivots]
+    where = [0] * k  # a[j] = (pivot values + free values)[where[j]]
+    for s, j in enumerate(pivots + free):
+        where[j] = s
+    # rows of M on the free columns, scaled by d = det(B_pivots) so that
+    # they are integral, by back substitution
+    d = 1
+    for t, j in enumerate(pivots):
+        d *= basis[t][j]
+    m = [None] * r
+    for t in range(r - 1, -1, -1):
+        row = basis[t]
+        m[t] = [
+            (d * row[j] - sum(row[pivots[s]] * m[s][i] for s in range(t + 1, r)))
+            // row[pivots[t]]
+            for i, j in enumerate(free)
+        ]
+    # least coefficient rows t.. and greatest coefficient rows t+1.. can
+    # still put on each free column
+    columns = list(zip(*m))
+    least = [[min(0, *col[t:]) for col in columns] for t in range(r)]
+    most = [[max((0, *col[t + 1:])) for col in columns] for t in range(r)]
+    step = [row[j] for row, j in zip(basis, pivots)]
+    above = [[row[j] for j in pivots] for row in basis]
+    u = [0] * r
+    out = []
+
+    def rec(t, used, q, pp):
+        # q: d * free columns from rows < t; pp: what rows < t put on pivots
+        room = e - used
+        first, last = 0, room
+        if t:
+            need = 0
+            for x, y in zip(q, least[t]):
+                if x + room * y > 0:
+                    need += x + room * y
+            last -= -(-need // d)
+        # a free column ends at most at x + u_t * y + (room - u_t) * h
+        for x, y, h in zip(q, m[t], most[t]):
+            base, slope = x + room * h, y - h
+            if slope > 0:
+                first = max(first, -(base // slope))
+            elif slope < 0:
+                last = min(last, base // -slope)
+            elif base < 0:
+                return
+        b = step[t]
+        if t < r - 1:
+            first += (pp[t] - first) % b
+            for ut in range(first, last + 1, b):
+                u[t] = ut
+                c = (ut - pp[t]) // b
+                rec(t + 1, used + ut, [x + ut * y for x, y in zip(q, m[t])],
+                    [x + c * y for x, y in zip(pp, above[t])] if c else pp)
+            return
+        # last row: d * sum(a) = d * (used + u_t) + sum(q) + u_t * sum(m[t]),
+        # so u_t * slope <= slack (== slack when exact)
+        slack, slope = d * room - sum(q), d + sum(m[t])
+        if exact:
+            if slope:
+                if slack % slope:
+                    return
+                first, last = max(first, slack // slope), min(last, slack // slope)
+            elif slack:
+                return
+        elif slope > 0:
+            last = min(last, slack // slope)
+        elif slope < 0:
+            first = max(first, -(-slack // slope))
+        elif slack < 0:
+            return
+        first += (pp[t] - first) % b
+        for ut in range(first, last + 1, b):
+            u[t] = ut
+            vals = u + [(x + ut * y) // d for x, y in zip(q, m[t])]
+            out.append(tuple(vals[s] for s in where))
+
+    rec(0, 0, [0] * len(free), [0] * r)
+    return out
+
+
+def _factorials_mod(e, p):
+    fact = [1] * (e + 1)
+    for i in range(1, e + 1):
+        fact[i] = fact[i - 1] * i % p
+    return fact, [pow(x, -1, p) for x in fact]
+
+
+def _power_table(c, e, inv_fact, p):
+    """c^m / m! mod p for m = 0..e."""
+    out, cm = [], 1
+    for m in range(e + 1):
+        out.append(cm * inv_fact[m] % p)
+        cm = cm * c % p
+    return out
+
+
+def _budget_weights(terms, e, p, inv_fact, exact=False):
+    """W[s] = sum of prod_i c_i^a_i / a_i! mod p over the kernel points a of
+    the (exponent, coefficient) terms with sum(a) = s, for s = 0..e."""
+    tables = [_power_table(c, e, inv_fact, p) for _, c in terms]
+    weights = [0] * (e + 1)
+    for a in _kernel_points([w for w, _ in terms], e, exact):
+        weight = 1
+        for ai, table in zip(a, tables):
+            weight = weight * table[ai] % p
+        weights[sum(a)] += weight
+    return weights
 
 
 def constant_term_power(f: LaurentPolynomial, e: int, p: int) -> int:
@@ -113,24 +247,15 @@ def constant_term_power(f: LaurentPolynomial, e: int, p: int) -> int:
     require_prime(p)
     if e >= p:
         raise ExponentTooLarge(f"exponent {e} must be < p = {p}")
-    terms = _order_origin_last(f.terms)
-    coeffs = []
-    for _, c in terms:
-        coeffs.append(frac_mod(c, p))
-    exps = [t[0] for t in terms]
-    fact = [1] * (e + 1)
-    for i in range(1, e + 1):
-        fact[i] = fact[i - 1] * i % p
-    inv_fact = [pow(x, -1, p) for x in fact]
-    total = 0
-    for a in zero_sum_exponents(exps, e):
-        contrib = fact[e]
-        for ai, c in zip(a, coeffs):
-            contrib = contrib * inv_fact[ai] % p
-            if ai:
-                contrib = contrib * pow(c, ai, p) % p
-        total = (total + contrib) % p
-    return total
+    merged = {}
+    for w, c in f.terms:
+        merged[w] = (merged.get(w, 0) + frac_mod(c, p)) % p
+    c0 = merged.pop((0,) * f.n, 0)
+    terms = [(w, c) for w, c in merged.items() if c]
+    fact, inv_fact = _factorials_mod(e, p)
+    weights = _budget_weights(terms, e, p, inv_fact, exact=not c0)
+    origin = _power_table(c0, e, inv_fact, p)  # the origin takes e - s
+    return fact[e] * sum(w * origin[e - s] for s, w in enumerate(weights)) % p
 
 
 def _resolve_pencil(family_or_pencil) -> Tuple[LaurentPencil, Optional[FamilyTag]]:
@@ -165,7 +290,8 @@ def hasse_witt_polynomial(pencil_or_family, p: int) -> Tuple[int, ...]:
     """Coefficients (ascending in psi) of the symbolic Hasse-Witt invariant.
 
     The result always has length p, i.e. degree <= p-1 in psi: the origin
-    monomial can absorb at most the whole exponent budget.
+    monomial can absorb at most the whole exponent budget.  One enumeration
+    with budget <= p-1 on the vertex monomials covers every power of psi.
     """
     require_prime(p)
     pencil, _ = _resolve_pencil(pencil_or_family)
@@ -176,22 +302,10 @@ def hasse_witt_polynomial(pencil_or_family, p: int) -> Tuple[int, ...]:
         for t in pencil.terms
         if t.exponent != origin
     ]
-    exps = [t[0] for t in vertex_terms]
-    fact = [1] * (e + 1)
-    for i in range(1, e + 1):
-        fact[i] = fact[i - 1] * i % p
-    inv_fact = [pow(x, -1, p) for x in fact]
-    coeffs = [0] * p
-    for total in range(e + 1):
-        # budget 'total' on the vertex monomials, the rest on psi * x^0
-        for a in zero_sum_exponents(exps, total):
-            contrib = fact[e] * inv_fact[e - total] % p
-            for ai, (_, c) in zip(a, vertex_terms):
-                contrib = contrib * inv_fact[ai] % p
-                if ai:
-                    contrib = contrib * pow(c, ai, p) % p
-            coeffs[e - total] = (coeffs[e - total] + contrib) % p
-    return tuple(coeffs)
+    fact, inv_fact = _factorials_mod(e, p)
+    weights = _budget_weights([t for t in vertex_terms if t[1]], e, p, inv_fact)
+    # budget s on the vertex monomials leaves e - s for psi * x^0
+    return tuple(fact[e] * inv_fact[d] * weights[e - d] % p for d in range(p))
 
 
 def period_coefficients(delta: LatticePolytope, n_max: int) -> PeriodCoefficients:
@@ -200,16 +314,14 @@ def period_coefficients(delta: LatticePolytope, n_max: int) -> PeriodCoefficient
     These are the integer Taylor coefficients of the holomorphic-period
     expansion at the large complex structure limit.
     """
-    exps = list(polar_dual(delta).vertices)
-    values = []
-    for n in range(n_max + 1):
-        total = 0
-        for a in zero_sum_exponents(exps, n):
-            contrib = factorial(n)
-            for ai in a:
-                contrib //= factorial(ai)
-            total += contrib
-        values.append(total)
+    fact = [factorial(i) for i in range(n_max + 1)]
+    values = [0] * (n_max + 1)
+    for a in _kernel_points(polar_dual(delta).vertices, n_max, exact=False):
+        denom = 1
+        for ai in a:
+            denom *= fact[ai]
+        n = sum(a)
+        values[n] += fact[n] // denom
     return PeriodCoefficients(tuple(values))
 
 

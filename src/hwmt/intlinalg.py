@@ -29,18 +29,6 @@ def identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a, b):
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
-
-
-def vec_mat(v, m):
-    """Row vector times matrix."""
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
-
-
 def mat_rank(rows):
     h = hermite_row(rows)[0]
     return sum(1 for r in h if any(r))
@@ -116,10 +104,6 @@ def left_kernel(rows):
     if not ker:
         return ()
     return hnf_rows(ker)
-
-
-def frac_matrix(m):
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
 
 
 def mat_inverse(m):

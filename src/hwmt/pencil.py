@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .errors import UnsupportedMonomial
+from .errors import MalformedPencil, UnsupportedMonomial
 from .polytope import LatticePolytope, lattice_points, polar_dual
 
 Exponent = Tuple[int, ...]
@@ -39,9 +39,13 @@ class LaurentPencil:
 
     def __post_init__(self):
         exps = [t.exponent for t in self.terms]
-        assert len(set(exps)) == len(exps), "exponents must be distinct"
+        if len(set(exps)) != len(exps):
+            raise MalformedPencil("pencil exponents must be distinct")
+        if not 0 <= self.psi_term_index < len(self.terms):
+            raise MalformedPencil(f"psi term index {self.psi_term_index} out of range")
         origin = self.terms[self.psi_term_index]
-        assert origin.exponent == (0,) * self.n and origin.psi_coeff != 0
+        if origin.exponent != (0,) * self.n or origin.psi_coeff == 0:
+            raise MalformedPencil("the psi term must be psi times the origin monomial")
 
 
 @dataclass(frozen=True)

@@ -205,10 +205,6 @@ def vertex_kernel(p: LatticePolytope) -> KernelLattice:
     return KernelLattice(p.nvertices, left_kernel(p.vertices))
 
 
-def _kernel_of_rows(rows) -> Tuple[LatticePoint, ...]:
-    return left_kernel(rows)
-
-
 @lru_cache(maxsize=None)
 def vertex_facet_sets(p: LatticePolytope) -> Tuple[frozenset, ...]:
     """Facets as frozensets of vertex indices."""
@@ -306,7 +302,7 @@ def is_kernel_pair(
     )
     for sigma in candidates:
         reordered = tuple(q.vertices[sigma[i]] for i in range(p.nvertices))
-        if _kernel_of_rows(reordered) == kp:
+        if left_kernel(reordered) == kp:
             return True, tuple(sigma)
     return False, None
 

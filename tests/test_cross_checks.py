@@ -1,14 +1,29 @@
 """Cross-module identities tying the pencil, Hasse-Witt, and count layers
 together through independent data paths."""
 
+import random
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
 import pytest
 
-from hwmt.families import get_family
-from hwmt.hasse_witt import hasse_witt, zero_sum_exponents
+from hwmt.families import FAMILIES, get_family
+from hwmt.hasse_witt import (
+    _kernel_points,
+    constant_term_power,
+    hasse_witt,
+    hasse_witt_polynomial,
+    period_coefficients,
+    zero_sum_exponents,
+)
 from hwmt.hypergeometric import frac_mod
-from hwmt.pencil import build_vertex_pencil, homogeneous_form, specialize
+from hwmt.pencil import (
+    LaurentPolynomial,
+    build_vertex_pencil,
+    homogeneous_form,
+    specialize,
+)
 from hwmt.point_count import count_family
 from hwmt.polytope import polar_dual
 
@@ -113,3 +128,150 @@ def test_count_consistent_with_hasse_witt(name, psis, primes):
             hw = hasse_witt(build_vertex_pencil(fam.polytope), vertex_psi, p)
             count = count_family(fam, psi, p).count
             assert count % p == (1 + sign * hw.value) % p
+
+
+# --------------------------------------------------------------------------
+# the kernel-lattice engine against the depth-first reference enumerator
+# --------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _dfs_vectors(exps, e):
+    return tuple(zero_sum_exponents(list(exps), e))
+
+
+def _multinomial(a):
+    out = factorial(sum(a))
+    for ai in a:
+        out //= factorial(ai)
+    return out
+
+
+def dfs_constant_term(f, e, p):
+    """Constant term of f^e mod p from the depth-first enumerator over every
+    term of f (repeats and the origin included) and exact multinomials."""
+    coeffs = [frac_mod(c, p) for _, c in f.terms]
+    total = 0
+    for a in _dfs_vectors(tuple(w for w, _ in f.terms), e):
+        term = _multinomial(a)
+        for ai, c in zip(a, coeffs):
+            term *= pow(c, ai, p)
+        total += term
+    return total % p
+
+
+def dfs_hasse_witt_polynomial(pencil, p):
+    e, origin = p - 1, (0,) * pencil.n
+    vertex = [t for t in pencil.terms if t.exponent != origin]
+    coeffs = [frac_mod(t.const, p) for t in vertex]
+    out = [0] * p
+    for a in _dfs_vectors(tuple(t.exponent for t in vertex) + (origin,), e):
+        term = _multinomial(a)
+        for ai, c in zip(a, coeffs):
+            term *= pow(c, ai, p)
+        out[a[-1]] += term  # a[-1] is the power of psi
+    return tuple(x % p for x in out)
+
+
+def dfs_period_coefficients(delta, n_max):
+    exps = tuple(polar_dual(delta).vertices) + ((0,) * delta.dim,)
+    values = [0] * (n_max + 1)
+    for a in _dfs_vectors(exps, n_max):
+        values[n_max - a[-1]] += _multinomial(a[:-1])
+    return tuple(values)
+
+
+@pytest.fixture(scope="module")
+def fixture_polytopes(records2d, records3d):
+    polys = [r.polytope for recs in (records2d, records3d) for r in recs.values()]
+    assert len(polys) == 74
+    return polys
+
+
+def _random_exponent_sets(count, seed=2006):
+    # small entries give kernels with pivots above 1 about half the time
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice((1, 2, 3))
+        exps = {tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(rng.randint(1, 6))}
+        exps.discard((0,) * n)
+        if exps:
+            yield sorted(exps)
+
+
+def test_kernel_points_match_dfs_vectors(fixture_polytopes):
+    exponent_sets = [list(polar_dual(d).vertices) for d in fixture_polytopes]
+    for exps in exponent_sets + list(_random_exponent_sets(200)):
+        origin = (0,) * len(exps[0])
+        for e in (0, 3, 6):
+            with_origin = sorted(a[:-1] for a in zero_sum_exponents(exps + [origin], e))
+            assert sorted(_kernel_points(exps, e, exact=False)) == with_origin
+            exact = sorted(zero_sum_exponents(exps, e))
+            assert sorted(_kernel_points(exps, e, exact=True)) == exact
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_constant_term_matches_dfs_on_fixtures(fixture_polytopes, p):
+    for delta in fixture_polytopes:
+        pencil = build_vertex_pencil(delta)
+        for psi in (1, 2, 3):
+            f = specialize(pencil, psi)
+            assert constant_term_power(f, p - 1, p) == dfs_constant_term(f, p - 1, p)
+
+
+@pytest.mark.parametrize("p", [43, 53])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_constant_term_matches_dfs_on_families(name, p):
+    pencil = get_family(name).vertex_pencil()
+    for psi in (1, 2, 3):
+        f = specialize(pencil, psi)
+        assert constant_term_power(f, p - 1, p) == dfs_constant_term(f, p - 1, p)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_constant_term_edge_cases_match_dfs(name):
+    pencil = get_family(name).vertex_pencil()
+    for p in (5, 7, 11):
+        # psi = p leaves an origin term that vanishes mod p; psi = 0 drops it
+        for psi in (p, 2 * p, 0):
+            f = specialize(pencil, psi)
+            assert constant_term_power(f, p - 1, p) == dfs_constant_term(f, p - 1, p)
+        # e = 0 and every e below p, not only p - 1
+        f = specialize(pencil, 3)
+        for e in range(p):
+            assert constant_term_power(f, e, p) == dfs_constant_term(f, e, p)
+
+
+def test_constant_term_rank_zero_kernel():
+    # x + 1: the exponent (1,) alone has a trivial kernel, so only the
+    # origin contributes and the constant term of (x + 1)^e is 1
+    f = LaurentPolynomial(1, (((1,), F(1)), ((0,), F(1))))
+    for p in (5, 7):
+        for e in range(p):
+            assert constant_term_power(f, e, p) == dfs_constant_term(f, e, p) == 1
+    # without the origin the only vector left is a = 0, at e = 0
+    g = LaurentPolynomial(1, (((1,), F(2)),))
+    assert [constant_term_power(g, e, 5) for e in range(5)] == [1, 0, 0, 0, 0]
+
+
+def test_constant_term_repeated_exponents():
+    # repeated exponents, the origin twice, and a pair that cancels mod 7
+    f = LaurentPolynomial(1, (
+        ((1,), F(1)), ((-1,), F(3)), ((1,), F(2)), ((0,), F(1, 2)),
+        ((-2,), F(5)), ((0,), F(4)), ((-2,), F(2)),
+    ))
+    for p in (5, 7, 11):
+        for e in range(p):
+            assert constant_term_power(f, e, p) == dfs_constant_term(f, e, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_hasse_witt_polynomial_matches_dfs(name, p):
+    pencil = get_family(name).vertex_pencil()
+    assert hasse_witt_polynomial(pencil, p) == dfs_hasse_witt_polynomial(pencil, p)
+
+
+def test_period_coefficients_match_dfs(fixture_polytopes):
+    for delta in fixture_polytopes:
+        assert period_coefficients(delta, 12).values == dfs_period_coefficients(delta, 12)

@@ -33,13 +33,16 @@ def test_fourfold_mirror_kernel_pair():
 
 
 def test_large_prime_hasse_witt():
-    # p = 101 stays fast, and the quartic and group2 rows share the same
+    # p = 101 stays fast for every family and matches the family's
+    # truncated series; the quartic and group2 rows share the same
     # hypergeometric data, so their invariants agree at every (psi, p)
-    p, psi = 101, 2
-    hw_quartic = hasse_witt("quartic", psi, p).value
-    hw_group2 = hasse_witt("group2", psi, p).value
-    assert hw_quartic == hw_group2
-    assert hw_quartic == truncated_pFq(get_family("quartic").hg, psi, p).value
+    p = 101
+    for psi in (2, 3):
+        values = {name: hasse_witt(name, psi, p).value
+                  for name in ("elliptic", "quartic", "sextic", "group1", "group2")}
+        for name, value in values.items():
+            assert value == truncated_pFq(get_family(name).hg, psi, p).value
+        assert values["quartic"] == values["group2"]
 
 
 def test_concurrent_evaluation_deterministic():

@@ -1,12 +1,18 @@
 """Vertex pencils, homogeneous forms, specialization, smoothness."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hwmt.errors import UnknownFamily, UnsupportedMonomial
+import hwmt
+from hwmt.errors import MalformedPencil, UnknownFamily, UnsupportedMonomial
 from hwmt.families import get_family
 from hwmt.pencil import (
+    LaurentPencil,
+    LaurentTerm,
     build_vertex_pencil,
     homogeneous_form,
     is_smooth_member,
@@ -45,6 +51,43 @@ class TestBuildVertexPencil:
         assert exponent_set(pencil) == {
             (1, -1, -1), (-1, 5, -1), (-1, -1, 5), (-1, -1, -1),
         }
+
+
+class TestPencilInvariants:
+    TERMS = (LaurentTerm((1,), Fraction(1)), LaurentTerm((-1,), Fraction(1)),
+             LaurentTerm((0,), Fraction(0), Fraction(1)))
+
+    def test_valid(self):
+        assert LaurentPencil(1, self.TERMS, 2).psi_term_index == 2
+
+    @pytest.mark.parametrize("terms,index", [
+        (TERMS + (LaurentTerm((1,), Fraction(2)),), 2),  # repeated exponent
+        (TERMS, 0),                                      # psi term off the origin
+        (TERMS[:2] + (LaurentTerm((0,), Fraction(1)),), 2),  # no psi coefficient
+        (TERMS, 3),                                      # index out of range
+    ])
+    def test_malformed(self, terms, index):
+        with pytest.raises(MalformedPencil):
+            LaurentPencil(1, terms, index)
+
+    def test_checked_under_optimize(self):
+        # python -O strips asserts; the invariants must still be enforced
+        code = (
+            "from fractions import Fraction as F\n"
+            "from hwmt.errors import MalformedPencil\n"
+            "from hwmt.pencil import LaurentPencil, LaurentTerm\n"
+            "t = (LaurentTerm((1,), F(1)), LaurentTerm((1,), F(2)),\n"
+            "     LaurentTerm((0,), F(0), F(1)))\n"
+            "for terms, index in ((t, 2), (t[:1] + t[2:], 0)):\n"
+            "    try:\n"
+            "        LaurentPencil(1, terms, index)\n"
+            "    except MalformedPencil:\n"
+            "        print('rejected')\n"
+        )
+        src = str(Path(hwmt.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env={"PYTHONPATH": src}, check=True)
+        assert out.stdout.split() == ["rejected", "rejected"]
 
 
 class TestHomogeneousForm:
