@@ -38,6 +38,10 @@ from .polytope import (
 )
 
 
+class _UsageError(Exception):
+    """Bad command-line input found after parsing; exits 2 like argparse."""
+
+
 def _frac(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -53,11 +57,36 @@ def _int_list(text: str):
     return [int(x) for x in text.split(",") if x]
 
 
-def _parse_vertices(text: str):
-    verts = tuple(
-        tuple(int(x) for x in chunk.split(",")) for chunk in text.split(";") if chunk
-    )
-    return LatticePolytope(len(verts[0]), verts)
+def _vertices_arg(text: str):
+    try:
+        verts = tuple(
+            tuple(int(x) for x in chunk.split(","))
+            for chunk in text.split(";") if chunk
+        )
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad vertex list {text!r}") from exc
+    if not verts:
+        raise argparse.ArgumentTypeError("empty vertex list")
+    return verts
+
+
+def _params_arg(text: str):
+    parts = text.split(";")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(
+            f"expected NUMS;DENS with one ';', got {text!r}"
+        )
+    return tuple(_frac_list(parts[0])), tuple(_frac_list(parts[1]))
+
+
+def _power_arg(text: str):
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected C,E, got {text!r}")
+    try:
+        return _frac(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad exponent in {text!r}") from exc
 
 
 def _emit(obj) -> None:
@@ -70,9 +99,19 @@ def _load_records(path):
     return {r.id: r for r in census_mod.load_polytopes(path)}
 
 
+def _pair_polytopes(args):
+    if args.pair is None:
+        raise _UsageError("--pair A,B is required")
+    records = _load_records(args.input)
+    for i in args.pair:
+        if i not in records:
+            raise _UsageError(f"--pair: id {i} not in the fixture")
+    return tuple(records[i].polytope for i in args.pair)
+
+
 def _select_polytope(args) -> LatticePolytope:
     if getattr(args, "vertices", None):
-        return _parse_vertices(args.vertices)
+        return LatticePolytope(len(args.vertices[0]), args.vertices)
     if getattr(args, "id", None) is not None:
         records = _load_records(getattr(args, "input", None))
         if args.id not in records:
@@ -109,13 +148,11 @@ def _cmd_polytope(args) -> int:
 
 
 def _cmd_pair(args) -> int:
-    records = _load_records(args.input)
-    a, b = args.pair
-    p, q = records[a].polytope, records[b].polytope
+    p, q = _pair_polytopes(args)
     ok, witness = is_kernel_pair(p, q)
     _emit(
         {
-            "pair": [a, b],
+            "pair": list(args.pair),
             "kernel_pair": ok,
             "witness": list(witness) if witness else None,
             "mirror_kernel_pair": is_mirror_kernel_pair(p, q),
@@ -181,13 +218,10 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_hyp(args) -> int:
-    nums_text, dens_text = args.params.split(";")
-    c_text, e_text = args.arg.split(",")
-    data = HypergeometricData(
-        tuple(_frac_list(nums_text)),
-        tuple(_frac_list(dens_text)),
-        (_frac(c_text), int(e_text)),
-    )
+    try:
+        data = HypergeometricData(*args.params, args.arg)
+    except ValueError as exc:
+        raise _UsageError(f"--params: {exc}") from exc
     value = truncated_pFq(data, args.psi, args.prime)
     _emit(
         {
@@ -233,17 +267,16 @@ def _cmd_census(args) -> int:
 def _cmd_verify(args) -> int:
     rows = []
     failures = 0
+    if args.what in ("congruence", "clausen") and args.family is None:
+        raise _UsageError(f"verify {args.what} requires --family")
     if args.what == "key-lemma":
-        records = _load_records(args.input)
-        a, b = args.pair
+        poly_a, poly_b = _pair_polytopes(args)
         for psi in args.psi:
             for p in args.primes:
-                ok, hw_a, hw_b = key_lemma_check(
-                    records[a].polytope, records[b].polytope, psi, p
-                )
+                ok, hw_a, hw_b = key_lemma_check(poly_a, poly_b, psi, p)
                 failures += 0 if ok else 1
                 rows.append(
-                    {"pair": [a, b], "psi": str(psi), "p": p,
+                    {"pair": list(args.pair), "psi": str(psi), "p": p,
                      "hw": [hw_a.value, hw_b.value], "match": ok}
                 )
     elif args.what == "truncation":
@@ -290,7 +323,8 @@ def _pair_arg(text):
 
 
 def _add_selector(parser, with_family=False):
-    parser.add_argument("--vertices", help="inline vertices: x,y,z;x,y,z;...")
+    parser.add_argument("--vertices", type=_vertices_arg,
+                        help="inline vertices: x,y,z;x,y,z;...")
     parser.add_argument("--id", type=int, help="polytope id from the fixture")
     parser.add_argument("--input", help="fixture file (default: bundled 3D tables)")
     if with_family:
@@ -336,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("hyp", help="truncated hypergeometric series mod p")
-    p.add_argument("--params", required=True, metavar="NUMS;DENS")
-    p.add_argument("--arg", required=True, metavar="C,E",
+    p.add_argument("--params", type=_params_arg, required=True,
+                   metavar="NUMS;DENS")
+    p.add_argument("--arg", type=_power_arg, required=True, metavar="C,E",
                    help="argument c*psi^e")
     p.add_argument("--psi", type=_frac, required=True)
     p.add_argument("--prime", type=int, required=True)
@@ -360,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "clausen"])
     p.add_argument("--pair", type=_pair_arg, metavar="A,B")
     p.add_argument("--family", choices=sorted(FAMILIES))
-    p.add_argument("--vertices")
+    p.add_argument("--vertices", type=_vertices_arg)
     p.add_argument("--id", type=int)
     p.add_argument("--input")
     p.add_argument("--psi", type=_frac_list, required=True)
@@ -375,6 +410,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except HwmtError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 1

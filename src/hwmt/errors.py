@@ -43,6 +43,11 @@ class MalformedPencil(HwmtError):
     origin monomial."""
 
 
+class PointOutsidePolytope(HwmtError):
+    """A point chosen as a homogeneous variable lies outside the polytope,
+    so some monomial gets a negative exponent."""
+
+
 class UnknownFamily(HwmtError):
     """No named family with that tag."""
 
@@ -98,6 +103,15 @@ class UncountableAmbient(HwmtError):
 
 
 # --- Picard-Fuchs errors -----------------------------------------------------
+
+class WrongSystemForm(HwmtError):
+    """A pipeline stage got a raw system where it needs a scaled one, or
+    the reverse."""
+
+
+class DegreeTooSmall(HwmtError):
+    """A polynomial reversal asked for a degree below the polynomial's."""
+
 
 class ZeroLeadingCoefficient(HwmtError):
     """ODE leading coefficient vanished after normalization."""

@@ -140,18 +140,36 @@ def _series_term(data: HypergeometricData, n: int, z: int, p: int,
 
 
 def truncated_pFq(data: HypergeometricData, psi, p: int) -> TruncatedValue:
-    """Sum of the first p terms (degrees 0..p-1) of pFq at c*psi^e, mod p."""
+    """Sum of the first p terms (degrees 0..p-1) of pFq at c*psi^e, mod p.
+
+    One pass over the terms: each parameter is reduced once, and the
+    running products num_n = prod (a)_n, den_n = n! prod (b)_n and z^n are
+    each stepped by one factor per term.  The partial sum is carried as a
+    numerator over den_n (total <- total * r_n + num_n * z^n, where
+    den_n = den_(n-1) * r_n), so a single inverse is taken at the end.
+    BadDenominator is raised at the first term whose step r_n vanishes,
+    which is where den_n first vanishes.  `_series_term` is the term by
+    term reference.
+    """
     require_prime(p)
     z = _argument_mod_p(data, psi, p)
-    factorials = [1] * p
-    for i in range(1, p):
-        factorials[i] = factorials[i - 1] * i % p
-    total = 0
-    for n in range(p):
-        if n > 0 and z == 0:
-            break
-        total = (total + _series_term(data, n, z, p, factorials)) % p
-    return TruncatedValue(p, total, p)
+    nums = [frac_mod(a, p) for a in data.numerators]
+    dens = [frac_mod(b, p) for b in data.denominators]
+    total = num = den = zn = 1
+    for n in range(1, p if z else 1):
+        r = n
+        for b in dens:
+            r = r * (b + n - 1) % p
+        if r == 0:
+            raise BadDenominator(
+                f"lower-parameter Pochhammer vanishes mod {p} at term {n}"
+            )
+        for a in nums:
+            num = num * (a + n - 1) % p
+        zn = zn * z % p
+        total = (total * r + num * zn) % p
+        den = den * r % p
+    return TruncatedValue(p, total * pow(den, -1, p) % p, p)
 
 
 def pfq_taylor(numerators, denominators, nterms: int):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .errors import MalformedPencil, UnsupportedMonomial
+from .errors import MalformedPencil, PointOutsidePolytope, UnsupportedMonomial
 from .polytope import LatticePolytope, lattice_points, polar_dual
 
 Exponent = Tuple[int, ...]
@@ -112,7 +112,11 @@ def homogeneous_form(
         exps = tuple(
             sum(v[i] * m[i] for i in range(delta.dim)) + 1 for v in points
         )
-        assert all(e >= 0 for e in exps)  # guaranteed by reflexivity
+        if min(exps, default=0) < 0:  # impossible for points of delta
+            raise PointOutsidePolytope(
+                f"monomial point {m} gives exponents {exps}; every variable "
+                "point must lie in the polytope"
+            )
         monomials.append((exps, Fraction(c)))
     return HomogeneousForm(tuple(points), tuple(monomials))
 

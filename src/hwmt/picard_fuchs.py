@@ -8,6 +8,8 @@ normalization.  Every step is exact; every intermediate matrix is kept so
 the published displays can be compared entry for entry.
 """
 
+import math
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -19,6 +21,7 @@ from .errors import (
     PoleAtInfinity,
     PoleAtZero,
     UnknownFamily,
+    WrongSystemForm,
     ZeroLeadingCoefficient,
 )
 from .families import get_family
@@ -57,6 +60,11 @@ def _to_ratfunc(coeff) -> RatFunc:
     return RatFunc(Poly.of(*num), Poly.of(*den))
 
 
+def _require_form(system: FuchsianSystem, form: str) -> None:
+    if system.form != form:
+        raise WrongSystemForm(f"expected a {form} system, got {system.form}")
+
+
 def companion_matrix(ode_coeffs) -> FuchsianSystem:
     """Companion system of the monic ODE F^(n) + c_{n-1} F^(n-1) + ... +
     c_0 F = 0; coefficients are RatFuncs or (num_coeffs, den_coeffs) pairs."""
@@ -78,7 +86,7 @@ def gauge_shear(system: FuchsianSystem) -> FuchsianSystem:
     M_ij = psi^(1+i-j) A_ij + delta_ij * i; the result has regular singular
     points at 0 and infinity.
     """
-    assert system.form == "raw"
+    _require_form(system, "raw")
     n = system.size
     a = system.matrix
     rows = []
@@ -100,7 +108,7 @@ def gauge_shear(system: FuchsianSystem) -> FuchsianSystem:
 def substitute_power(system: FuchsianSystem, k: int) -> FuchsianSystem:
     """Rewrite a scaled system whose matrix depends only on psi^k in the
     variable z = psi^k; dz/z = k dpsi/psi divides the matrix by k."""
-    assert system.form == "scaled"
+    _require_form(system, "scaled")
     if k == 1:
         return system
     rows = tuple(
@@ -112,7 +120,7 @@ def substitute_power(system: FuchsianSystem, k: int) -> FuchsianSystem:
 
 def rescale(system: FuchsianSystem, c) -> FuchsianSystem:
     """Substitute z = c * lambda, moving the singularity at z = c to 1."""
-    assert system.form == "scaled"
+    _require_form(system, "scaled")
     c = Fraction(c)
     if c == 0:
         raise ZeroDivisionError("rescale constant must be nonzero")
@@ -125,7 +133,7 @@ def rescale(system: FuchsianSystem, c) -> FuchsianSystem:
 def invert_system(system: FuchsianSystem) -> FuchsianSystem:
     """The system at 1/t: lambda = 1/zeta turns (1/lambda) M(lambda) into
     (1/zeta) (-M(1/zeta))."""
-    assert system.form == "scaled"
+    _require_form(system, "scaled")
     rows = tuple(
         tuple(-(e.invert_variable()) for e in row) for row in system.matrix
     )
@@ -134,7 +142,7 @@ def invert_system(system: FuchsianSystem) -> FuchsianSystem:
 
 def residue_at_zero(system: FuchsianSystem):
     """M(0) for a scaled system regular at 0."""
-    assert system.form == "scaled"
+    _require_form(system, "scaled")
     for row in system.matrix:
         for e in row:
             if e.has_pole_at(0):
@@ -154,7 +162,7 @@ def residue_at_infinity(system: FuchsianSystem):
 
 def residue_at_point(system: FuchsianSystem, a):
     """Residue of (1/t) M(t) dt at a finite nonzero point a."""
-    assert system.form == "scaled"
+    _require_form(system, "scaled")
     a = Fraction(a)
     shift = RatFunc(Poly.of(-a, 1), ONE)
     out = []
@@ -203,7 +211,7 @@ def rational_eigenvalues(matrix) -> Tuple[Fraction, ...]:
     while poly.degree > 0:
         lcm = 1
         for c in poly.coeffs:
-            lcm = lcm * c.denominator // __import__("math").gcd(lcm, c.denominator)
+            lcm = math.lcm(lcm, c.denominator)
         ints = [int(c * lcm) for c in poly.coeffs]
         a0, an = abs(ints[0]), abs(ints[-1])
         root = None

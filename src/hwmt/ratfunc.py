@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import NotAPowerFunction
+from .errors import DegreeTooSmall, NotAPowerFunction
 
 
 def _trim(coeffs):
@@ -118,7 +118,8 @@ class Poly:
 
     def reversed_to(self, degree: int) -> "Poly":
         """t^degree * p(1/t); degree must be >= deg p."""
-        assert degree >= self.degree
+        if degree < self.degree:
+            raise DegreeTooSmall(f"cannot reverse {self} to degree {degree}")
         out = [Fraction(0)] * (degree + 1)
         for i, c in enumerate(self.coeffs):
             out[degree - i] = c

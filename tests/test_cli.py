@@ -1,9 +1,13 @@
 """CLI surface: subcommands, JSON determinism, exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hwmt
 from hwmt.cli import main
 
 
@@ -167,3 +171,19 @@ class TestUsageErrors:
         code, out = run(capsys, "polytope", "dual", "--id", "99999")
         assert code == 1
         assert json.loads(out)["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["hyp", "--params", "1/2,1/2", "--arg", "1,0", "--psi", "1",
+         "--prime", "5"],                                # no ';' in --params
+        ["verify", "key-lemma", "--psi", "2", "--primes", "5"],  # no --pair
+        ["pair", "check", "--pair", "0,9999"],           # id not in fixture
+        ["polytope", "dual", "--vertices", "1,0;0,x"],   # not an integer
+    ], ids=["hyp", "verify", "pair", "polytope"])
+    def test_bad_input_exits_2_without_traceback(self, argv):
+        src = str(Path(hwmt.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-m", "hwmt.cli", *argv],
+                             capture_output=True, text=True,
+                             env={"PYTHONPATH": src})
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "error:" in out.stderr and out.stdout == ""

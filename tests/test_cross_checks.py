@@ -4,6 +4,7 @@ together through independent data paths."""
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
 
 import pytest
@@ -17,14 +18,27 @@ from hwmt.hasse_witt import (
     period_coefficients,
     zero_sum_exponents,
 )
-from hwmt.hypergeometric import frac_mod
+from hwmt.errors import HwmtError
+from hwmt.hypergeometric import (
+    HypergeometricData,
+    _argument_mod_p,
+    _series_term,
+    frac_mod,
+    truncated_pFq,
+)
 from hwmt.pencil import (
     LaurentPolynomial,
     build_vertex_pencil,
     homogeneous_form,
     specialize,
 )
-from hwmt.point_count import count_family
+from hwmt.point_count import (
+    count_biprojective,
+    count_family,
+    count_projective,
+    count_torus,
+    count_weighted_projective,
+)
 from hwmt.polytope import polar_dual
 
 F = Fraction
@@ -275,3 +289,216 @@ def test_hasse_witt_polynomial_matches_dfs(name, p):
 def test_period_coefficients_match_dfs(fixture_polytopes):
     for delta in fixture_polytopes:
         assert period_coefficients(delta, 12).values == dfs_period_coefficients(delta, 12)
+
+
+# --------------------------------------------------------------------------
+# the fibered point counts against a per-point exhaustive scan
+# --------------------------------------------------------------------------
+
+def _affine_zeros(poly, points, p):
+    """#{x in points : F(x) = 0}, one full evaluation per point."""
+    terms = [(frac_mod(c, p), exps) for c, exps in poly]
+    count = 0
+    for x in points:
+        total = 0
+        for c, exps in terms:
+            for v, e in zip(x, exps):
+                c = c * pow(v, e, p) % p
+            total += c
+        count += total % p == 0
+    return count
+
+
+def scan_projective(poly, n, p):
+    return (_affine_zeros(poly, product(range(p), repeat=n + 1), p) - 1) // (p - 1)
+
+
+def scan_weighted_projective(poly, weights, p):
+    points = (x for x in product(range(p), repeat=len(weights)) if any(x))
+    return _affine_zeros(poly, points, p) // (p - 1)
+
+
+def scan_biprojective(poly, p):
+    line = [(1, t) for t in range(p)] + [(0, 1)]
+    return _affine_zeros(poly, (x + y for x in line for y in line), p)
+
+
+def scan_torus(f, p):
+    poly = [(c, exps) for exps, c in f.terms]
+    return _affine_zeros(poly, product(range(1, p), repeat=f.n), p)
+
+
+def _scan_family(fam, psi, p):
+    poly = fam.model_polynomial(psi)
+    if fam.model == "biprojective":
+        return scan_biprojective(poly, p)
+    if fam.model == "projective":
+        return scan_projective(poly, len(fam.model_variables()) - 1, p)
+    return scan_weighted_projective(poly, fam.model_weights(), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("name", ["elliptic", "quartic", "sextic"])
+def test_family_counts_match_exhaustive_scan(name, p):
+    # singular members too: the count does not need smoothness
+    fam = get_family(name)
+    for psi in (1, 2, 3, 5, 6, 7):
+        assert count_family(fam, psi, p).count == _scan_family(fam, psi, p)
+
+
+def _monomials(nvars, degree, weights=None):
+    weights = weights or (1,) * nvars
+    return [e for e in product(range(degree + 1), repeat=nvars)
+            if sum(w * a for w, a in zip(weights, e)) == degree]
+
+
+def _random_poly(rng, monomials, p):
+    """Up to five terms drawn with repetition; coefficients are rationals,
+    some of them 0 mod p."""
+    poly = []
+    for _ in range(rng.randint(1, 5)):
+        c = F(rng.choice((rng.randint(-6, 6), p * rng.randint(1, 3))),
+              rng.choice((1, 2, 4)))
+        poly.append((c, rng.choice(monomials)))
+    return poly
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_random_homogeneous_counts_match_exhaustive_scan(p):
+    rng = random.Random(7000 + p)
+    assert count_projective([], 3, p) == scan_projective([], 3, p)
+    for _ in range(25):
+        n = rng.choice((1, 2, 3))
+        poly = _random_poly(rng, _monomials(n + 1, rng.randint(1, 4)), p)
+        assert count_projective(poly, n, p) == scan_projective(poly, n, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_random_weighted_counts_match_exhaustive_scan(p):
+    rng = random.Random(8000 + p)
+    weights = (3, 1, 1, 1)
+    assert (count_weighted_projective([], weights, p)
+            == scan_weighted_projective([], weights, p))
+    for _ in range(25):
+        poly = _random_poly(rng, _monomials(4, rng.randint(0, 6), weights), p)
+        assert (count_weighted_projective(poly, weights, p)
+                == scan_weighted_projective(poly, weights, p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_random_bihomogeneous_counts_match_exhaustive_scan(p):
+    rng = random.Random(9000 + p)
+    assert count_biprojective([], p) == scan_biprojective([], p)
+    for _ in range(25):
+        a, b = rng.randint(0, 3), rng.randint(0, 3)
+        monomials = [x + y for x in _monomials(2, a) for y in _monomials(2, b)]
+        poly = _random_poly(rng, monomials, p)
+        assert count_biprojective(poly, p) == scan_biprojective(poly, p)
+
+
+def test_repeated_monomials_match_exhaustive_scan():
+    # x0^2 + 2 x0^2 - 3 x0^2 cancels over Q; x1^2 + 4 x1^2 cancels mod 5 only
+    poly = [(1, (2, 0, 0)), (2, (2, 0, 0)), (-3, (2, 0, 0)),
+            (1, (0, 2, 0)), (4, (0, 2, 0)), (F(1, 2), (1, 0, 1))]
+    bi = [(1, (2, 0, 1, 1)), (2, (2, 0, 1, 1)), (-3, (2, 0, 1, 1)),
+          (1, (0, 2, 0, 2)), (4, (0, 2, 0, 2)), (F(1, 2), (1, 1, 2, 0))]
+    for p in (3, 5, 7):
+        assert count_projective(poly, 2, p) == scan_projective(poly, 2, p)
+        assert count_biprojective(bi, p) == scan_biprojective(bi, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_random_torus_counts_match_exhaustive_scan(p):
+    rng = random.Random(9500 + p)
+    for _ in range(25):
+        n = rng.choice((1, 2, 3))
+        terms = {tuple(rng.randint(-3, 3) for _ in range(n)):
+                 F(rng.randint(-4, 4), rng.choice((1, 11)))
+                 for _ in range(rng.randint(1, 5))}
+        f = LaurentPolynomial(n, tuple(terms.items()))
+        assert count_torus(f, p) == scan_torus(f, p)
+
+
+# --------------------------------------------------------------------------
+# the one-pass truncated series against the term-by-term reference
+# --------------------------------------------------------------------------
+
+def series_by_terms(data, psi, p):
+    """Sum of `_series_term` over degrees 0..p-1, each term's Pochhammer
+    symbols rebuilt from scratch."""
+    z = _argument_mod_p(data, psi, p)
+    factorials = [1] * p
+    for i in range(1, p):
+        factorials[i] = factorials[i - 1] * i % p
+    total = 0
+    for n in range(p):
+        if n > 0 and z == 0:
+            break
+        total += _series_term(data, n, z, p, factorials)
+    return total % p
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HwmtError as exc:
+        return type(exc)
+
+
+def _random_rational(rng):
+    return F(rng.randint(-12, 12), rng.randint(1, 12))
+
+
+def _random_series(rng, p):
+    nums = tuple(_random_rational(rng) for _ in range(rng.randint(1, 4)))
+    # a lower parameter b has (b)_n vanish before n = p unless b == 1 mod p,
+    # so most are drawn that way to keep the value itself under test
+    dens = tuple(
+        F(1) + p * _random_rational(rng) if rng.random() < 0.8
+        else _random_rational(rng) or F(1)
+        for _ in nums[1:]
+    )
+    dens = tuple(b if b.denominator > 1 or b > 0 else F(1) for b in dens)
+    argument = (_random_rational(rng) or F(1), rng.randint(-4, 4))
+    return HypergeometricData(nums, dens, argument)
+
+
+PRIMES_TO_50 = [q for q in range(2, 50) if all(q % d for d in range(2, q))]
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_50)
+def test_truncated_series_matches_term_sum(p):
+    rng = random.Random(4200 + p)
+    seen = set()
+    for _ in range(40):
+        data = _random_series(rng, p)
+        psi = rng.choice((_random_rational(rng), F(rng.randint(0, 3 * p))))
+        expected = _outcome(series_by_terms, data, psi, p)
+        got = _outcome(lambda *a: truncated_pFq(*a).value, data, psi, p)
+        assert got == expected, (data, psi)
+        seen.add(expected if isinstance(expected, type) else int)
+    assert int in seen
+
+
+@pytest.mark.parametrize("data,psi,p,error", [
+    # z == 0 mod p: only the constant term survives, even past a lower
+    # parameter that would vanish
+    (HypergeometricData((F(1, 2), F(1, 3)), (F(1, 2),), (F(7), 1)), 3, 7, None),
+    (HypergeometricData((F(1, 2), F(1, 3)), (F(1, 2),), (F(1), 2)), 0, 5, None),
+    # a parameter with p in its denominator
+    (HypergeometricData((F(1, 5), F(1, 2)), (F(1),), (F(1), 1)), 2, 5,
+     "BadDenominator"),
+    (HypergeometricData((F(1, 2), F(1, 2)), (F(3, 5),), (F(1), 1)), 2, 5,
+     "BadDenominator"),
+    # (1/2)_n vanishes mod 5 at n = 3
+    (HypergeometricData((F(1, 2), F(1, 4)), (F(1, 2),), (F(1), 1)), 2, 5,
+     "BadDenominator"),
+    # psi^-4 with psi == 0 mod 7
+    (HypergeometricData((F(1, 2), F(1, 4), F(3, 4)), (F(1), F(1)), (F(256), -4)),
+     7, 7, "PsiNotInvertible"),
+])
+def test_truncated_series_edge_cases_match_term_sum(data, psi, p, error):
+    expected = _outcome(series_by_terms, data, psi, p)
+    got = _outcome(lambda *a: truncated_pFq(*a).value, data, psi, p)
+    assert got == expected
+    assert (expected.__name__ if isinstance(expected, type) else None) == error

@@ -3,10 +3,13 @@
 import json
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from hwmt.cli import main
 from hwmt.families import get_family
 from hwmt.hasse_witt import hasse_witt
 from hwmt.hypergeometric import truncated_pFq
+from hwmt.point_count import congruence_check
 from hwmt.polytope import (
     LatticePolytope,
     is_kernel_pair,
@@ -43,6 +46,18 @@ def test_large_prime_hasse_witt():
         for name, value in values.items():
             assert value == truncated_pFq(get_family(name).hg, psi, p).value
         assert values["quartic"] == values["group2"]
+
+
+@pytest.mark.parametrize("family,p", [
+    ("quartic", 29), ("quartic", 31), ("sextic", 23), ("sextic", 29),
+    ("elliptic", 199),
+])
+def test_large_prime_congruences(family, p):
+    # the fibered counts make the printed models affordable well past the
+    # primes an exhaustive scan reaches
+    for psi in (2, 3):
+        ok, count, trunc = congruence_check(family, psi, p)
+        assert ok, (family, psi, p, count, trunc)
 
 
 def test_concurrent_evaluation_deterministic():

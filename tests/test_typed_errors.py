@@ -1,0 +1,55 @@
+"""Input checks raise typed HwmtErrors, also under python -O, which strips
+asserts."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hwmt
+
+# each case: (imports, expression that must raise, error name)
+CASES = [
+    ("from hwmt.point_count import _cone_count",
+     "_cone_count([(1, (0,)), (1, (1,))], 1, 5)",  # 1 + x is not homogeneous
+     "NonIntegerOrbitSum"),
+    ("from hwmt.pencil import homogeneous_form\n"
+     "from hwmt.polytope import LatticePolytope",
+     "homogeneous_form(LatticePolytope(1, ((1,), (-1,))), {(-1,): 1},"
+     " points=((2,),))",
+     "PointOutsidePolytope"),
+    ("from hwmt.ratfunc import Poly",
+     "Poly.of(1, 2, 3).reversed_to(1)",
+     "DegreeTooSmall"),
+    ("from hwmt.picard_fuchs import companion_matrix, gauge_shear\n"
+     "from hwmt.families import get_family",
+     "gauge_shear(gauge_shear(companion_matrix(get_family('elliptic').pf_ode)))",
+     "WrongSystemForm"),
+    ("from hwmt.picard_fuchs import companion_matrix, substitute_power\n"
+     "from hwmt.families import get_family",
+     "substitute_power(companion_matrix(get_family('elliptic').pf_ode), 2)",
+     "WrongSystemForm"),
+]
+
+
+def _script(cases):
+    lines = ["from hwmt.errors import HwmtError"]
+    for imports, expr, _ in cases:
+        lines += [imports, "try:", f"    {expr}", "    print('none')",
+                  "except HwmtError as exc:", "    print(type(exc).__name__)"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[2] + "-" + c[1][:20] for c in CASES])
+def test_typed_error(case, capsys):
+    exec(_script([case]), {})
+    assert capsys.readouterr().out.split() == [case[2]]
+
+
+def test_typed_errors_under_optimize():
+    src = str(Path(hwmt.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", _script(CASES)],
+                         capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True)
+    assert out.stdout.split() == [c[2] for c in CASES]
