@@ -74,6 +74,11 @@ class PsiNotInvertible(HwmtError):
     """The argument needs a negative power of psi but p divides psi."""
 
 
+class MalformedHypergeometric(HwmtError, ValueError):
+    """pFq parameters of the wrong shape (q != p - 1 lower parameters) or
+    with a nonpositive-integer lower parameter."""
+
+
 class TruncationGuard(HwmtError):
     """Internal guard: a truncated series term beyond degree p-1 was
     requested."""
@@ -107,6 +112,10 @@ class UncountableAmbient(HwmtError):
 class WrongSystemForm(HwmtError):
     """A pipeline stage got a raw system where it needs a scaled one, or
     the reverse."""
+
+
+class ZeroRescale(HwmtError, ZeroDivisionError):
+    """A rescaling z = c * lambda was asked for with c = 0."""
 
 
 class DegreeTooSmall(HwmtError):

@@ -18,6 +18,7 @@ coordinate, is the independent reference that the tests compare against.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Optional, Tuple, Union
 
@@ -31,7 +32,7 @@ from .families import FamilyTag, get_family, identify_family
 from .hypergeometric import frac_mod, require_prime, truncated_pFq
 from .intlinalg import left_kernel
 from .pencil import LaurentPencil, LaurentPolynomial, build_vertex_pencil, specialize
-from .polytope import LatticePolytope, is_kernel_pair, polar_dual
+from .polytope import CACHE_SIZE, LatticePolytope, is_kernel_pair, polar_dual
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,12 @@ def zero_sum_exponents(exponents, e):
     yield from rec(0, e)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _kernel_basis(exps):
+    """Row-HNF basis of the left kernel of a tuple of exponent vectors."""
+    return left_kernel(exps)
+
+
 def _kernel_points(exps, e, exact):
     """Every nonnegative integer vector a with sum_i a_i exps[i] = 0 and
     sum(a) <= e (sum(a) == e when ``exact``), as a list of tuples.
@@ -123,7 +130,7 @@ def _kernel_points(exps, e, exact):
     columns are final and the interval is exact.
     """
     k = len(exps)
-    basis = left_kernel(exps)
+    basis = _kernel_basis(tuple(exps))
     r = len(basis)
     if r == 0:
         return [(0,) * k] if e == 0 or not exact else []

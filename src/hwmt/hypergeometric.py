@@ -12,6 +12,7 @@ from typing import Tuple
 
 from .errors import (
     BadDenominator,
+    MalformedHypergeometric,
     NotPrime,
     PsiNotInvertible,
     TruncationGuard,
@@ -60,10 +61,12 @@ class HypergeometricData:
         c, e = self.argument
         object.__setattr__(self, "argument", (Fraction(c), int(e)))
         if len(dens) != len(nums) - 1:
-            raise ValueError("pFq shape requires one fewer lower parameter")
+            raise MalformedHypergeometric(
+                "pFq shape requires one fewer lower parameter")
         for b in dens:
             if b.denominator == 1 and b <= 0:
-                raise ValueError(f"lower parameter {b} is a nonpositive integer")
+                raise MalformedHypergeometric(
+                    f"lower parameter {b} is a nonpositive integer")
 
     def argument_at(self, psi) -> Fraction:
         c, e = self.argument

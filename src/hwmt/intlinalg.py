@@ -1,11 +1,10 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Vectors are tuples of ints (or Fractions); matrices are tuples of row
-tuples.  Everything here is dimension-generic and allocation-light: the
-polytopes in this package have at most ~14 vertices in dimension <= 4.
+Vectors are tuples of ints; matrices are tuples of row tuples.  Everything
+here is dimension-generic and allocation-light: the polytopes in this
+package have at most ~14 vertices in dimension <= 4.
 """
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -106,46 +105,44 @@ def left_kernel(rows):
     return hnf_rows(ker)
 
 
-def mat_inverse(m):
-    """Exact inverse of a square matrix, entries returned as Fractions.
+def _bareiss_det(m):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every intermediate entry is a minor, so each division is
+    exact."""
+    a = [list(r) for r in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            piv = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        ak, pk = a[k], a[k][k]
+        for i in range(k + 1, n):
+            ai, c = a[i], a[i][k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * pk - c * ak[j]) // prev
+        prev = pk
+    return sign * a[-1][-1] if n else 1
 
-    Raises ZeroDivisionError if the matrix is singular.
+
+def adjugate_det(m):
+    """(adj(m), det(m)) of a square integer matrix, in integers.
+
+    adj(m) @ m == m @ adj(m) == det(m) * I, singular m included; so m is
+    invertible over Z exactly when det(m) is +-1, and adj(m) @ b is
+    divisible by det(m) exactly when m^-1 @ b is integral.  Each cofactor is
+    a Bareiss determinant.
     """
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                c = a[r][col]
-                a[r] = [x - c * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
-def mat_det(m):
-    """Exact determinant via fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                c = a[r][col] * inv
-                a[r] = [x - c * y for x, y in zip(a[r], a[col])]
-    return det
-
-
+    adj = tuple(
+        tuple(
+            (-1) ** (i + j)
+            * _bareiss_det([r[:i] + r[i + 1:] for t, r in enumerate(m) if t != j])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return adj, _bareiss_det(m)

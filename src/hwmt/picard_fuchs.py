@@ -23,6 +23,7 @@ from .errors import (
     UnknownFamily,
     WrongSystemForm,
     ZeroLeadingCoefficient,
+    ZeroRescale,
 )
 from .families import get_family
 from .hypergeometric import HypergeometricData
@@ -123,7 +124,7 @@ def rescale(system: FuchsianSystem, c) -> FuchsianSystem:
     _require_form(system, "scaled")
     c = Fraction(c)
     if c == 0:
-        raise ZeroDivisionError("rescale constant must be nonzero")
+        raise ZeroRescale("rescale constant must be nonzero")
     rows = tuple(
         tuple(e.scale_variable(c) for e in row) for row in system.matrix
     )

@@ -2,16 +2,23 @@
 
 Polar duals, reflexivity, lattice-point enumeration, integer kernels of
 vertex matrices, combinatorial equivalence, and the kernel-pair predicates.
-All arithmetic is exact (ints and Fractions); polytopes are immutable and
-hashable, so every operation is safe to call concurrently.
+All arithmetic is in integers; polytopes are immutable and hashable, so
+every operation is safe to call concurrently.
 
 Conventions: a polytope stores an ordered tuple of vertices (order is
 significant -- the vertex-matrix kernel lives in Z^k indexed by that order).
 A facet inequality <normal, x> >= -offset has a primitive integer normal.
+
+Per-polytope results (facets, lattice points, vertex-facet incidences and
+the polar dual) are memoized in bounded caches of ``CACHE_SIZE`` entries,
+so a census builds each dual once however many pairs it appears in.  A
+kernel-pair test needs no kernel basis per candidate bijection: both
+polytopes contain the origin in their interior, so both vertex kernels are
+saturated of rank k - dim, and ker(Q o sigma) == ker(P) exactly when every
+basis row of ker(P) annihilates the reordered vertices of Q.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator, Optional, Tuple
@@ -23,13 +30,17 @@ from .errors import (
     NotReflexive,
 )
 from .intlinalg import (
+    adjugate_det,
     left_kernel,
-    mat_inverse,
     mat_rank,
     vec_primitive,
 )
 
 LatticePoint = Tuple[int, ...]
+
+# entries in each per-polytope cache; a census of the bundled fixtures
+# touches about 150 distinct polytopes and duals
+CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -103,7 +114,7 @@ class LatticePolytope:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def facets(p: LatticePolytope) -> Tuple[FacetInequality, ...]:
     """All facet inequalities, each with primitive normal.
 
@@ -152,11 +163,13 @@ def is_reflexive(p: LatticePolytope) -> bool:
     return all(f.offset == 1 for f in facets(p))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def polar_dual(p: LatticePolytope) -> LatticePolytope:
     """Polar polytope {w : <v, w> >= -1 for all v}, vertices sorted lex.
 
     Raises NonLatticeDual when some dual vertex is non-integral, which is
-    exactly the non-reflexive case.
+    exactly the non-reflexive case.  Memoized: the dual carries no id, so
+    one dual serves every id of p; errors are raised on every call.
     """
     _require_interior_origin(p)
     if p.dim > 4:
@@ -171,7 +184,7 @@ def polar_dual(p: LatticePolytope) -> LatticePolytope:
     return LatticePolytope(p.dim, tuple(sorted(dual_verts)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def lattice_points(p: LatticePolytope) -> Tuple[LatticePoint, ...]:
     """All lattice points of the polytope (boundary included), in lex order."""
     n = p.dim
@@ -205,7 +218,7 @@ def vertex_kernel(p: LatticePolytope) -> KernelLattice:
     return KernelLattice(p.nvertices, left_kernel(p.vertices))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def vertex_facet_sets(p: LatticePolytope) -> Tuple[frozenset, ...]:
     """Facets as frozensets of vertex indices."""
     out = []
@@ -291,18 +304,31 @@ def is_kernel_pair(
     True iff p and q are combinatorially equivalent and some face-respecting
     vertex bijection sigma makes the vertex-matrix kernels equal as
     submodules of Z^k.  An explicit ordering pins the bijection instead of
-    searching.
+    searching; one that is not a permutation of the vertex indices gives
+    False.
     """
     for poly in (p, q):
         if not is_reflexive(poly):
             raise NotReflexive(f"polytope {poly.id or poly.vertices} is not reflexive")
+    k, n = p.nvertices, p.dim
+    # the annihilation test below is sound only for a bijection between
+    # vertex sets of equal dimension
+    if q.nvertices != k or q.dim != n:
+        return False, None
+    if ordering is not None and sorted(ordering) != list(range(k)):
+        return False, None
     kp = vertex_kernel(p).basis
     candidates = (
         [ordering] if ordering is not None else combinatorial_bijections(p, q)
     )
+    qv = q.vertices
     for sigma in candidates:
-        reordered = tuple(q.vertices[sigma[i]] for i in range(p.nvertices))
-        if left_kernel(reordered) == kp:
+        reordered = [qv[j] for j in sigma]
+        if all(
+            sum(a * v[c] for a, v in zip(row, reordered) if a) == 0
+            for row in kp
+            for c in range(n)
+        ):
             return True, tuple(sigma)
     return False, None
 
@@ -320,31 +346,30 @@ def _independent_vertex_indices(p):
 
 def lattice_isomorphism(
     p: LatticePolytope, q: LatticePolytope
-) -> Optional[Tuple[Tuple[Fraction, ...], ...]]:
+) -> Optional[Tuple[Tuple[int, ...], ...]]:
     """A GL(n,Z) matrix U with v @ U mapping vertices(p) onto vertices(q),
     compatibly with some face-lattice bijection; None if there is none."""
     if p.dim != q.dim or p.nvertices != q.nvertices:
         return None
+    n = p.dim
     base = _independent_vertex_indices(p)
-    m_p = tuple(p.vertices[i] for i in base)
-    inv = mat_inverse(m_p)
+    # U = M_p^-1 @ M_q on a vertex basis of p; M_p^-1 = adj / det
+    adj, det = adjugate_det(tuple(p.vertices[i] for i in base))
     for sigma in combinatorial_bijections(p, q):
         m_q = tuple(q.vertices[sigma[i]] for i in base)
-        u = tuple(
-            tuple(sum(inv[r][t] * m_q[t][c] for t in range(p.dim)) for c in range(p.dim))
-            for r in range(p.dim)
-        )
-        if any(x.denominator != 1 for row in u for x in row):
+        u = [
+            [sum(adj[r][t] * m_q[t][c] for t in range(n)) for c in range(n)]
+            for r in range(n)
+        ]
+        if any(x % det for row in u for x in row):
             continue
-        uint = tuple(tuple(int(x) for x in row) for row in u)
+        uint = tuple(tuple(x // det for x in row) for row in u)
         if all(
-            tuple(sum(v[t] * uint[t][c] for t in range(p.dim)) for c in range(p.dim))
+            tuple(sum(v[t] * uint[t][c] for t in range(n)) for c in range(n))
             == q.vertices[sigma[i]]
             for i, v in enumerate(p.vertices)
         ):
-            from .intlinalg import mat_det
-
-            if abs(mat_det(uint)) == 1:
+            if abs(adjugate_det(uint)[1]) == 1:
                 return uint
     return None
 

@@ -4,11 +4,12 @@ together through independent data paths."""
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import factorial
 
 import pytest
 
+from hwmt.census import classify_kernel_types
 from hwmt.families import FAMILIES, get_family
 from hwmt.hasse_witt import (
     _kernel_points,
@@ -39,7 +40,15 @@ from hwmt.point_count import (
     count_torus,
     count_weighted_projective,
 )
-from hwmt.polytope import polar_dual
+from hwmt.intlinalg import adjugate_det, left_kernel
+from hwmt.polytope import (
+    _independent_vertex_indices,
+    combinatorial_bijections,
+    is_kernel_pair,
+    lattice_isomorphism,
+    polar_dual,
+    vertex_kernel,
+)
 
 F = Fraction
 
@@ -502,3 +511,152 @@ def test_truncated_series_edge_cases_match_term_sum(data, psi, p, error):
     got = _outcome(lambda *a: truncated_pFq(*a).value, data, psi, p)
     assert got == expected
     assert (expected.__name__ if isinstance(expected, type) else None) == error
+
+
+# --------------------------------------------------------------------------
+# integer-only linear algebra and kernel-pair tests against Fraction and
+# HNF references
+# --------------------------------------------------------------------------
+
+def frac_inverse(m):
+    """Exact inverse of a square matrix, entries returned as Fractions.
+
+    Raises ZeroDivisionError if the matrix is singular.
+    """
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        d = a[col][col]
+        a[col] = [x / d for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                c = a[r][col]
+                a[r] = [x - c * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def frac_det(m):
+    """Exact determinant by Gaussian elimination over the rationals."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col]:
+                c = a[r][col] * inv
+                a[r] = [x - c * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def _random_matrices(count, seed=1606):
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if i % 4 == 0:
+            # one row an integer combination of the others: singular
+            r = rng.randrange(n)
+            coeffs = [rng.randint(-2, 2) for _ in range(n)]
+            m[r] = [sum(coeffs[t] * m[t][c] for t in range(n) if t != r)
+                    for c in range(n)]
+        yield tuple(tuple(row) for row in m)
+
+
+def test_adjugate_det_matches_fraction_oracles():
+    singular = 0
+    for m in _random_matrices(2000):
+        n = len(m)
+        adj, det = adjugate_det(m)
+        assert det == frac_det(m), m
+        if det:
+            assert adj == tuple(tuple(det * x for x in row)
+                                for row in frac_inverse(m)), m
+            continue
+        singular += 1
+        with pytest.raises(ZeroDivisionError):
+            frac_inverse(m)
+        # no inverse to compare with: the adjugate by its definition
+        cofactors = tuple(
+            tuple((-1) ** (i + j)
+                  * frac_det([r[:i] + r[i + 1:] for t, r in enumerate(m) if t != j])
+                  for j in range(n))
+            for i in range(n)
+        )
+        assert adj == cofactors, m
+    assert 400 < singular < 900
+
+
+def test_kernel_pair_ordering_matches_hnf(fixture_polytopes):
+    # ker(Q o sigma) == ker(P) by annihilation against the HNF of the
+    # reordered vertex matrix, for face-respecting and random bijections
+    rng = random.Random(1707)
+    polys = fixture_polytopes + [polar_dual(d) for d in fixture_polytopes]
+    shapes = {}
+    for poly in polys:
+        shapes.setdefault((poly.dim, poly.nvertices), []).append(poly)
+    outcomes = []
+    for group in shapes.values():
+        for p in group:
+            k, kp = p.nvertices, vertex_kernel(p).basis
+            for q in rng.sample(group, min(4, len(group))):
+                sigmas = list(islice(combinatorial_bijections(p, q), 4))
+                sigmas += [tuple(rng.sample(range(k), k)) for _ in range(2)]
+                for sigma in sigmas:
+                    expected = left_kernel(tuple(q.vertices[j] for j in sigma)) == kp
+                    assert is_kernel_pair(p, q, ordering=sigma) == (
+                        (True, sigma) if expected else (False, None)), (p, q, sigma)
+                    outcomes.append(expected)
+    assert outcomes.count(True) > 200 and outcomes.count(False) > 200
+
+
+def frac_lattice_isomorphism(p, q):
+    """The GL(n,Z) map of ``lattice_isomorphism`` through a Fraction inverse
+    and a Fraction determinant."""
+    if p.dim != q.dim or p.nvertices != q.nvertices:
+        return None
+    n = p.dim
+    base = _independent_vertex_indices(p)
+    inv = frac_inverse(tuple(p.vertices[i] for i in base))
+    for sigma in combinatorial_bijections(p, q):
+        m_q = tuple(q.vertices[sigma[i]] for i in base)
+        u = [[sum(inv[r][t] * m_q[t][c] for t in range(n)) for c in range(n)]
+             for r in range(n)]
+        if any(x.denominator != 1 for row in u for x in row):
+            continue
+        uint = tuple(tuple(int(x) for x in row) for row in u)
+        if all(tuple(sum(v[t] * uint[t][c] for t in range(n)) for c in range(n))
+               == q.vertices[sigma[i]] for i, v in enumerate(p.vertices)):
+            if abs(frac_det(uint)) == 1:
+                return uint
+    return None
+
+
+def test_lattice_isomorphism_matches_fraction_path(records2d, records3d):
+    polys2d = [r.polytope for r in records2d.values()]
+    polys2d += [polar_dual(p) for p in polys2d]
+    pairs = [(p, q) for p in polys2d for q in polys2d]
+    # the census asks lattice_isomorphism(polar_dual(a), b) for the members
+    # a <= b of each kernel type
+    for t in classify_kernel_types(list(records3d.values())):
+        members = sorted(t.members)
+        pairs += [(polar_dual(records3d[a].polytope), records3d[b].polytope)
+                  for i, a in enumerate(members) for b in members[i:]]
+    found = 0
+    for p, q in pairs:
+        u = lattice_isomorphism(p, q)
+        assert u == frac_lattice_isomorphism(p, q), (p, q)
+        found += u is not None
+    assert 0 < found < len(pairs)

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwmt.errors import DegeneratePolytope, NonLatticeDual, NotInteriorOrigin
+from hwmt.hasse_witt import _kernel_basis
 from hwmt.polytope import (
     LatticePolytope,
+    vertex_facet_sets,
     combinatorially_equivalent,
     combinatorial_bijections,
     facets,
@@ -207,6 +209,23 @@ class TestKernelPairs:
     def test_different_weights_not_pair(self, p3_simplex, p113_simplex):
         assert not is_kernel_pair(p3_simplex, p113_simplex)[0]
 
+    @pytest.mark.parametrize("ordering", [(0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 4)])
+    def test_ordering_not_a_permutation(self, p113_simplex, ordering):
+        dual = polar_dual(p113_simplex)
+        assert is_kernel_pair(p113_simplex, dual, ordering=ordering) == (False, None)
+
+    def test_ordering_with_repeats_is_false(self, cross_polytope):
+        # (0, 2, 2, 0) maps both kernel generators (1,0,1,0) and (0,1,0,1)
+        # to zero, but Q o sigma has rank 1, so its kernel is larger
+        assert is_kernel_pair(cross_polytope, cross_polytope,
+                              ordering=(0, 2, 2, 0)) == (False, None)
+
+    def test_ordering_with_unequal_vertex_counts(self, p113_simplex, records3d):
+        larger = next(r.polytope for r in records3d.values()
+                      if r.polytope.nvertices > 4)
+        assert is_kernel_pair(p113_simplex, larger,
+                              ordering=(0, 1, 2, 3)) == (False, None)
+
 
 class TestMirrorKernelPairs:
     def test_p113_pair(self, p113_simplex):
@@ -228,6 +247,26 @@ class TestMirrorKernelPairs:
         assert not is_mirror_kernel_pair(
             records3d[0].polytope, records3d[8].polytope
         )
+
+
+class TestCaches:
+    def test_polar_dual_memoized_across_ids(self, p113_simplex):
+        assert polar_dual(p113_simplex.with_id(7)) is polar_dual(p113_simplex)
+        assert polar_dual(p113_simplex).id is None
+
+    def test_polar_dual_errors_raised_every_call(self):
+        square = LatticePolytope(2, ((2, 0), (0, 2), (-2, 0), (0, -2)))
+        for _ in range(2):
+            with pytest.raises(NonLatticeDual):
+                polar_dual(square)
+
+    def test_every_cache_is_bounded(self, records2d, records3d):
+        # a census touches every fixture polytope and its dual
+        distinct = 2 * (len(records2d) + len(records3d))
+        for cached in (facets, lattice_points, vertex_facet_sets, polar_dual,
+                       _kernel_basis):
+            maxsize = cached.cache_info().maxsize
+            assert maxsize is not None and maxsize >= distinct
 
 
 class TestValidation:

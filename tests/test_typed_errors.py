@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hwmt
+from hwmt.errors import MalformedHypergeometric, ZeroRescale
 
 # each case: (imports, expression that must raise, error name)
 CASES = [
@@ -30,6 +31,16 @@ CASES = [
      "from hwmt.families import get_family",
      "substitute_power(companion_matrix(get_family('elliptic').pf_ode), 2)",
      "WrongSystemForm"),
+    ("from hwmt.hypergeometric import HypergeometricData",
+     "HypergeometricData((1, 2), (1, 1), (1, 1))",  # 2F2 is not a pFq shape
+     "MalformedHypergeometric"),
+    ("from hwmt.hypergeometric import HypergeometricData",
+     "HypergeometricData((1, 2), (-1,), (1, 1))",
+     "MalformedHypergeometric"),
+    ("from hwmt.picard_fuchs import companion_matrix, gauge_shear, rescale\n"
+     "from hwmt.families import get_family",
+     "rescale(gauge_shear(companion_matrix(get_family('elliptic').pf_ode)), 0)",
+     "ZeroRescale"),
 ]
 
 
@@ -53,3 +64,20 @@ def test_typed_errors_under_optimize():
                          capture_output=True, text=True,
                          env={"PYTHONPATH": src}, check=True)
     assert out.stdout.split() == [c[2] for c in CASES]
+
+
+def test_typed_errors_keep_their_builtin_bases():
+    # callers that caught the untyped errors still catch them
+    assert issubclass(MalformedHypergeometric, ValueError)
+    assert issubclass(ZeroRescale, ZeroDivisionError)
+
+
+def test_cli_malformed_hypergeometric_exits_2():
+    src = str(Path(hwmt.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-m", "hwmt.cli", "hyp", "--params",
+                          "1/2,1/2;1,1", "--arg", "1,0", "--psi", "1",
+                          "--prime", "5"],
+                         capture_output=True, text=True, env={"PYTHONPATH": src})
+    assert out.returncode == 2 and out.stdout == ""
+    assert "one fewer lower parameter" in out.stderr
+    assert "Traceback" not in out.stderr
