@@ -105,7 +105,7 @@ def left_kernel(rows):
     return hnf_rows(ker)
 
 
-def _bareiss_det(m):
+def det(m):
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination: every intermediate entry is a minor, so each division is
     exact."""
@@ -140,9 +140,9 @@ def adjugate_det(m):
     adj = tuple(
         tuple(
             (-1) ** (i + j)
-            * _bareiss_det([r[:i] + r[i + 1:] for t, r in enumerate(m) if t != j])
+            * det([r[:i] + r[i + 1:] for t, r in enumerate(m) if t != j])
             for j in range(n)
         )
         for i in range(n)
     )
-    return adj, _bareiss_det(m)
+    return adj, det(m)

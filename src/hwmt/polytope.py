@@ -31,6 +31,7 @@ from .errors import (
 )
 from .intlinalg import (
     adjugate_det,
+    det,
     left_kernel,
     mat_rank,
     vec_primitive,
@@ -354,22 +355,22 @@ def lattice_isomorphism(
     n = p.dim
     base = _independent_vertex_indices(p)
     # U = M_p^-1 @ M_q on a vertex basis of p; M_p^-1 = adj / det
-    adj, det = adjugate_det(tuple(p.vertices[i] for i in base))
+    adj, d = adjugate_det(tuple(p.vertices[i] for i in base))
     for sigma in combinatorial_bijections(p, q):
         m_q = tuple(q.vertices[sigma[i]] for i in base)
         u = [
             [sum(adj[r][t] * m_q[t][c] for t in range(n)) for c in range(n)]
             for r in range(n)
         ]
-        if any(x % det for row in u for x in row):
+        if any(x % d for row in u for x in row):
             continue
-        uint = tuple(tuple(x // det for x in row) for row in u)
+        uint = tuple(tuple(x // d for x in row) for row in u)
         if all(
             tuple(sum(v[t] * uint[t][c] for t in range(n)) for c in range(n))
             == q.vertices[sigma[i]]
             for i, v in enumerate(p.vertices)
         ):
-            if abs(adjugate_det(uint)[1]) == 1:
+            if abs(det(uint)) == 1:
                 return uint
     return None
 

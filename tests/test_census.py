@@ -1,6 +1,8 @@
 """Fixture ingestion, kernel-type classification, mirror-pair census."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -184,3 +186,22 @@ class TestFixtureOverride:
         monkeypatch.setenv("HWMT_FIXTURES", str(tmp_path))
         records = load_polytopes(fixture_path("tables3d.txt"))
         assert [r.id for r in records] == [5]
+
+
+def test_fixture_generator_regrows_every_weight_type(records3d):
+    """tools/make_fixtures.py imports against the current package, and its
+    lattice refinements regrow each of the 14 simplex kernel types of
+    tables3d.txt exactly, up to GL(3,Z) and vertex order."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    simplices = [r.polytope for r in records3d.values() if r.polytope.nvertices == 4]
+    for weights, _ in tool.SIMPLEX_ROWS:
+        grown = tool.grow_type(tool.minimal_simplex(weights))
+        fixtures = {
+            tool.normal_form(s)
+            for s in simplices
+            if tuple(sorted(vertex_kernel(s).basis[0])) == weights
+        }
+        assert set(grown) == fixtures, weights

@@ -20,12 +20,11 @@ Run from the repo root:  python tools/make_fixtures.py
 """
 
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hwmt.intlinalg import hermite_row, hnf_rows, mat_inverse, mat_det
+from hwmt.intlinalg import adjugate_det, det, hermite_row, hnf_rows
 from hwmt.polytope import (
     LatticePolytope,
     is_reflexive,
@@ -202,26 +201,27 @@ def refinements(poly):
     b = hnf_rows(dual.vertices)                      # basis of M_min, rows
     assert len(b) == 3
     d = tuple(zip(*b))                               # D = B^T = C^{-1}
-    index = abs(int(mat_det(d)))
+    index = abs(det(d))
     out = []
     for h in _upper_hnfs(index):
-        hinv = mat_inverse(h)
-        # L' = rowspan(H) must contain rowspan(D): D H^{-1} integral
+        # H^{-1} = adj(H) / det(H); det(H) > 0 (positive HNF diagonal)
+        adj, hdet = adjugate_det(h)
+        # L' = rowspan(H) must contain rowspan(D): D adj(H) divisible by det(H)
         dh = [
-            [sum(Fraction(d[r][k]) * hinv[k][c] for k in range(3)) for c in range(3)]
+            [sum(d[r][k] * adj[k][c] for k in range(3)) for c in range(3)]
             for r in range(3)
         ]
-        if any(x.denominator != 1 for row in dh for x in row):
+        if any(x % hdet for row in dh for x in row):
             continue
         new_verts = []
         ok = True
         for v in poly.vertices:
             vd = [sum(v[k] * d[k][c] for k in range(3)) for c in range(3)]
-            y = [sum(Fraction(vd[k]) * hinv[k][c] for k in range(3)) for c in range(3)]
-            if any(x.denominator != 1 for x in y):
+            y = [sum(vd[k] * adj[k][c] for k in range(3)) for c in range(3)]
+            if any(x % hdet for x in y):
                 ok = False
                 break
-            new_verts.append(tuple(int(x) for x in y))
+            new_verts.append(tuple(x // hdet for x in y))
         assert ok, "vertices must be integral in every intermediate lattice"
         cand = LatticePolytope(3, tuple(new_verts))
         assert is_reflexive(cand)
