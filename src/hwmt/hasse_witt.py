@@ -14,6 +14,14 @@ of surviving vectors rather than the number of monomials.
 ``period_coefficients`` all use it and differ only in how they weight a
 vector.  ``zero_sum_exponents``, a depth-first search over every exponent
 coordinate, is the independent reference that the tests compare against.
+
+For a fixed pencil and prime the invariant is one polynomial in psi of
+degree <= p-1, with coefficients binom(p-1, n) b_n mod p.
+``hasse_witt_polynomial`` enumerates once per (pencil, p) and memoizes the
+coefficients; ``hasse_witt`` evaluates them at psi mod p.  The direct
+route, ``constant_term_power`` of the pencil specialized at psi, is what
+``truncation_relation_check`` uses, so the period identity it checks is
+never the source of the value it checks.
 """
 
 from dataclasses import dataclass
@@ -274,6 +282,11 @@ def _resolve_pencil(family_or_pencil) -> Tuple[LaurentPencil, Optional[FamilyTag
     return fam.vertex_pencil(), fam
 
 
+def _require_psi_denominator(psi, p):
+    if psi.denominator % p == 0:
+        raise BadDenominator(f"psi = {psi} has denominator divisible by {p}")
+
+
 def hasse_witt(family_or_pencil: Union[str, FamilyTag, LaurentPencil, LatticePolytope],
                psi, p: int) -> HWInvariant:
     """Hasse-Witt invariant of the pencil member at psi over F_p.
@@ -281,15 +294,18 @@ def hasse_witt(family_or_pencil: Union[str, FamilyTag, LaurentPencil, LatticePol
     Accepts a named family, a FamilyTag, a polytope (its vertex pencil is
     built), or an explicit LaurentPencil.  Family members known to be
     singular at psi are rejected; for a bare pencil no smoothness check is
-    possible.
+    possible.  The value is the pencil's Hasse-Witt polynomial at psi, so
+    every psi after the first at the same (pencil, p) costs O(p).
     """
     psi = Fraction(psi)
     pencil, fam = _resolve_pencil(family_or_pencil)
     if fam is not None and not fam.is_smooth(psi):
         raise SingularMember(f"{fam.name} member at psi = {psi} is singular")
-    if psi.denominator % p == 0:
-        raise BadDenominator(f"psi = {psi} has denominator divisible by {p}")
-    value = constant_term_power(specialize(pencil, psi), p - 1, p)
+    _require_psi_denominator(psi, p)
+    coeffs = hasse_witt_polynomial(pencil, p)
+    x, value = frac_mod(psi, p), 0
+    for c in reversed(coeffs):
+        value = (value * x + c) % p
     return HWInvariant(p, value, psi)
 
 
@@ -298,10 +314,16 @@ def hasse_witt_polynomial(pencil_or_family, p: int) -> Tuple[int, ...]:
 
     The result always has length p, i.e. degree <= p-1 in psi: the origin
     monomial can absorb at most the whole exponent budget.  One enumeration
-    with budget <= p-1 on the vertex monomials covers every power of psi.
+    with budget <= p-1 on the vertex monomials covers every power of psi,
+    and the result is memoized per (pencil, p).
     """
     require_prime(p)
     pencil, _ = _resolve_pencil(pencil_or_family)
+    return _hw_coefficients(pencil, p)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _hw_coefficients(pencil: LaurentPencil, p: int) -> Tuple[int, ...]:
     e = p - 1
     origin = (0,) * pencil.n
     vertex_terms = [
@@ -364,15 +386,18 @@ def truncation_relation_check(delta_or_family, psi, p: int) -> bool:
         delta = fam.polytope
     if fam is not None and not fam.is_smooth(psi):
         raise SingularMember(f"member at psi = {psi} is singular")
-    hw = hasse_witt(build_vertex_pencil(delta), psi, p)
+    # the direct route, not the Hasse-Witt polynomial: that polynomial's
+    # coefficients are the binom(p-1, n) b_n of the identity checked here
+    _require_psi_denominator(psi, p)
+    hw = constant_term_power(specialize(build_vertex_pencil(delta), psi), p - 1, p)
     b = period_coefficients(delta, p - 1).values
     psi_mod = frac_mod(psi, p)
     rhs = 0
     for n in range(p):
         rhs = (rhs + comb(p - 1, n) * (b[n] % p) * pow(psi_mod, p - 1 - n, p)) % p
-    if hw.value != rhs:
+    if hw != rhs:
         return False
     if fam is not None:
-        if hw.value != truncated_pFq(fam.hg, psi, p).value:
+        if hw != truncated_pFq(fam.hg, psi, p).value:
             return False
     return True

@@ -9,10 +9,11 @@ in psi.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .errors import MalformedPencil, PointOutsidePolytope, UnsupportedMonomial
-from .polytope import LatticePolytope, lattice_points, polar_dual
+from .polytope import CACHE_SIZE, LatticePolytope, lattice_points, polar_dual
 
 Exponent = Tuple[int, ...]
 
@@ -44,8 +45,10 @@ class LaurentPencil:
         if not 0 <= self.psi_term_index < len(self.terms):
             raise MalformedPencil(f"psi term index {self.psi_term_index} out of range")
         origin = self.terms[self.psi_term_index]
-        if origin.exponent != (0,) * self.n or origin.psi_coeff == 0:
+        if origin.exponent != (0,) * self.n or (origin.const, origin.psi_coeff) != (0, 1):
             raise MalformedPencil("the psi term must be psi times the origin monomial")
+        if sum(1 for t in self.terms if t.psi_coeff) != 1:
+            raise MalformedPencil("psi may appear only on the origin monomial")
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,11 @@ class HomogeneousForm:
     monomials: Tuple[Tuple[Exponent, Fraction], ...]
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def build_vertex_pencil(delta: LatticePolytope) -> LaurentPencil:
     """Vertex pencil of delta: coefficient 1 on each polar-dual vertex
-    monomial, psi on the origin monomial."""
+    monomial, psi on the origin monomial.  Memoized per polytope, so the
+    same pencil object keys the Hasse-Witt polynomial cache."""
     dual = polar_dual(delta)
     terms = [LaurentTerm(v, Fraction(1)) for v in dual.vertices]
     terms.append(LaurentTerm((0,) * delta.dim, Fraction(0), Fraction(1)))

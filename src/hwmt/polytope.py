@@ -9,13 +9,14 @@ Conventions: a polytope stores an ordered tuple of vertices (order is
 significant -- the vertex-matrix kernel lives in Z^k indexed by that order).
 A facet inequality <normal, x> >= -offset has a primitive integer normal.
 
-Per-polytope results (facets, lattice points, vertex-facet incidences and
-the polar dual) are memoized in bounded caches of ``CACHE_SIZE`` entries,
-so a census builds each dual once however many pairs it appears in.  A
-kernel-pair test needs no kernel basis per candidate bijection: both
-polytopes contain the origin in their interior, so both vertex kernels are
-saturated of rank k - dim, and ker(Q o sigma) == ker(P) exactly when every
-basis row of ker(P) annihilates the reordered vertices of Q.
+Per-polytope results (facets, lattice points, vertex-facet incidences,
+vertex kernels and the polar dual) are memoized in bounded caches of
+``CACHE_SIZE`` entries, so a census builds each dual and each kernel once
+however many pairs it appears in.  A kernel-pair test needs no kernel
+basis per candidate bijection: both polytopes contain the origin in their
+interior, so both vertex kernels are saturated of rank k - dim, and
+ker(Q o sigma) == ker(P) exactly when every basis row of ker(P)
+annihilates the reordered vertices of Q.
 """
 
 from dataclasses import dataclass, field
@@ -214,6 +215,7 @@ def lattice_points(p: LatticePolytope) -> Tuple[LatticePoint, ...]:
     return tuple(points)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def vertex_kernel(p: LatticePolytope) -> KernelLattice:
     """Canonical basis of {a in Z^k : sum_i a_i v_i = 0}."""
     return KernelLattice(p.nvertices, left_kernel(p.vertices))
@@ -233,57 +235,68 @@ def vertex_facet_sets(p: LatticePolytope) -> Tuple[frozenset, ...]:
     return tuple(out)
 
 
-def _vertex_degrees(p):
+@lru_cache(maxsize=CACHE_SIZE)
+def _incidence(p: LatticePolytope):
+    """Vertex-facet incidence laid out for the bijection search: each
+    vertex's degree (the sorted sizes of its facets), the set of facets as
+    vertex bitmasks, and for each vertex the facets whose highest-index
+    vertex it is."""
     fsets = vertex_facet_sets(p)
-    return tuple(
+    degrees = tuple(
         tuple(sorted(len(f) for f in fsets if i in f)) for i in range(p.nvertices)
     )
+    masks = frozenset(sum(1 << v for v in f) for f in fsets)
+    closing = tuple(
+        tuple(tuple(f) for f in fsets if max(f) == i) for i in range(p.nvertices)
+    )
+    return degrees, masks, closing
 
 
 def combinatorial_bijections(
     p: LatticePolytope, q: LatticePolytope
 ) -> Iterator[Tuple[int, ...]]:
-    """Yield every vertex bijection inducing a face-lattice isomorphism.
+    """Yield every vertex bijection inducing a face-lattice isomorphism, in
+    lexicographic order.
 
     For polytopes the face lattice is determined by vertex-facet incidence,
     so a bijection qualifies iff it maps the facet family of p onto that
-    of q.  Backtracking with vertex-degree pruning; polytope sizes here are
-    tiny (<= 14 vertices).
+    of q.  Backtracking over the vertices of p in index order, each tried
+    only on vertices of q of the same degree; a facet of p is checked once,
+    when its highest-index vertex is assigned.  Once every facet lands on a
+    facet of q the families are equal: sigma is injective and both have
+    the same number of facets.
     """
     k = p.nvertices
     if k != q.nvertices:
         return
-    pf, qf = vertex_facet_sets(p), vertex_facet_sets(q)
-    if sorted(len(f) for f in pf) != sorted(len(f) for f in qf):
-        return
-    pdeg, qdeg = _vertex_degrees(p), _vertex_degrees(q)
+    pdeg, _, closing = _incidence(p)
+    qdeg, qmasks, _ = _incidence(q)
+    # equal degree multisets give equal numbers of facets of each size
     if sorted(pdeg) != sorted(qdeg):
         return
-    qf_set = set(qf)
-    sigma = [-1] * k
+    options = [[j for j in range(k) if qdeg[j] == d] for d in pdeg]
+    sigma = [0] * k
+    bits = [0] * k  # bits[v] = 1 << sigma[v]
     used = [False] * k
 
     def extend(i):
         if i == k:
-            if {frozenset(sigma[v] for v in f) for f in pf} == qf_set:
-                yield tuple(sigma)
+            yield tuple(sigma)
             return
-        for j in range(k):
-            if used[j] or pdeg[i] != qdeg[j]:
+        for j in options[i]:
+            if used[j]:
                 continue
-            sigma[i] = j
-            used[j] = True
-            # any fully-assigned p-facet must land on a q-facet
-            ok = True
-            for f in pf:
-                if i in f and all(sigma[v] >= 0 for v in f):
-                    if frozenset(sigma[v] for v in f) not in qf_set:
-                        ok = False
-                        break
-            if ok:
+            sigma[i], bits[i] = j, 1 << j
+            for f in closing[i]:
+                image = 0
+                for v in f:
+                    image |= bits[v]
+                if image not in qmasks:
+                    break
+            else:
+                used[j] = True
                 yield from extend(i + 1)
-            used[j] = False
-            sigma[i] = -1
+                used[j] = False
 
     yield from extend(0)
 

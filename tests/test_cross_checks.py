@@ -4,7 +4,7 @@ together through independent data paths."""
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
+from itertools import islice, permutations, product
 from math import factorial
 
 import pytest
@@ -12,6 +12,7 @@ import pytest
 from hwmt.census import classify_kernel_types
 from hwmt.families import FAMILIES, get_family
 from hwmt.hasse_witt import (
+    _hw_coefficients,
     _kernel_points,
     constant_term_power,
     hasse_witt,
@@ -48,6 +49,7 @@ from hwmt.polytope import (
     lattice_isomorphism,
     lattice_points,
     polar_dual,
+    vertex_facet_sets,
     vertex_kernel,
 )
 
@@ -294,6 +296,27 @@ def test_constant_term_repeated_exponents():
 def test_hasse_witt_polynomial_matches_dfs(name, p):
     pencil = get_family(name).vertex_pencil()
     assert hasse_witt_polynomial(pencil, p) == dfs_hasse_witt_polynomial(pencil, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_hasse_witt_matches_dfs_at_each_psi(fixture_polytopes, p):
+    # hasse_witt evaluates one memoized polynomial per (pencil, p); the DFS
+    # takes the constant term of the member specialized at psi.  Both psi
+    # orders start from an empty cache, so the value cannot depend on which
+    # psi filled it; psi = p is 0 mod p.
+    pencils = [build_vertex_pencil(d) for d in fixture_polytopes]
+    pencils += [get_family(name).vertex_pencil() for name in sorted(FAMILIES)]
+    psis = (F(-1), F(1, 2), F(1), F(2), F(3), F(p))
+    expected = {
+        (i, psi): dfs_constant_term(specialize(pencil, psi), p - 1, p)
+        for i, pencil in enumerate(pencils)
+        for psi in psis
+    }
+    for order in (psis, psis[::-1]):
+        _hw_coefficients.cache_clear()
+        for i, pencil in enumerate(pencils):
+            for psi in order:
+                assert hasse_witt(pencil, psi, p).value == expected[i, psi], (i, psi)
 
 
 def test_period_coefficients_match_dfs(fixture_polytopes):
@@ -669,3 +692,40 @@ def test_lattice_isomorphism_matches_fraction_path(records2d, records3d):
         assert u == frac_lattice_isomorphism(p, q), (p, q)
         found += u is not None
     assert 0 < found < len(pairs)
+
+
+def brute_force_bijections(p, q):
+    """Every vertex bijection that maps the facet family of p onto that of
+    q, in lexicographic order, by trying every permutation."""
+    if p.nvertices != q.nvertices:
+        return []
+    pf, qf = vertex_facet_sets(p), set(vertex_facet_sets(q))
+    return [sigma for sigma in permutations(range(p.nvertices))
+            if {frozenset(sigma[v] for v in f) for f in pf} == qf]
+
+
+def test_combinatorial_bijections_match_brute_force(records2d, records3d):
+    # every pair the census and the Key Lemma ask about (members of one
+    # kernel type, their duals, and a dual against a member), plus a seeded
+    # sample of the other pairs with equal vertex counts, across dimensions
+    # too; the lists must agree in order, since the first one found is the
+    # reported witness
+    asked = set()
+    for recs in (records2d, records3d):
+        for t in classify_kernel_types(list(recs.values())):
+            members = [recs[i].polytope for i in sorted(t.members)]
+            for a in members:
+                for b in members:
+                    asked |= {(a, b), (polar_dual(a), polar_dual(b)),
+                              (polar_dual(a), b)}
+    polys = [r.polytope for recs in (records2d, records3d) for r in recs.values()]
+    polys += [polar_dual(d) for d in polys]
+    others = [(a, b) for a in polys for b in polys
+              if a.nvertices == b.nvertices and (a, b) not in asked]
+    pairs = sorted(asked, key=str) + random.Random(1909).sample(others, 3000)
+    counts = []
+    for p, q in pairs:
+        found = list(combinatorial_bijections(p, q))
+        assert found == brute_force_bijections(p, q), (p, q)
+        counts.append(len(found))
+    assert counts.count(0) > 100 and max(counts) > 1

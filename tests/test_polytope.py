@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwmt.errors import DegeneratePolytope, NonLatticeDual, NotInteriorOrigin
-from hwmt.hasse_witt import _kernel_basis
+from hwmt.hasse_witt import _hw_coefficients, _kernel_basis
+from hwmt.pencil import build_vertex_pencil
 from hwmt.polytope import (
+    _incidence,
     LatticePolytope,
     vertex_facet_sets,
     combinatorially_equivalent,
@@ -264,7 +266,8 @@ class TestCaches:
         # a census touches every fixture polytope and its dual
         distinct = 2 * (len(records2d) + len(records3d))
         for cached in (facets, lattice_points, vertex_facet_sets, polar_dual,
-                       _kernel_basis):
+                       vertex_kernel, _incidence, build_vertex_pencil, _kernel_basis,
+                       _hw_coefficients):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize >= distinct
 
