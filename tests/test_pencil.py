@@ -64,10 +64,10 @@ class TestPencilInvariants:
         (TERMS + (LaurentTerm((1,), Fraction(2)),), 2),  # repeated exponent
         (TERMS, 0),                                      # psi term off the origin
         (TERMS[:2] + (LaurentTerm((0,), Fraction(1)),), 2),  # no psi coefficient
+        (TERMS, 3),                                      # index out of range
         (TERMS[:2] + (LaurentTerm((0,), Fraction(0), Fraction(2)),), 2),  # 2 psi
         (TERMS[:2] + (LaurentTerm((0,), Fraction(1), Fraction(1)),), 2),  # 1 + psi
         ((LaurentTerm((1,), Fraction(1), Fraction(1)),) + TERMS[1:], 2),  # psi on x
-        (TERMS, 3),                                      # index out of range
     ])
     def test_malformed(self, terms, index):
         with pytest.raises(MalformedPencil):
