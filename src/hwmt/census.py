@@ -89,9 +89,13 @@ def load_polytopes(path) -> List[PolytopeRecord]:
     """
     path = Path(path)
     source = path.name
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read ({exc.strerror})") from exc
     lines = [
         line.strip()
-        for line in path.read_text().splitlines()
+        for line in text.splitlines()
         if not line.lstrip().startswith("#")
     ]
     records = []

@@ -179,6 +179,24 @@ def _cmd_pencil(args) -> int:
     return 0
 
 
+def _sweep(args, cell) -> int:
+    """Emit one row per (psi, p) of the grid, cell(psi, p) giving the row's
+    other keys and its verdict; exit 1 if any verdict is False."""
+    rows, failures = [], 0
+    for psi in args.psi:
+        for p in args.primes:
+            row, ok = cell(psi, p)
+            failures += ok is False
+            rows.append({"psi": str(psi), "p": p, **row})
+    _emit(rows)
+    return 1 if failures else 0
+
+
+def _congruence(fam, psi, p):
+    """congruence_check, or None when the printed model is singular."""
+    return congruence_check(fam, psi, p) if fam.is_smooth_model(psi) else None
+
+
 def _cmd_hw(args) -> int:
     if args.family:
         source = get_family(args.family)
@@ -186,35 +204,22 @@ def _cmd_hw(args) -> int:
     else:
         source = build_vertex_pencil(_select_polytope(args))
         label = "pencil"
-    rows = []
-    for psi in args.psi:
-        for p in args.primes:
-            hw = hasse_witt(source, psi, p)
-            rows.append({"family": label, "psi": str(psi), "p": p, "hw": hw.value})
-    _emit(rows)
-    return 0
+    return _sweep(args, lambda psi, p: (
+        {"family": label, "hw": hasse_witt(source, psi, p).value}, None))
 
 
 def _cmd_count(args) -> int:
     fam = get_family(args.family)
-    rows = []
-    failures = 0
-    for psi in args.psi:
-        for p in args.primes:
-            if not fam.is_smooth_model(psi):
-                rows.append(
-                    {"model": fam.model, "psi": str(psi), "p": p,
-                     "count": None, "congruence_ok": None, "singular": True}
-                )
-                continue
-            ok, count, trunc = congruence_check(fam, psi, p)
-            failures += 0 if ok else 1
-            rows.append(
-                {"model": fam.model, "psi": str(psi), "p": p,
-                 "count": count, "congruence_ok": ok}
-            )
-    _emit(rows)
-    return 1 if failures else 0
+
+    def cell(psi, p):
+        result = _congruence(fam, psi, p)
+        if result is None:
+            return {"model": fam.model, "count": None, "congruence_ok": None,
+                    "singular": True}, None
+        ok, count, _ = result
+        return {"model": fam.model, "count": count, "congruence_ok": ok}, ok
+
+    return _sweep(args, cell)
 
 
 def _cmd_hyp(args) -> int:
@@ -265,52 +270,38 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rows = []
-    failures = 0
     if args.what in ("congruence", "clausen") and args.family is None:
         raise _UsageError(f"verify {args.what} requires --family")
     if args.what == "key-lemma":
         poly_a, poly_b = _pair_polytopes(args)
-        for psi in args.psi:
-            for p in args.primes:
-                ok, hw_a, hw_b = key_lemma_check(poly_a, poly_b, psi, p)
-                failures += 0 if ok else 1
-                rows.append(
-                    {"pair": list(args.pair), "psi": str(psi), "p": p,
-                     "hw": [hw_a.value, hw_b.value], "match": ok}
-                )
+
+        def cell(psi, p):
+            ok, hw_a, hw_b = key_lemma_check(poly_a, poly_b, psi, p)
+            return {"pair": list(args.pair), "hw": [hw_a.value, hw_b.value],
+                    "match": ok}, ok
     elif args.what == "truncation":
         target = args.family if args.family else _select_polytope(args)
         label = args.family or "polytope"
-        for psi in args.psi:
-            for p in args.primes:
-                ok = truncation_relation_check(target, psi, p)
-                failures += 0 if ok else 1
-                rows.append({"family": label, "psi": str(psi), "p": p, "match": ok})
+
+        def cell(psi, p):
+            ok = truncation_relation_check(target, psi, p)
+            return {"family": label, "match": ok}, ok
     elif args.what == "congruence":
         fam = get_family(args.family)
-        for psi in args.psi:
-            for p in args.primes:
-                if not fam.is_smooth_model(psi):
-                    rows.append({"family": fam.name, "psi": str(psi), "p": p,
-                                 "singular": True, "match": None})
-                    continue
-                ok, count, trunc = congruence_check(fam, psi, p)
-                failures += 0 if ok else 1
-                rows.append(
-                    {"family": fam.name, "psi": str(psi), "p": p,
-                     "count": count, "truncation": trunc, "match": ok}
-                )
+
+        def cell(psi, p):
+            result = _congruence(fam, psi, p)
+            if result is None:
+                return {"family": fam.name, "singular": True, "match": None}, None
+            ok, count, trunc = result
+            return {"family": fam.name, "count": count, "truncation": trunc,
+                    "match": ok}, ok
     else:  # clausen: mismatches are findings, not failures
         fam = get_family(args.family)
-        for psi in args.psi:
-            for p in args.primes:
-                match = clausen_check(fam, psi, p)
-                rows.append(
-                    {"family": fam.name, "psi": str(psi), "p": p, "match": match}
-                )
-    _emit(rows)
-    return 1 if failures else 0
+
+        def cell(psi, p):
+            return {"family": fam.name, "match": clausen_check(fam, psi, p)}, None
+    return _sweep(args, cell)
 
 
 # --------------------------------------------------------------------------
@@ -394,10 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=["key-lemma", "truncation", "congruence",
                                     "clausen"])
     p.add_argument("--pair", type=_pair_arg, metavar="A,B")
-    p.add_argument("--family", choices=sorted(FAMILIES))
-    p.add_argument("--vertices", type=_vertices_arg)
-    p.add_argument("--id", type=int)
-    p.add_argument("--input")
+    _add_selector(p, with_family=True)
     p.add_argument("--psi", type=_frac_list, required=True)
     p.add_argument("--primes", type=_int_list, required=True)
     p.set_defaults(func=_cmd_verify)

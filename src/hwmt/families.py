@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 from .errors import UnknownFamily
 from .hypergeometric import HypergeometricData
 from .pencil import LaurentPencil, build_vertex_pencil, homogeneous_form
-from .polytope import LatticePolytope, vertex_kernel
+from .polytope import LatticePolytope, lattice_isomorphism, polar_dual, vertex_kernel
 
 F = Fraction
 
@@ -67,8 +67,6 @@ class FamilyTag:
     def model_polynomial(self, psi) -> Tuple[Tuple[Fraction, Tuple[int, ...]], ...]:
         """Printed-model equation at the given psi, as (coeff, exponents)
         monomials in the generalized homogeneous coordinates."""
-        from .polytope import polar_dual
-
         delta = self.polytope
         origin = (0,) * delta.dim
         coeffs = {v: F(1) for v in polar_dual(delta).vertices}
@@ -216,8 +214,6 @@ def get_family(tag) -> FamilyTag:
 
 def identify_family(poly: LatticePolytope) -> Optional[FamilyTag]:
     """The family whose polytope is GL(n,Z)-isomorphic to poly, if any."""
-    from .polytope import lattice_isomorphism
-
     for fam in FAMILIES.values():
         if fam.polytope.dim == poly.dim and (
             lattice_isomorphism(fam.polytope, poly) is not None

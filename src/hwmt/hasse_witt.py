@@ -31,13 +31,12 @@ from math import comb, factorial
 from typing import Optional, Tuple, Union
 
 from .errors import (
-    BadDenominator,
     ExponentTooLarge,
     NotKernelPair,
     SingularMember,
 )
 from .families import FamilyTag, get_family, identify_family
-from .hypergeometric import frac_mod, require_prime, truncated_pFq
+from .hypergeometric import frac_mod, require_prime, require_psi_mod_p, truncated_pFq
 from .intlinalg import left_kernel
 from .pencil import LaurentPencil, LaurentPolynomial, build_vertex_pencil, specialize
 from .polytope import CACHE_SIZE, LatticePolytope, is_kernel_pair, polar_dual
@@ -122,9 +121,9 @@ def _kernel_basis(exps):
     return left_kernel(exps)
 
 
-def _kernel_points(exps, e, exact):
+def _kernel_points(exps, e):
     """Every nonnegative integer vector a with sum_i a_i exps[i] = 0 and
-    sum(a) <= e (sum(a) == e when ``exact``), as a list of tuples.
+    sum(a) <= e, as a list of tuples.
 
     Every such a is c @ B for one integer vector c, where B is the row-HNF
     basis of the left kernel of ``exps``; c is enumerated row by row.  Row
@@ -141,7 +140,7 @@ def _kernel_points(exps, e, exact):
     basis = _kernel_basis(tuple(exps))
     r = len(basis)
     if r == 0:
-        return [(0,) * k] if e == 0 or not exact else []
+        return [(0,) * k]
     pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
     free = [j for j in range(k) if j not in pivots]
     where = [0] * k  # a[j] = (pivot values + free values)[where[j]]
@@ -199,16 +198,9 @@ def _kernel_points(exps, e, exact):
                     [x + c * y for x, y in zip(pp, above[t])] if c else pp)
             return
         # last row: d * sum(a) = d * (used + u_t) + sum(q) + u_t * sum(m[t]),
-        # so u_t * slope <= slack (== slack when exact)
+        # so u_t * slope <= slack
         slack, slope = d * room - sum(q), d + sum(m[t])
-        if exact:
-            if slope:
-                if slack % slope:
-                    return
-                first, last = max(first, slack // slope), min(last, slack // slope)
-            elif slack:
-                return
-        elif slope > 0:
+        if slope > 0:
             last = min(last, slack // slope)
         elif slope < 0:
             first = max(first, -(-slack // slope))
@@ -240,12 +232,12 @@ def _power_table(c, e, inv_fact, p):
     return out
 
 
-def _budget_weights(terms, e, p, inv_fact, exact=False):
+def _budget_weights(terms, e, p, inv_fact):
     """W[s] = sum of prod_i c_i^a_i / a_i! mod p over the kernel points a of
     the (exponent, coefficient) terms with sum(a) = s, for s = 0..e."""
     tables = [_power_table(c, e, inv_fact, p) for _, c in terms]
     weights = [0] * (e + 1)
-    for a in _kernel_points([w for w, _ in terms], e, exact):
+    for a in _kernel_points([w for w, _ in terms], e):
         weight = 1
         for ai, table in zip(a, tables):
             weight = weight * table[ai] % p
@@ -257,7 +249,8 @@ def constant_term_power(f: LaurentPolynomial, e: int, p: int) -> int:
     """Constant term of f^e reduced mod p.
 
     Requires e < p so every multinomial(e; a) is a unit ratio of factorials
-    below p.
+    below p.  The vertex terms take a budget s <= e and the origin the rest,
+    so without an origin term only s = e contributes.
     """
     require_prime(p)
     if e >= p:
@@ -268,7 +261,7 @@ def constant_term_power(f: LaurentPolynomial, e: int, p: int) -> int:
     c0 = merged.pop((0,) * f.n, 0)
     terms = [(w, c) for w, c in merged.items() if c]
     fact, inv_fact = _factorials_mod(e, p)
-    weights = _budget_weights(terms, e, p, inv_fact, exact=not c0)
+    weights = _budget_weights(terms, e, p, inv_fact)
     origin = _power_table(c0, e, inv_fact, p)  # the origin takes e - s
     return fact[e] * sum(w * origin[e - s] for s, w in enumerate(weights)) % p
 
@@ -280,11 +273,6 @@ def _resolve_pencil(family_or_pencil) -> Tuple[LaurentPencil, Optional[FamilyTag
         return build_vertex_pencil(family_or_pencil), None
     fam = get_family(family_or_pencil)
     return fam.vertex_pencil(), fam
-
-
-def _require_psi_denominator(psi, p):
-    if psi.denominator % p == 0:
-        raise BadDenominator(f"psi = {psi} has denominator divisible by {p}")
 
 
 def hasse_witt(family_or_pencil: Union[str, FamilyTag, LaurentPencil, LatticePolytope],
@@ -301,7 +289,7 @@ def hasse_witt(family_or_pencil: Union[str, FamilyTag, LaurentPencil, LatticePol
     pencil, fam = _resolve_pencil(family_or_pencil)
     if fam is not None and not fam.is_smooth(psi):
         raise SingularMember(f"{fam.name} member at psi = {psi} is singular")
-    _require_psi_denominator(psi, p)
+    require_psi_mod_p(psi, p)
     coeffs = hasse_witt_polynomial(pencil, p)
     x, value = frac_mod(psi, p), 0
     for c in reversed(coeffs):
@@ -317,13 +305,14 @@ def hasse_witt_polynomial(pencil_or_family, p: int) -> Tuple[int, ...]:
     with budget <= p-1 on the vertex monomials covers every power of psi,
     and the result is memoized per (pencil, p).
     """
-    require_prime(p)
     pencil, _ = _resolve_pencil(pencil_or_family)
     return _hw_coefficients(pencil, p)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _hw_coefficients(pencil: LaurentPencil, p: int) -> Tuple[int, ...]:
+    # an exception is not cached, so NotPrime is raised on every call
+    require_prime(p)
     e = p - 1
     origin = (0,) * pencil.n
     vertex_terms = [
@@ -345,7 +334,7 @@ def period_coefficients(delta: LatticePolytope, n_max: int) -> PeriodCoefficient
     """
     fact = [factorial(i) for i in range(n_max + 1)]
     values = [0] * (n_max + 1)
-    for a in _kernel_points(polar_dual(delta).vertices, n_max, exact=False):
+    for a in _kernel_points(polar_dual(delta).vertices, n_max):
         denom = 1
         for ai in a:
             denom *= fact[ai]
@@ -388,7 +377,7 @@ def truncation_relation_check(delta_or_family, psi, p: int) -> bool:
         raise SingularMember(f"member at psi = {psi} is singular")
     # the direct route, not the Hasse-Witt polynomial: that polynomial's
     # coefficients are the binom(p-1, n) b_n of the identity checked here
-    _require_psi_denominator(psi, p)
+    require_psi_mod_p(psi, p)
     hw = constant_term_power(specialize(build_vertex_pencil(delta), psi), p - 1, p)
     b = period_coefficients(delta, p - 1).values
     psi_mod = frac_mod(psi, p)

@@ -36,6 +36,14 @@ def require_prime(p):
         raise NotPrime(f"{p} is not prime")
 
 
+def require_psi_mod_p(psi: Fraction, p: int):
+    """NotPrime unless p is prime, then BadDenominator if p divides the
+    denominator of psi."""
+    require_prime(p)
+    if psi.denominator % p == 0:
+        raise BadDenominator(f"psi = {psi} has denominator divisible by {p}")
+
+
 def frac_mod(x, p: int) -> int:
     """Image of a rational in F_p; BadDenominator if p divides its
     denominator."""

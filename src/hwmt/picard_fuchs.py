@@ -9,7 +9,6 @@ the published displays can be compared entry for entry.
 """
 
 import math
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple

@@ -20,7 +20,6 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import (
-    BadDenominator,
     NonBihomogeneous,
     NonHomogeneous,
     NonIntegerOrbitSum,
@@ -29,7 +28,7 @@ from .errors import (
     UncountableAmbient,
 )
 from .families import get_family
-from .hypergeometric import frac_mod, require_prime, truncated_pFq
+from .hypergeometric import frac_mod, require_prime, require_psi_mod_p, truncated_pFq
 from .pencil import LaurentPolynomial
 
 
@@ -201,8 +200,7 @@ def congruence_check(family, psi, p: int):
         raise SingularMember(
             f"{fam.name} printed model at psi = {psi} is singular"
         )
-    if psi.denominator % p == 0:
-        raise BadDenominator(f"psi = {psi} has denominator divisible by {p}")
+    require_psi_mod_p(psi, p)
     result = count_family(fam, psi, p)
     target = fam.model_hg if fam.model_hg is not None else fam.hg
     trunc = truncated_pFq(target, psi, p).value

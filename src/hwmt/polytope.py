@@ -12,11 +12,15 @@ A facet inequality <normal, x> >= -offset has a primitive integer normal.
 Per-polytope results (facets, lattice points, vertex-facet incidences,
 vertex kernels and the polar dual) are memoized in bounded caches of
 ``CACHE_SIZE`` entries, so a census builds each dual and each kernel once
-however many pairs it appears in.  A kernel-pair test needs no kernel
-basis per candidate bijection: both polytopes contain the origin in their
-interior, so both vertex kernels are saturated of rank k - dim, and
+however many pairs it appears in.  The predicates read those caches
+rather than re-deriving them.  One annihilation test serves both: for
+reflexive P and Q both vertex kernels are saturated of rank k - dim, so
 ker(Q o sigma) == ker(P) exactly when every basis row of ker(P)
-annihilates the reordered vertices of Q.
+annihilates the reordered vertices of Q; for any P and Q the same test
+says Q o sigma = P @ U for a rational U, which ``lattice_isomorphism``
+solves on the vertices indexed by the non-pivot columns of the kernel HNF
+and then needs only to be integral and unimodular.  A listed point is a
+vertex iff the facets through it meet in that point alone.
 """
 
 from dataclasses import dataclass, field
@@ -91,15 +95,13 @@ class LatticePolytope:
         )
         if mat_rank(diffs) < self.dim:
             raise DegeneratePolytope("vertex list is not full-dimensional")
-        # a point of the hull is a vertex iff its tight facet normals span
-        fts = facets(self)
-        for v in verts:
-            tight = tuple(
-                f.normal
-                for f in fts
-                if sum(f.normal[j] * v[j] for j in range(self.dim)) == -f.offset
-            )
-            if not tight or mat_rank(tight) < self.dim:
+        # a listed point is a vertex iff the facets through it meet in that
+        # point alone: a non-vertex lies in the relative interior of a face
+        # with at least two vertices, all of them listed
+        fsets = vertex_facet_sets(self)
+        listed = set(range(len(verts)))
+        for i, v in enumerate(verts):
+            if len(listed.intersection(*(f for f in fsets if i in f))) != 1:
                 raise DegeneratePolytope(f"point {v} is not a vertex")
 
     @property
@@ -335,27 +337,19 @@ def is_kernel_pair(
     candidates = (
         [ordering] if ordering is not None else combinatorial_bijections(p, q)
     )
-    qv = q.vertices
     for sigma in candidates:
-        reordered = [qv[j] for j in sigma]
-        if all(
-            sum(a * v[c] for a, v in zip(row, reordered) if a) == 0
-            for row in kp
-            for c in range(n)
-        ):
+        if _annihilates(kp, [q.vertices[j] for j in sigma]):
             return True, tuple(sigma)
     return False, None
 
 
-def _independent_vertex_indices(p):
-    idx, rows = [], []
-    for i, v in enumerate(p.vertices):
-        if mat_rank(tuple(rows + [v])) > len(rows):
-            rows.append(v)
-            idx.append(i)
-        if len(idx) == p.dim:
-            return tuple(idx)
-    raise DegeneratePolytope("vertices do not span")  # unreachable: checked at init
+def _annihilates(kernel, vertices) -> bool:
+    """True iff every kernel row a has sum_i a_i vertices[i] == 0."""
+    return all(
+        sum(a * v[c] for a, v in zip(row, vertices) if a) == 0
+        for row in kernel
+        for c in range(len(vertices[0]))
+    )
 
 
 def lattice_isomorphism(
@@ -366,10 +360,17 @@ def lattice_isomorphism(
     if p.dim != q.dim or p.nvertices != q.nvertices:
         return None
     n = p.dim
-    base = _independent_vertex_indices(p)
-    # U = M_p^-1 @ M_q on a vertex basis of p; M_p^-1 = adj / det
+    kp = vertex_kernel(p).basis
+    # a kernel vector vanishing on every pivot column is zero, so the
+    # vertices on the other n columns are a basis
+    pivots = {next(j for j, x in enumerate(row) if x) for row in kp}
+    base = [i for i in range(p.nvertices) if i not in pivots]
+    # U = M_p^-1 @ M_q on that vertex basis of p; M_p^-1 = adj / det
     adj, d = adjugate_det(tuple(p.vertices[i] for i in base))
     for sigma in combinatorial_bijections(p, q):
+        # Q o sigma = P @ U for a rational U
+        if not _annihilates(kp, [q.vertices[j] for j in sigma]):
+            continue
         m_q = tuple(q.vertices[sigma[i]] for i in base)
         u = [
             [sum(adj[r][t] * m_q[t][c] for t in range(n)) for c in range(n)]
@@ -378,13 +379,8 @@ def lattice_isomorphism(
         if any(x % d for row in u for x in row):
             continue
         uint = tuple(tuple(x // d for x in row) for row in u)
-        if all(
-            tuple(sum(v[t] * uint[t][c] for t in range(n)) for c in range(n))
-            == q.vertices[sigma[i]]
-            for i, v in enumerate(p.vertices)
-        ):
-            if abs(det(uint)) == 1:
-                return uint
+        if abs(det(uint)) == 1:
+            return uint
     return None
 
 

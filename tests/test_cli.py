@@ -1,5 +1,6 @@
 """CLI surface: subcommands, JSON determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hwmt
+from hwmt.census import fixture_path
 from hwmt.cli import main
 
 
@@ -15,6 +17,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_subprocess(*argv):
+    src = str(Path(hwmt.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", "hwmt.cli", *argv],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": src})
 
 
 class TestVerify:
@@ -50,6 +59,59 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)[0]["match"] is False
+
+
+# (argv, exit code, sha256 of stdout) recorded before the polytope
+# predicates and the CLI grids were rewritten; "{polygons2d}" stands for
+# the bundled 2D fixture path
+GOLDEN = [
+    ("hw --family quartic --psi 2,3,1/2 --primes 5,7,11", 0,
+     "357f8892cba6a6c06ae46f8cca8fa75bc269112101cbb74e143bb85f773f021b"),
+    ("hw --id 2 --psi 2,3 --primes 5,7", 0,
+     "37f339fa8ada6e9c07b2f2c27380cba2ad4792017cbee99bd78971f4ad4c06c9"),
+    ("hw --vertices 1,0;0,1;-1,-1 --psi 2,5 --primes 5,7", 0,
+     "622f4a61c03ce9f53f81e462932650e39d05d14a3022c328b9a69a06f2ed3d27"),
+    ("count --family elliptic --psi 1,4,2 --primes 5,7", 0,
+     "ec10d828763bcbb0860349b077822c6d5449d6f689156ffc07323f6108e656e2"),
+    ("count --family quartic --psi 1,2,3 --primes 5,7", 0,
+     "83da671ececabe4af48f2e2c206aecef91089c2d0e508607c1a3e6aea17769fd"),
+    ("verify key-lemma --pair 2,4317 --psi 3,5 --primes 5,7,11", 0,
+     "28fed59393e58a7b01d8175205cce24f742ac3f2d53f4ad8198c4fc5ca3cf721"),
+    ("verify truncation --family sextic --psi 1,2 --primes 5,7", 0,
+     "ba4855e94d32874fbd61c4b57537e156ca10428b9e5bd919c200e345b3c05a51"),
+    ("verify truncation --id 2 --psi 2,3 --primes 5,7", 0,
+     "1b86be778a8472b1447a5041cdceb44738b047c3447017701a43c5b1ba25ec7b"),
+    ("verify congruence --family elliptic --psi 1,2,4 --primes 5,7", 0,
+     "172d12299e91f23cdecf84bb7afffee7a17e4f252aa26292dfd237609b9c0dc0"),
+    ("verify clausen --family group2 --psi 1,2 --primes 13", 0,
+     "d9780d1d2442b3b418d6c418fea4dd3b5a8fc6d2c32b0ced8a6f0b6cb41473dd"),
+    ("pencil build --family quartic", 0,
+     "067029fa202cb9cfca30efb5d7d5a29bfe070070f1b1415f99b1de5fca32efd0"),
+    ("pencil build --family quartic --psi 3/2", 0,
+     "60ee253b90272c255237e670fc8df3703f7297b028dc5d3058156f6caf662414"),
+    ("pair check --pair 0,4311", 0,
+     "0290aa89b28933b3ed6369b27d6200dc9558ad3f808040b22fc54d2d9141ef5e"),
+    ("pair check --pair 2,4317", 0,
+     "ab6c0f83e547a0ad1487af0bbafbbcace70fc752bba3a95f7f48ef374b5a0c45"),
+    ("census --report json", 0,
+     "88c6afc6a456d0b31f92a9423a51aac9089a51eb73a77102faa6248ab721bd31"),
+    ("census --report markdown", 0,
+     "0db813f5f07daafb86a391085f46314feba0d81cc8003bb882e829628cbae11f"),
+    ("census --report csv", 0,
+     "7b6b1da495ea2a0f491d43ae0515c501036294a818b0b5d38d26ea079291f767"),
+    ("census --input {polygons2d}", 0,
+     "40c4e6c0e0006d22dc4b85d90de864c1f212bd8da6d6acafacfea161096db34f"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", GOLDEN,
+                         ids=[g[0].split(" --")[0] + f"-{i}"
+                              for i, g in enumerate(GOLDEN)])
+def test_cli_output_matches_golden(capsys, command, code, digest):
+    argv = [str(fixture_path("polygons2d.txt")) if a == "{polygons2d}" else a
+            for a in command.split()]
+    got_code, out = run(capsys, *argv)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 class TestCensus:
@@ -180,10 +242,38 @@ class TestUsageErrors:
         ["polytope", "dual", "--vertices", "1,0;0,x"],   # not an integer
     ], ids=["hyp", "verify", "pair", "polytope"])
     def test_bad_input_exits_2_without_traceback(self, argv):
-        src = str(Path(hwmt.__file__).resolve().parent.parent)
-        out = subprocess.run([sys.executable, "-m", "hwmt.cli", *argv],
-                             capture_output=True, text=True,
-                             env={"PYTHONPATH": src})
+        out = run_subprocess(*argv)
         assert out.returncode == 2
         assert "Traceback" not in out.stderr
         assert "error:" in out.stderr and out.stdout == ""
+
+    @pytest.mark.parametrize("p", ["0", "1"])
+    @pytest.mark.parametrize("argv", [
+        ["hw", "--family", "quartic", "--psi", "2"],
+        ["count", "--family", "quartic", "--psi", "2"],
+        ["verify", "key-lemma", "--pair", "2,4317", "--psi", "2"],
+        ["verify", "truncation", "--family", "sextic", "--psi", "2"],
+        ["verify", "congruence", "--family", "elliptic", "--psi", "2"],
+    ], ids=["hw", "count", "key-lemma", "truncation", "congruence"])
+    def test_non_prime_exits_1_with_not_prime(self, argv, p):
+        # the prime is checked before the denominator of psi
+        out = run_subprocess(*argv, "--primes", p)
+        assert (out.returncode, out.stderr) == (1, "")
+        assert json.loads(out.stdout) == {"error": "NotPrime",
+                                          "message": f"{p} is not prime"}
+
+    @pytest.mark.parametrize("argv", [
+        ["census"],
+        ["pair", "check", "--pair", "2,4317"],
+        ["polytope", "dual", "--id", "2"],
+        ["hw", "--id", "2", "--psi", "2", "--primes", "5"],
+    ], ids=["census", "pair", "polytope", "hw"])
+    def test_unreadable_input_exits_1_naming_the_file(self, argv, tmp_path):
+        for path, reason in ((tmp_path / "missing.txt", "No such file"),
+                             (tmp_path, "Is a directory")):
+            out = run_subprocess(*argv, "--input", str(path))
+            assert (out.returncode, out.stderr) == (1, "")
+            diagnostic = json.loads(out.stdout)
+            assert diagnostic["error"] == "ParseError"
+            assert str(path) in diagnostic["message"]
+            assert reason in diagnostic["message"]

@@ -43,7 +43,6 @@ from hwmt.point_count import (
 )
 from hwmt.intlinalg import adjugate_det, left_kernel
 from hwmt.polytope import (
-    _independent_vertex_indices,
     combinatorial_bijections,
     is_kernel_pair,
     lattice_isomorphism,
@@ -231,9 +230,7 @@ def test_kernel_points_match_dfs_vectors(fixture_polytopes):
         origin = (0,) * len(exps[0])
         for e in (0, 3, 6):
             with_origin = sorted(a[:-1] for a in zero_sum_exponents(exps + [origin], e))
-            assert sorted(_kernel_points(exps, e, exact=False)) == with_origin
-            exact = sorted(zero_sum_exponents(exps, e))
-            assert sorted(_kernel_points(exps, e, exact=True)) == exact
+            assert sorted(_kernel_points(exps, e)) == with_origin
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
@@ -646,13 +643,32 @@ def test_kernel_pair_ordering_matches_hnf(fixture_polytopes):
     assert outcomes.count(True) > 200 and outcomes.count(False) > 200
 
 
+def frac_vertex_basis(p):
+    """Indices of the first p.dim linearly independent vertices, each vertex
+    reduced by Fraction elimination against the ones already taken."""
+    idx, echelon = [], []
+    for i, v in enumerate(p.vertices):
+        w = [Fraction(x) for x in v]
+        for piv, row in echelon:
+            if w[piv]:
+                c = w[piv] / row[piv]
+                w = [x - c * y for x, y in zip(w, row)]
+        piv = next((j for j, x in enumerate(w) if x), None)
+        if piv is not None:
+            echelon.append((piv, w))
+            idx.append(i)
+    assert len(idx) == p.dim
+    return idx
+
+
 def frac_lattice_isomorphism(p, q):
     """The GL(n,Z) map of ``lattice_isomorphism`` through a Fraction inverse
-    and a Fraction determinant."""
+    and a Fraction determinant, on a greedily chosen vertex basis, checked
+    on every vertex."""
     if p.dim != q.dim or p.nvertices != q.nvertices:
         return None
     n = p.dim
-    base = _independent_vertex_indices(p)
+    base = frac_vertex_basis(p)
     inv = frac_inverse(tuple(p.vertices[i] for i in base))
     for sigma in combinatorial_bijections(p, q):
         m_q = tuple(q.vertices[sigma[i]] for i in base)
@@ -686,6 +702,12 @@ def test_lattice_isomorphism_matches_fraction_path(records2d, records3d):
         members = sorted(t.members)
         pairs += [(polar_dual(records3d[a].polytope), records3d[b].polytope)
                   for i, a in enumerate(members) for b in members[i:]]
+    # every 3D fixture with its vertices shuffled, so that the vertex basis
+    # is taken from every position of the vertex list
+    rng = random.Random(1818)
+    for r in records3d.values():
+        k = r.polytope.nvertices
+        pairs.append((r.polytope.relabel(rng.sample(range(k), k)), r.polytope))
     found = 0
     for p, q in pairs:
         u = lattice_isomorphism(p, q)

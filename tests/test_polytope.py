@@ -1,6 +1,8 @@
 """Lattice polytope toolkit: duals, kernels, equivalence, kernel pairs."""
 
-from itertools import product
+import random
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -288,3 +290,95 @@ class TestValidation:
     def test_lattice_isomorphism_found(self, p113_simplex):
         u = lattice_isomorphism(p113_simplex, p113_simplex)
         assert u is not None
+
+
+def frac_rank(rows):
+    """Rank over the rationals by Gaussian elimination."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            c = m[r][col] / m[rank][col]
+            m[r] = [x - c * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def laplace_det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * laplace_det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def rank_vertex_oracle(dim, points):
+    """The DegeneratePolytope message LatticePolytope should raise, or None.
+
+    A listed point is a vertex iff the normals of the supporting
+    hyperplanes through it span: hyperplanes through dim affinely
+    independent listed points, normals by cofactors, ranks by Fraction
+    elimination.
+    """
+    if len(set(points)) != len(points):
+        return "duplicate vertices"
+    diffs = [tuple(x - y for x, y in zip(v, points[0])) for v in points[1:]]
+    if frac_rank(diffs) < dim:
+        return "vertex list is not full-dimensional"
+    supporting = []
+    for sub in combinations(points, dim):
+        rows = [tuple(x - y for x, y in zip(v, sub[0])) for v in sub[1:]]
+        normal = tuple((-1) ** j * laplace_det([r[:j] + r[j + 1:] for r in rows])
+                       for j in range(dim))
+        if not any(normal):
+            continue
+        vals = [sum(a * x for a, x in zip(normal, v)) for v in points]
+        c = vals[points.index(sub[0])]
+        if min(vals) == c or max(vals) == c:
+            supporting.append((normal, c))
+    for v in points:
+        tight = [a for a, c in supporting
+                 if sum(x * y for x, y in zip(a, v)) == c]
+        if frac_rank(tight) < dim:
+            return f"point {v} is not a vertex"
+    return None
+
+
+def random_point_sets(count, seed=2121):
+    """Seeded point sets in dimensions 1-4 with lattice midpoints of random
+    pairs mixed in: edge, facet and interior points, some duplicates, and
+    some sets that are not full-dimensional."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(1, 4)
+        pts = [tuple(rng.randint(-2, 2) for _ in range(dim))
+               for _ in range(rng.randint(dim + 1, dim + 4))]
+        if rng.random() < 0.1:  # squash onto the hyperplane x_0 = x_(dim-1)
+            pts = [(v[-1],) + v[1:] for v in pts]
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.sample(pts, 2)
+            if all((x + y) % 2 == 0 for x, y in zip(a, b)):
+                pts.append(tuple((x + y) // 2 for x, y in zip(a, b)))
+        if rng.random() > 0.1:
+            pts = list(dict.fromkeys(pts))
+        rng.shuffle(pts)
+        yield dim, tuple(pts)
+
+
+def test_vertex_validation_matches_rank_oracle():
+    outcomes = []
+    for dim, pts in random_point_sets(600):
+        try:
+            LatticePolytope(dim, pts)
+            got = None
+        except DegeneratePolytope as exc:
+            got = str(exc)
+        assert got == rank_vertex_oracle(dim, pts), (dim, pts)
+        outcomes.append(got.split(" ")[0] if got else "ok")
+    # every outcome occurs, non-vertex points in many sets
+    assert outcomes.count("point") > 150 and outcomes.count("ok") > 150
+    assert outcomes.count("duplicate") > 5 and outcomes.count("vertex") > 5
