@@ -154,11 +154,8 @@ def _type_label(rep: LatticePolytope) -> Optional[str]:
         weights = tuple(sorted(kernel.basis[0]))
         return "(" + ",".join(str(w) for w in weights) + ")"
     for name, display in (("group1", "GroupI"), ("group2", "GroupII")):
-        fam = get_family(name)
-        if rep.dim == fam.polytope.dim:
-            ok, _ = is_kernel_pair(rep, fam.polytope)
-            if ok:
-                return display
+        if is_kernel_pair(rep, get_family(name).polytope)[0]:
+            return display
     return None
 
 
@@ -172,8 +169,6 @@ def classify_kernel_types(records: List[PolytopeRecord]) -> List[KernelType]:
     for rec in sorted(records, key=lambda r: r.id):
         placed = False
         for rep, members, witnesses in groups:
-            if rep.polytope.dim != rec.polytope.dim:
-                continue
             ok, sigma = is_kernel_pair(rep.polytope, rec.polytope)
             if ok:
                 members.append(rec.id)

@@ -93,31 +93,29 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2, default=str))
 
 
-def _load_records(path):
-    if path is None:
-        path = census_mod.fixture_path("tables3d.txt")
-    return {r.id: r for r in census_mod.load_polytopes(path)}
+def _fixture_polytopes(path, ids, flag):
+    """The polytopes with these ids in the fixture file (default: the bundled
+    3D tables); an id the file lacks is a usage error."""
+    by_id = {r.id: r.polytope for r in census_mod.load_polytopes(
+        path or census_mod.fixture_path("tables3d.txt"))}
+    for i in ids:
+        if i not in by_id:
+            raise _UsageError(f"{flag}: id {i} not in the fixture")
+    return tuple(by_id[i] for i in ids)
 
 
 def _pair_polytopes(args):
     if args.pair is None:
         raise _UsageError("--pair A,B is required")
-    records = _load_records(args.input)
-    for i in args.pair:
-        if i not in records:
-            raise _UsageError(f"--pair: id {i} not in the fixture")
-    return tuple(records[i].polytope for i in args.pair)
+    return _fixture_polytopes(args.input, args.pair, "--pair")
 
 
 def _select_polytope(args) -> LatticePolytope:
-    if getattr(args, "vertices", None):
+    if args.vertices:
         return LatticePolytope(len(args.vertices[0]), args.vertices)
-    if getattr(args, "id", None) is not None:
-        records = _load_records(getattr(args, "input", None))
-        if args.id not in records:
-            raise HwmtError(f"id {args.id} not in fixture")
-        return records[args.id].polytope
-    raise HwmtError("select a polytope with --vertices or --id")
+    if args.id is not None:
+        return _fixture_polytopes(args.input, (args.id,), "--id")[0]
+    raise _UsageError("select a polytope with --vertices or --id")
 
 
 def _pencil_rows(pencil):

@@ -215,8 +215,6 @@ def get_family(tag) -> FamilyTag:
 def identify_family(poly: LatticePolytope) -> Optional[FamilyTag]:
     """The family whose polytope is GL(n,Z)-isomorphic to poly, if any."""
     for fam in FAMILIES.values():
-        if fam.polytope.dim == poly.dim and (
-            lattice_isomorphism(fam.polytope, poly) is not None
-        ):
+        if lattice_isomorphism(fam.polytope, poly) is not None:
             return fam
     return None

@@ -13,13 +13,15 @@ Per-polytope results (facets, lattice points, vertex-facet incidences,
 vertex kernels and the polar dual) are memoized in bounded caches of
 ``CACHE_SIZE`` entries, so a census builds each dual and each kernel once
 however many pairs it appears in.  The predicates read those caches
-rather than re-deriving them.  One annihilation test serves both: for
-reflexive P and Q both vertex kernels are saturated of rank k - dim, so
-ker(Q o sigma) == ker(P) exactly when every basis row of ker(P)
-annihilates the reordered vertices of Q; for any P and Q the same test
-says Q o sigma = P @ U for a rational U, which ``lattice_isomorphism``
-solves on the vertices indexed by the non-pivot columns of the kernel HNF
-and then needs only to be integral and unimodular.  A listed point is a
+rather than re-deriving them.  One search serves both predicates: it
+yields the face-respecting bijections sigma for which every basis row of
+ker(P) annihilates the reordered vertices of Q.  For reflexive P and Q both
+vertex kernels are saturated of rank k - dim, so that is exactly
+ker(Q o sigma) == ker(P); for any P and Q it says Q o sigma = P @ U for a
+rational U, which ``lattice_isomorphism`` solves on the vertices indexed by
+the non-pivot columns of the kernel HNF and then needs only to be integral
+and unimodular.  The mirror test needs no search of the duals: their
+kernel-pair condition is implied by the other two.  A listed point is a
 vertex iff the facets through it meet in that point alone.
 """
 
@@ -310,46 +312,45 @@ def combinatorially_equivalent(
     return next(combinatorial_bijections(p, q), None)
 
 
+def _kernel_bijections(
+    p: LatticePolytope, q: LatticePolytope
+) -> Iterator[Tuple[int, ...]]:
+    """Yield, in lexicographic order, each face-respecting vertex bijection
+    sigma for which every basis row of ker(P) annihilates Q o sigma.
+
+    For P of rank n that says Q o sigma = P @ U for a rational U; for
+    reflexive P and Q it says ker(Q o sigma) == ker(P).  The test is sound
+    only between vertex sets of equal dimension, so pairs of different
+    dimension or vertex count yield nothing.
+    """
+    if p.dim != q.dim or p.nvertices != q.nvertices:
+        return
+    kp = vertex_kernel(p).basis
+    for sigma in combinatorial_bijections(p, q):
+        image = [q.vertices[j] for j in sigma]
+        if all(
+            sum(a * v[c] for a, v in zip(row, image) if a) == 0
+            for row in kp
+            for c in range(p.dim)
+        ):
+            yield sigma
+
+
 def is_kernel_pair(
-    p: LatticePolytope,
-    q: LatticePolytope,
-    ordering: Optional[Tuple[int, ...]] = None,
+    p: LatticePolytope, q: LatticePolytope
 ) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """Decide whether p and q are a kernel pair; return a witness bijection.
 
     True iff p and q are combinatorially equivalent and some face-respecting
     vertex bijection sigma makes the vertex-matrix kernels equal as
-    submodules of Z^k.  An explicit ordering pins the bijection instead of
-    searching; one that is not a permutation of the vertex indices gives
-    False.
+    submodules of Z^k; the witness is the first such sigma in
+    lexicographic order.
     """
     for poly in (p, q):
         if not is_reflexive(poly):
             raise NotReflexive(f"polytope {poly.id or poly.vertices} is not reflexive")
-    k, n = p.nvertices, p.dim
-    # the annihilation test below is sound only for a bijection between
-    # vertex sets of equal dimension
-    if q.nvertices != k or q.dim != n:
-        return False, None
-    if ordering is not None and sorted(ordering) != list(range(k)):
-        return False, None
-    kp = vertex_kernel(p).basis
-    candidates = (
-        [ordering] if ordering is not None else combinatorial_bijections(p, q)
-    )
-    for sigma in candidates:
-        if _annihilates(kp, [q.vertices[j] for j in sigma]):
-            return True, tuple(sigma)
-    return False, None
-
-
-def _annihilates(kernel, vertices) -> bool:
-    """True iff every kernel row a has sum_i a_i vertices[i] == 0."""
-    return all(
-        sum(a * v[c] for a, v in zip(row, vertices) if a) == 0
-        for row in kernel
-        for c in range(len(vertices[0]))
-    )
+    sigma = next(_kernel_bijections(p, q), None)
+    return sigma is not None, sigma
 
 
 def lattice_isomorphism(
@@ -357,8 +358,6 @@ def lattice_isomorphism(
 ) -> Optional[Tuple[Tuple[int, ...], ...]]:
     """A GL(n,Z) matrix U with v @ U mapping vertices(p) onto vertices(q),
     compatibly with some face-lattice bijection; None if there is none."""
-    if p.dim != q.dim or p.nvertices != q.nvertices:
-        return None
     n = p.dim
     kp = vertex_kernel(p).basis
     # a kernel vector vanishing on every pivot column is zero, so the
@@ -367,10 +366,7 @@ def lattice_isomorphism(
     base = [i for i in range(p.nvertices) if i not in pivots]
     # U = M_p^-1 @ M_q on that vertex basis of p; M_p^-1 = adj / det
     adj, d = adjugate_det(tuple(p.vertices[i] for i in base))
-    for sigma in combinatorial_bijections(p, q):
-        # Q o sigma = P @ U for a rational U
-        if not _annihilates(kp, [q.vertices[j] for j in sigma]):
-            continue
+    for sigma in _kernel_bijections(p, q):
         m_q = tuple(q.vertices[sigma[i]] for i in base)
         u = [
             [sum(adj[r][t] * m_q[t][c] for t in range(n)) for c in range(n)]
@@ -388,13 +384,13 @@ def is_mirror_kernel_pair(p: LatticePolytope, q: LatticePolytope) -> bool:
     """Kernel pair that is also a polar-dual pair.
 
     True iff q is GL(n,Z)-isomorphic to the polar dual of p, (p, q) is a
-    kernel pair, and (polar_dual(p), polar_dual(q)) is a kernel pair.
+    kernel pair, and (polar_dual(p), polar_dual(q)) is a kernel pair.  The
+    third condition follows from the first two: the kernel-pair relation
+    is symmetric and unchanged by GL(n,Z) maps and vertex reordering, and
+    q* is isomorphic to p** = p for reflexive p (Batyrev), so
+    KP(p*, q*) = KP(p*, p) = KP(p, p*) = KP(p, q).
     """
-    p_dual = polar_dual(p)
-    if lattice_isomorphism(p_dual, q) is None:
-        return False
-    ok, _ = is_kernel_pair(p, q)
-    if not ok:
-        return False
-    ok, _ = is_kernel_pair(p_dual, polar_dual(q))
-    return ok
+    return (
+        lattice_isomorphism(polar_dual(p), q) is not None
+        and is_kernel_pair(p, q)[0]
+    )

@@ -12,6 +12,7 @@ from hwmt.census import (
     report,
     run_census,
     CensusResult,
+    PolytopeRecord,
 )
 from hwmt.errors import NotReflexive, ParseError, UnknownFormat
 from hwmt.polytope import vertex_kernel
@@ -170,6 +171,22 @@ class TestReport:
     def test_unknown_format(self, census3d):
         with pytest.raises(UnknownFormat):
             report(census3d, "xml")
+
+    def test_mixed_dimensions_is_the_union(self, census2d, census3d):
+        # kernel types and mirror pairs never span dimensions; the polygon
+        # ids are shifted past the 3D ones, with which some collide
+        shift = 10000
+        polygons = [PolytopeRecord(r.id + shift, r.polytope, r.source)
+                    for r in census2d.records]
+        mixed = run_census(polygons + census3d.records)
+
+        def rows(result, offset=0):
+            return [(tuple(m + offset for m in t.members), t.label)
+                    for t in result.types]
+
+        assert sorted(rows(mixed)) == sorted(rows(census3d) + rows(census2d, shift))
+        assert mixed.pairs == sorted(
+            census3d.pairs + [(a + shift, b + shift) for a, b in census2d.pairs])
 
     def test_every_reported_pair_verifies(self, census3d, records3d):
         from hwmt.polytope import is_mirror_kernel_pair

@@ -150,10 +150,11 @@ class TestPolytopeCommands:
         code, out = run(capsys, "polytope", "reflexive", "--vertices", "1,0;0,1;-1,-1")
         assert code == 0 and json.loads(out)["reflexive"] is True
 
-    def test_missing_selector_exits_1(self, capsys):
-        code, out = run(capsys, "polytope", "dual")
-        assert code == 1
-        assert "error" in json.loads(out)
+    def test_missing_selector_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["polytope", "dual"])
+        assert exc.value.code == 2
+        assert "select a polytope with --vertices or --id" in capsys.readouterr().err
 
 
 class TestPairAndPencil:
@@ -229,10 +230,13 @@ class TestUsageErrors:
             main(["hw", "--family", "sextic", "--psi", "x", "--primes", "5"])
         assert exc.value.code == 2
 
-    def test_unknown_id_exits_1(self, capsys):
-        code, out = run(capsys, "polytope", "dual", "--id", "99999")
-        assert code == 1
-        assert json.loads(out)["error"]
+    def test_unknown_id_exits_2(self, capsys):
+        for argv in (["polytope", "dual"], ["hw", "--psi", "2", "--primes", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--id", "99999"])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "--id: id 99999 not in the fixture" in err
 
     @pytest.mark.parametrize("argv", [
         ["hyp", "--params", "1/2,1/2", "--arg", "1,0", "--psi", "1",

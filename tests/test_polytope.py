@@ -187,9 +187,8 @@ class TestKernelPairs:
         assert ok and witness is not None
 
     def test_self_pair_identity(self, p113_simplex):
-        ok, witness = is_kernel_pair(
-            p113_simplex, p113_simplex, ordering=(0, 1, 2, 3)
-        )
+        # the identity is first in lexicographic order
+        ok, witness = is_kernel_pair(p113_simplex, p113_simplex)
         assert ok and witness == (0, 1, 2, 3)
 
     def test_cross_square_pair(self, cross_polytope, unit_square):
@@ -213,23 +212,6 @@ class TestKernelPairs:
     def test_different_weights_not_pair(self, p3_simplex, p113_simplex):
         assert not is_kernel_pair(p3_simplex, p113_simplex)[0]
 
-    @pytest.mark.parametrize("ordering", [(0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 4)])
-    def test_ordering_not_a_permutation(self, p113_simplex, ordering):
-        dual = polar_dual(p113_simplex)
-        assert is_kernel_pair(p113_simplex, dual, ordering=ordering) == (False, None)
-
-    def test_ordering_with_repeats_is_false(self, cross_polytope):
-        # (0, 2, 2, 0) maps both kernel generators (1,0,1,0) and (0,1,0,1)
-        # to zero, but Q o sigma has rank 1, so its kernel is larger
-        assert is_kernel_pair(cross_polytope, cross_polytope,
-                              ordering=(0, 2, 2, 0)) == (False, None)
-
-    def test_ordering_with_unequal_vertex_counts(self, p113_simplex, records3d):
-        larger = next(r.polytope for r in records3d.values()
-                      if r.polytope.nvertices > 4)
-        assert is_kernel_pair(p113_simplex, larger,
-                              ordering=(0, 1, 2, 3)) == (False, None)
-
 
 class TestMirrorKernelPairs:
     def test_p113_pair(self, p113_simplex):
@@ -251,6 +233,89 @@ class TestMirrorKernelPairs:
         assert not is_mirror_kernel_pair(
             records3d[0].polytope, records3d[8].polytope
         )
+
+
+def _image(data, p):
+    """g.p for a drawn unimodular g: the vertices of p under elementary
+    integer row operations and sign flips, in a drawn order."""
+    n = p.dim
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.integers(-2, 2))
+    for i, j, c in data.draw(st.lists(steps, max_size=6)):
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    verts = [tuple(sum(v[t] * u[t][c] for t in range(n)) for c in range(n))
+             for v in p.vertices]
+    order = data.draw(st.permutations(range(p.nvertices)))
+    return LatticePolytope(n, tuple(verts[i] for i in order))
+
+
+@pytest.fixture(scope="module")
+def reflexive_pool(records2d, records3d):
+    """The 2D and 3D fixtures and their polar duals, by (dim, nvertices)."""
+    polys = [r.polytope for recs in (records2d, records3d) for r in recs.values()]
+    shapes = {}
+    for poly in polys + [polar_dual(d) for d in polys]:
+        shapes.setdefault((poly.dim, poly.nvertices), []).append(poly)
+    return shapes
+
+
+def _draw(data, pool, shape=None):
+    """A pool member of the given shape, or of a drawn one: drawing the
+    shape first keeps the few shapes of the polygons frequent."""
+    shape = shape or data.draw(st.sampled_from(sorted(pool)))
+    return data.draw(st.sampled_from(pool[shape]))
+
+
+def _draw_related(data, pool, p):
+    """A drawn image of p half of the time, else a pool member of its
+    shape, so that kernel pairs are frequent."""
+    if data.draw(st.booleans()):
+        return _image(data, p)
+    return _draw(data, pool, (p.dim, p.nvertices))
+
+
+class TestKernelPairLemma:
+    """The kernel-pair relation is reflexive, symmetric and invariant under
+    GL(n,Z) maps and vertex reordering, so the mirror test's third
+    condition, (p*, q*) a kernel pair, follows from the other two."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_image_is_kernel_pair(self, reflexive_pool, data):
+        p = _draw(data, reflexive_pool)
+        assert is_kernel_pair(p, _image(data, p))[0]
+
+    @given(data=st.data())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_verdict_symmetric_and_invariant(self, reflexive_pool, data):
+        p = _draw(data, reflexive_pool)
+        q = _draw_related(data, reflexive_pool, p)
+        verdict = is_kernel_pair(p, q)[0]
+        assert is_kernel_pair(q, p)[0] == verdict
+        assert is_kernel_pair(_image(data, p), _image(data, q))[0] == verdict
+
+    @given(data=st.data())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_mirror_matches_three_conditions(self, reflexive_pool, data):
+        p = _draw(data, reflexive_pool)
+        p_dual = polar_dual(p)
+        q = _draw_related(data, reflexive_pool, p_dual)
+        oracle = (lattice_isomorphism(p_dual, q) is not None
+                  and is_kernel_pair(p, q)[0]
+                  and is_kernel_pair(p_dual, polar_dual(q))[0])
+        assert is_mirror_kernel_pair(p, q) == oracle
+
+    @given(data=st.data())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_mirror_invariant_under_image_of_dual(self, reflexive_pool, data):
+        p = _draw(data, reflexive_pool)
+        p_dual = polar_dual(p)
+        assert (is_mirror_kernel_pair(p, _image(data, p_dual))
+                == is_mirror_kernel_pair(p, p_dual))
 
 
 class TestCaches:
