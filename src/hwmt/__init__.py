@@ -1,6 +1,6 @@
 """hwmt: exact arithmetic for vertex pencils in Gorenstein Fano toric varieties.
 
-Hasse-Witt invariants as constant terms of f^(p-1) mod p, brute-force point
+Hasse-Witt invariants as constant terms of f^(p-1) mod p, exact point
 counts over F_p, truncated hypergeometric series, Picard-Fuchs parameter
 extraction, and a census of kernel pairs of reflexive polytopes.
 """

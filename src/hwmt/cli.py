@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", type=_int_list, required=True)
     p.set_defaults(func=_cmd_hw)
 
-    p = sub.add_parser("count", help="brute-force point counts")
+    p = sub.add_parser("count", help="exact point counts")
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
     p.add_argument("--psi", type=_frac_list, required=True)
     p.add_argument("--primes", type=_int_list, required=True)

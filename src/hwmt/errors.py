@@ -103,8 +103,13 @@ class NonIntegerOrbitSum(HwmtError):
     modeling failure."""
 
 
+class BudgetExceeded(HwmtError):
+    """A count would exceed its documented work bound; refused before any
+    work starts."""
+
+
 class UncountableAmbient(HwmtError):
-    """The family has no implemented ambient model for brute-force counts."""
+    """The family has no implemented ambient model for point counts."""
 
 
 # --- Picard-Fuchs errors -----------------------------------------------------

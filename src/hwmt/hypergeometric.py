@@ -23,11 +23,13 @@ from .errors import (
 def is_prime(n) -> bool:
     if n < 2:
         return False
-    d = 2
+    if n % 2 == 0:
+        return n == 2
+    d = 3
     while d * d <= n:
         if n % d == 0:
             return False
-        d += 1
+        d += 2
     return True
 
 

@@ -266,6 +266,12 @@ class TestUsageErrors:
         assert json.loads(out.stdout) == {"error": "NotPrime",
                                           "message": f"{p} is not prime"}
 
+    def test_budget_exceeded_exits_1(self):
+        out = run_subprocess("count", "--family", "quartic", "--psi", "2",
+                             "--primes", "1601")
+        assert (out.returncode, out.stderr) == (1, "")
+        assert json.loads(out.stdout)["error"] == "BudgetExceeded"
+
     @pytest.mark.parametrize("argv", [
         ["census"],
         ["pair", "check", "--pair", "2,4317"],

@@ -35,10 +35,14 @@ from hwmt.pencil import (
     specialize,
 )
 from hwmt.point_count import (
+    _character_sum_zeros,
+    _diagonal_shape,
+    _fibered_zeros,
+    _reduce_poly,
+    _root_count,
     count_biprojective,
     count_family,
     count_projective,
-    count_torus,
     count_weighted_projective,
 )
 from hwmt.intlinalg import adjugate_det, left_kernel
@@ -353,11 +357,6 @@ def scan_biprojective(poly, p):
     return _affine_zeros(poly, (x + y for x in line for y in line), p)
 
 
-def scan_torus(f, p):
-    poly = [(c, exps) for exps, c in f.terms]
-    return _affine_zeros(poly, product(range(1, p), repeat=f.n), p)
-
-
 def _scan_family(fam, psi, p):
     poly = fam.model_polynomial(psi)
     if fam.model == "biprojective":
@@ -437,16 +436,101 @@ def test_repeated_monomials_match_exhaustive_scan():
         assert count_biprojective(bi, p) == scan_biprojective(bi, p)
 
 
+# --------------------------------------------------------------------------
+# the character-sum route and the closed-form fibers against the fibered
+# scan, the exhaustive scan and per-t evaluation
+# --------------------------------------------------------------------------
+
+def _primes_to(n):
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("p", _primes_to(41))
+@pytest.mark.parametrize("name", ["quartic", "sextic"])
+def test_character_sums_match_fibered_scan(name, p):
+    # singular members too; the shape holds exactly when the psi monomial
+    # survives mod p (never for the quartic's -4 psi at p = 2)
+    fam = get_family(name)
+    for psi in (1, 2, 3, 5, 6, 7):
+        poly = _reduce_poly(fam.model_polynomial(psi), p)
+        shape = _diagonal_shape(poly, 4)
+        assert (shape is None) == (frac_mod(fam.model_psi_coeff * psi, p) == 0)
+        if shape is not None:
+            assert (_character_sum_zeros(*shape, p)
+                    == _fibered_zeros(poly, product(range(p), repeat=3), p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_random_character_sums_match_exhaustive_scan(p):
+    rng = random.Random(9600 + p)
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        poly = [(rng.randint(1, p - 1),
+                 tuple(rng.randint(1, 6) if j == i else 0 for j in range(n)))
+                for i in range(n)]
+        poly.append((rng.randint(1, p - 1),
+                     tuple(rng.randint(1, 3) for _ in range(n))))
+        rng.shuffle(poly)
+        shape = _diagonal_shape(poly, n)
+        assert shape is not None
+        assert (_character_sum_zeros(*shape, p)
+                == _affine_zeros(poly, product(range(p), repeat=n), p))
+
+
+FERMAT = [(1, (4, 0, 0, 0)), (1, (0, 4, 0, 0)), (1, (0, 0, 4, 0)),
+          (1, (0, 0, 0, 4))]
+QUARTIC = FERMAT + [(-8, (1, 1, 1, 1))]
+
+
+@pytest.mark.parametrize("poly", [
+    QUARTIC + [(2, (4, 0, 0, 0))],    # a second pure power of x0
+    QUARTIC + [(2, (2, 2, 0, 0))],    # a further monomial
+    FERMAT + [(5, (2, 1, 1, 0))],     # the one other monomial misses x3
+], ids=["repeated-power", "extra-monomial", "missing-variable"])
+@pytest.mark.parametrize("p", [3, 7])
+def test_other_shapes_take_the_fibered_scan(poly, p):
+    assert _diagonal_shape(_reduce_poly(poly, p), 4) is None
+    assert count_projective(poly, 3, p) == scan_projective(poly, 3, p)
+
+
+def test_vanishing_coefficient_takes_the_fibered_scan():
+    # -8 = 0 mod 2 leaves only the pure powers; 5 x1^4 = 0 mod 5 drops one
+    assert _diagonal_shape(_reduce_poly(QUARTIC, 2), 4) is None
+    poly = QUARTIC[:1] + [(5, (0, 4, 0, 0))] + QUARTIC[2:]
+    assert _diagonal_shape(_reduce_poly(poly, 5), 4) is None
+    for p, f in ((2, QUARTIC), (5, poly)):
+        assert count_projective(f, 3, p) == scan_projective(f, 3, p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_random_torus_counts_match_exhaustive_scan(p):
-    rng = random.Random(9500 + p)
+def test_closed_form_fibers_match_evaluation(p):
+    table = [[pow(t, d, p) for d in range(4)] for t in range(p)]
+    for degrees in ((0, 1, 2), (2, 0), (2, 1), (1, 0), (2,), (3, 1, 0)):
+        for coeffs in product(range(p), repeat=len(degrees)):
+            roots = sum(
+                1 for t in range(p)
+                if sum(c * table[t][d] for c, d in zip(coeffs, degrees)) % p == 0
+            )
+            assert _root_count(coeffs, degrees, table, p) == roots
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_random_quadratic_fibers_match_exhaustive_scan(p):
+    # y-degree 2: every fiber of the chart y0 = 1 has degree <= 2 in y1
+    rng = random.Random(9700 + p)
     for _ in range(25):
-        n = rng.choice((1, 2, 3))
-        terms = {tuple(rng.randint(-3, 3) for _ in range(n)):
-                 F(rng.randint(-4, 4), rng.choice((1, 11)))
-                 for _ in range(rng.randint(1, 5))}
-        f = LaurentPolynomial(n, tuple(terms.items()))
-        assert count_torus(f, p) == scan_torus(f, p)
+        monomials = [x + y for x in _monomials(2, rng.randint(0, 3))
+                     for y in _monomials(2, 2)]
+        poly = [(rng.randint(-6, 6), rng.choice(monomials))
+                for _ in range(rng.randint(1, 5))]
+        assert count_biprojective(poly, p) == scan_biprojective(poly, p)
+
+
+def test_elliptic_counts_match_exhaustive_scan_to_151():
+    fam = get_family("elliptic")
+    for p in _primes_to(151):
+        psi = 2 + p % 3
+        assert count_family(fam, psi, p).count == _scan_family(fam, psi, p)
 
 
 # --------------------------------------------------------------------------

@@ -88,6 +88,9 @@ def test_cli_outputs_byte_identical(capsys):
         ["pf", "analyze", "--family", "sextic", "--json"],
         ["verify", "truncation", "--family", "quartic", "--psi", "2",
          "--primes", "5,7"],
+        ["count", "--family", "quartic", "--psi", "2,3", "--primes", "5,7,11"],
+        ["verify", "congruence", "--family", "sextic", "--psi", "2",
+         "--primes", "7,11"],
     ):
         first = _capture(capsys, *argv)
         second = _capture(capsys, *argv)

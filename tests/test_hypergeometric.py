@@ -12,6 +12,7 @@ from hwmt.hasse_witt import hasse_witt
 from hwmt.hypergeometric import (
     HypergeometricData,
     clausen_check,
+    is_prime,
     pfq_taylor,
     pochhammer_mod_p,
     quadratic_residue_check,
@@ -21,6 +22,11 @@ from hwmt.hypergeometric import (
 )
 
 F = Fraction
+
+
+def test_is_prime_matches_every_divisor():
+    for n in range(-3, 3000):
+        assert is_prime(n) == (n > 1 and all(n % d for d in range(2, n)))
 
 
 class TestPochhammer:

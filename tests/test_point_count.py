@@ -1,10 +1,12 @@
-"""Brute-force point counts over F_p and the N == 1 +- truncation congruences."""
+"""Exact point counts over F_p and the N == 1 +- truncation congruences."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from hwmt.errors import (
+    BudgetExceeded,
     NonBihomogeneous,
     NonHomogeneous,
     NonWeightedHomogeneous,
@@ -13,33 +15,15 @@ from hwmt.errors import (
 )
 from hwmt.families import get_family
 from hwmt.hypergeometric import truncated_pFq
-from hwmt.pencil import LaurentPolynomial, specialize
 from hwmt.point_count import (
     congruence_check,
     count_biprojective,
     count_family,
     count_projective,
-    count_torus,
     count_weighted_projective,
 )
 
 F = Fraction
-
-
-class TestTorus:
-    def test_x_minus_one(self):
-        f = LaurentPolynomial(1, (((1,), F(1)), ((0,), F(-1))))
-        assert count_torus(f, 5) == 1
-
-    def test_x_plus_y(self):
-        f = LaurentPolynomial(2, (((1, 0), F(1)), ((0, 1), F(1))))
-        assert count_torus(f, 5) == 4
-
-    def test_quartic_pencil_scan_value(self):
-        f = specialize(get_family("quartic").vertex_pencil(), 1)
-        # oracle: multiply by xyz to get x^4+y^4+z^4+1+xyz; on the torus
-        # x^4 = 1, so the condition is xyz == 1: exactly (p-1)^2 = 16 triples
-        assert count_torus(f, 5) == 16
 
 
 class TestProjective:
@@ -133,8 +117,32 @@ class TestCongruences:
         with pytest.raises(SingularMember):
             congruence_check("quartic", 1, 5)  # printed model: 1/psi^4 = 1
 
-    def test_torus_count_below_full_count(self):
-        fam = get_family("sextic")
-        torus = count_torus(specialize(fam.vertex_pencil(), 1), 5)
-        full = count_family(fam, 1, 5).count
-        assert torus <= full * (5 - 1) + 1  # affine stratum bound
+    @pytest.mark.parametrize("family,p", [
+        ("quartic", 101), ("quartic", 211), ("sextic", 101), ("sextic", 211),
+        ("elliptic", 1009),
+    ])
+    def test_large_primes(self, family, p):
+        # beyond the reach of a p^(n-1) fibered scan of the K3 models
+        for psi in (2, 3):
+            ok, count, trunc = congruence_check(family, psi, p)
+            assert ok, (family, psi, p, count, trunc)
+
+
+class TestBudget:
+    def test_fibered_scan_refused_up_front(self):
+        # x0^3 x1 takes the quartic off the character-sum shape; the fibered
+        # scan would visit 1009^3 prefixes
+        poly = [(1, e) for e in ((4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0),
+                                 (0, 0, 0, 4), (3, 1, 0, 0))]
+        poly.append((-8, (1, 1, 1, 1)))
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            count_projective(poly, 3, 1009)
+        assert time.perf_counter() - start < 1
+
+    def test_character_sum_refused_up_front(self):
+        # 4 * 1601^2 character-sum steps
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            count_family("quartic", 2, 1601)
+        assert time.perf_counter() - start < 1

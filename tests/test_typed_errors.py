@@ -41,6 +41,9 @@ CASES = [
      "from hwmt.families import get_family",
      "rescale(gauge_shear(companion_matrix(get_family('elliptic').pf_ode)), 0)",
      "ZeroRescale"),
+    ("from hwmt.point_count import count_family",
+     "count_family('quartic', 2, 1601)",
+     "BudgetExceeded"),
 ]
 
 
