@@ -14,7 +14,7 @@ from .hasse_witt import (
     truncation_relation_check,
 )
 from .hypergeometric import HypergeometricData, truncated_pFq
-from .pencil import build_vertex_pencil, is_smooth_member, specialize
+from .pencil import build_vertex_pencil, specialize
 from .picard_fuchs import analyze_family
 from .point_count import congruence_check
 from .polytope import (
@@ -46,7 +46,6 @@ __all__ = [
     "is_kernel_pair",
     "is_mirror_kernel_pair",
     "is_reflexive",
-    "is_smooth_member",
     "key_lemma_check",
     "lattice_points",
     "load_polytopes",

@@ -153,9 +153,9 @@ def _type_label(rep: LatticePolytope) -> Optional[str]:
     if kernel.rank == 1:
         weights = tuple(sorted(kernel.basis[0]))
         return "(" + ",".join(str(w) for w in weights) + ")"
-    for name, display in (("group1", "GroupI"), ("group2", "GroupII")):
-        if is_kernel_pair(rep, get_family(name).polytope)[0]:
-            return display
+    for fam in (get_family("group1"), get_family("group2")):
+        if is_kernel_pair(rep, fam.polytope)[0]:
+            return fam.display
     return None
 
 

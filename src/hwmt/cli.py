@@ -3,7 +3,9 @@
 Rationals are written `r/s` on the command line and as strings in JSON
 (never as floats); identical inputs produce byte-identical output.  Exit
 codes: 0 success / all verifications pass, 1 verification failure (with a
-JSON diagnostic on stdout), 2 usage errors.
+JSON diagnostic on stdout), 2 usage errors.  In a (psi, p) grid an error in
+one cell becomes that cell's row, {"psi", "p", "error", "message"}, and the
+other cells are still computed.
 """
 
 import argparse
@@ -177,13 +179,22 @@ def _cmd_pencil(args) -> int:
     return 0
 
 
+def _error_row(exc: HwmtError):
+    return {"error": type(exc).__name__, "message": str(exc)}
+
+
 def _sweep(args, cell) -> int:
     """Emit one row per (psi, p) of the grid, cell(psi, p) giving the row's
-    other keys and its verdict; exit 1 if any verdict is False."""
+    other keys and its verdict; exit 1 if any verdict is False.  A cell that
+    raises an HwmtError becomes an error row and counts as a failure; the
+    other cells are still computed."""
     rows, failures = [], 0
     for psi in args.psi:
         for p in args.primes:
-            row, ok = cell(psi, p)
+            try:
+                row, ok = cell(psi, p)
+            except HwmtError as exc:
+                row, ok = _error_row(exc), False
             failures += ok is False
             rows.append({"psi": str(psi), "p": p, **row})
     _emit(rows)
@@ -399,7 +410,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         parser.error(str(exc))
     except HwmtError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
+        _emit(_error_row(exc))
         return 1
 
 

@@ -2,17 +2,21 @@
 
 Each family records the polytope whose vertex pencil it is, the truncation
 target of the classification table (vertex-pencil convention, +psi on the
-origin monomial), the printed model equation convention used for point
-counts (e.g. -4*psi on the Fermat quartic), the Picard-Fuchs equation, and
-the substitution/rescaling constants of the parameter-extraction pipeline.
+origin monomial), the printed coefficient on psi of the model equation used
+for point counts (e.g. -4 for -4*psi on the Fermat quartic), the
+Picard-Fuchs equation, and the substitution/rescaling constants of the
+parameter-extraction pipeline.  The polytope's vertices, in stored order,
+are the printed model's variables.
 
 The two coefficient conventions deliberately coexist: the vertex pencil
 x^4-type sum + psi*(product) pairs with argument 256/psi^4, while the
 printed model with -4*psi pairs with 1/psi^4.  They are related by
-psi -> -4*psi and must not be conflated.
+psi -> -4*psi, so only `hg` is stored: the printed target `model_hg` and
+the printed model's smoothness are derived from it through that
+substitution.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -32,7 +36,6 @@ class FamilyTag:
     hg: HypergeometricData                      # vertex-pencil convention
     model: Optional[str]                        # countable ambient, if any
     model_psi_coeff: Fraction                   # printed coefficient on psi
-    model_hg: Optional[HypergeometricData]      # printed-convention target
     pf_ode: Optional[Tuple]                     # (c_0, .., c_{n-1}) as (num, den)
     substitution_k: Optional[int]
     rescale_c: Optional[Fraction]
@@ -47,22 +50,17 @@ class FamilyTag:
         psi = Fraction(psi)
         return psi != 0 and self.hg.argument_at(psi) != 1
 
+    @property
+    def model_hg(self) -> HypergeometricData:
+        """Printed-convention target: hg with psi -> model_psi_coeff * psi."""
+        c, e = self.hg.argument
+        return replace(self.hg, argument=(c * self.model_psi_coeff ** e, e))
+
     def is_smooth_model(self, psi) -> bool:
-        psi = Fraction(psi)
-        if psi == 0:
-            return False
-        if self.model_hg is None:
-            return self.is_smooth(psi)
-        return self.model_hg.argument_at(psi) != 1
+        return self.is_smooth(self.model_psi_coeff * Fraction(psi))
 
     def model_weights(self) -> Tuple[int, ...]:
         return vertex_kernel(self.polytope).basis[0]
-
-    def model_variables(self) -> Tuple[Tuple[int, ...], ...]:
-        if self.name == "elliptic":
-            # group the two rulings: +-e1 first, then +-e2
-            return ((1, 0), (-1, 0), (0, 1), (0, -1))
-        return self.polytope.vertices
 
     def model_polynomial(self, psi) -> Tuple[Tuple[Fraction, Tuple[int, ...]], ...]:
         """Printed-model equation at the given psi, as (coeff, exponents)
@@ -71,8 +69,8 @@ class FamilyTag:
         origin = (0,) * delta.dim
         coeffs = {v: F(1) for v in polar_dual(delta).vertices}
         coeffs[origin] = self.model_psi_coeff * Fraction(psi)
-        form = homogeneous_form(delta, coeffs, points=self.model_variables())
-        return tuple((c, exps) for exps, c in form.monomials if c)
+        monomials = homogeneous_form(delta, coeffs, points=delta.vertices)
+        return tuple((c, exps) for exps, c in monomials if c)
 
 
 def _pf(*coeffs):
@@ -82,11 +80,11 @@ def _pf(*coeffs):
 _ELLIPTIC = FamilyTag(
     name="elliptic",
     display="EllipticP1xP1",
-    polytope=LatticePolytope(2, ((1, 0), (0, 1), (-1, 0), (0, -1))),
+    # ruling order: the model's variables are (x0, x1) = +-e1, (y0, y1) = +-e2
+    polytope=LatticePolytope(2, ((1, 0), (-1, 0), (0, 1), (0, -1))),
     hg=HypergeometricData((F(1, 2), F(1, 2)), (F(1),), (F(1, 16), 2)),
     model="biprojective",
     model_psi_coeff=F(1),
-    model_hg=None,
     pf_ode=_pf(
         ((0, 1), (0, -16, 0, 1)),          # psi / (psi^3 - 16 psi)
         ((-16, 0, 3), (0, -16, 0, 1)),     # (3 psi^2 - 16) / (psi^3 - 16 psi)
@@ -107,9 +105,6 @@ _QUARTIC = FamilyTag(
     hg=HypergeometricData((F(1, 2), F(1, 4), F(3, 4)), (F(1), F(1)), (F(256), -4)),
     model="projective",
     model_psi_coeff=F(-4),
-    model_hg=HypergeometricData(
-        (F(1, 2), F(1, 4), F(3, 4)), (F(1), F(1)), (F(1), -4)
-    ),
     pf_ode=None,
     substitution_k=None,
     rescale_c=None,
@@ -123,9 +118,6 @@ _SEXTIC = FamilyTag(
     hg=HypergeometricData((F(1, 2), F(1, 6), F(5, 6)), (F(1), F(1)), (F(1728), -6)),
     model="weighted_projective",
     model_psi_coeff=F(-1),
-    model_hg=HypergeometricData(
-        (F(1, 2), F(1, 6), F(5, 6)), (F(1), F(1)), (F(1728), -6)
-    ),
     pf_ode=_pf(
         ((0, 0, 0, 1), (-1728, 0, 0, 0, 0, 0, 1)),
         ((-5184, 0, 0, 0, 0, 0, 7), (0, 0, -1728, 0, 0, 0, 0, 0, 1)),
@@ -145,7 +137,6 @@ _GROUP1 = FamilyTag(
     hg=HypergeometricData((F(1, 2), F(1, 3), F(2, 3)), (F(1), F(1)), (F(-108), -3)),
     model=None,
     model_psi_coeff=F(1),
-    model_hg=None,
     pf_ode=_pf(
         ((0, 1), (0, 108, 0, 0, 1)),
         ((0, 0, 7), (0, 108, 0, 0, 1)),
@@ -171,7 +162,6 @@ _GROUP2 = FamilyTag(
     hg=HypergeometricData((F(1, 2), F(1, 4), F(3, 4)), (F(1), F(1)), (F(256), -4)),
     model=None,
     model_psi_coeff=F(1),
-    model_hg=None,
     pf_ode=_pf(
         ((0, 1), (-256, 0, 0, 0, 1)),
         ((0, 0, 7), (-256, 0, 0, 0, 1)),

@@ -59,18 +59,6 @@ class LaurentPolynomial:
     terms: Tuple[Tuple[Exponent, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class HomogeneousForm:
-    """Polynomial in generalized homogeneous coordinates.
-
-    One variable per chosen lattice point v_j of Delta; the monomial
-    attached to a dual point m has exponent <v_j, m> + 1 in variable j.
-    """
-
-    variables: Tuple[Exponent, ...]
-    monomials: Tuple[Tuple[Exponent, Fraction], ...]
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def build_vertex_pencil(delta: LatticePolytope) -> LaurentPencil:
     """Vertex pencil of delta: coefficient 1 on each polar-dual vertex
@@ -97,9 +85,12 @@ def homogeneous_form(
     delta: LatticePolytope,
     coeffs: Dict[Exponent, Fraction],
     points: Optional[Tuple[Exponent, ...]] = None,
-) -> HomogeneousForm:
-    """Homogeneous form of a coefficient vector supported on the dual.
+) -> Tuple[Tuple[Exponent, Fraction], ...]:
+    """Homogeneous form of a coefficient vector supported on the dual, as
+    (exponents, coeff) monomials in generalized homogeneous coordinates.
 
+    One variable per chosen lattice point v_j of delta; the monomial
+    attached to a dual point m has exponent <v_j, m> + 1 in variable j.
     `points` selects which lattice points of delta index the variables; by
     default every non-origin lattice point is used.  Restricting to the
     vertices reproduces the familiar (weighted) projective equations for
@@ -123,12 +114,4 @@ def homogeneous_form(
                 "point must lie in the polytope"
             )
         monomials.append((exps, Fraction(c)))
-    return HomogeneousForm(tuple(points), tuple(monomials))
-
-
-def is_smooth_member(family, psi) -> bool:
-    """False exactly when the family's hypergeometric argument equals 1 at
-    psi, or psi = 0 (the singular fibers of the pencil)."""
-    from .families import get_family
-
-    return get_family(family).is_smooth(Fraction(psi))
+    return tuple(monomials)

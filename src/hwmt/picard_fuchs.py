@@ -160,21 +160,6 @@ def residue_at_infinity(system: FuchsianSystem):
     return tuple(tuple(e(0) for e in row) for row in inverted.matrix)
 
 
-def residue_at_point(system: FuchsianSystem, a):
-    """Residue of (1/t) M(t) dt at a finite nonzero point a."""
-    _require_form(system, "scaled")
-    a = Fraction(a)
-    shift = RatFunc(Poly.of(-a, 1), ONE)
-    out = []
-    for row in system.matrix:
-        new_row = []
-        for e in row:
-            g = e * shift
-            new_row.append(g(a) / a)
-        out.append(tuple(new_row))
-    return tuple(out)
-
-
 def _char_poly(matrix) -> Poly:
     """det(x I - A) for a matrix of Fractions, as a Poly in x."""
     n = len(matrix)

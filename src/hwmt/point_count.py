@@ -333,7 +333,7 @@ def count_family(family, psi, p: int) -> CountResult:
     if fam.model == "biprojective":
         count = count_biprojective(poly, p)
     elif fam.model == "projective":
-        count = count_projective(poly, len(fam.model_variables()) - 1, p)
+        count = count_projective(poly, fam.polytope.nvertices - 1, p)
     else:
         count = count_weighted_projective(poly, fam.model_weights(), p)
     return CountResult(fam.model, p, psi, count)
@@ -359,7 +359,6 @@ def congruence_check(family, psi, p: int):
         )
     require_psi_mod_p(psi, p)
     result = count_family(fam, psi, p)
-    target = fam.model_hg if fam.model_hg is not None else fam.hg
-    trunc = truncated_pFq(target, psi, p).value
+    trunc = truncated_pFq(fam.model_hg, psi, p).value
     sign = -1 if (fam.polytope.dim - 1) % 2 else 1
     return (result.count % p == (1 + sign * trunc) % p, result.count, trunc)

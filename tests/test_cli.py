@@ -263,14 +263,32 @@ class TestUsageErrors:
         # the prime is checked before the denominator of psi
         out = run_subprocess(*argv, "--primes", p)
         assert (out.returncode, out.stderr) == (1, "")
-        assert json.loads(out.stdout) == {"error": "NotPrime",
-                                          "message": f"{p} is not prime"}
+        assert json.loads(out.stdout) == [{"psi": "2", "p": int(p),
+                                           "error": "NotPrime",
+                                           "message": f"{p} is not prime"}]
 
     def test_budget_exceeded_exits_1(self):
         out = run_subprocess("count", "--family", "quartic", "--psi", "2",
                              "--primes", "1601")
         assert (out.returncode, out.stderr) == (1, "")
-        assert json.loads(out.stdout)["error"] == "BudgetExceeded"
+        [row] = json.loads(out.stdout)
+        assert (row["psi"], row["p"], row["error"]) == ("2", 1601, "BudgetExceeded")
+        assert set(row) == {"psi", "p", "error", "message"}
+
+    def test_one_raising_cell_keeps_the_grid(self):
+        # psi = 5 is not invertible mod 5; the other 23 cells still count
+        out = run_subprocess("count", "--family", "quartic", "--psi", "1,2,3,5",
+                             "--primes", "5,7,11,13,17,19")
+        assert (out.returncode, out.stderr) == (1, "")
+        rows = json.loads(out.stdout)
+        assert [(r["psi"], r["p"]) for r in rows] == [
+            (psi, p) for psi in ("1", "2", "3", "5")
+            for p in (5, 7, 11, 13, 17, 19)]
+        errors = [r for r in rows if "error" in r]
+        assert [(r["psi"], r["p"], r["error"]) for r in errors] == [
+            ("5", 5, "PsiNotInvertible")]
+        assert set(errors[0]) == {"psi", "p", "error", "message"}
+        assert sum("count" in r for r in rows) == 23
 
     @pytest.mark.parametrize("argv", [
         ["census"],

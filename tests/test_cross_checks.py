@@ -63,7 +63,7 @@ def _family_form(fam, psi):
     delta = fam.polytope
     coeffs = {v: F(1) for v in polar_dual(delta).vertices}
     coeffs[(0,) * delta.dim] = F(psi)
-    return homogeneous_form(delta, coeffs, points=fam.model_variables())
+    return homogeneous_form(delta, coeffs, points=delta.vertices)
 
 
 @pytest.mark.parametrize("name", ["elliptic", "quartic", "sextic", "group1",
@@ -74,14 +74,14 @@ def test_torus_pullback_identity(name):
     p, psi = 11, 3
     fam = get_family(name)
     delta = fam.polytope
-    variables = fam.model_variables()
+    variables = delta.vertices
     form = _family_form(fam, psi)
     laurent = specialize(build_vertex_pencil(delta), psi)
     for z in [tuple(range(2, 2 + len(variables))),
               tuple(range(3, 3 + len(variables)))]:
         fhat = sum(
             frac_mod(c, p) * _prod(pow(zj, e, p) for zj, e in zip(z, exps))
-            for exps, c in form.monomials
+            for exps, c in form
         ) % p
         phi = tuple(
             _prod(pow(zj, v[i] % (p - 1), p) for zj, v in zip(z, variables))
@@ -111,8 +111,8 @@ def test_katz_homogeneous_coefficient_agreement(name, p):
     psi = 2
     fam = get_family(name)
     form = _family_form(fam, psi)
-    shifted = [tuple(e - 1 for e in exps) for exps, _ in form.monomials]
-    coeffs = [frac_mod(c, p) for _, c in form.monomials]
+    shifted = [tuple(e - 1 for e in exps) for exps, _ in form]
+    coeffs = [frac_mod(c, p) for _, c in form]
     fact = [1] * p
     for i in range(1, p):
         fact[i] = fact[i - 1] * i % p
@@ -134,7 +134,7 @@ def test_weighted_degree_constant_on_simplex_forms():
         form = _family_form(fam, 1)
         degrees = {
             sum(w * e for w, e in zip(weights, exps))
-            for exps, _ in form.monomials
+            for exps, _ in form
         }
         assert len(degrees) == 1
 
@@ -362,7 +362,7 @@ def _scan_family(fam, psi, p):
     if fam.model == "biprojective":
         return scan_biprojective(poly, p)
     if fam.model == "projective":
-        return scan_projective(poly, len(fam.model_variables()) - 1, p)
+        return scan_projective(poly, fam.polytope.nvertices - 1, p)
     return scan_weighted_projective(poly, fam.model_weights(), p)
 
 

@@ -15,7 +15,6 @@ from hwmt.pencil import (
     LaurentTerm,
     build_vertex_pencil,
     homogeneous_form,
-    is_smooth_member,
     specialize,
 )
 from hwmt.polytope import lattice_points, polar_dual
@@ -98,7 +97,7 @@ class TestHomogeneousForm:
         coeffs = {v: Fraction(1) for v in polar_dual(p3_simplex).vertices}
         coeffs[(0, 0, 0)] = Fraction(1)
         form = homogeneous_form(p3_simplex, coeffs, points=p3_simplex.vertices)
-        monos = {exps for exps, _ in form.monomials}
+        monos = {exps for exps, _ in form}
         assert monos == {
             (4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4), (1, 1, 1, 1),
         }
@@ -109,7 +108,7 @@ class TestHomogeneousForm:
         form = homogeneous_form(
             p113_simplex, coeffs, points=p113_simplex.vertices
         )
-        monos = sorted(exps for exps, _ in form.monomials)
+        monos = sorted(exps for exps, _ in form)
         assert monos == sorted(
             [(2, 0, 0, 0), (0, 6, 0, 0), (0, 0, 6, 0), (0, 0, 0, 6), (1, 1, 1, 1)]
         )
@@ -119,7 +118,7 @@ class TestHomogeneousForm:
         nvars = len(
             [v for v in lattice_points(p3_simplex) if v != (0, 0, 0)]
         )
-        assert form.monomials == (((1,) * nvars, Fraction(1)),)
+        assert form == (((1,) * nvars, Fraction(1)),)
 
     def test_unsupported_monomial(self, p3_simplex):
         with pytest.raises(UnsupportedMonomial):
@@ -143,22 +142,22 @@ class TestSmoothness:
     @pytest.mark.parametrize("psi,expected", [(4, False), (-4, False),
                                               (1, True), (0, False)])
     def test_elliptic(self, psi, expected):
-        assert is_smooth_member("elliptic", psi) is expected
+        assert get_family("elliptic").is_smooth(psi) is expected
 
     @pytest.mark.parametrize("psi", [4, -4])
     def test_group2_singular_at_fourth_roots_of_256(self, psi):
-        assert not is_smooth_member("group2", psi)
+        assert not get_family("group2").is_smooth(psi)
 
     def test_quartic_vertex_convention_smooth_at_one(self):
         # 256/psi^4 = 256 != 1 at psi = 1 in the vertex-pencil convention
-        assert is_smooth_member("quartic", 1)
+        assert get_family("quartic").is_smooth(1)
 
     def test_printed_quartic_model_singular_at_one(self):
         assert not get_family("quartic").is_smooth_model(1)
 
     def test_unknown_family(self):
         with pytest.raises(UnknownFamily):
-            is_smooth_member("septic", 1)
+            get_family("septic").is_smooth(1)
 
 
 class TestKernelPairNaturality:

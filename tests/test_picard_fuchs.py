@@ -25,17 +25,24 @@ from hwmt.picard_fuchs import (
     rational_eigenvalues,
     rescale,
     residue_at_infinity,
-    residue_at_point,
     residue_at_zero,
     substitute_power,
 )
-from hwmt.ratfunc import Poly, RatFunc
+from hwmt.ratfunc import ONE, Poly, RatFunc
 
 F = Fraction
 
 
 def rf(num_coeffs, den_coeffs=(1,)):
     return RatFunc(Poly.of(*num_coeffs), Poly.of(*den_coeffs))
+
+
+def residue_at_point(system, a):
+    """Residue of (1/t) M(t) dt at a finite nonzero point a: the value of
+    (t - a) M(t) / t at t = a."""
+    a = F(a)
+    shift = RatFunc(Poly.of(-a, 1), ONE)
+    return tuple(tuple((e * shift)(a) / a for e in row) for row in system.matrix)
 
 
 def matrices_equal(system, expected):

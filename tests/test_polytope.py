@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwmt.errors import DegeneratePolytope, NonLatticeDual, NotInteriorOrigin
-from hwmt.hasse_witt import _hw_coefficients, _kernel_basis
+from hwmt.hasse_witt import _hw_coefficients, _kernel_basis, hasse_witt_polynomial
 from hwmt.pencil import build_vertex_pencil
 from hwmt.polytope import (
     _incidence,
@@ -316,6 +316,21 @@ class TestKernelPairLemma:
         p_dual = polar_dual(p)
         assert (is_mirror_kernel_pair(p, _image(data, p_dual))
                 == is_mirror_kernel_pair(p, p_dual))
+
+
+class TestKeyLemmaProperty:
+    """The Key Lemma as a property: g.P is a kernel pair of P for every
+    g in GL(3,Z) and vertex order, so their vertex pencils have the same
+    Hasse-Witt polynomial (the invariant at every psi at once)."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_hw_invariant_under_image(self, records3d, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+        delta = records3d[data.draw(st.sampled_from(sorted(records3d)))].polytope
+        image = _image(data, delta)
+        assert (hasse_witt_polynomial(build_vertex_pencil(image), p)
+                == hasse_witt_polynomial(build_vertex_pencil(delta), p))
 
 
 class TestCaches:

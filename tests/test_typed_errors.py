@@ -44,6 +44,11 @@ CASES = [
     ("from hwmt.point_count import count_family",
      "count_family('quartic', 2, 1601)",
      "BudgetExceeded"),
+    ("from hwmt.picard_fuchs import FuchsianSystem, residue_at_infinity\n"
+     "from hwmt.ratfunc import ONE, Poly, RatFunc",
+     "residue_at_infinity(FuchsianSystem(1, ((RatFunc(Poly.of(0, 1), ONE),),),"
+     " 'scaled'))",  # (1/t) [[t]] has a pole at infinity
+     "PoleAtInfinity"),
 ]
 
 
