@@ -13,13 +13,12 @@ records are blank-line separated and `#` starts a comment line.
 import csv
 import io
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import NotReflexive, ParseError, UnknownFormat
-from .families import FamilyTag, get_family  # re-exported: FamilyTag
+from .families import get_family
 from .polytope import (
     KernelLattice,
     LatticePolytope,
@@ -33,7 +32,6 @@ __all__ = [
     "PolytopeRecord",
     "KernelType",
     "CensusResult",
-    "FamilyTag",
     "load_polytopes",
     "classify_kernel_types",
     "find_mirror_kernel_pairs",
@@ -47,7 +45,6 @@ __all__ = [
 class PolytopeRecord:
     id: int
     polytope: LatticePolytope
-    source: str
 
 
 @dataclass(frozen=True)
@@ -57,8 +54,6 @@ class KernelType:
     kernel: KernelLattice
     members: Tuple[int, ...]
     label: Optional[str]
-    representative: int
-    witnesses: Dict[int, Tuple[int, ...]]
 
 
 @dataclass
@@ -73,11 +68,7 @@ class CensusResult:
 
 
 def fixture_path(name: str) -> Path:
-    """Bundled fixture location; the HWMT_FIXTURES environment variable
-    overrides the directory."""
-    override = os.environ.get("HWMT_FIXTURES")
-    if override:
-        return Path(override) / name
+    """Location of a bundled fixture."""
     return Path(__file__).parent / "data" / name
 
 
@@ -134,7 +125,7 @@ def load_polytopes(path) -> List[PolytopeRecord]:
             raise ParseError(f"{source}: record {pid}: {exc}") from exc
         if not is_reflexive(poly):
             raise NotReflexive(f"{source}: record {pid} is not reflexive")
-        records.append(PolytopeRecord(pid, poly, source))
+        records.append(PolytopeRecord(pid, poly))
 
     for line in lines:
         if not line:
@@ -160,46 +151,33 @@ def _type_label(rep: LatticePolytope) -> Optional[str]:
 
 
 def classify_kernel_types(records: List[PolytopeRecord]) -> List[KernelType]:
-    """Partition records into maximal kernel types.
-
-    Membership witnesses (the face-respecting bijection from the
-    representative's vertex order) are recorded per member.
-    """
-    groups: List[Tuple[PolytopeRecord, List[int], Dict[int, Tuple[int, ...]]]] = []
+    """Partition records into maximal kernel types, each led by its
+    lowest-id member."""
+    groups: List[Tuple[PolytopeRecord, List[int]]] = []
     for rec in sorted(records, key=lambda r: r.id):
-        placed = False
-        for rep, members, witnesses in groups:
-            ok, sigma = is_kernel_pair(rep.polytope, rec.polytope)
-            if ok:
+        for rep, members in groups:
+            if is_kernel_pair(rep.polytope, rec.polytope)[0]:
                 members.append(rec.id)
-                witnesses[rec.id] = sigma
-                placed = True
                 break
-        if not placed:
-            identity = tuple(range(rec.polytope.nvertices))
-            groups.append((rec, [rec.id], {rec.id: identity}))
+        else:
+            groups.append((rec, [rec.id]))
     return [
         KernelType(
             kernel=vertex_kernel(rep.polytope),
             members=tuple(members),
             label=_type_label(rep.polytope),
-            representative=rep.id,
-            witnesses=dict(witnesses),
         )
-        for rep, members, witnesses in groups
+        for rep, members in groups
     ]
 
 
 def find_mirror_kernel_pairs(
-    records: List[PolytopeRecord],
-    types: Optional[List[KernelType]] = None,
+    records: List[PolytopeRecord], types: List[KernelType]
 ) -> List[Tuple[int, int]]:
     """All unordered mirror kernel pairs among the records (self-pairs
     listed once).  Mirror kernel pairs are kernel pairs, so only members of
-    a common type need testing."""
+    the same type need testing."""
     by_id = {r.id: r for r in records}
-    if types is None:
-        types = classify_kernel_types(records)
     pairs = []
     for t in types:
         members = sorted(t.members)

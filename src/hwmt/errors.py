@@ -43,11 +43,6 @@ class MalformedPencil(HwmtError):
     origin monomial."""
 
 
-class PointOutsidePolytope(HwmtError):
-    """A point chosen as a homogeneous variable lies outside the polytope,
-    so some monomial gets a negative exponent."""
-
-
 class UnknownFamily(HwmtError):
     """No named family with that tag."""
 
@@ -87,15 +82,8 @@ class TruncationGuard(HwmtError):
 # --- point counting errors ---------------------------------------------------
 
 class NonHomogeneous(HwmtError):
-    """Polynomial is not homogeneous."""
-
-
-class NonWeightedHomogeneous(HwmtError):
-    """Polynomial is not weighted-homogeneous for the given weights."""
-
-
-class NonBihomogeneous(HwmtError):
-    """Polynomial is not bihomogeneous of the required bidegree."""
+    """Monomial degrees differ under the grading of the ambient, or a
+    monomial does not have one exponent per grading column."""
 
 
 class NonIntegerOrbitSum(HwmtError):
@@ -109,7 +97,8 @@ class BudgetExceeded(HwmtError):
 
 
 class UncountableAmbient(HwmtError):
-    """The family has no implemented ambient model for point counts."""
+    """The family or grading has no implemented ambient model for point
+    counts."""
 
 
 # --- Picard-Fuchs errors -----------------------------------------------------

@@ -6,7 +6,12 @@ origin monomial), the printed coefficient on psi of the model equation used
 for point counts (e.g. -4 for -4*psi on the Fermat quartic), the
 Picard-Fuchs equation, and the substitution/rescaling constants of the
 parameter-extraction pipeline.  The polytope's vertices, in stored order,
-are the printed model's variables.
+are the printed model's variables, and the rows of its vertex kernel grade
+them: `point_count.count_graded` counts the model in the quotient by that
+grading, so the ambient is never chosen by name.  `model` only names it
+in the output ("projective" for P^3, "weighted_projective" for
+P(3,1,1,1), "biprojective" for P1 x P1), or is None when no counter
+exists.
 
 The two coefficient conventions deliberately coexist: the vertex pencil
 x^4-type sum + psi*(product) pairs with argument 256/psi^4, while the
@@ -23,7 +28,7 @@ from typing import Optional, Tuple
 from .errors import UnknownFamily
 from .hypergeometric import HypergeometricData
 from .pencil import LaurentPencil, build_vertex_pencil, homogeneous_form
-from .polytope import LatticePolytope, lattice_isomorphism, polar_dual, vertex_kernel
+from .polytope import LatticePolytope, lattice_isomorphism, polar_dual
 
 F = Fraction
 
@@ -34,7 +39,7 @@ class FamilyTag:
     display: str
     polytope: LatticePolytope
     hg: HypergeometricData                      # vertex-pencil convention
-    model: Optional[str]                        # countable ambient, if any
+    model: Optional[str]                        # printed ambient, if countable
     model_psi_coeff: Fraction                   # printed coefficient on psi
     pf_ode: Optional[Tuple]                     # (c_0, .., c_{n-1}) as (num, den)
     substitution_k: Optional[int]
@@ -59,9 +64,6 @@ class FamilyTag:
     def is_smooth_model(self, psi) -> bool:
         return self.is_smooth(self.model_psi_coeff * Fraction(psi))
 
-    def model_weights(self) -> Tuple[int, ...]:
-        return vertex_kernel(self.polytope).basis[0]
-
     def model_polynomial(self, psi) -> Tuple[Tuple[Fraction, Tuple[int, ...]], ...]:
         """Printed-model equation at the given psi, as (coeff, exponents)
         monomials in the generalized homogeneous coordinates."""
@@ -69,7 +71,7 @@ class FamilyTag:
         origin = (0,) * delta.dim
         coeffs = {v: F(1) for v in polar_dual(delta).vertices}
         coeffs[origin] = self.model_psi_coeff * Fraction(psi)
-        monomials = homogeneous_form(delta, coeffs, points=delta.vertices)
+        monomials = homogeneous_form(delta, coeffs)
         return tuple((c, exps) for exps, c in monomials if c)
 
 

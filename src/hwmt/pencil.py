@@ -10,9 +10,9 @@ in psi.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from .errors import MalformedPencil, PointOutsidePolytope, UnsupportedMonomial
+from .errors import MalformedPencil, UnsupportedMonomial
 from .polytope import CACHE_SIZE, LatticePolytope, lattice_points, polar_dual
 
 Exponent = Tuple[int, ...]
@@ -82,23 +82,16 @@ def specialize(pencil: LaurentPencil, psi) -> LaurentPolynomial:
 
 
 def homogeneous_form(
-    delta: LatticePolytope,
-    coeffs: Dict[Exponent, Fraction],
-    points: Optional[Tuple[Exponent, ...]] = None,
+    delta: LatticePolytope, coeffs: Dict[Exponent, Fraction]
 ) -> Tuple[Tuple[Exponent, Fraction], ...]:
     """Homogeneous form of a coefficient vector supported on the dual, as
     (exponents, coeff) monomials in generalized homogeneous coordinates.
 
-    One variable per chosen lattice point v_j of delta; the monomial
-    attached to a dual point m has exponent <v_j, m> + 1 in variable j.
-    `points` selects which lattice points of delta index the variables; by
-    default every non-origin lattice point is used.  Restricting to the
-    vertices reproduces the familiar (weighted) projective equations for
-    simplex families.
+    One variable per vertex v_j of delta; the monomial attached to a dual
+    point m has exponent <v_j, m> + 1 >= 0 in variable j, since
+    <v, m> >= -1 for v in delta and m in its dual.  For simplex families
+    these are the familiar (weighted) projective equations.
     """
-    origin = (0,) * delta.dim
-    if points is None:
-        points = tuple(v for v in lattice_points(delta) if v != origin)
     support = set(lattice_points(polar_dual(delta)))
     monomials = []
     for m, c in coeffs.items():
@@ -106,12 +99,8 @@ def homogeneous_form(
         if m not in support:
             raise UnsupportedMonomial(f"monomial point {m} lies outside the dual")
         exps = tuple(
-            sum(v[i] * m[i] for i in range(delta.dim)) + 1 for v in points
+            sum(v[i] * m[i] for i in range(delta.dim)) + 1
+            for v in delta.vertices
         )
-        if min(exps, default=0) < 0:  # impossible for points of delta
-            raise PointOutsidePolytope(
-                f"monomial point {m} gives exponents {exps}; every variable "
-                "point must lie in the polytope"
-            )
         monomials.append((exps, Fraction(c)))
     return tuple(monomials)

@@ -1,6 +1,15 @@
 """Exact point counts over F_p for the pencil ambient models.
 
-Every count reduces to the affine zeros of a polynomial F in n variables
+One counter, `count_graded`, takes a polynomial F and a grading: integer
+rows, the characters of a torus acting on affine space.  For a family
+model the grading is its polytope's vertex kernel, the Cox grading of the
+toric variety (Cox, alg-geom/9210008), and the quotient is the printed
+ambient.  A one-row count divides the nonzero affine zeros by p-1;
+`P1_X_P1` is counted on the chart y0 = 1, whose fibers in y1 have degree 2
+for the elliptic pencil, and then the points with y0 = 0 as a projective
+line.
+
+Every count reduces to the affine zeros of a polynomial in n variables
 over F_p, and `_cone_count` picks one of two exact routes from the shape
 of F itself, never from a family name:
 
@@ -23,11 +32,6 @@ of F itself, never from a family name:
   criterion, p odd), a higher one by evaluating it at every value of the
   last coordinate.  The scan visits p^(n-1) prefixes instead of p^n points.
 
-Projective and weighted projective counts divide the nonzero affine zeros
-by p-1; the biprojective count scans the chart y0 = 1, whose fibers in y1
-have degree 2 for the P1 x P1 pencil, and then the points with y0 = 0 as a
-projective line.
-
 Work is bounded before it starts: `BudgetExceeded` when a fibered scan
 would visit more than `FIBERED_PREFIX_BUDGET` prefixes, or a character sum
 would cost more than `CHARACTER_SUM_BUDGET` (n p^2 steps, or the sqrt(p^n)
@@ -42,10 +46,8 @@ from math import gcd, isqrt, lcm
 
 from .errors import (
     BudgetExceeded,
-    NonBihomogeneous,
     NonHomogeneous,
     NonIntegerOrbitSum,
-    NonWeightedHomogeneous,
     SingularMember,
     UncountableAmbient,
 )
@@ -57,11 +59,15 @@ from .hypergeometric import (
     require_psi_mod_p,
     truncated_pFq,
 )
+from .polytope import vertex_kernel
 
 # At its bound a fibered scan runs for about half a minute (a prefix costs
 # about 3 us) and a character sum for about 1.5 s (the quartic at p = 1579).
 FIBERED_PREFIX_BUDGET = 10**7
 CHARACTER_SUM_BUDGET = 10**7
+
+# the Cox grading of P1 x P1 on (x0, x1, y0, y1)
+P1_X_P1 = ((1, 1, 0, 0), (0, 0, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -269,48 +275,44 @@ def _cone_count(poly, nvars, p):
     return affine // (p - 1)
 
 
-def count_projective(poly, n: int, p: int) -> int:
-    """Points of {F = 0} in P^n(F_p) for homogeneous F in n+1 variables."""
-    require_prime(p)
-    poly = _reduce_poly(poly, p)
-    degs = {sum(exps) for _, exps in poly}
-    if len(degs) > 1:
-        raise NonHomogeneous(f"monomial degrees {sorted(degs)} differ")
-    return _cone_count(poly, n + 1, p)
+def count_graded(poly, grading, p: int) -> int:
+    """Points of {F = 0} over F_p in the quotient of affine space by the
+    torus whose characters are the rows of `grading`.
 
-
-def count_weighted_projective(poly, weights, p: int) -> int:
-    """Points of {F = 0} in the weighted projective space P(weights) over
-    F_p, as Galois-stable orbits of the weighted scaling action.
+    Every monomial of F must have one exponent per column of the grading
+    and the same degree vector under the rows, else `NonHomogeneous`.  One
+    row of positive weights is a (weighted) projective space, the all-ones
+    row plain projective space; `P1_X_P1` is P1 x P1 in the variables
+    (x0, x1, y0, y1).  Any other grading raises `UncountableAmbient`.
 
     After dividing the weights on the support of a point by their gcd, the
     scaling acts freely on rational points, and every stable geometric
     orbit carries exactly p-1 of them (the torsor is trivial by Hilbert
-    90), so the variety count is the affine solution count divided by p-1.
-    In particular the ambient count always equals that of straight
-    projective space, which a stabilizer-weighted orbit formula would
-    miss whenever gcd(p-1, w_i) > 1.
+    90), so a one-row count is the nonzero affine solution count divided by
+    p-1, for every weight.  In particular the ambient count always equals
+    that of straight projective space, which a stabilizer-weighted orbit
+    formula would miss whenever gcd(p-1, w_i) > 1.
     """
     require_prime(p)
+    grading = tuple(tuple(row) for row in grading)
     poly = _reduce_poly(poly, p)
-    wdegs = {
-        sum(w * e for w, e in zip(weights, exps)) for _, exps in poly
-    }
-    if len(wdegs) > 1:
-        raise NonWeightedHomogeneous(
-            f"weighted degrees {sorted(wdegs)} differ for weights {weights}"
+    nvars = {len(row) for row in grading} | {len(exps) for _, exps in poly}
+    if len(nvars) > 1:
+        raise NonHomogeneous(
+            f"monomials and grading rows have {sorted(nvars)} variables"
         )
-    return _cone_count(poly, len(weights), p)
-
-
-def count_biprojective(poly, p: int) -> int:
-    """Points of {F = 0} in P^1 x P^1 over F_p for bihomogeneous F in
-    variables (x0, x1, y0, y1); the vertex pencil has bidegree (2,2)."""
-    require_prime(p)
-    poly = _reduce_poly(poly, p)
-    bidegs = {(exps[0] + exps[1], exps[2] + exps[3]) for _, exps in poly}
-    if len(bidegs) > 1:
-        raise NonBihomogeneous(f"bidegrees {sorted(bidegs)} differ")
+    degrees = {
+        tuple(sum(w * e for w, e in zip(row, exps)) for row in grading)
+        for _, exps in poly
+    }
+    if len(degrees) > 1:
+        raise NonHomogeneous(
+            f"degrees {sorted(degrees)} differ for the grading {grading}"
+        )
+    if len(grading) == 1 and min(grading[0], default=0) > 0:
+        return _cone_count(poly, len(grading[0]), p)
+    if grading != P1_X_P1:
+        raise UncountableAmbient(f"no point count for the grading {grading}")
     line = [(1, t) for t in range(p)] + [(0, 1)]
     _require_budget(len(line), FIBERED_PREFIX_BUDGET, "fibered scan")
     # y = (1, y1): fiber over y1 above each x on the line
@@ -321,7 +323,8 @@ def count_biprojective(poly, p: int) -> int:
 
 
 def count_family(family, psi, p: int) -> CountResult:
-    """Exact point count of the family's printed ambient model at psi."""
+    """Exact point count of the family's printed ambient model at psi,
+    graded by its polytope's vertex kernel."""
     fam = get_family(family)
     psi = Fraction(psi)
     if fam.model is None:
@@ -329,13 +332,8 @@ def count_family(family, psi, p: int) -> CountResult:
             f"family {fam.name} has no countable ambient model; use the "
             "Hasse-Witt truncation check instead"
         )
-    poly = fam.model_polynomial(psi)
-    if fam.model == "biprojective":
-        count = count_biprojective(poly, p)
-    elif fam.model == "projective":
-        count = count_projective(poly, fam.polytope.nvertices - 1, p)
-    else:
-        count = count_weighted_projective(poly, fam.model_weights(), p)
+    grading = vertex_kernel(fam.polytope).basis
+    count = count_graded(fam.model_polynomial(psi), grading, p)
     return CountResult(fam.model, p, psi, count)
 
 

@@ -33,9 +33,8 @@ from hwmt.pencil import build_vertex_pencil
 from hwmt.picard_fuchs import analyze_family
 from hwmt.point_count import (
     congruence_check,
-    count_biprojective,
-    count_projective,
-    count_weighted_projective,
+    P1_X_P1,
+    count_graded,
 )
 from hwmt.polytope import LatticePolytope, polar_dual, vertex_kernel
 from hwmt.ratfunc import Poly, RatFunc
@@ -342,12 +341,14 @@ def test_criterion_11_property_suites(census3d):
     for _ in range(100):
         p = rng.choice([3, 5, 7])
         n = rng.randint(1, 3)
-        ok &= count_projective([], n, p) == (p ** (n + 1) - 1) // (p - 1)
-        weights = tuple(rng.randint(1, 4) for _ in range(n + 1))
-        ok &= count_weighted_projective([], weights, p) == (
+        ok &= count_graded([], ((1,) * (n + 1),), p) == (
             (p ** (n + 1) - 1) // (p - 1)
         )
-        ok &= count_biprojective([], p) == (p + 1) ** 2
+        weights = tuple(rng.randint(1, 4) for _ in range(n + 1))
+        ok &= count_graded([], (weights,), p) == (
+            (p ** (n + 1) - 1) // (p - 1)
+        )
+        ok &= count_graded([], P1_X_P1, p) == (p + 1) ** 2
 
     # binomial period identity for random fixture pencils
     for _ in range(100):

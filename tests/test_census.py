@@ -176,7 +176,7 @@ class TestReport:
         # kernel types and mirror pairs never span dimensions; the polygon
         # ids are shifted past the 3D ones, with which some collide
         shift = 10000
-        polygons = [PolytopeRecord(r.id + shift, r.polytope, r.source)
+        polygons = [PolytopeRecord(r.id + shift, r.polytope)
                     for r in census2d.records]
         mixed = run_census(polygons + census3d.records)
 
@@ -195,14 +195,6 @@ class TestReport:
             assert is_mirror_kernel_pair(
                 records3d[a].polytope, records3d[b].polytope
             )
-
-
-class TestFixtureOverride:
-    def test_env_var_overrides_fixture_dir(self, tmp_path, monkeypatch):
-        (tmp_path / "tables3d.txt").write_text("5 2 3\n1 0\n0 1\n-1 -1\n")
-        monkeypatch.setenv("HWMT_FIXTURES", str(tmp_path))
-        records = load_polytopes(fixture_path("tables3d.txt"))
-        assert [r.id for r in records] == [5]
 
 
 def test_fixture_generator_regrows_every_weight_type(records3d):

@@ -40,10 +40,9 @@ from hwmt.point_count import (
     _fibered_zeros,
     _reduce_poly,
     _root_count,
-    count_biprojective,
+    P1_X_P1,
     count_family,
-    count_projective,
-    count_weighted_projective,
+    count_graded,
 )
 from hwmt.intlinalg import adjugate_det, left_kernel
 from hwmt.polytope import (
@@ -63,7 +62,7 @@ def _family_form(fam, psi):
     delta = fam.polytope
     coeffs = {v: F(1) for v in polar_dual(delta).vertices}
     coeffs[(0,) * delta.dim] = F(psi)
-    return homogeneous_form(delta, coeffs, points=delta.vertices)
+    return homogeneous_form(delta, coeffs)
 
 
 @pytest.mark.parametrize("name", ["elliptic", "quartic", "sextic", "group1",
@@ -130,7 +129,7 @@ def test_katz_homogeneous_coefficient_agreement(name, p):
 def test_weighted_degree_constant_on_simplex_forms():
     for name in ("quartic", "sextic"):
         fam = get_family(name)
-        weights = fam.model_weights()
+        (weights,) = vertex_kernel(fam.polytope).basis
         form = _family_form(fam, 1)
         degrees = {
             sum(w * e for w, e in zip(weights, exps))
@@ -357,13 +356,19 @@ def scan_biprojective(poly, p):
     return _affine_zeros(poly, (x + y for x in line for y in line), p)
 
 
+def _P(n):
+    """The grading of P^n: one all-ones row on n+1 variables."""
+    return ((1,) * (n + 1),)
+
+
 def _scan_family(fam, psi, p):
     poly = fam.model_polynomial(psi)
     if fam.model == "biprojective":
         return scan_biprojective(poly, p)
     if fam.model == "projective":
         return scan_projective(poly, fam.polytope.nvertices - 1, p)
-    return scan_weighted_projective(poly, fam.model_weights(), p)
+    (weights,) = vertex_kernel(fam.polytope).basis
+    return scan_weighted_projective(poly, weights, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -395,34 +400,34 @@ def _random_poly(rng, monomials, p):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_random_homogeneous_counts_match_exhaustive_scan(p):
     rng = random.Random(7000 + p)
-    assert count_projective([], 3, p) == scan_projective([], 3, p)
+    assert count_graded([], _P(3), p) == scan_projective([], 3, p)
     for _ in range(25):
         n = rng.choice((1, 2, 3))
         poly = _random_poly(rng, _monomials(n + 1, rng.randint(1, 4)), p)
-        assert count_projective(poly, n, p) == scan_projective(poly, n, p)
+        assert count_graded(poly, _P(n), p) == scan_projective(poly, n, p)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_random_weighted_counts_match_exhaustive_scan(p):
     rng = random.Random(8000 + p)
     weights = (3, 1, 1, 1)
-    assert (count_weighted_projective([], weights, p)
+    assert (count_graded([], (weights,), p)
             == scan_weighted_projective([], weights, p))
     for _ in range(25):
         poly = _random_poly(rng, _monomials(4, rng.randint(0, 6), weights), p)
-        assert (count_weighted_projective(poly, weights, p)
+        assert (count_graded(poly, (weights,), p)
                 == scan_weighted_projective(poly, weights, p))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_random_bihomogeneous_counts_match_exhaustive_scan(p):
     rng = random.Random(9000 + p)
-    assert count_biprojective([], p) == scan_biprojective([], p)
+    assert count_graded([], P1_X_P1, p) == scan_biprojective([], p)
     for _ in range(25):
         a, b = rng.randint(0, 3), rng.randint(0, 3)
         monomials = [x + y for x in _monomials(2, a) for y in _monomials(2, b)]
         poly = _random_poly(rng, monomials, p)
-        assert count_biprojective(poly, p) == scan_biprojective(poly, p)
+        assert count_graded(poly, P1_X_P1, p) == scan_biprojective(poly, p)
 
 
 def test_repeated_monomials_match_exhaustive_scan():
@@ -432,8 +437,8 @@ def test_repeated_monomials_match_exhaustive_scan():
     bi = [(1, (2, 0, 1, 1)), (2, (2, 0, 1, 1)), (-3, (2, 0, 1, 1)),
           (1, (0, 2, 0, 2)), (4, (0, 2, 0, 2)), (F(1, 2), (1, 1, 2, 0))]
     for p in (3, 5, 7):
-        assert count_projective(poly, 2, p) == scan_projective(poly, 2, p)
-        assert count_biprojective(bi, p) == scan_biprojective(bi, p)
+        assert count_graded(poly, _P(2), p) == scan_projective(poly, 2, p)
+        assert count_graded(bi, P1_X_P1, p) == scan_biprojective(bi, p)
 
 
 # --------------------------------------------------------------------------
@@ -490,7 +495,7 @@ QUARTIC = FERMAT + [(-8, (1, 1, 1, 1))]
 @pytest.mark.parametrize("p", [3, 7])
 def test_other_shapes_take_the_fibered_scan(poly, p):
     assert _diagonal_shape(_reduce_poly(poly, p), 4) is None
-    assert count_projective(poly, 3, p) == scan_projective(poly, 3, p)
+    assert count_graded(poly, _P(3), p) == scan_projective(poly, 3, p)
 
 
 def test_vanishing_coefficient_takes_the_fibered_scan():
@@ -499,7 +504,7 @@ def test_vanishing_coefficient_takes_the_fibered_scan():
     poly = QUARTIC[:1] + [(5, (0, 4, 0, 0))] + QUARTIC[2:]
     assert _diagonal_shape(_reduce_poly(poly, 5), 4) is None
     for p, f in ((2, QUARTIC), (5, poly)):
-        assert count_projective(f, 3, p) == scan_projective(f, 3, p)
+        assert count_graded(f, _P(3), p) == scan_projective(f, 3, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -523,7 +528,7 @@ def test_random_quadratic_fibers_match_exhaustive_scan(p):
                      for y in _monomials(2, 2)]
         poly = [(rng.randint(-6, 6), rng.choice(monomials))
                 for _ in range(rng.randint(1, 5))]
-        assert count_biprojective(poly, p) == scan_biprojective(poly, p)
+        assert count_graded(poly, P1_X_P1, p) == scan_biprojective(poly, p)
 
 
 def test_elliptic_counts_match_exhaustive_scan_to_151():

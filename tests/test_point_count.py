@@ -2,42 +2,46 @@
 
 import time
 from fractions import Fraction
+from functools import cache
+from itertools import product
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwmt.errors import (
     BudgetExceeded,
-    NonBihomogeneous,
     NonHomogeneous,
-    NonWeightedHomogeneous,
     SingularMember,
     UncountableAmbient,
 )
-from hwmt.families import get_family
+from hwmt.families import FAMILIES, get_family
 from hwmt.hypergeometric import truncated_pFq
 from hwmt.point_count import (
+    P1_X_P1,
     congruence_check,
-    count_biprojective,
     count_family,
-    count_projective,
-    count_weighted_projective,
+    count_graded,
 )
+from hwmt.polytope import vertex_kernel
 
 F = Fraction
+P3 = ((1, 1, 1, 1),)
 
 
 class TestProjective:
     def test_hyperplane_p3(self):
-        assert count_projective([(1, (1, 0, 0, 0))], 3, 5) == 31
+        assert count_graded([(1, (1, 0, 0, 0))], P3, 5) == 31
 
     def test_smooth_quadric_surface(self):
         poly = [(1, (2, 0, 0, 0)), (1, (0, 2, 0, 0)), (1, (0, 0, 2, 0)),
                 (1, (0, 0, 0, 2))]
         # smooth quadric has (p+1)^2 points
-        assert count_projective(poly, 3, 3) == 16
+        assert count_graded(poly, P3, 3) == 16
 
     def test_whole_space_sanity(self):
-        assert count_projective([], 3, 5) == (5**4 - 1) // 4
+        assert count_graded([], P3, 5) == (5**4 - 1) // 4
 
     def test_fermat_quartic_congruence(self):
         fam = get_family("quartic")
@@ -47,39 +51,121 @@ class TestProjective:
 
     def test_rejects_inhomogeneous(self):
         with pytest.raises(NonHomogeneous):
-            count_projective([(1, (1, 0)), (1, (2, 0))], 1, 5)
+            count_graded([(1, (1, 0)), (1, (2, 0))], ((1, 1),), 5)
 
 
 class TestWeightedProjective:
     def test_whole_space_equals_projective_count(self):
-        assert count_weighted_projective([], (1, 1, 1, 3), 5) == 156
+        assert count_graded([], ((1, 1, 1, 3),), 5) == 156
 
     def test_weight3_coordinate_hyperplane(self):
         # x_0 = 0 inside P(3,1,1,1) leaves a P(1,1,1) = P^2
-        assert count_weighted_projective([(1, (1, 0, 0, 0))], (3, 1, 1, 1), 5) == 31
+        assert count_graded([(1, (1, 0, 0, 0))], ((3, 1, 1, 1),), 5) == 31
 
     def test_sextic_congruence(self):
         ok, count, trunc = congruence_check("sextic", 1, 7)
         assert ok and count % 7 == (1 + trunc) % 7
 
     def test_rejects_wrong_weights(self):
-        with pytest.raises(NonWeightedHomogeneous):
-            count_weighted_projective(
-                [(1, (2, 0, 0, 0)), (1, (0, 6, 0, 0))], (1, 1, 1, 3), 5
+        with pytest.raises(NonHomogeneous):
+            count_graded(
+                [(1, (2, 0, 0, 0)), (1, (0, 6, 0, 0))], ((1, 1, 1, 3),), 5
             )
 
 
 class TestBiprojective:
     def test_two_rulings(self):
         # x0 * y0 = 0 is a union of two rulings: 2(p+1) - 1 points
-        assert count_biprojective([(1, (1, 0, 1, 0))], 5) == 11
+        assert count_graded([(1, (1, 0, 1, 0))], P1_X_P1, 5) == 11
 
     def test_whole_space(self):
-        assert count_biprojective([], 5) == 36
+        assert count_graded([], P1_X_P1, 5) == 36
 
     def test_rejects_unbalanced(self):
-        with pytest.raises(NonBihomogeneous):
-            count_biprojective([(1, (2, 0, 1, 0)), (1, (1, 0, 2, 0))], 5)
+        with pytest.raises(NonHomogeneous):
+            count_graded([(1, (2, 0, 1, 0)), (1, (1, 0, 2, 0))], P1_X_P1, 5)
+
+
+class TestGrading:
+    @pytest.mark.parametrize("name,grading", [
+        ("quartic", ((1, 1, 1, 1),)),
+        ("sextic", ((3, 1, 1, 1),)),
+        ("elliptic", ((1, 1, 0, 0), (0, 0, 1, 1))),
+    ])
+    def test_family_grading_is_its_vertex_kernel(self, name, grading):
+        assert vertex_kernel(get_family(name).polytope).basis == grading
+
+    @pytest.mark.parametrize("name", ["group1", "group2"])
+    def test_group_gradings_are_uncountable(self, name):
+        fam = get_family(name)
+        grading = vertex_kernel(fam.polytope).basis
+        with pytest.raises(UncountableAmbient):
+            count_graded(fam.model_polynomial(2), grading, 5)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_model_names_the_graded_ambient(self, name):
+        # `model` is printed output; it must name the ambient the grading
+        # selects
+        fam = get_family(name)
+        grading = vertex_kernel(fam.polytope).basis
+        if grading == P1_X_P1:
+            ambient = "biprojective"
+        elif len(grading) == 1:
+            ambient = ("projective" if set(grading[0]) == {1}
+                       else "weighted_projective")
+        else:
+            ambient = None
+        assert fam.model == ambient
+
+    @pytest.mark.parametrize("grading", [P3, P1_X_P1])
+    def test_rejects_a_monomial_off_the_grading_width(self, grading):
+        with pytest.raises(NonHomogeneous):
+            count_graded([(1, (1, 0, 1))], grading, 5)
+
+    def test_rejects_a_nonpositive_weight(self):
+        with pytest.raises(UncountableAmbient):
+            count_graded([(1, (1, 1))], ((1, -1),), 5)
+
+
+@cache
+def _weighted_monomials(weights, degree):
+    return [e for e in product(*(range(degree // w + 1) for w in weights))
+            if sum(w * a for w, a in zip(weights, e)) == degree]
+
+
+@st.composite
+def _graded_counts(draw):
+    """(p, weights, poly, perm): a weighted-homogeneous polynomial, half of
+    the time of the diagonal-plus-monomial shape the character sums take,
+    and a permutation of its variables."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    weights = tuple(draw(st.lists(st.sampled_from((1, 2, 3)),
+                                  min_size=2, max_size=4)))
+    n = len(weights)
+    degree = lcm(*weights) * draw(st.sampled_from((1, 2)))
+    monomials = _weighted_monomials(weights, degree)
+    full = [e for e in monomials if min(e) > 0]
+    if full and draw(st.booleans()):
+        chosen = [tuple(degree // w if j == i else 0 for j in range(n))
+                  for i, w in enumerate(weights)]
+        chosen.append(draw(st.sampled_from(full)))
+    else:
+        chosen = draw(st.lists(st.sampled_from(monomials),
+                               min_size=1, max_size=5))
+    coeffs = draw(st.lists(st.integers(1, p - 1),
+                           min_size=len(chosen), max_size=len(chosen)))
+    perm = draw(st.permutations(range(n)))
+    return p, weights, list(zip(coeffs, chosen)), perm
+
+
+@settings(derandomize=True, deadline=None)
+@given(_graded_counts())
+def test_permuting_variables_with_the_grading_keeps_the_count(case):
+    p, weights, poly, perm = case
+    moved = [(c, tuple(e[i] for i in perm)) for c, e in poly]
+    moved_weights = tuple(weights[i] for i in perm)
+    assert (count_graded(poly, (weights,), p)
+            == count_graded(moved, (moved_weights,), p))
 
 
 class TestCongruences:
@@ -137,7 +223,7 @@ class TestBudget:
         poly.append((-8, (1, 1, 1, 1)))
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded):
-            count_projective(poly, 3, 1009)
+            count_graded(poly, P3, 1009)
         assert time.perf_counter() - start < 1
 
     def test_character_sum_refused_up_front(self):

@@ -15,11 +15,6 @@ CASES = [
     ("from hwmt.point_count import _cone_count",
      "_cone_count([(1, (0,)), (1, (1,))], 1, 5)",  # 1 + x is not homogeneous
      "NonIntegerOrbitSum"),
-    ("from hwmt.pencil import homogeneous_form\n"
-     "from hwmt.polytope import LatticePolytope",
-     "homogeneous_form(LatticePolytope(1, ((1,), (-1,))), {(-1,): 1},"
-     " points=((2,),))",
-     "PointOutsidePolytope"),
     ("from hwmt.ratfunc import Poly",
      "Poly.of(1, 2, 3).reversed_to(1)",
      "DegreeTooSmall"),
@@ -49,6 +44,9 @@ CASES = [
      "residue_at_infinity(FuchsianSystem(1, ((RatFunc(Poly.of(0, 1), ONE),),),"
      " 'scaled'))",  # (1/t) [[t]] has a pole at infinity
      "PoleAtInfinity"),
+    ("from hwmt.point_count import count_graded",
+     "count_graded([(1, (2, 0)), (1, (0, 1))], ((1, 1),), 5)",  # x^2 + y
+     "NonHomogeneous"),
 ]
 
 
