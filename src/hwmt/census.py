@@ -1,9 +1,12 @@
 """Census of reflexive polytopes: kernel types and mirror kernel pairs.
 
 Ingests the bundled polytope text fixtures (or any file in the same
-format), clusters combinatorially equivalent polytopes with equal vertex
-kernels into types, finds all mirror kernel pairs, and renders the
-classification tables.
+format), groups the polytopes into kernel types by their kernel invariant,
+pairs each member of a type with the members whose normal form is that of
+its polar dual, and renders the classification tables.  Both keys come
+from one cached normal form per polytope (see ``hwmt.polytope``), so apart
+from its output the census is linear in its input: it runs no pairwise
+search.
 
 Text format, shared with the rest of the package: one record per polytope,
 a header line `id dim nvertices` followed by nvertices coordinate lines;
@@ -15,16 +18,17 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import NotReflexive, ParseError, UnknownFormat
 from .families import get_family
 from .polytope import (
     KernelLattice,
     LatticePolytope,
-    is_kernel_pair,
-    is_mirror_kernel_pair,
     is_reflexive,
+    kernel_invariant,
+    normal_form,
+    polar_dual,
     vertex_kernel,
 )
 
@@ -145,29 +149,24 @@ def _type_label(rep: LatticePolytope) -> Optional[str]:
         weights = tuple(sorted(kernel.basis[0]))
         return "(" + ",".join(str(w) for w in weights) + ")"
     for fam in (get_family("group1"), get_family("group2")):
-        if is_kernel_pair(rep, fam.polytope)[0]:
+        if kernel_invariant(rep) == kernel_invariant(fam.polytope):
             return fam.display
     return None
 
 
 def classify_kernel_types(records: List[PolytopeRecord]) -> List[KernelType]:
     """Partition records into maximal kernel types, each led by its
-    lowest-id member."""
-    groups: List[Tuple[PolytopeRecord, List[int]]] = []
+    lowest-id member: a group-by on the kernel invariant."""
+    groups: Dict[tuple, List[PolytopeRecord]] = {}
     for rec in sorted(records, key=lambda r: r.id):
-        for rep, members in groups:
-            if is_kernel_pair(rep.polytope, rec.polytope)[0]:
-                members.append(rec.id)
-                break
-        else:
-            groups.append((rec, [rec.id]))
+        groups.setdefault(kernel_invariant(rec.polytope), []).append(rec)
     return [
         KernelType(
-            kernel=vertex_kernel(rep.polytope),
-            members=tuple(members),
-            label=_type_label(rep.polytope),
+            kernel=vertex_kernel(members[0].polytope),
+            members=tuple(r.id for r in members),
+            label=_type_label(members[0].polytope),
         )
-        for rep, members in groups
+        for members in groups.values()
     ]
 
 
@@ -175,16 +174,17 @@ def find_mirror_kernel_pairs(
     records: List[PolytopeRecord], types: List[KernelType]
 ) -> List[Tuple[int, int]]:
     """All unordered mirror kernel pairs among the records (self-pairs
-    listed once).  Mirror kernel pairs are kernel pairs, so only members of
-    the same type need testing."""
-    by_id = {r.id: r for r in records}
+    listed once).  Mirror kernel pairs are kernel pairs, so a's partners
+    are the members b >= a of a's type that are isomorphic to a*."""
+    by_id = {r.id: r.polytope for r in records}
     pairs = []
     for t in types:
-        members = sorted(t.members)
-        for i, a in enumerate(members):
-            for b in members[i:]:
-                if is_mirror_kernel_pair(by_id[a].polytope, by_id[b].polytope):
-                    pairs.append((a, b))
+        by_shape: Dict[tuple, List[int]] = {}
+        for m in t.members:
+            by_shape.setdefault(normal_form(by_id[m]), []).append(m)
+        for a in t.members:
+            dual = normal_form(polar_dual(by_id[a]))
+            pairs.extend((a, b) for b in by_shape.get(dual, ()) if a <= b)
     return sorted(pairs)
 
 

@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 from .errors import UnknownFamily
 from .hypergeometric import HypergeometricData
 from .pencil import LaurentPencil, build_vertex_pencil, homogeneous_form
-from .polytope import LatticePolytope, lattice_isomorphism, polar_dual
+from .polytope import LatticePolytope, normal_form, polar_dual
 
 F = Fraction
 
@@ -206,7 +206,8 @@ def get_family(tag) -> FamilyTag:
 
 def identify_family(poly: LatticePolytope) -> Optional[FamilyTag]:
     """The family whose polytope is GL(n,Z)-isomorphic to poly, if any."""
+    key = normal_form(poly)
     for fam in FAMILIES.values():
-        if lattice_isomorphism(fam.polytope, poly) is not None:
+        if normal_form(fam.polytope) == key:
             return fam
     return None

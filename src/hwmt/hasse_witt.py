@@ -39,7 +39,7 @@ from .families import FamilyTag, get_family, identify_family
 from .hypergeometric import frac_mod, require_prime, require_psi_mod_p, truncated_pFq
 from .intlinalg import left_kernel
 from .pencil import LaurentPencil, LaurentPolynomial, build_vertex_pencil, specialize
-from .polytope import CACHE_SIZE, LatticePolytope, is_kernel_pair, polar_dual
+from .polytope import CACHE_SIZE, LatticePolytope, kernel_invariant, polar_dual
 
 
 @dataclass(frozen=True)
@@ -351,11 +351,9 @@ def key_lemma_check(delta: LatticePolytope, gamma: LatticePolytope,
     polar duals are also a kernel pair.  A False first component would be a
     counterexample -- equality is a theorem for such pairs.
     """
-    ok, _ = is_kernel_pair(delta, gamma)
-    if not ok:
+    if kernel_invariant(delta) != kernel_invariant(gamma):
         raise NotKernelPair("polytopes are not a kernel pair")
-    ok, _ = is_kernel_pair(polar_dual(delta), polar_dual(gamma))
-    if not ok:
+    if kernel_invariant(polar_dual(delta)) != kernel_invariant(polar_dual(gamma)):
         raise NotKernelPair("polar duals are not a kernel pair")
     hw_d = hasse_witt(build_vertex_pencil(delta), psi, p)
     hw_g = hasse_witt(build_vertex_pencil(gamma), psi, p)

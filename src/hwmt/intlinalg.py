@@ -29,35 +29,30 @@ def identity_matrix(n):
 
 
 def mat_rank(rows):
-    h = hermite_row(rows)[0]
-    return sum(1 for r in h if any(r))
+    return len(hnf_rows(rows))
 
 
-def hermite_row(rows):
-    """Row-style Hermite normal form with transform.
-
-    Returns (H, U) with U unimodular and U @ rows == H, where H has positive
-    pivots, zeros below each pivot, entries above a pivot reduced into
-    [0, pivot), and zero rows at the bottom.  H is the unique HNF of the row
-    lattice for the given row span, so lattice equality is tuple equality.
-    """
+def _hermite(rows, track):
+    """Row Hermite normal form of rows, with the transform when track."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    u = [list(r) for r in identity_matrix(nrows)]
+    u = [list(r) for r in identity_matrix(nrows)] if track else None
 
     def swap(i, j):
         m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
+        if track:
+            u[i], u[j] = u[j], u[i]
 
     def addmul(dst, src, c):
         if c:
             mi, ms = m[dst], m[src]
             for k in range(ncols):
                 mi[k] += c * ms[k]
-            ui, us = u[dst], u[src]
-            for k in range(nrows):
-                ui[k] += c * us[k]
+            if track:
+                ui, us = u[dst], u[src]
+                for k in range(nrows):
+                    ui[k] += c * us[k]
 
     pivot = 0
     for col in range(ncols):
@@ -82,17 +77,31 @@ def hermite_row(rows):
         if pivot < nrows and m[pivot][col]:
             if m[pivot][col] < 0:
                 m[pivot] = [-x for x in m[pivot]]
-                u[pivot] = [-x for x in u[pivot]]
+                if track:
+                    u[pivot] = [-x for x in u[pivot]]
             p = m[pivot][col]
             for i in range(pivot):
                 addmul(i, pivot, -(m[i][col] // p))
             pivot += 1
-    return tuple(tuple(r) for r in m), tuple(tuple(r) for r in u)
+    return tuple(tuple(r) for r in m), (tuple(tuple(r) for r in u) if track else None)
+
+
+def hermite_row(rows):
+    """Row-style Hermite normal form with transform.
+
+    Returns (H, U) with U unimodular and U @ rows == H, where H has positive
+    pivots, zeros below each pivot, entries above a pivot reduced into
+    [0, pivot), and zero rows at the bottom.  H is the unique HNF of the row
+    lattice for the given row span, so lattice equality is tuple equality.
+    """
+    return _hermite(rows, True)
 
 
 def hnf_rows(rows):
-    """Row HNF with zero rows dropped (canonical basis of the row lattice)."""
-    h, _ = hermite_row(rows)
+    """Row HNF with zero rows dropped (canonical basis of the row lattice).
+
+    Transform-free: the elimination does not carry U."""
+    h, _ = _hermite(rows, False)
     return tuple(r for r in h if any(r))
 
 

@@ -140,24 +140,24 @@ def invert_system(system: FuchsianSystem) -> FuchsianSystem:
     return FuchsianSystem(system.size, rows, "scaled", "zeta")
 
 
-def residue_at_zero(system: FuchsianSystem):
-    """M(0) for a scaled system regular at 0."""
-    _require_form(system, "scaled")
+def _value_at_zero(system: FuchsianSystem, error, where: str):
+    """M(0), raising error when an entry has a pole there."""
     for row in system.matrix:
         for e in row:
             if e.has_pole_at(0):
-                raise PoleAtZero(f"entry {e} has a pole at 0")
+                raise error(f"entry {e} has a pole at {where}")
     return tuple(tuple(e(0) for e in row) for row in system.matrix)
+
+
+def residue_at_zero(system: FuchsianSystem):
+    """M(0) for a scaled system regular at 0."""
+    _require_form(system, "scaled")
+    return _value_at_zero(system, PoleAtZero, "0")
 
 
 def residue_at_infinity(system: FuchsianSystem):
     """Residue at infinity: -M(1/zeta) evaluated at zeta = 0."""
-    inverted = invert_system(system)
-    for row in inverted.matrix:
-        for e in row:
-            if e.has_pole_at(0):
-                raise PoleAtInfinity(f"entry {e} has a pole at infinity")
-    return tuple(tuple(e(0) for e in row) for row in inverted.matrix)
+    return _value_at_zero(invert_system(system), PoleAtInfinity, "infinity")
 
 
 def _char_poly(matrix) -> Poly:
@@ -320,7 +320,8 @@ def analyze_family(family) -> PipelineReport:
     rescaled = rescale(powered, c)
     inverted = invert_system(rescaled)
     res0 = residue_at_zero(rescaled)
-    res_inf = residue_at_infinity(rescaled)
+    # the residue at infinity of rescaled, read off the system already inverted
+    res_inf = _value_at_zero(inverted, PoleAtInfinity, "infinity")
     exponents = ExponentData(
         rational_eigenvalues(res0), rational_eigenvalues(res_inf)
     )

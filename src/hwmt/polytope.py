@@ -10,19 +10,38 @@ significant -- the vertex-matrix kernel lives in Z^k indexed by that order).
 A facet inequality <normal, x> >= -offset has a primitive integer normal.
 
 Per-polytope results (facets, lattice points, vertex-facet incidences,
-vertex kernels and the polar dual) are memoized in bounded caches of
-``CACHE_SIZE`` entries, so a census builds each dual and each kernel once
-however many pairs it appears in.  The predicates read those caches
-rather than re-deriving them.  One search serves both predicates: it
-yields the face-respecting bijections sigma for which every basis row of
-ker(P) annihilates the reordered vertices of Q.  For reflexive P and Q both
-vertex kernels are saturated of rank k - dim, so that is exactly
-ker(Q o sigma) == ker(P); for any P and Q it says Q o sigma = P @ U for a
-rational U, which ``lattice_isomorphism`` solves on the vertices indexed by
-the non-pivot columns of the kernel HNF and then needs only to be integral
-and unimodular.  The mirror test needs no search of the duals: their
-kernel-pair condition is implied by the other two.  A listed point is a
-vertex iff the facets through it meet in that point alone.
+vertex kernels, the polar dual and the normal form) are memoized in bounded
+caches of ``CACHE_SIZE`` entries, so a census builds each of them once
+however many pairs it appears in.  A listed point is a vertex iff the
+facets through it meet in that point alone.
+
+One normal form serves both equivalences (after PALP, Kreuzer-Skarke
+math/0204356, and Grinis-Kasprzyk arXiv:1301.6641).  The pairing matrix M
+of P has the entry <n_F, v> + offset_F for facet F and vertex v.  A
+level-by-level search over vertex orders sigma keeps, at each length, every
+prefix whose descending-sorted facet rows are lexicographically greatest;
+the orders that survive are the canonical labelings, a coset of the
+automorphisms of M, and the last sorted rows are the code: M up to row
+order, with its columns in a canonical order.  The normal form is the
+dimension, the code and the least row HNF of the transposed vertex matrix
+of P o sigma over the canonical sigma.
+
+- Equal normal forms is GL(n,Z) isomorphism, for any polytopes: a lattice
+  map leaves M unchanged, so the canonical labelings correspond, and the
+  HNF is the vertex matrix up to GL(n,Z).
+- Equal (dim, code) is the kernel-pair relation, for reflexive P and Q.
+  There every offset is 1 and the dual vertices N have rank n, so
+  M = N V^T + J and ker(V) = ker(M - J): the code fixes the vertex kernel of
+  P o sigma.  Conversely a bijection with ker(Q o sigma) = ker(P) gives
+  Q o sigma = P @ U for a rational U, which sends facets at distance 1 to
+  facets at distance 1 and so preserves M.
+
+The search-based predicates stay for their witnesses: one backtracking
+search yields the face-respecting bijections sigma for which every basis
+row of ker(P) annihilates the reordered vertices of Q.  ``is_kernel_pair``
+returns the first of them, and ``lattice_isomorphism`` solves Q o sigma =
+P @ U on the vertices indexed by the non-pivot columns of the kernel HNF,
+then needs U only to be integral and unimodular.
 """
 
 from dataclasses import dataclass, field
@@ -39,6 +58,7 @@ from .errors import (
 from .intlinalg import (
     adjugate_det,
     det,
+    hnf_rows,
     left_kernel,
     mat_rank,
     vec_primitive,
@@ -169,6 +189,11 @@ def is_reflexive(p: LatticePolytope) -> bool:
     return all(f.offset == 1 for f in facets(p))
 
 
+def _require_reflexive(p):
+    if not is_reflexive(p):
+        raise NotReflexive(f"polytope {p.id or p.vertices} is not reflexive")
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def polar_dual(p: LatticePolytope) -> LatticePolytope:
     """Polar polytope {w : <v, w> >= -1 for all v}, vertices sorted lex.
@@ -254,6 +279,44 @@ def _incidence(p: LatticePolytope):
         tuple(tuple(f) for f in fsets if max(f) == i) for i in range(p.nvertices)
     )
     return degrees, masks, closing
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def normal_form(p: LatticePolytope):
+    """(dim, code, vertex part) of p, equal for p and q exactly when some U
+    in GL(n,Z) maps the vertices of p onto those of q; see the module
+    docstring."""
+    k = p.nvertices
+    pairing = [
+        tuple(sum(a * x for a, x in zip(f.normal, v)) + f.offset for v in p.vertices)
+        for f in facets(p)
+    ]
+    # (vertex order, facet rows cut to it): the rows stay in facet order so
+    # that extending a prefix appends one column
+    level = [((), [()] * len(pairing))]
+    for _ in range(k):
+        best, survivors = None, []
+        for order, rows in level:
+            for v in range(k):
+                if v in order:
+                    continue
+                ext = [r + (f[v],) for r, f in zip(rows, pairing)]
+                code = sorted(ext, reverse=True)
+                if best is None or code > best:
+                    best, survivors = code, []
+                if code == best:
+                    survivors.append((order + (v,), ext))
+        level = survivors
+    verts = min(hnf_rows(tuple(zip(*(p.vertices[i] for i in order))))
+                for order, _ in level)
+    return p.dim, tuple(best), verts
+
+
+def kernel_invariant(p: LatticePolytope):
+    """(dim, code) of the normal form, equal for reflexive p and q exactly
+    when they are a kernel pair."""
+    _require_reflexive(p)
+    return normal_form(p)[:2]
 
 
 def combinatorial_bijections(
@@ -346,9 +409,8 @@ def is_kernel_pair(
     submodules of Z^k; the witness is the first such sigma in
     lexicographic order.
     """
-    for poly in (p, q):
-        if not is_reflexive(poly):
-            raise NotReflexive(f"polytope {poly.id or poly.vertices} is not reflexive")
+    _require_reflexive(p)
+    _require_reflexive(q)
     sigma = next(_kernel_bijections(p, q), None)
     return sigma is not None, sigma
 
@@ -388,9 +450,10 @@ def is_mirror_kernel_pair(p: LatticePolytope, q: LatticePolytope) -> bool:
     third condition follows from the first two: the kernel-pair relation
     is symmetric and unchanged by GL(n,Z) maps and vertex reordering, and
     q* is isomorphic to p** = p for reflexive p (Batyrev), so
-    KP(p*, q*) = KP(p*, p) = KP(p, p*) = KP(p, q).
+    KP(p*, q*) = KP(p*, p) = KP(p, p*) = KP(p, q).  Both remaining
+    conditions are equalities of normal forms.
     """
     return (
-        lattice_isomorphism(polar_dual(p), q) is not None
-        and is_kernel_pair(p, q)[0]
+        normal_form(polar_dual(p)) == normal_form(q)
+        and kernel_invariant(p) == kernel_invariant(q)
     )

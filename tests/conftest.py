@@ -14,6 +14,30 @@ def records2d():
     return {r.id: r for r in load_polytopes(fixture_path("polygons2d.txt"))}
 
 
+@pytest.fixture(scope="session")
+def gl_image():
+    """image(rng, p): g.p for a seeded random g in GL(n,Z), made of a few
+    elementary integer row operations and sign flips, with the vertices
+    shuffled."""
+
+    def image(rng, p):
+        n = p.dim
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(6):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i == j:
+                u[i] = [-x for x in u[i]]
+            else:
+                c = rng.randint(-2, 2)
+                u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        verts = [tuple(sum(v[t] * u[t][c] for t in range(n)) for c in range(n))
+                 for v in p.vertices]
+        rng.shuffle(verts)
+        return LatticePolytope(n, tuple(verts))
+
+    return image
+
+
 @pytest.fixture
 def p113_simplex():
     # weighted projective P(1,1,1,3) model simplex, printed vertex order

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,13 @@ from hwmt.census import (
     PolytopeRecord,
 )
 from hwmt.errors import NotReflexive, ParseError, UnknownFormat
-from hwmt.polytope import vertex_kernel
+from hwmt.polytope import (
+    is_kernel_pair,
+    lattice_isomorphism,
+    normal_form,
+    polar_dual,
+    vertex_kernel,
+)
 
 TABLE1 = {
     "(1,1,1,1)": [(0, 4311), (8, 3313), (427, 427), (429, 429)],
@@ -47,6 +54,16 @@ def census3d():
 @pytest.fixture(scope="module")
 def census2d():
     return run_census(load_polytopes(fixture_path("polygons2d.txt")))
+
+
+@pytest.fixture(scope="module")
+def make_fixtures():
+    """tools/make_fixtures.py, imported against the current package."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 class TestLoad:
@@ -151,6 +168,35 @@ class TestPairs:
             (4, False), (4, True), (5, True), (6, True),
         ]
 
+    def test_images_match_the_search_census(self, records3d, gl_image):
+        # the fixtures and a shuffled GL(3,Z) image of each, against a census
+        # by the search predicates: types grown by is_kernel_pair with each
+        # type's first member, pairs by lattice_isomorphism with the dual
+        rng = random.Random(1212)
+        records = list(records3d.values()) + [
+            PolytopeRecord(r.id + 10000, gl_image(rng, r.polytope))
+            for r in records3d.values()
+        ]
+        groups = []
+        for rec in sorted(records, key=lambda r: r.id):
+            group = next((g for g in groups
+                          if is_kernel_pair(g[0].polytope, rec.polytope)[0]), None)
+            if group is None:
+                groups.append([rec])
+            else:
+                group.append(rec)
+        pairs = sorted(
+            (a.id, b.id)
+            for g in groups
+            for i, a in enumerate(g)
+            for b in g[i:]
+            if lattice_isomorphism(polar_dual(a.polytope), b.polytope) is not None
+        )
+        result = run_census(records)
+        assert [t.members for t in result.types] == [
+            tuple(r.id for r in g) for g in groups]
+        assert result.pairs == pairs
+        assert len(result.types) == 16 and len(result.pairs) == 122
 
 class TestReport:
     def test_json_counts(self, census3d):
@@ -197,14 +243,11 @@ class TestReport:
             )
 
 
-def test_fixture_generator_regrows_every_weight_type(records3d):
+def test_fixture_generator_regrows_every_weight_type(records3d, make_fixtures):
     """tools/make_fixtures.py imports against the current package, and its
     lattice refinements regrow each of the 14 simplex kernel types of
     tables3d.txt exactly, up to GL(3,Z) and vertex order."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
-    spec = importlib.util.spec_from_file_location("make_fixtures", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = make_fixtures
     simplices = [r.polytope for r in records3d.values() if r.polytope.nvertices == 4]
     for weights, _ in tool.SIMPLEX_ROWS:
         grown = tool.grow_type(tool.minimal_simplex(weights))
@@ -214,3 +257,22 @@ def test_fixture_generator_regrows_every_weight_type(records3d):
             if tuple(sorted(vertex_kernel(s).basis[0])) == weights
         }
         assert set(grown) == fixtures, weights
+
+
+def test_isomorphism_classes_match_fixture_tool(records2d, records3d, make_fixtures):
+    """The package's isomorphism invariant and the fixture tool's normal
+    form, which tries every vertex order, give the same classes on the
+    fixtures and their duals."""
+    polys = [r.polytope for recs in (records2d, records3d) for r in recs.values()]
+    polys += [polar_dual(p) for p in polys]
+
+    def classes(key):
+        groups = {}
+        for i, p in enumerate(polys):
+            groups.setdefault(key(p), []).append(i)
+        return sorted(groups.values())
+
+    found = classes(normal_form)
+    assert found == classes(lambda p: (p.dim, make_fixtures.normal_form(p)))
+    # the self-dual fixtures and duals of each other share classes
+    assert len(found) < len(polys)

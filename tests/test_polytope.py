@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwmt.errors import DegeneratePolytope, NonLatticeDual, NotInteriorOrigin
+from hwmt.errors import (
+    DegeneratePolytope,
+    NonLatticeDual,
+    NotInteriorOrigin,
+    NotReflexive,
+)
 from hwmt.hasse_witt import _hw_coefficients, _kernel_basis, hasse_witt_polynomial
 from hwmt.pencil import build_vertex_pencil
 from hwmt.polytope import (
@@ -18,11 +23,14 @@ from hwmt.polytope import (
     combinatorially_equivalent,
     combinatorial_bijections,
     facets,
+    has_interior_origin,
     is_kernel_pair,
     is_mirror_kernel_pair,
     is_reflexive,
+    kernel_invariant,
     lattice_isomorphism,
     lattice_points,
+    normal_form,
     polar_dual,
     vertex_kernel,
 )
@@ -318,6 +326,63 @@ class TestKernelPairLemma:
                 == is_mirror_kernel_pair(p, p_dual))
 
 
+class TestNormalForm:
+    """The normal form and its kernel invariant decide the relations that
+    the search-based predicates decide; the searches are their oracles."""
+
+    def test_invariants_match_search_on_fixtures(self, reflexive_pool):
+        # every same-dimension ordered pair of the fixtures and their duals
+        polys = [p for shape in sorted(reflexive_pool) for p in reflexive_pool[shape]]
+        verdicts = []
+        for p in polys:
+            for q in polys:
+                if p.dim != q.dim:
+                    continue
+                kernel_pair = kernel_invariant(p) == kernel_invariant(q)
+                assert kernel_pair == is_kernel_pair(p, q)[0], (p, q)
+                isomorphic = normal_form(p) == normal_form(q)
+                assert isomorphic == (lattice_isomorphism(p, q) is not None), (p, q)
+                verdicts.append((kernel_pair, isomorphic))
+        assert len(verdicts) == 14480
+        # isomorphic polytopes are kernel pairs; the converse fails often
+        assert {v: verdicts.count(v) for v in set(verdicts)} == {
+            (True, True): 296, (True, False): 912, (False, False): 13272}
+
+    def test_normal_form_matches_search_off_reflexive(self, gl_image):
+        # seeded lattice polytopes in dimensions 1-4, mostly not reflexive,
+        # each with an image; every pair of one dimension and vertex count
+        rng = random.Random(2424)
+        shapes = {}
+        for dim, pts in random_point_sets(200):
+            try:
+                p = LatticePolytope(dim, pts)
+            except DegeneratePolytope:
+                continue
+            for poly in (p, gl_image(rng, p)):
+                shapes.setdefault((dim, poly.nvertices), []).append(poly)
+        found = []
+        for group in shapes.values():
+            for p in group:
+                for q in group:
+                    isomorphic = normal_form(p) == normal_form(q)
+                    assert isomorphic == (lattice_isomorphism(p, q) is not None), (p, q)
+                    found.append(isomorphic)
+        polys = [p for group in shapes.values() for p in group]
+        assert sum(has_interior_origin(p) and is_reflexive(p) for p in polys) < 10
+        # more isomorphic pairs than each polytope with itself and its image
+        assert 2 * len(polys) < found.count(True) < len(found) // 4
+
+    def test_kernel_invariant_requires_reflexive(self):
+        with pytest.raises(NotReflexive):
+            kernel_invariant(LatticePolytope(2, ((2, 0), (0, 2), (-2, -2))))
+
+    @given(data=st.data())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_invariant_under_image(self, reflexive_pool, data):
+        p = _draw(data, reflexive_pool)
+        assert normal_form(_image(data, p)) == normal_form(p)
+
+
 class TestKeyLemmaProperty:
     """The Key Lemma as a property: g.P is a kernel pair of P for every
     g in GL(3,Z) and vertex order, so their vertex pencils have the same
@@ -348,8 +413,8 @@ class TestCaches:
         # a census touches every fixture polytope and its dual
         distinct = 2 * (len(records2d) + len(records3d))
         for cached in (facets, lattice_points, vertex_facet_sets, polar_dual,
-                       vertex_kernel, _incidence, build_vertex_pencil, _kernel_basis,
-                       _hw_coefficients):
+                       vertex_kernel, _incidence, normal_form, build_vertex_pencil,
+                       _kernel_basis, _hw_coefficients):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize >= distinct
 
