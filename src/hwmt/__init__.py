@@ -21,7 +21,6 @@ from .polytope import (
     FacetInequality,
     KernelLattice,
     LatticePolytope,
-    combinatorially_equivalent,
     is_kernel_pair,
     is_mirror_kernel_pair,
     is_reflexive,
@@ -39,7 +38,6 @@ __all__ = [
     "LatticePolytope",
     "analyze_family",
     "build_vertex_pencil",
-    "combinatorially_equivalent",
     "congruence_check",
     "get_family",
     "hasse_witt",

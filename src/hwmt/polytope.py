@@ -1,19 +1,19 @@
 """Exact lattice-polytope toolkit.
 
 Polar duals, reflexivity, lattice-point enumeration, integer kernels of
-vertex matrices, combinatorial equivalence, and the kernel-pair predicates.
-All arithmetic is in integers; polytopes are immutable and hashable, so
-every operation is safe to call concurrently.
+vertex matrices, normal forms, and the kernel-pair predicates.  All
+arithmetic is in integers; polytopes are immutable and hashable, so every
+operation is safe to call concurrently.
 
 Conventions: a polytope stores an ordered tuple of vertices (order is
 significant -- the vertex-matrix kernel lives in Z^k indexed by that order).
 A facet inequality <normal, x> >= -offset has a primitive integer normal.
 
 Per-polytope results (facets, lattice points, vertex-facet incidences,
-vertex kernels, the polar dual and the normal form) are memoized in bounded
-caches of ``CACHE_SIZE`` entries, so a census builds each of them once
-however many pairs it appears in.  A listed point is a vertex iff the
-facets through it meet in that point alone.
+vertex kernels, the polar dual, the canonical vertex orders and the normal
+form) are memoized in bounded caches of ``CACHE_SIZE`` entries, so a census
+builds each of them once however many pairs it appears in.  A listed point
+is a vertex iff the facets through it meet in that point alone.
 
 One normal form serves both equivalences (after PALP, Kreuzer-Skarke
 math/0204356, and Grinis-Kasprzyk arXiv:1301.6641).  The pairing matrix M
@@ -36,18 +36,21 @@ of P o sigma over the canonical sigma.
   Q o sigma = P @ U for a rational U, which sends facets at distance 1 to
   facets at distance 1 and so preserves M.
 
-The search-based predicates stay for their witnesses: one backtracking
-search yields the face-respecting bijections sigma for which every basis
-row of ker(P) annihilates the reordered vertices of Q.  ``is_kernel_pair``
-returns the first of them, and ``lattice_isomorphism`` solves Q o sigma =
-P @ U on the vertices indexed by the non-pivot columns of the kernel HNF,
-then needs U only to be integral and unimodular.
+The canonical labelings also witness both relations.  If pi is the first
+canonical order of P and tau runs over those of Q, the bijections sigma
+with sigma(pi_i) = tau_i are exactly those under which Q o sigma has the
+pairing matrix of P.  ``is_kernel_pair`` returns the least of them, and
+``lattice_isomorphism`` takes, in order, the first for which ker(P)
+annihilates Q o sigma and Q o sigma = P @ U, solved on the vertices
+indexed by the non-pivot columns of the kernel HNF, has U integral and
+unimodular.  Such a U preserves the pairing matrix, so no lattice map is
+missed.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import (
     DegeneratePolytope,
@@ -129,15 +132,6 @@ class LatticePolytope:
     @property
     def nvertices(self) -> int:
         return len(self.vertices)
-
-    def with_id(self, new_id) -> "LatticePolytope":
-        return LatticePolytope(self.dim, self.vertices, new_id)
-
-    def relabel(self, order) -> "LatticePolytope":
-        """Same polytope with vertices reordered by the given index tuple."""
-        return LatticePolytope(
-            self.dim, tuple(self.vertices[i] for i in order), self.id
-        )
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -265,27 +259,11 @@ def vertex_facet_sets(p: LatticePolytope) -> Tuple[frozenset, ...]:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _incidence(p: LatticePolytope):
-    """Vertex-facet incidence laid out for the bijection search: each
-    vertex's degree (the sorted sizes of its facets), the set of facets as
-    vertex bitmasks, and for each vertex the facets whose highest-index
-    vertex it is."""
-    fsets = vertex_facet_sets(p)
-    degrees = tuple(
-        tuple(sorted(len(f) for f in fsets if i in f)) for i in range(p.nvertices)
-    )
-    masks = frozenset(sum(1 << v for v in f) for f in fsets)
-    closing = tuple(
-        tuple(tuple(f) for f in fsets if max(f) == i) for i in range(p.nvertices)
-    )
-    return degrees, masks, closing
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def normal_form(p: LatticePolytope):
-    """(dim, code, vertex part) of p, equal for p and q exactly when some U
-    in GL(n,Z) maps the vertices of p onto those of q; see the module
-    docstring."""
+def _canonical_orders(p: LatticePolytope):
+    """(code, orders) of p: the canonical vertex orders, found by a
+    level-by-level search over the pairing matrix, and the code, the
+    pairing matrix's facet rows under them sorted descending; see the
+    module docstring."""
     k = p.nvertices
     pairing = [
         tuple(sum(a * x for a, x in zip(f.normal, v)) + f.offset for v in p.vertices)
@@ -307,9 +285,18 @@ def normal_form(p: LatticePolytope):
                 if code == best:
                     survivors.append((order + (v,), ext))
         level = survivors
+    return tuple(best), tuple(order for order, _ in level)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def normal_form(p: LatticePolytope):
+    """(dim, code, vertex part) of p, equal for p and q exactly when some U
+    in GL(n,Z) maps the vertices of p onto those of q; see the module
+    docstring."""
+    code, orders = _canonical_orders(p)
     verts = min(hnf_rows(tuple(zip(*(p.vertices[i] for i in order))))
-                for order, _ in level)
-    return p.dim, tuple(best), verts
+                for order in orders)
+    return p.dim, code, verts
 
 
 def kernel_invariant(p: LatticePolytope):
@@ -319,84 +306,17 @@ def kernel_invariant(p: LatticePolytope):
     return normal_form(p)[:2]
 
 
-def combinatorial_bijections(
-    p: LatticePolytope, q: LatticePolytope
-) -> Iterator[Tuple[int, ...]]:
-    """Yield every vertex bijection inducing a face-lattice isomorphism, in
-    lexicographic order.
-
-    For polytopes the face lattice is determined by vertex-facet incidence,
-    so a bijection qualifies iff it maps the facet family of p onto that
-    of q.  Backtracking over the vertices of p in index order, each tried
-    only on vertices of q of the same degree; a facet of p is checked once,
-    when its highest-index vertex is assigned.  Once every facet lands on a
-    facet of q the families are equal: sigma is injective and both have
-    the same number of facets.
-    """
-    k = p.nvertices
-    if k != q.nvertices:
-        return
-    pdeg, _, closing = _incidence(p)
-    qdeg, qmasks, _ = _incidence(q)
-    # equal degree multisets give equal numbers of facets of each size
-    if sorted(pdeg) != sorted(qdeg):
-        return
-    options = [[j for j in range(k) if qdeg[j] == d] for d in pdeg]
-    sigma = [0] * k
-    bits = [0] * k  # bits[v] = 1 << sigma[v]
-    used = [False] * k
-
-    def extend(i):
-        if i == k:
-            yield tuple(sigma)
-            return
-        for j in options[i]:
-            if used[j]:
-                continue
-            sigma[i], bits[i] = j, 1 << j
-            for f in closing[i]:
-                image = 0
-                for v in f:
-                    image |= bits[v]
-                if image not in qmasks:
-                    break
-            else:
-                used[j] = True
-                yield from extend(i + 1)
-                used[j] = False
-
-    yield from extend(0)
-
-
-def combinatorially_equivalent(
-    p: LatticePolytope, q: LatticePolytope
-) -> Optional[Tuple[int, ...]]:
-    """A face-lattice-respecting vertex bijection, or None."""
-    return next(combinatorial_bijections(p, q), None)
-
-
-def _kernel_bijections(
-    p: LatticePolytope, q: LatticePolytope
-) -> Iterator[Tuple[int, ...]]:
-    """Yield, in lexicographic order, each face-respecting vertex bijection
-    sigma for which every basis row of ker(P) annihilates Q o sigma.
-
-    For P of rank n that says Q o sigma = P @ U for a rational U; for
-    reflexive P and Q it says ker(Q o sigma) == ker(P).  The test is sound
-    only between vertex sets of equal dimension, so pairs of different
-    dimension or vertex count yield nothing.
-    """
-    if p.dim != q.dim or p.nvertices != q.nvertices:
-        return
-    kp = vertex_kernel(p).basis
-    for sigma in combinatorial_bijections(p, q):
-        image = [q.vertices[j] for j in sigma]
-        if all(
-            sum(a * v[c] for a, v in zip(row, image) if a) == 0
-            for row in kp
-            for c in range(p.dim)
-        ):
-            yield sigma
+def _pairing_bijections(p: LatticePolytope, q: LatticePolytope):
+    """The vertex bijections sigma, in lexicographic order, under which
+    Q o sigma has the pairing matrix of P: the first canonical order of p
+    sent onto each canonical order of q; none when the codes differ."""
+    code, orders = _canonical_orders(p)
+    q_code, q_orders = _canonical_orders(q)
+    if p.dim != q.dim or code != q_code:
+        return []
+    # position of each vertex of p in its first canonical order
+    where = sorted(range(p.nvertices), key=orders[0].__getitem__)
+    return sorted(tuple(order[i] for i in where) for order in q_orders)
 
 
 def is_kernel_pair(
@@ -404,22 +324,20 @@ def is_kernel_pair(
 ) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """Decide whether p and q are a kernel pair; return a witness bijection.
 
-    True iff p and q are combinatorially equivalent and some face-respecting
-    vertex bijection sigma makes the vertex-matrix kernels equal as
-    submodules of Z^k; the witness is the first such sigma in
-    lexicographic order.
+    True iff their kernel invariants are equal; the witness is the first
+    bijection sigma, in lexicographic order, with ker(Q o sigma) == ker(P)
+    as submodules of Z^k.
     """
-    _require_reflexive(p)
-    _require_reflexive(q)
-    sigma = next(_kernel_bijections(p, q), None)
-    return sigma is not None, sigma
+    if kernel_invariant(p) != kernel_invariant(q):
+        return False, None
+    return True, _pairing_bijections(p, q)[0]
 
 
 def lattice_isomorphism(
     p: LatticePolytope, q: LatticePolytope
 ) -> Optional[Tuple[Tuple[int, ...], ...]]:
     """A GL(n,Z) matrix U with v @ U mapping vertices(p) onto vertices(q),
-    compatibly with some face-lattice bijection; None if there is none."""
+    for the first vertex bijection that admits one; None if there is none."""
     n = p.dim
     kp = vertex_kernel(p).basis
     # a kernel vector vanishing on every pivot column is zero, so the
@@ -428,8 +346,14 @@ def lattice_isomorphism(
     base = [i for i in range(p.nvertices) if i not in pivots]
     # U = M_p^-1 @ M_q on that vertex basis of p; M_p^-1 = adj / det
     adj, d = adjugate_det(tuple(p.vertices[i] for i in base))
-    for sigma in _kernel_bijections(p, q):
-        m_q = tuple(q.vertices[sigma[i]] for i in base)
+    for sigma in _pairing_bijections(p, q):
+        image = [q.vertices[j] for j in sigma]
+        # ker(P) annihilates Q o sigma: then Q o sigma = P @ U on every
+        # vertex, not only on the basis
+        if any(sum(a * v[c] for a, v in zip(row, image) if a)
+               for row in kp for c in range(n)):
+            continue
+        m_q = tuple(image[i] for i in base)
         u = [
             [sum(adj[r][t] * m_q[t][c] for t in range(n)) for c in range(n)]
             for r in range(n)

@@ -16,13 +16,9 @@ from hwmt.census import (
     PolytopeRecord,
 )
 from hwmt.errors import NotReflexive, ParseError, UnknownFormat
-from hwmt.polytope import (
-    is_kernel_pair,
-    lattice_isomorphism,
-    normal_form,
-    polar_dual,
-    vertex_kernel,
-)
+from hwmt.polytope import normal_form, polar_dual, vertex_kernel
+
+from oracles import is_kernel_pair, lattice_isomorphism
 
 TABLE1 = {
     "(1,1,1,1)": [(0, 4311), (8, 3313), (427, 427), (429, 429)],
@@ -170,8 +166,9 @@ class TestPairs:
 
     def test_images_match_the_search_census(self, records3d, gl_image):
         # the fixtures and a shuffled GL(3,Z) image of each, against a census
-        # by the search predicates: types grown by is_kernel_pair with each
-        # type's first member, pairs by lattice_isomorphism with the dual
+        # by the oracles' search predicates: types grown by is_kernel_pair
+        # with each type's first member, pairs by lattice_isomorphism with
+        # the dual
         rng = random.Random(1212)
         records = list(records3d.values()) + [
             PolytopeRecord(r.id + 10000, gl_image(rng, r.polytope))

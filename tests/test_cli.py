@@ -101,6 +101,14 @@ GOLDEN = [
      "7b6b1da495ea2a0f491d43ae0515c501036294a818b0b5d38d26ea079291f767"),
     ("census --input {polygons2d}", 0,
      "40c4e6c0e0006d22dc4b85d90de864c1f212bd8da6d6acafacfea161096db34f"),
+    # recorded before the witness came from canonical vertex orders: kernel
+    # pairs with 8 witnesses each, the least (1,2,3,4,0), and a non-pair
+    ("pair check --pair 753,4283", 0,
+     "0c25e0095cba5f73683cbc1b2a75ffc076a9f52050552aeb4da288fa1026a072"),
+    ("pair check --pair 436,4314", 0,
+     "76fd2701501ad40c15600a2285241a10ddc2fa3dd6239ae7192602b6a076855d"),
+    ("pair check --pair 0,4314", 0,
+     "04676ea607daa9fef0d54a8bc33cbd454e0f3a5954d7cc5d9501c1913c46b235"),
 ]
 
 

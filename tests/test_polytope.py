@@ -17,11 +17,9 @@ from hwmt.errors import (
 from hwmt.hasse_witt import _hw_coefficients, _kernel_basis, hasse_witt_polynomial
 from hwmt.pencil import build_vertex_pencil
 from hwmt.polytope import (
-    _incidence,
+    _canonical_orders,
     LatticePolytope,
     vertex_facet_sets,
-    combinatorially_equivalent,
-    combinatorial_bijections,
     facets,
     has_interior_origin,
     is_kernel_pair,
@@ -34,6 +32,8 @@ from hwmt.polytope import (
     polar_dual,
     vertex_kernel,
 )
+
+import oracles
 
 P113 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-3, -1, -1))
 P113_DUAL = ((1, -1, -1), (-1, 5, -1), (-1, -1, 5), (-1, -1, -1))
@@ -170,21 +170,21 @@ class TestVertexKernel:
 
 
 class TestCombinatorialEquivalence:
+    """The oracles' face-lattice search."""
+
     def test_any_two_simplices(self, p3_simplex, p113_simplex):
-        assert combinatorially_equivalent(p3_simplex, p113_simplex) is not None
+        assert oracles.combinatorially_equivalent(p3_simplex, p113_simplex) is not None
 
     def test_quadrilaterals(self, cross_polytope, unit_square):
-        assert combinatorially_equivalent(cross_polytope, unit_square) is not None
+        assert oracles.combinatorially_equivalent(cross_polytope, unit_square) is not None
 
     def test_triangle_vs_square(self, unit_square):
         tri = LatticePolytope(2, ((1, 0), (0, 1), (-1, -1)))
-        assert combinatorially_equivalent(tri, unit_square) is None
+        assert oracles.combinatorially_equivalent(tri, unit_square) is None
 
     def test_bijections_respect_facets(self, cross_polytope, unit_square):
-        from hwmt.polytope import vertex_facet_sets
-
         qf = set(vertex_facet_sets(unit_square))
-        for sigma in combinatorial_bijections(cross_polytope, unit_square):
+        for sigma in oracles.combinatorial_bijections(cross_polytope, unit_square):
             for f in vertex_facet_sets(cross_polytope):
                 assert frozenset(sigma[i] for i in f) in qf
 
@@ -312,9 +312,9 @@ class TestKernelPairLemma:
         p = _draw(data, reflexive_pool)
         p_dual = polar_dual(p)
         q = _draw_related(data, reflexive_pool, p_dual)
-        oracle = (lattice_isomorphism(p_dual, q) is not None
-                  and is_kernel_pair(p, q)[0]
-                  and is_kernel_pair(p_dual, polar_dual(q))[0])
+        oracle = (oracles.lattice_isomorphism(p_dual, q) is not None
+                  and oracles.is_kernel_pair(p, q)[0]
+                  and oracles.is_kernel_pair(p_dual, polar_dual(q))[0])
         assert is_mirror_kernel_pair(p, q) == oracle
 
     @given(data=st.data())
@@ -327,8 +327,9 @@ class TestKernelPairLemma:
 
 
 class TestNormalForm:
-    """The normal form and its kernel invariant decide the relations that
-    the search-based predicates decide; the searches are their oracles."""
+    """The normal form and its kernel invariant decide, and the canonical
+    orders witness, the relations that the oracles' bijection search
+    decides and witnesses: the same verdicts, witnesses and maps."""
 
     def test_invariants_match_search_on_fixtures(self, reflexive_pool):
         # every same-dimension ordered pair of the fixtures and their duals
@@ -339,9 +340,13 @@ class TestNormalForm:
                 if p.dim != q.dim:
                     continue
                 kernel_pair = kernel_invariant(p) == kernel_invariant(q)
-                assert kernel_pair == is_kernel_pair(p, q)[0], (p, q)
+                witnessed = oracles.is_kernel_pair(p, q)
+                assert kernel_pair == witnessed[0], (p, q)
+                assert is_kernel_pair(p, q) == witnessed, (p, q)
                 isomorphic = normal_form(p) == normal_form(q)
-                assert isomorphic == (lattice_isomorphism(p, q) is not None), (p, q)
+                u = oracles.lattice_isomorphism(p, q)
+                assert isomorphic == (u is not None), (p, q)
+                assert lattice_isomorphism(p, q) == u, (p, q)
                 verdicts.append((kernel_pair, isomorphic))
         assert len(verdicts) == 14480
         # isomorphic polytopes are kernel pairs; the converse fails often
@@ -365,7 +370,9 @@ class TestNormalForm:
             for p in group:
                 for q in group:
                     isomorphic = normal_form(p) == normal_form(q)
-                    assert isomorphic == (lattice_isomorphism(p, q) is not None), (p, q)
+                    u = oracles.lattice_isomorphism(p, q)
+                    assert isomorphic == (u is not None), (p, q)
+                    assert lattice_isomorphism(p, q) == u, (p, q)
                     found.append(isomorphic)
         polys = [p for group in shapes.values() for p in group]
         assert sum(has_interior_origin(p) and is_reflexive(p) for p in polys) < 10
@@ -400,7 +407,8 @@ class TestKeyLemmaProperty:
 
 class TestCaches:
     def test_polar_dual_memoized_across_ids(self, p113_simplex):
-        assert polar_dual(p113_simplex.with_id(7)) is polar_dual(p113_simplex)
+        renamed = LatticePolytope(3, p113_simplex.vertices, 7)
+        assert polar_dual(renamed) is polar_dual(p113_simplex)
         assert polar_dual(p113_simplex).id is None
 
     def test_polar_dual_errors_raised_every_call(self):
@@ -413,8 +421,8 @@ class TestCaches:
         # a census touches every fixture polytope and its dual
         distinct = 2 * (len(records2d) + len(records3d))
         for cached in (facets, lattice_points, vertex_facet_sets, polar_dual,
-                       vertex_kernel, _incidence, normal_form, build_vertex_pencil,
-                       _kernel_basis, _hw_coefficients):
+                       vertex_kernel, _canonical_orders, normal_form,
+                       build_vertex_pencil, _kernel_basis, _hw_coefficients):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize >= distinct
 
