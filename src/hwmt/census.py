@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .errors import NotReflexive, ParseError, UnknownFormat
+from .errors import HwmtError, NotReflexive, ParseError, UnknownFormat
 from .families import get_family
 from .polytope import (
     KernelLattice,
@@ -125,7 +125,7 @@ def load_polytopes(path) -> List[PolytopeRecord]:
             verts.append(v)
         try:
             poly = LatticePolytope(dim, tuple(verts), pid)
-        except Exception as exc:
+        except HwmtError as exc:
             raise ParseError(f"{source}: record {pid}: {exc}") from exc
         if not is_reflexive(poly):
             raise NotReflexive(f"{source}: record {pid} is not reflexive")

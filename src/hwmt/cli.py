@@ -211,7 +211,10 @@ def _cmd_hw(args) -> int:
         source = get_family(args.family)
         label = source.name
     else:
-        source = build_vertex_pencil(_select_polytope(args))
+        source = _select_polytope(args)
+        # a polytope without a lattice dual has no pencil: that fails the
+        # command, not each cell of the grid
+        polar_dual(source)
         label = "pencil"
     return _sweep(args, lambda psi, p: (
         {"family": label, "hw": hasse_witt(source, psi, p).value}, None))

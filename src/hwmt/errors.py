@@ -38,11 +38,6 @@ class UnsupportedMonomial(HwmtError):
     """A coefficient key lies outside the dual polytope."""
 
 
-class MalformedPencil(HwmtError):
-    """A pencil repeats an exponent, or its psi term is not psi times the
-    origin monomial."""
-
-
 class UnknownFamily(HwmtError):
     """No named family with that tag."""
 
@@ -72,11 +67,6 @@ class PsiNotInvertible(HwmtError):
 class MalformedHypergeometric(HwmtError, ValueError):
     """pFq parameters of the wrong shape (q != p - 1 lower parameters) or
     with a nonpositive-integer lower parameter."""
-
-
-class TruncationGuard(HwmtError):
-    """Internal guard: a truncated series term beyond degree p-1 was
-    requested."""
 
 
 # --- point counting errors ---------------------------------------------------

@@ -12,8 +12,8 @@ columns prune, so the cost follows the rank of the kernel and the number
 of surviving vectors rather than the number of monomials.
 ``constant_term_power``, ``hasse_witt_polynomial`` and
 ``period_coefficients`` all use it and differ only in how they weight a
-vector.  ``zero_sum_exponents``, a depth-first search over every exponent
-coordinate, is the independent reference that the tests compare against.
+vector.  The tests compare it with an independent depth-first search over
+every exponent coordinate.
 
 For a fixed pencil and prime the invariant is one polynomial in psi of
 degree <= p-1, with coefficients binom(p-1, n) b_n mod p.
@@ -54,65 +54,6 @@ class PeriodCoefficients:
     """Integer Taylor coefficients b_n = constant term of (vertex sum)^n."""
 
     values: Tuple[int, ...]
-
-
-def zero_sum_exponents(exponents, e):
-    """Yield all nonnegative integer vectors a with sum(a) = e and
-    sum_i a_i * exponents[i] = 0.
-
-    Reference enumerator for the tests; the library computes through
-    ``_kernel_points``.  The search fixes a_i coordinate by coordinate; a
-    branch survives only while each lattice coordinate of the running sum
-    can still be pulled back to zero by the remaining budget.
-    """
-    k = len(exponents)
-    if k == 0:
-        return
-    n = len(exponents[0])
-    # per-coordinate min/max over the suffix of terms i..k-1
-    lo_suffix = [None] * k
-    hi_suffix = [None] * k
-    lo_suffix[k - 1] = list(exponents[k - 1])
-    hi_suffix[k - 1] = list(exponents[k - 1])
-    for i in range(k - 2, -1, -1):
-        lo_suffix[i] = [
-            min(exponents[i][c], lo_suffix[i + 1][c]) for c in range(n)
-        ]
-        hi_suffix[i] = [
-            max(exponents[i][c], hi_suffix[i + 1][c]) for c in range(n)
-        ]
-
-    a = [0] * k
-    partial = [0] * n
-
-    def rec(i, budget):
-        if i == k - 1:
-            for c in range(n):
-                if partial[c] + budget * exponents[i][c] != 0:
-                    return
-            a[i] = budget
-            yield tuple(a)
-            a[i] = 0
-            return
-        w = exponents[i]
-        for ai in range(budget + 1):
-            rem = budget - ai
-            ok = True
-            for c in range(n):
-                s = partial[c] + ai * w[c]
-                if s + rem * lo_suffix[i + 1][c] > 0 or s + rem * hi_suffix[i + 1][c] < 0:
-                    ok = False
-                    break
-            if ok:
-                a[i] = ai
-                for c in range(n):
-                    partial[c] += ai * w[c]
-                yield from rec(i + 1, rem)
-                for c in range(n):
-                    partial[c] -= ai * w[c]
-                a[i] = 0
-
-    yield from rec(0, e)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -266,47 +207,49 @@ def constant_term_power(f: LaurentPolynomial, e: int, p: int) -> int:
     return fact[e] * sum(w * origin[e - s] for s, w in enumerate(weights)) % p
 
 
-def _resolve_pencil(family_or_pencil) -> Tuple[LaurentPencil, Optional[FamilyTag]]:
-    if isinstance(family_or_pencil, LaurentPencil):
-        return family_or_pencil, None
-    if isinstance(family_or_pencil, LatticePolytope):
-        return build_vertex_pencil(family_or_pencil), None
-    fam = get_family(family_or_pencil)
+def _resolve_pencil(source) -> Tuple[LaurentPencil, Optional[FamilyTag]]:
+    """(vertex pencil, family) of a family given by name or FamilyTag, and
+    (vertex pencil, None) of a polytope."""
+    if isinstance(source, LatticePolytope):
+        return build_vertex_pencil(source), None
+    fam = get_family(source)
     return fam.vertex_pencil(), fam
 
 
-def hasse_witt(family_or_pencil: Union[str, FamilyTag, LaurentPencil, LatticePolytope],
-               psi, p: int) -> HWInvariant:
-    """Hasse-Witt invariant of the pencil member at psi over F_p.
+def hasse_witt(source: Union[str, FamilyTag, LatticePolytope], psi,
+               p: int) -> HWInvariant:
+    """Hasse-Witt invariant of the vertex pencil member at psi over F_p.
 
-    Accepts a named family, a FamilyTag, a polytope (its vertex pencil is
-    built), or an explicit LaurentPencil.  Family members known to be
-    singular at psi are rejected; for a bare pencil no smoothness check is
-    possible.  The value is the pencil's Hasse-Witt polynomial at psi, so
-    every psi after the first at the same (pencil, p) costs O(p).
+    Accepts a family (its name or FamilyTag) or a LatticePolytope, whose
+    vertex pencil it builds; any other value raises UnknownFamily.  Family
+    members known to be singular at psi are rejected; for a bare polytope
+    no smoothness check is possible.  The value is the pencil's Hasse-Witt
+    polynomial at psi, so every psi after the first at the same
+    (pencil, p) costs O(p).
     """
     psi = Fraction(psi)
-    pencil, fam = _resolve_pencil(family_or_pencil)
+    pencil, fam = _resolve_pencil(source)
     if fam is not None and not fam.is_smooth(psi):
         raise SingularMember(f"{fam.name} member at psi = {psi} is singular")
     require_psi_mod_p(psi, p)
-    coeffs = hasse_witt_polynomial(pencil, p)
+    coeffs = _hw_coefficients(pencil, p)
     x, value = frac_mod(psi, p), 0
     for c in reversed(coeffs):
         value = (value * x + c) % p
     return HWInvariant(p, value, psi)
 
 
-def hasse_witt_polynomial(pencil_or_family, p: int) -> Tuple[int, ...]:
-    """Coefficients (ascending in psi) of the symbolic Hasse-Witt invariant.
+def hasse_witt_polynomial(source: Union[str, FamilyTag, LatticePolytope],
+                          p: int) -> Tuple[int, ...]:
+    """Coefficients (ascending in psi) of the symbolic Hasse-Witt invariant
+    of a family's or a polytope's vertex pencil.
 
     The result always has length p, i.e. degree <= p-1 in psi: the origin
     monomial can absorb at most the whole exponent budget.  One enumeration
     with budget <= p-1 on the vertex monomials covers every power of psi,
     and the result is memoized per (pencil, p).
     """
-    pencil, _ = _resolve_pencil(pencil_or_family)
-    return _hw_coefficients(pencil, p)
+    return _hw_coefficients(_resolve_pencil(source)[0], p)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -355,8 +298,8 @@ def key_lemma_check(delta: LatticePolytope, gamma: LatticePolytope,
         raise NotKernelPair("polytopes are not a kernel pair")
     if kernel_invariant(polar_dual(delta)) != kernel_invariant(polar_dual(gamma)):
         raise NotKernelPair("polar duals are not a kernel pair")
-    hw_d = hasse_witt(build_vertex_pencil(delta), psi, p)
-    hw_g = hasse_witt(build_vertex_pencil(gamma), psi, p)
+    hw_d = hasse_witt(delta, psi, p)
+    hw_g = hasse_witt(gamma, psi, p)
     return hw_d.value == hw_g.value, hw_d, hw_g
 
 

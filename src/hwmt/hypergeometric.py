@@ -15,7 +15,6 @@ from .errors import (
     MalformedHypergeometric,
     NotPrime,
     PsiNotInvertible,
-    TruncationGuard,
     UnknownFamily,
 )
 
@@ -105,20 +104,6 @@ class TruncatedValue:
     terms_used: int
 
 
-def pochhammer_mod_p(a, n: int, p: int) -> int:
-    """(a)_n = a (a+1) ... (a+n-1) mod p for rational a = r/s with p not
-    dividing s."""
-    require_prime(p)
-    a = Fraction(a)
-    r, s = a.numerator, a.denominator
-    if s % p == 0:
-        raise BadDenominator(f"parameter {a} has denominator divisible by {p}")
-    prod = 1
-    for j in range(n):
-        prod = prod * (r + j * s) % p
-    return prod * pow(s, -n, p) % p
-
-
 def _argument_mod_p(data: HypergeometricData, psi, p: int) -> int:
     c, e = data.argument
     psi = Fraction(psi)
@@ -133,25 +118,6 @@ def _argument_mod_p(data: HypergeometricData, psi, p: int) -> int:
     return z_c * pow(psi_mod, e, p) % p
 
 
-def _series_term(data: HypergeometricData, n: int, z: int, p: int,
-                 factorials) -> int:
-    # internal guard: beyond degree p-1 the n! in the denominator is not
-    # invertible, so the term must never be evaluated silently
-    if n >= p:
-        raise TruncationGuard(f"term {n} requested beyond truncation at {p - 1}")
-    num = 1
-    for a in data.numerators:
-        num = num * pochhammer_mod_p(a, n, p) % p
-    den = factorials[n]
-    for b in data.denominators:
-        den = den * pochhammer_mod_p(b, n, p) % p
-    if den == 0:
-        raise BadDenominator(
-            f"lower-parameter Pochhammer vanishes mod {p} at term {n}"
-        )
-    return num * pow(den, -1, p) * pow(z, n, p) % p
-
-
 def truncated_pFq(data: HypergeometricData, psi, p: int) -> TruncatedValue:
     """Sum of the first p terms (degrees 0..p-1) of pFq at c*psi^e, mod p.
 
@@ -161,8 +127,8 @@ def truncated_pFq(data: HypergeometricData, psi, p: int) -> TruncatedValue:
     numerator over den_n (total <- total * r_n + num_n * z^n, where
     den_n = den_(n-1) * r_n), so a single inverse is taken at the end.
     BadDenominator is raised at the first term whose step r_n vanishes,
-    which is where den_n first vanishes.  `_series_term` is the term by
-    term reference.
+    which is where den_n first vanishes.  The tests compare it with a term
+    by term sum of Pochhammer products.
     """
     require_prime(p)
     z = _argument_mod_p(data, psi, p)
@@ -202,14 +168,6 @@ def pfq_taylor(numerators, denominators, nterms: int):
         ratio /= n + 1
         term *= ratio
     return coeffs
-
-
-def series_square(coeffs):
-    """Cauchy square of a truncated power series."""
-    n = len(coeffs)
-    return [
-        sum(coeffs[i] * coeffs[k - i] for i in range(k + 1)) for k in range(n)
-    ]
 
 
 def clausen_check(family, psi, p: int) -> bool:

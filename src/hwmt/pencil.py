@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .errors import MalformedPencil, UnsupportedMonomial
+from .errors import UnsupportedMonomial
 from .polytope import CACHE_SIZE, LatticePolytope, lattice_points, polar_dual
 
 Exponent = Tuple[int, ...]
@@ -32,23 +32,11 @@ class LaurentTerm:
 
 @dataclass(frozen=True)
 class LaurentPencil:
-    """One-parameter Laurent family: dual-vertex monomials plus psi * x^0."""
+    """One-parameter Laurent family: dual-vertex monomials plus psi * x^0,
+    built by ``build_vertex_pencil``."""
 
     n: int
     terms: Tuple[LaurentTerm, ...]
-    psi_term_index: int
-
-    def __post_init__(self):
-        exps = [t.exponent for t in self.terms]
-        if len(set(exps)) != len(exps):
-            raise MalformedPencil("pencil exponents must be distinct")
-        if not 0 <= self.psi_term_index < len(self.terms):
-            raise MalformedPencil(f"psi term index {self.psi_term_index} out of range")
-        origin = self.terms[self.psi_term_index]
-        if origin.exponent != (0,) * self.n or (origin.const, origin.psi_coeff) != (0, 1):
-            raise MalformedPencil("the psi term must be psi times the origin monomial")
-        if sum(1 for t in self.terms if t.psi_coeff) != 1:
-            raise MalformedPencil("psi may appear only on the origin monomial")
 
 
 @dataclass(frozen=True)
@@ -67,7 +55,7 @@ def build_vertex_pencil(delta: LatticePolytope) -> LaurentPencil:
     dual = polar_dual(delta)
     terms = [LaurentTerm(v, Fraction(1)) for v in dual.vertices]
     terms.append(LaurentTerm((0,) * delta.dim, Fraction(0), Fraction(1)))
-    return LaurentPencil(delta.dim, tuple(terms), len(terms) - 1)
+    return LaurentPencil(delta.dim, tuple(terms))
 
 
 def specialize(pencil: LaurentPencil, psi) -> LaurentPolynomial:

@@ -36,15 +36,11 @@ of P o sigma over the canonical sigma.
   Q o sigma = P @ U for a rational U, which sends facets at distance 1 to
   facets at distance 1 and so preserves M.
 
-The canonical labelings also witness both relations.  If pi is the first
-canonical order of P and tau runs over those of Q, the bijections sigma
-with sigma(pi_i) = tau_i are exactly those under which Q o sigma has the
-pairing matrix of P.  ``is_kernel_pair`` returns the least of them, and
-``lattice_isomorphism`` takes, in order, the first for which ker(P)
-annihilates Q o sigma and Q o sigma = P @ U, solved on the vertices
-indexed by the non-pivot columns of the kernel HNF, has U integral and
-unimodular.  Such a U preserves the pairing matrix, so no lattice map is
-missed.
+The canonical labelings also witness the kernel-pair relation.  If pi is
+the first canonical order of P and tau runs over those of Q, the
+bijections sigma with sigma(pi_i) = tau_i are exactly those under which
+Q o sigma has the pairing matrix of P, and ``is_kernel_pair`` returns the
+least of them.
 """
 
 from dataclasses import dataclass, field
@@ -58,14 +54,7 @@ from .errors import (
     NotInteriorOrigin,
     NotReflexive,
 )
-from .intlinalg import (
-    adjugate_det,
-    det,
-    hnf_rows,
-    left_kernel,
-    mat_rank,
-    vec_primitive,
-)
+from .intlinalg import hnf_rows, left_kernel, mat_rank, vec_primitive
 
 LatticePoint = Tuple[int, ...]
 
@@ -110,6 +99,8 @@ class LatticePolytope:
     def __post_init__(self):
         verts = tuple(tuple(int(x) for x in v) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
+        if self.dim < 1 or not verts:
+            raise DegeneratePolytope("a polytope needs dimension >= 1 and a vertex")
         if any(len(v) != self.dim for v in verts):
             raise DegeneratePolytope("vertex length does not match dimension")
         if len(set(verts)) != len(verts):
@@ -331,39 +322,6 @@ def is_kernel_pair(
     if kernel_invariant(p) != kernel_invariant(q):
         return False, None
     return True, _pairing_bijections(p, q)[0]
-
-
-def lattice_isomorphism(
-    p: LatticePolytope, q: LatticePolytope
-) -> Optional[Tuple[Tuple[int, ...], ...]]:
-    """A GL(n,Z) matrix U with v @ U mapping vertices(p) onto vertices(q),
-    for the first vertex bijection that admits one; None if there is none."""
-    n = p.dim
-    kp = vertex_kernel(p).basis
-    # a kernel vector vanishing on every pivot column is zero, so the
-    # vertices on the other n columns are a basis
-    pivots = {next(j for j, x in enumerate(row) if x) for row in kp}
-    base = [i for i in range(p.nvertices) if i not in pivots]
-    # U = M_p^-1 @ M_q on that vertex basis of p; M_p^-1 = adj / det
-    adj, d = adjugate_det(tuple(p.vertices[i] for i in base))
-    for sigma in _pairing_bijections(p, q):
-        image = [q.vertices[j] for j in sigma]
-        # ker(P) annihilates Q o sigma: then Q o sigma = P @ U on every
-        # vertex, not only on the basis
-        if any(sum(a * v[c] for a, v in zip(row, image) if a)
-               for row in kp for c in range(n)):
-            continue
-        m_q = tuple(image[i] for i in base)
-        u = [
-            [sum(adj[r][t] * m_q[t][c] for t in range(n)) for c in range(n)]
-            for r in range(n)
-        ]
-        if any(x % d for row in u for x in row):
-            continue
-        uint = tuple(tuple(x // d for x in row) for row in u)
-        if abs(det(uint)) == 1:
-            return uint
-    return None
 
 
 def is_mirror_kernel_pair(p: LatticePolytope, q: LatticePolytope) -> bool:

@@ -1,6 +1,15 @@
-"""Backtracking bijection search: the tests' independent reference for the
-relations that ``hwmt.polytope`` decides and witnesses by canonical vertex
-orders.
+"""Reference implementations that the tests compare the package with.
+
+Each is independent of the engine it checks:
+
+- ``zero_sum_exponents``, a depth-first search over every exponent
+  coordinate, against the kernel-lattice enumerator of ``hwmt.hasse_witt``;
+- ``pochhammer_mod_p`` and ``_series_term``, the term by term series,
+  against the one-pass ``hwmt.hypergeometric.truncated_pFq``;
+- ``series_square``, the Cauchy square that states Clausen's identity over
+  Q;
+- the backtracking bijection search, against the relations that
+  ``hwmt.polytope`` decides and witnesses by canonical vertex orders.
 
 A vertex bijection of P onto Q is face-respecting when it maps the facet
 family of P onto that of Q.  The search yields those bijections in
@@ -10,9 +19,12 @@ isomorphism is the first of them whose map on a vertex basis is integral
 and unimodular.  Nothing here reads the pairing matrix or the normal form.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Tuple
 
+from hwmt.errors import BadDenominator
+from hwmt.hypergeometric import HypergeometricData, require_prime
 from hwmt.intlinalg import adjugate_det, det
 from hwmt.polytope import (
     CACHE_SIZE,
@@ -21,6 +33,106 @@ from hwmt.polytope import (
     vertex_facet_sets,
     vertex_kernel,
 )
+
+
+def zero_sum_exponents(exponents, e):
+    """Yield all nonnegative integer vectors a with sum(a) = e and
+    sum_i a_i * exponents[i] = 0.
+
+    Reference enumerator for ``hwmt.hasse_witt._kernel_points``.  The
+    search fixes a_i coordinate by coordinate; a branch survives only while
+    each lattice coordinate of the running sum can still be pulled back to
+    zero by the remaining budget.
+    """
+    k = len(exponents)
+    if k == 0:
+        return
+    n = len(exponents[0])
+    # per-coordinate min/max over the suffix of terms i..k-1
+    lo_suffix = [None] * k
+    hi_suffix = [None] * k
+    lo_suffix[k - 1] = list(exponents[k - 1])
+    hi_suffix[k - 1] = list(exponents[k - 1])
+    for i in range(k - 2, -1, -1):
+        lo_suffix[i] = [
+            min(exponents[i][c], lo_suffix[i + 1][c]) for c in range(n)
+        ]
+        hi_suffix[i] = [
+            max(exponents[i][c], hi_suffix[i + 1][c]) for c in range(n)
+        ]
+
+    a = [0] * k
+    partial = [0] * n
+
+    def rec(i, budget):
+        if i == k - 1:
+            for c in range(n):
+                if partial[c] + budget * exponents[i][c] != 0:
+                    return
+            a[i] = budget
+            yield tuple(a)
+            a[i] = 0
+            return
+        w = exponents[i]
+        for ai in range(budget + 1):
+            rem = budget - ai
+            ok = True
+            for c in range(n):
+                s = partial[c] + ai * w[c]
+                if s + rem * lo_suffix[i + 1][c] > 0 or s + rem * hi_suffix[i + 1][c] < 0:
+                    ok = False
+                    break
+            if ok:
+                a[i] = ai
+                for c in range(n):
+                    partial[c] += ai * w[c]
+                yield from rec(i + 1, rem)
+                for c in range(n):
+                    partial[c] -= ai * w[c]
+                a[i] = 0
+
+    yield from rec(0, e)
+
+
+def pochhammer_mod_p(a, n: int, p: int) -> int:
+    """(a)_n = a (a+1) ... (a+n-1) mod p for rational a = r/s with p not
+    dividing s."""
+    require_prime(p)
+    a = Fraction(a)
+    r, s = a.numerator, a.denominator
+    if s % p == 0:
+        raise BadDenominator(f"parameter {a} has denominator divisible by {p}")
+    prod = 1
+    for j in range(n):
+        prod = prod * (r + j * s) % p
+    return prod * pow(s, -n, p) % p
+
+
+def _series_term(data: HypergeometricData, n: int, z: int, p: int,
+                 factorials) -> int:
+    # beyond degree p-1 the n! in the denominator is not invertible, so the
+    # term must never be evaluated silently
+    if n >= p:
+        raise ValueError(f"term {n} requested beyond truncation at {p - 1}")
+    num = 1
+    for a in data.numerators:
+        num = num * pochhammer_mod_p(a, n, p) % p
+    den = factorials[n]
+    for b in data.denominators:
+        den = den * pochhammer_mod_p(b, n, p) % p
+    if den == 0:
+        raise BadDenominator(
+            f"lower-parameter Pochhammer vanishes mod {p} at term {n}"
+        )
+    return num * pow(den, -1, p) * pow(z, n, p) % p
+
+
+def series_square(coeffs):
+    """Cauchy square of a truncated power series."""
+    n = len(coeffs)
+    return [
+        sum(coeffs[i] * coeffs[k - i] for i in range(k + 1)) for k in range(n)
+    ]
 
 
 @lru_cache(maxsize=CACHE_SIZE)

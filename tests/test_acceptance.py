@@ -26,10 +26,8 @@ from hwmt.hypergeometric import (
     frac_mod,
     pfq_taylor,
     quadratic_residue_check,
-    series_square,
     truncated_pFq,
 )
-from hwmt.pencil import build_vertex_pencil
 from hwmt.picard_fuchs import analyze_family
 from hwmt.point_count import (
     congruence_check,
@@ -38,6 +36,8 @@ from hwmt.point_count import (
 )
 from hwmt.polytope import LatticePolytope, polar_dual, vertex_kernel
 from hwmt.ratfunc import Poly, RatFunc
+
+from oracles import series_square
 
 F = Fraction
 
@@ -147,10 +147,10 @@ MAIN_THEOREM_ROWS = {
 def test_criterion_6_main_theorem_truncations():
     ok = True
     for name, row in MAIN_THEOREM_ROWS.items():
-        pencil = get_family(name).vertex_pencil()
+        polytope = get_family(name).polytope
         for p in (5, 7, 11, 13, 17):
             for psi in (1, 2, 3):
-                hw = hasse_witt(pencil, psi, p).value
+                hw = hasse_witt(polytope, psi, p).value
                 ok &= hw == truncated_pFq(row, psi, p).value
     _report(6, "Hasse-Witt == table truncation for the 4 K3 types", ok)
 
@@ -315,7 +315,7 @@ def test_criterion_11_property_suites(census3d):
         ok &= len(coeffs) == p
         psi = rng.randint(1, 3)
         value = sum(c * pow(psi, d, p) for d, c in enumerate(coeffs)) % p
-        ok &= value == hasse_witt(fam.vertex_pencil(), psi, p).value
+        ok &= value == hasse_witt(fam.polytope, psi, p).value
 
     # involution (dual of dual) under random GL(3,Z) changes of basis
     for _ in range(100):
@@ -355,7 +355,7 @@ def test_criterion_11_property_suites(census3d):
         poly = by_id[rng.choice(ids)]
         p = rng.choice([5, 7])
         psi = rng.randint(1, 5)
-        hw = hasse_witt(build_vertex_pencil(poly), psi, p).value
+        hw = hasse_witt(poly, psi, p).value
         b = period_coefficients(poly, p - 1).values
         psi_mod = frac_mod(F(psi), p)
         rhs = sum(

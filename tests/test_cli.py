@@ -313,3 +313,20 @@ class TestUsageErrors:
             assert diagnostic["error"] == "ParseError"
             assert str(path) in diagnostic["message"]
             assert reason in diagnostic["message"]
+
+    def test_hw_without_a_lattice_dual_fails_the_command(self, capsys):
+        # one diagnostic for the command, not one error row per grid cell
+        code, out = run(capsys, "hw", "--vertices", "1,0;0,1;-1,0;0,-1;2,2",
+                        "--psi", "2", "--primes", "5,7")
+        assert (code, json.loads(out)) == (1, {
+            "error": "NonLatticeDual",
+            "message": "facet (-2, 1) has lattice distance 2 != 1"})
+
+    def test_empty_record_is_a_degenerate_polytope(self, capsys, tmp_path):
+        path = tmp_path / "empty_record.txt"
+        path.write_text("7 2 0\n")
+        code, out = run(capsys, "census", "--input", str(path))
+        diagnostic = json.loads(out)
+        assert (code, diagnostic["error"]) == (1, "ParseError")
+        assert diagnostic["message"] == (
+            "empty_record.txt: record 7: a polytope needs dimension >= 1 and a vertex")

@@ -18,13 +18,11 @@ from hwmt.hasse_witt import (
     hasse_witt,
     hasse_witt_polynomial,
     period_coefficients,
-    zero_sum_exponents,
 )
 from hwmt.errors import HwmtError
 from hwmt.hypergeometric import (
     HypergeometricData,
     _argument_mod_p,
-    _series_term,
     frac_mod,
     truncated_pFq,
 )
@@ -48,14 +46,18 @@ from hwmt.intlinalg import adjugate_det, left_kernel
 from hwmt.polytope import (
     LatticePolytope,
     is_kernel_pair,
-    lattice_isomorphism,
     lattice_points,
     polar_dual,
     vertex_facet_sets,
     vertex_kernel,
 )
 
-from oracles import combinatorial_bijections
+from oracles import (
+    _series_term,
+    combinatorial_bijections,
+    lattice_isomorphism,
+    zero_sum_exponents,
+)
 
 F = Fraction
 
@@ -124,7 +126,7 @@ def test_katz_homogeneous_coefficient_agreement(name, p):
         for ai, c in zip(a, coeffs):
             term = term * inv_fact[ai] % p * pow(c, ai, p) % p
         katz = (katz + term) % p
-    laurent_hw = hasse_witt(build_vertex_pencil(fam.polytope), psi, p).value
+    laurent_hw = hasse_witt(fam.polytope, psi, p).value
     assert katz == laurent_hw
 
 
@@ -155,7 +157,7 @@ def test_count_consistent_with_hasse_witt(name, psis, primes):
             if not fam.is_smooth_model(psi):
                 continue
             vertex_psi = fam.model_psi_coeff * psi
-            hw = hasse_witt(build_vertex_pencil(fam.polytope), vertex_psi, p)
+            hw = hasse_witt(fam.polytope, vertex_psi, p)
             count = count_family(fam, psi, p).count
             assert count % p == (1 + sign * hw.value) % p
 
@@ -297,7 +299,7 @@ def test_constant_term_repeated_exponents():
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_hasse_witt_polynomial_matches_dfs(name, p):
     pencil = get_family(name).vertex_pencil()
-    assert hasse_witt_polynomial(pencil, p) == dfs_hasse_witt_polynomial(pencil, p)
+    assert hasse_witt_polynomial(name, p) == dfs_hasse_witt_polynomial(pencil, p)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
@@ -306,19 +308,18 @@ def test_hasse_witt_matches_dfs_at_each_psi(fixture_polytopes, p):
     # takes the constant term of the member specialized at psi.  Both psi
     # orders start from an empty cache, so the value cannot depend on which
     # psi filled it; psi = p is 0 mod p.
-    pencils = [build_vertex_pencil(d) for d in fixture_polytopes]
-    pencils += [get_family(name).vertex_pencil() for name in sorted(FAMILIES)]
+    polys = fixture_polytopes + [get_family(name).polytope for name in sorted(FAMILIES)]
     psis = (F(-1), F(1, 2), F(1), F(2), F(3), F(p))
     expected = {
-        (i, psi): dfs_constant_term(specialize(pencil, psi), p - 1, p)
-        for i, pencil in enumerate(pencils)
+        (i, psi): dfs_constant_term(specialize(build_vertex_pencil(d), psi), p - 1, p)
+        for i, d in enumerate(polys)
         for psi in psis
     }
     for order in (psis, psis[::-1]):
         _hw_coefficients.cache_clear()
-        for i, pencil in enumerate(pencils):
+        for i, d in enumerate(polys):
             for psi in order:
-                assert hasse_witt(pencil, psi, p).value == expected[i, psi], (i, psi)
+                assert hasse_witt(d, psi, p).value == expected[i, psi], (i, psi)
 
 
 def test_period_coefficients_match_dfs(fixture_polytopes):
@@ -754,7 +755,8 @@ def frac_vertex_basis(p):
 
 
 def frac_lattice_isomorphism(p, q):
-    """The GL(n,Z) map of ``lattice_isomorphism`` through a Fraction inverse
+    """The GL(n,Z) map of the oracles' ``lattice_isomorphism``, which solves
+    on a vertex basis by an integer adjugate, through a Fraction inverse
     and a Fraction determinant, on a greedily chosen vertex basis, checked
     on every vertex."""
     if p.dim != q.dim or p.nvertices != q.nvertices:

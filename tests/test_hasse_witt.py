@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from hwmt.errors import ExponentTooLarge, NotKernelPair, SingularMember
+from hwmt.errors import ExponentTooLarge, NotKernelPair, SingularMember, UnknownFamily
 from hwmt.families import FAMILIES, get_family
 from hwmt.hasse_witt import (
     constant_term_power,
@@ -15,10 +15,11 @@ from hwmt.hasse_witt import (
     key_lemma_check,
     period_coefficients,
     truncation_relation_check,
-    zero_sum_exponents,
 )
 from hwmt.hypergeometric import truncated_pFq
 from hwmt.pencil import LaurentPolynomial, build_vertex_pencil, specialize
+
+from oracles import zero_sum_exponents
 
 
 def naive_constant_term(f: LaurentPolynomial, e: int):
@@ -99,9 +100,17 @@ class TestHasseWitt:
             hasse_witt("elliptic", 4, 7)
 
     def test_accepts_polytope_input(self, p113_simplex):
-        direct = hasse_witt(build_vertex_pencil(p113_simplex), 2, 7)
+        f = specialize(build_vertex_pencil(p113_simplex), 2)
         via_poly = hasse_witt(p113_simplex, 2, 7)
-        assert direct.value == via_poly.value
+        assert constant_term_power(f, 6, 7) == via_poly.value
+
+    def test_pencil_input_is_unknown_family(self, p113_simplex):
+        # a pencil is not an input: a polytope or a family determines it
+        pencil = build_vertex_pencil(p113_simplex)
+        with pytest.raises(UnknownFamily):
+            hasse_witt(pencil, 2, 7)
+        with pytest.raises(UnknownFamily):
+            hasse_witt_polynomial(pencil, 7)
 
 
 class TestSymbolic:

@@ -1,18 +1,12 @@
 """Vertex pencils, homogeneous forms, specialization, smoothness."""
 
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import hwmt
-from hwmt.errors import MalformedPencil, UnknownFamily, UnsupportedMonomial
-from hwmt.families import get_family
+from hwmt.errors import UnknownFamily, UnsupportedMonomial
+from hwmt.families import FAMILIES, get_family
 from hwmt.pencil import (
-    LaurentPencil,
-    LaurentTerm,
     build_vertex_pencil,
     homogeneous_form,
     specialize,
@@ -28,7 +22,7 @@ class TestBuildVertexPencil:
     def test_exponents_are_dual_vertices(self, p3_simplex):
         pencil = build_vertex_pencil(p3_simplex)
         assert exponent_set(pencil) == set(polar_dual(p3_simplex).vertices)
-        origin = pencil.terms[pencil.psi_term_index]
+        origin = pencil.terms[-1]
         assert origin.exponent == (0, 0, 0)
         assert origin.psi_coeff == 1 and origin.const == 0
 
@@ -53,43 +47,19 @@ class TestBuildVertexPencil:
 
 
 class TestPencilInvariants:
-    TERMS = (LaurentTerm((1,), Fraction(1)), LaurentTerm((-1,), Fraction(1)),
-             LaurentTerm((0,), Fraction(0), Fraction(1)))
-
-    def test_valid(self):
-        assert LaurentPencil(1, self.TERMS, 2).psi_term_index == 2
-
-    @pytest.mark.parametrize("terms,index", [
-        (TERMS + (LaurentTerm((1,), Fraction(2)),), 2),  # repeated exponent
-        (TERMS, 0),                                      # psi term off the origin
-        (TERMS[:2] + (LaurentTerm((0,), Fraction(1)),), 2),  # no psi coefficient
-        (TERMS, 3),                                      # index out of range
-        (TERMS[:2] + (LaurentTerm((0,), Fraction(0), Fraction(2)),), 2),  # 2 psi
-        (TERMS[:2] + (LaurentTerm((0,), Fraction(1), Fraction(1)),), 2),  # 1 + psi
-        ((LaurentTerm((1,), Fraction(1), Fraction(1)),) + TERMS[1:], 2),  # psi on x
-    ])
-    def test_malformed(self, terms, index):
-        with pytest.raises(MalformedPencil):
-            LaurentPencil(1, terms, index)
-
-    def test_checked_under_optimize(self):
-        # python -O strips asserts; the invariants must still be enforced
-        code = (
-            "from fractions import Fraction as F\n"
-            "from hwmt.errors import MalformedPencil\n"
-            "from hwmt.pencil import LaurentPencil, LaurentTerm\n"
-            "t = (LaurentTerm((1,), F(1)), LaurentTerm((1,), F(2)),\n"
-            "     LaurentTerm((0,), F(0), F(1)))\n"
-            "for terms, index in ((t, 2), (t[:1] + t[2:], 0)):\n"
-            "    try:\n"
-            "        LaurentPencil(1, terms, index)\n"
-            "    except MalformedPencil:\n"
-            "        print('rejected')\n"
-        )
-        src = str(Path(hwmt.__file__).resolve().parent.parent)
-        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                             text=True, env={"PYTHONPATH": src}, check=True)
-        assert out.stdout.split() == ["rejected", "rejected"]
+    def test_valid(self, records2d, records3d):
+        # build_vertex_pencil is the only constructor: every pencil it builds
+        # has distinct exponents and psi only on the origin, as its last term
+        polys = [r.polytope for recs in (records2d, records3d) for r in recs.values()]
+        polys += [fam.polytope for fam in FAMILIES.values()]
+        for delta in polys:
+            pencil = build_vertex_pencil(delta)
+            exps = [t.exponent for t in pencil.terms]
+            assert len(set(exps)) == len(exps) == polar_dual(delta).nvertices + 1
+            *vertex_terms, origin = pencil.terms
+            assert origin.exponent == (0,) * delta.dim
+            assert (origin.const, origin.psi_coeff) == (0, 1)
+            assert all(t.psi_coeff == 0 for t in vertex_terms)
 
 
 class TestHomogeneousForm:

@@ -26,7 +26,6 @@ from hwmt.polytope import (
     is_mirror_kernel_pair,
     is_reflexive,
     kernel_invariant,
-    lattice_isomorphism,
     lattice_points,
     normal_form,
     polar_dual,
@@ -329,7 +328,7 @@ class TestKernelPairLemma:
 class TestNormalForm:
     """The normal form and its kernel invariant decide, and the canonical
     orders witness, the relations that the oracles' bijection search
-    decides and witnesses: the same verdicts, witnesses and maps."""
+    decides and witnesses: the same verdicts and kernel-pair witnesses."""
 
     def test_invariants_match_search_on_fixtures(self, reflexive_pool):
         # every same-dimension ordered pair of the fixtures and their duals
@@ -346,7 +345,6 @@ class TestNormalForm:
                 isomorphic = normal_form(p) == normal_form(q)
                 u = oracles.lattice_isomorphism(p, q)
                 assert isomorphic == (u is not None), (p, q)
-                assert lattice_isomorphism(p, q) == u, (p, q)
                 verdicts.append((kernel_pair, isomorphic))
         assert len(verdicts) == 14480
         # isomorphic polytopes are kernel pairs; the converse fails often
@@ -372,7 +370,6 @@ class TestNormalForm:
                     isomorphic = normal_form(p) == normal_form(q)
                     u = oracles.lattice_isomorphism(p, q)
                     assert isomorphic == (u is not None), (p, q)
-                    assert lattice_isomorphism(p, q) == u, (p, q)
                     found.append(isomorphic)
         polys = [p for group in shapes.values() for p in group]
         assert sum(has_interior_origin(p) and is_reflexive(p) for p in polys) < 10
@@ -401,8 +398,7 @@ class TestKeyLemmaProperty:
         p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
         delta = records3d[data.draw(st.sampled_from(sorted(records3d)))].polytope
         image = _image(data, delta)
-        assert (hasse_witt_polynomial(build_vertex_pencil(image), p)
-                == hasse_witt_polynomial(build_vertex_pencil(delta), p))
+        assert hasse_witt_polynomial(image, p) == hasse_witt_polynomial(delta, p)
 
 
 class TestCaches:
@@ -439,10 +435,6 @@ class TestValidation:
     def test_non_vertex_point(self):
         with pytest.raises(DegeneratePolytope):
             LatticePolytope(2, ((1, 1), (-1, 1), (-1, -1), (1, -1), (0, 0)))
-
-    def test_lattice_isomorphism_found(self, p113_simplex):
-        u = lattice_isomorphism(p113_simplex, p113_simplex)
-        assert u is not None
 
 
 def frac_rank(rows):

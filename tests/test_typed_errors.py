@@ -47,6 +47,12 @@ CASES = [
     ("from hwmt.point_count import count_graded",
      "count_graded([(1, (2, 0)), (1, (0, 1))], ((1, 1),), 5)",  # x^2 + y
      "NonHomogeneous"),
+    ("from hwmt.polytope import LatticePolytope",
+     "LatticePolytope(2, ())",
+     "DegeneratePolytope"),
+    ("from hwmt.polytope import LatticePolytope",
+     "LatticePolytope(0, ((),))",
+     "DegeneratePolytope"),
 ]
 
 
