@@ -14,7 +14,6 @@ from .hasse_witt import (
     truncation_relation_check,
 )
 from .hypergeometric import HypergeometricData, truncated_pFq
-from .pencil import build_vertex_pencil, specialize
 from .picard_fuchs import analyze_family
 from .point_count import congruence_check
 from .polytope import (
@@ -37,7 +36,6 @@ __all__ = [
     "KernelLattice",
     "LatticePolytope",
     "analyze_family",
-    "build_vertex_pencil",
     "congruence_check",
     "get_family",
     "hasse_witt",
@@ -50,7 +48,6 @@ __all__ = [
     "period_coefficients",
     "polar_dual",
     "run_census",
-    "specialize",
     "truncated_pFq",
     "truncation_relation_check",
     "vertex_kernel",

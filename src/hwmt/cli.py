@@ -27,7 +27,6 @@ from .hypergeometric import (
     quadratic_residue_check,
     truncated_pFq,
 )
-from .pencil import build_vertex_pencil, specialize
 from .picard_fuchs import analyze_family
 from .point_count import congruence_check
 from .polytope import (
@@ -51,12 +50,19 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}") from exc
 
 
+def _nonempty(values, text: str):
+    # an empty grid would check nothing and still exit 0
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    return values
+
+
 def _frac_list(text: str):
-    return [_frac(x) for x in text.split(",") if x]
+    return _nonempty([_frac(x) for x in text.split(",") if x], text)
 
 
 def _int_list(text: str):
-    return [int(x) for x in text.split(",") if x]
+    return _nonempty([int(x) for x in text.split(",") if x], text)
 
 
 def _vertices_arg(text: str):
@@ -78,7 +84,8 @@ def _params_arg(text: str):
         raise argparse.ArgumentTypeError(
             f"expected NUMS;DENS with one ';', got {text!r}"
         )
-    return tuple(_frac_list(parts[0])), tuple(_frac_list(parts[1]))
+    # no lower parameters (a 1F0) is a valid shape, so a list may be empty
+    return tuple(tuple(_frac(x) for x in part.split(",") if x) for part in parts)
 
 
 def _power_arg(text: str):
@@ -120,17 +127,6 @@ def _select_polytope(args) -> LatticePolytope:
     raise _UsageError("select a polytope with --vertices or --id")
 
 
-def _pencil_rows(pencil):
-    return [
-        {
-            "exponent": list(t.exponent),
-            "coeff": str(t.const),
-            "has_psi": t.psi_coeff != 0,
-        }
-        for t in pencil.terms
-    ]
-
-
 # --------------------------------------------------------------------------
 # subcommand handlers
 # --------------------------------------------------------------------------
@@ -162,20 +158,15 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_pencil(args) -> int:
-    if args.family:
-        pencil = get_family(args.family).vertex_pencil()
-    else:
-        pencil = build_vertex_pencil(_select_polytope(args))
-    if args.psi is not None:
-        poly = specialize(pencil, args.psi)
-        _emit(
-            [
-                {"exponent": list(e), "coeff": str(c), "has_psi": False}
-                for e, c in poly.terms
-            ]
-        )
-    else:
-        _emit(_pencil_rows(pencil))
+    delta = get_family(args.family).polytope if args.family else _select_polytope(args)
+    rows = [{"exponent": list(m), "coeff": "1", "has_psi": False}
+            for m in polar_dual(delta).vertices]
+    origin = [0] * delta.dim
+    if args.psi is None:
+        rows.append({"exponent": origin, "coeff": "0", "has_psi": True})
+    elif args.psi:
+        rows.append({"exponent": origin, "coeff": str(args.psi), "has_psi": False})
+    _emit(rows)
     return 0
 
 
@@ -326,13 +317,15 @@ def _pair_arg(text):
 
 
 def _add_selector(parser, with_family=False):
-    parser.add_argument("--vertices", type=_vertices_arg,
-                        help="inline vertices: x,y,z;x,y,z;...")
-    parser.add_argument("--id", type=int, help="polytope id from the fixture")
-    parser.add_argument("--input", help="fixture file (default: bundled 3D tables)")
+    # one selector at most: a conflict is a usage error, not a silent choice
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--vertices", type=_vertices_arg,
+                       help="inline vertices: x,y,z;x,y,z;...")
+    group.add_argument("--id", type=int, help="polytope id from the fixture")
     if with_family:
-        parser.add_argument("--family", choices=sorted(FAMILIES),
-                            help="named pencil family")
+        group.add_argument("--family", choices=sorted(FAMILIES),
+                           help="named pencil family")
+    parser.add_argument("--input", help="fixture file (default: bundled 3D tables)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pencil", help="build a vertex pencil")
     p.add_argument("action", choices=["build"])
     _add_selector(p, with_family=True)
-    p.add_argument("--psi", type=_frac, help="specialize at this rational")
+    p.add_argument("--psi", type=_frac, help="set psi to this rational")
     p.set_defaults(func=_cmd_pencil)
 
     p = sub.add_parser("hw", help="Hasse-Witt invariants")

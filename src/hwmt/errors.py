@@ -34,10 +34,6 @@ class NotKernelPair(HwmtError):
 
 # --- pencil / family errors --------------------------------------------------
 
-class UnsupportedMonomial(HwmtError):
-    """A coefficient key lies outside the dual polytope."""
-
-
 class UnknownFamily(HwmtError):
     """No named family with that tag."""
 

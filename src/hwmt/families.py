@@ -1,6 +1,7 @@
 """The named pencil families and their stored data.
 
-Each family records the polytope whose vertex pencil it is, the truncation
+Each family records the polytope whose vertex pencil it is (the monomials
+are the vertices of its polar dual, plus psi on the origin), the truncation
 target of the classification table (vertex-pencil convention, +psi on the
 origin monomial), the printed coefficient on psi of the model equation used
 for point counts (e.g. -4 for -4*psi on the Fermat quartic), the
@@ -27,7 +28,6 @@ from typing import Optional, Tuple
 
 from .errors import UnknownFamily
 from .hypergeometric import HypergeometricData
-from .pencil import LaurentPencil, build_vertex_pencil, homogeneous_form
 from .polytope import LatticePolytope, normal_form, polar_dual
 
 F = Fraction
@@ -48,9 +48,6 @@ class FamilyTag:
     mum_note: str = ""
     intermediate_note: str = ""
 
-    def vertex_pencil(self) -> LaurentPencil:
-        return build_vertex_pencil(self.polytope)
-
     def is_smooth(self, psi) -> bool:
         psi = Fraction(psi)
         return psi != 0 and self.hg.argument_at(psi) != 1
@@ -66,13 +63,18 @@ class FamilyTag:
 
     def model_polynomial(self, psi) -> Tuple[Tuple[Fraction, Tuple[int, ...]], ...]:
         """Printed-model equation at the given psi, as (coeff, exponents)
-        monomials in the generalized homogeneous coordinates."""
+        monomials in the generalized homogeneous coordinates: dual point m
+        has exponent <v_j, m> + 1 >= 0 in the variable of vertex v_j.  The
+        dual vertices come first, then the origin (the product of all
+        variables) unless its printed coefficient is 0.
+        """
         delta = self.polytope
-        origin = (0,) * delta.dim
-        coeffs = {v: F(1) for v in polar_dual(delta).vertices}
-        coeffs[origin] = self.model_psi_coeff * Fraction(psi)
-        monomials = homogeneous_form(delta, coeffs)
-        return tuple((c, exps) for exps, c in monomials if c)
+        terms = [(m, F(1)) for m in polar_dual(delta).vertices]
+        terms.append(((0,) * delta.dim, self.model_psi_coeff * Fraction(psi)))
+        return tuple(
+            (c, tuple(sum(x * y for x, y in zip(v, m)) + 1 for v in delta.vertices))
+            for m, c in terms if c
+        )
 
 
 def _pf(*coeffs):

@@ -1,5 +1,10 @@
 """Hasse-Witt invariants as constant terms of f^(p-1) mod p.
 
+The vertex pencil of a reflexive polytope Delta is fixed by Delta: it is
+f_psi = sum of x^m over the vertices m of the polar dual, plus psi.  So
+every function here takes the polytope (or a family, which names one) and
+reads the dual's vertices; no pencil object is built.
+
 The constant term of (sum_i c_i x^{w_i})^e is a sum over nonnegative
 integer vectors a with sum(a) = e and sum_i a_i w_i = 0, each contributing
 multinomial(e; a) * prod c_i^{a_i}.  After duplicate exponents are merged
@@ -15,20 +20,20 @@ of surviving vectors rather than the number of monomials.
 vector.  The tests compare it with an independent depth-first search over
 every exponent coordinate.
 
-For a fixed pencil and prime the invariant is one polynomial in psi of
+For a fixed polytope and prime the invariant is one polynomial in psi of
 degree <= p-1, with coefficients binom(p-1, n) b_n mod p.
-``hasse_witt_polynomial`` enumerates once per (pencil, p) and memoizes the
-coefficients; ``hasse_witt`` evaluates them at psi mod p.  The direct
-route, ``constant_term_power`` of the pencil specialized at psi, is what
-``truncation_relation_check`` uses, so the period identity it checks is
-never the source of the value it checks.
+``hasse_witt_polynomial`` enumerates once per (polytope, p) and memoizes
+the coefficients; ``hasse_witt`` evaluates them at psi mod p.  The direct
+route, ``constant_term_power`` of the (exponent, coefficient) terms of the
+member at psi, is what ``truncation_relation_check`` uses, so the period
+identity it checks is never the source of the value it checks.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .errors import (
     ExponentTooLarge,
@@ -38,7 +43,6 @@ from .errors import (
 from .families import FamilyTag, get_family, identify_family
 from .hypergeometric import frac_mod, require_prime, require_psi_mod_p, truncated_pFq
 from .intlinalg import left_kernel
-from .pencil import LaurentPencil, LaurentPolynomial, build_vertex_pencil, specialize
 from .polytope import CACHE_SIZE, LatticePolytope, kernel_invariant, polar_dual
 
 
@@ -47,13 +51,6 @@ class HWInvariant:
     prime: int
     value: int
     psi: Optional[Fraction] = None
-
-
-@dataclass(frozen=True)
-class PeriodCoefficients:
-    """Integer Taylor coefficients b_n = constant term of (vertex sum)^n."""
-
-    values: Tuple[int, ...]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -186,20 +183,23 @@ def _budget_weights(terms, e, p, inv_fact):
     return weights
 
 
-def constant_term_power(f: LaurentPolynomial, e: int, p: int) -> int:
-    """Constant term of f^e reduced mod p.
+def constant_term_power(terms: Sequence[Tuple[Tuple[int, ...], Fraction]], e: int,
+                        p: int) -> int:
+    """Constant term of f^e reduced mod p, for f given as (exponent,
+    coefficient) terms; an all-zero exponent is the origin.
 
     Requires e < p so every multinomial(e; a) is a unit ratio of factorials
-    below p.  The vertex terms take a budget s <= e and the origin the rest,
+    below p.  The other terms take a budget s <= e and the origin the rest,
     so without an origin term only s = e contributes.
     """
     require_prime(p)
     if e >= p:
         raise ExponentTooLarge(f"exponent {e} must be < p = {p}")
     merged = {}
-    for w, c in f.terms:
+    for w, c in terms:
+        w = w if any(w) else ()  # the origin, whatever its dimension
         merged[w] = (merged.get(w, 0) + frac_mod(c, p)) % p
-    c0 = merged.pop((0,) * f.n, 0)
+    c0 = merged.pop((), 0)
     terms = [(w, c) for w, c in merged.items() if c]
     fact, inv_fact = _factorials_mod(e, p)
     weights = _budget_weights(terms, e, p, inv_fact)
@@ -207,32 +207,31 @@ def constant_term_power(f: LaurentPolynomial, e: int, p: int) -> int:
     return fact[e] * sum(w * origin[e - s] for s, w in enumerate(weights)) % p
 
 
-def _resolve_pencil(source) -> Tuple[LaurentPencil, Optional[FamilyTag]]:
-    """(vertex pencil, family) of a family given by name or FamilyTag, and
-    (vertex pencil, None) of a polytope."""
+def _resolve_polytope(source) -> Tuple[LatticePolytope, Optional[FamilyTag]]:
+    """(polytope, family) of a family given by name or FamilyTag, and
+    (polytope, None) of a polytope."""
     if isinstance(source, LatticePolytope):
-        return build_vertex_pencil(source), None
+        return source, None
     fam = get_family(source)
-    return fam.vertex_pencil(), fam
+    return fam.polytope, fam
 
 
 def hasse_witt(source: Union[str, FamilyTag, LatticePolytope], psi,
                p: int) -> HWInvariant:
     """Hasse-Witt invariant of the vertex pencil member at psi over F_p.
 
-    Accepts a family (its name or FamilyTag) or a LatticePolytope, whose
-    vertex pencil it builds; any other value raises UnknownFamily.  Family
-    members known to be singular at psi are rejected; for a bare polytope
-    no smoothness check is possible.  The value is the pencil's Hasse-Witt
-    polynomial at psi, so every psi after the first at the same
-    (pencil, p) costs O(p).
+    Accepts a family (its name or FamilyTag) or a LatticePolytope; any
+    other value raises UnknownFamily.  Family members known to be singular
+    at psi are rejected; for a bare polytope no smoothness check is
+    possible.  The value is the polytope's Hasse-Witt polynomial at psi, so
+    every psi after the first at the same (polytope, p) costs O(p).
     """
     psi = Fraction(psi)
-    pencil, fam = _resolve_pencil(source)
+    delta, fam = _resolve_polytope(source)
     if fam is not None and not fam.is_smooth(psi):
         raise SingularMember(f"{fam.name} member at psi = {psi} is singular")
     require_psi_mod_p(psi, p)
-    coeffs = _hw_coefficients(pencil, p)
+    coeffs = _hw_coefficients(delta, p)
     x, value = frac_mod(psi, p), 0
     for c in reversed(coeffs):
         value = (value * x + c) % p
@@ -246,30 +245,25 @@ def hasse_witt_polynomial(source: Union[str, FamilyTag, LatticePolytope],
 
     The result always has length p, i.e. degree <= p-1 in psi: the origin
     monomial can absorb at most the whole exponent budget.  One enumeration
-    with budget <= p-1 on the vertex monomials covers every power of psi,
-    and the result is memoized per (pencil, p).
+    with budget <= p-1 on the dual-vertex monomials covers every power of
+    psi, and the result is memoized per (polytope, p).
     """
-    return _hw_coefficients(_resolve_pencil(source)[0], p)
+    return _hw_coefficients(_resolve_polytope(source)[0], p)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _hw_coefficients(pencil: LaurentPencil, p: int) -> Tuple[int, ...]:
+def _hw_coefficients(delta: LatticePolytope, p: int) -> Tuple[int, ...]:
     # an exception is not cached, so NotPrime is raised on every call
     require_prime(p)
     e = p - 1
-    origin = (0,) * pencil.n
-    vertex_terms = [
-        (t.exponent, frac_mod(t.const, p))
-        for t in pencil.terms
-        if t.exponent != origin
-    ]
     fact, inv_fact = _factorials_mod(e, p)
-    weights = _budget_weights([t for t in vertex_terms if t[1]], e, p, inv_fact)
+    terms = [(m, 1) for m in polar_dual(delta).vertices]
+    weights = _budget_weights(terms, e, p, inv_fact)
     # budget s on the vertex monomials leaves e - s for psi * x^0
     return tuple(fact[e] * inv_fact[d] * weights[e - d] % p for d in range(p))
 
 
-def period_coefficients(delta: LatticePolytope, n_max: int) -> PeriodCoefficients:
+def period_coefficients(delta: LatticePolytope, n_max: int) -> Tuple[int, ...]:
     """b_n = constant term of (sum of dual-vertex monomials)^n, exactly.
 
     These are the integer Taylor coefficients of the holomorphic-period
@@ -283,7 +277,7 @@ def period_coefficients(delta: LatticePolytope, n_max: int) -> PeriodCoefficient
             denom *= fact[ai]
         n = sum(a)
         values[n] += fact[n] // denom
-    return PeriodCoefficients(tuple(values))
+    return tuple(values)
 
 
 def key_lemma_check(delta: LatticePolytope, gamma: LatticePolytope,
@@ -319,8 +313,9 @@ def truncation_relation_check(delta_or_family, psi, p: int) -> bool:
     # the direct route, not the Hasse-Witt polynomial: that polynomial's
     # coefficients are the binom(p-1, n) b_n of the identity checked here
     require_psi_mod_p(psi, p)
-    hw = constant_term_power(specialize(build_vertex_pencil(delta), psi), p - 1, p)
-    b = period_coefficients(delta, p - 1).values
+    terms = [(m, 1) for m in polar_dual(delta).vertices] + [((0,) * delta.dim, psi)]
+    hw = constant_term_power(terms, p - 1, p)
+    b = period_coefficients(delta, p - 1)
     psi_mod = frac_mod(psi, p)
     rhs = 0
     for n in range(p):

@@ -4,6 +4,8 @@ Each is independent of the engine it checks:
 
 - ``zero_sum_exponents``, a depth-first search over every exponent
   coordinate, against the kernel-lattice enumerator of ``hwmt.hasse_witt``;
+- ``member_terms``, the vertex pencil member at psi written out as
+  (exponent, coefficient) terms, the input of the constant-term checks;
 - ``pochhammer_mod_p`` and ``_series_term``, the term by term series,
   against the one-pass ``hwmt.hypergeometric.truncated_pFq``;
 - ``series_square``, the Cauchy square that states Clausen's identity over
@@ -30,9 +32,17 @@ from hwmt.polytope import (
     CACHE_SIZE,
     LatticePolytope,
     _require_reflexive,
+    polar_dual,
     vertex_facet_sets,
     vertex_kernel,
 )
+
+
+def member_terms(delta, psi):
+    """(exponent, coefficient) terms of the vertex pencil member at psi:
+    the polar dual's vertices with coefficient 1, then psi on the origin."""
+    terms = [(m, Fraction(1)) for m in polar_dual(delta).vertices]
+    return terms + [((0,) * delta.dim, Fraction(psi))]
 
 
 def zero_sum_exponents(exponents, e):

@@ -109,6 +109,19 @@ GOLDEN = [
      "76fd2701501ad40c15600a2285241a10ddc2fa3dd6239ae7192602b6a076855d"),
     ("pair check --pair 0,4314", 0,
      "04676ea607daa9fef0d54a8bc33cbd454e0f3a5954d7cc5d9501c1913c46b235"),
+    # recorded before the vertex pencil was read straight off the polar
+    # dual's vertices: fixture and inline selectors, psi = 0 dropping the
+    # origin row, and the direct constant-term route of the truncation check
+    ("pencil build --id 4283", 0,
+     "5d7f5acb3a806b03fc37600d82864e5557f2f03f16ca8c9cfc4f02250ae371f0"),
+    ("pencil build --id 4283 --psi 2", 0,
+     "b8cd953a48cad1f4968ad339e719cec80296254504400e23d4f3c3ed56c0cd14"),
+    ("pencil build --vertices 1,0;0,1;-1,-1 --psi 0", 0,
+     "e9f218620f3bc0ac437fce13b1d0754dbe4bd101fa8280b57154e9d2962238a6"),
+    ("verify truncation --id 10 --psi 2,3 --primes 5,7,11", 0,
+     "dc2346c696090b191f2abbdd386aabb2c8522f1feda2a39c1d8063352afab512"),
+    ("verify truncation --family group2 --psi 1,2,3 --primes 5,7,11,13", 0,
+     "a026e1850c218dc0cba02f27752e59fa985e8887ea1816e241408063863bf6de"),
 ]
 
 
@@ -313,6 +326,28 @@ class TestUsageErrors:
             assert diagnostic["error"] == "ParseError"
             assert str(path) in diagnostic["message"]
             assert reason in diagnostic["message"]
+
+    @pytest.mark.parametrize("grid", [["--psi", "2", "--primes", ""],
+                                      ["--psi", ",", "--primes", "5"]],
+                             ids=["primes", "psi"])
+    def test_empty_grid_exits_2(self, capsys, grid):
+        # an empty grid checks nothing, so it must not report success
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "congruence", "--family", "quartic", *grid])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "empty list" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["hw", "--family", "quartic", "--id", "3", "--psi", "2", "--primes", "5"],
+        ["pencil", "build", "--id", "3", "--vertices", "1,0;0,1;-1,-1"],
+    ], ids=["hw", "pencil"])
+    def test_conflicting_selectors_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "not allowed with argument" in err
 
     def test_hw_without_a_lattice_dual_fails_the_command(self, capsys):
         # one diagnostic for the command, not one error row per grid cell

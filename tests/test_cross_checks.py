@@ -26,12 +26,6 @@ from hwmt.hypergeometric import (
     frac_mod,
     truncated_pFq,
 )
-from hwmt.pencil import (
-    LaurentPolynomial,
-    build_vertex_pencil,
-    homogeneous_form,
-    specialize,
-)
 from hwmt.point_count import (
     _character_sum_zeros,
     _diagonal_shape,
@@ -56,35 +50,30 @@ from oracles import (
     _series_term,
     combinatorial_bijections,
     lattice_isomorphism,
+    member_terms,
     zero_sum_exponents,
 )
 
 F = Fraction
 
 
-def _family_form(fam, psi):
-    delta = fam.polytope
-    coeffs = {v: F(1) for v in polar_dual(delta).vertices}
-    coeffs[(0,) * delta.dim] = F(psi)
-    return homogeneous_form(delta, coeffs)
-
-
 @pytest.mark.parametrize("name", ["elliptic", "quartic", "sextic", "group1",
                                   "group2"])
 def test_torus_pullback_identity(name):
-    # the homogeneous form and the Laurent pencil agree on the torus:
-    # fhat(z) == (prod z_j) * f(phi(z)) where phi(z)_i = prod z_j^(v_j)_i
+    # the printed model's homogeneous form and the Laurent pencil agree on
+    # the torus: fhat(z) == (prod z_j) * f(phi(z)) where
+    # phi(z)_i = prod z_j^(v_j)_i, with psi in the printed convention
     p, psi = 11, 3
     fam = get_family(name)
     delta = fam.polytope
     variables = delta.vertices
-    form = _family_form(fam, psi)
-    laurent = specialize(build_vertex_pencil(delta), psi)
+    form = fam.model_polynomial(psi)
+    laurent = member_terms(delta, fam.model_psi_coeff * psi)
     for z in [tuple(range(2, 2 + len(variables))),
               tuple(range(3, 3 + len(variables)))]:
         fhat = sum(
             frac_mod(c, p) * _prod(pow(zj, e, p) for zj, e in zip(z, exps))
-            for exps, c in form
+            for c, exps in form
         ) % p
         phi = tuple(
             _prod(pow(zj, v[i] % (p - 1), p) for zj, v in zip(z, variables))
@@ -93,7 +82,7 @@ def test_torus_pullback_identity(name):
         f_val = sum(
             frac_mod(c, p)
             * _prod(pow(x, e % (p - 1), p) for x, e in zip(phi, exps))
-            for exps, c in laurent.terms
+            for exps, c in laurent
         ) % p
         assert fhat == _prod(z) * f_val % p
 
@@ -110,12 +99,12 @@ def _prod(values):
 def test_katz_homogeneous_coefficient_agreement(name, p):
     # the coefficient of (z_0...z_n)^(p-1) in fhat^(p-1), computed by the
     # zero-sum enumerator on the shifted exponent vectors, equals the
-    # Laurent constant term
+    # Laurent constant term of the vertex pencil at the printed psi
     psi = 2
     fam = get_family(name)
-    form = _family_form(fam, psi)
-    shifted = [tuple(e - 1 for e in exps) for exps, _ in form]
-    coeffs = [frac_mod(c, p) for _, c in form]
+    form = fam.model_polynomial(psi)
+    shifted = [tuple(e - 1 for e in exps) for _, exps in form]
+    coeffs = [frac_mod(c, p) for c, _ in form]
     fact = [1] * p
     for i in range(1, p):
         fact[i] = fact[i - 1] * i % p
@@ -126,7 +115,7 @@ def test_katz_homogeneous_coefficient_agreement(name, p):
         for ai, c in zip(a, coeffs):
             term = term * inv_fact[ai] % p * pow(c, ai, p) % p
         katz = (katz + term) % p
-    laurent_hw = hasse_witt(fam.polytope, psi, p).value
+    laurent_hw = hasse_witt(fam.polytope, fam.model_psi_coeff * psi, p).value
     assert katz == laurent_hw
 
 
@@ -134,10 +123,10 @@ def test_weighted_degree_constant_on_simplex_forms():
     for name in ("quartic", "sextic"):
         fam = get_family(name)
         (weights,) = vertex_kernel(fam.polytope).basis
-        form = _family_form(fam, 1)
+        form = fam.model_polynomial(1)
         degrees = {
             sum(w * e for w, e in zip(weights, exps))
-            for exps, _ in form
+            for _, exps in form
         }
         assert len(degrees) == 1
 
@@ -179,11 +168,12 @@ def _multinomial(a):
 
 
 def dfs_constant_term(f, e, p):
-    """Constant term of f^e mod p from the depth-first enumerator over every
-    term of f (repeats and the origin included) and exact multinomials."""
-    coeffs = [frac_mod(c, p) for _, c in f.terms]
+    """Constant term of f^e mod p, f given as (exponent, coefficient) terms,
+    from the depth-first enumerator over every term of f (repeats and the
+    origin included) and exact multinomials."""
+    coeffs = [frac_mod(c, p) for _, c in f]
     total = 0
-    for a in _dfs_vectors(tuple(w for w, _ in f.terms), e):
+    for a in _dfs_vectors(tuple(w for w, _ in f), e):
         term = _multinomial(a)
         for ai, c in zip(a, coeffs):
             term *= pow(c, ai, p)
@@ -191,16 +181,12 @@ def dfs_constant_term(f, e, p):
     return total % p
 
 
-def dfs_hasse_witt_polynomial(pencil, p):
-    e, origin = p - 1, (0,) * pencil.n
-    vertex = [t for t in pencil.terms if t.exponent != origin]
-    coeffs = [frac_mod(t.const, p) for t in vertex]
+def dfs_hasse_witt_polynomial(delta, p):
+    # every dual vertex has coefficient 1, so a vector weighs its multinomial
+    e, origin = p - 1, (0,) * delta.dim
     out = [0] * p
-    for a in _dfs_vectors(tuple(t.exponent for t in vertex) + (origin,), e):
-        term = _multinomial(a)
-        for ai, c in zip(a, coeffs):
-            term *= pow(c, ai, p)
-        out[a[-1]] += term  # a[-1] is the power of psi
+    for a in _dfs_vectors(tuple(polar_dual(delta).vertices) + (origin,), e):
+        out[a[-1]] += _multinomial(a)  # a[-1] is the power of psi
     return tuple(x % p for x in out)
 
 
@@ -243,31 +229,33 @@ def test_kernel_points_match_dfs_vectors(fixture_polytopes):
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
 def test_constant_term_matches_dfs_on_fixtures(fixture_polytopes, p):
     for delta in fixture_polytopes:
-        pencil = build_vertex_pencil(delta)
         for psi in (1, 2, 3):
-            f = specialize(pencil, psi)
+            f = member_terms(delta, psi)
             assert constant_term_power(f, p - 1, p) == dfs_constant_term(f, p - 1, p)
 
 
 @pytest.mark.parametrize("p", [43, 53])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_constant_term_matches_dfs_on_families(name, p):
-    pencil = get_family(name).vertex_pencil()
+    delta = get_family(name).polytope
     for psi in (1, 2, 3):
-        f = specialize(pencil, psi)
+        f = member_terms(delta, psi)
         assert constant_term_power(f, p - 1, p) == dfs_constant_term(f, p - 1, p)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_constant_term_edge_cases_match_dfs(name):
-    pencil = get_family(name).vertex_pencil()
+    delta = get_family(name).polytope
     for p in (5, 7, 11):
-        # psi = p leaves an origin term that vanishes mod p; psi = 0 drops it
+        # psi = p leaves an origin term that vanishes mod p; at psi = 0 the
+        # origin term is 0, and with the origin dropped the value is the same
         for psi in (p, 2 * p, 0):
-            f = specialize(pencil, psi)
+            f = member_terms(delta, psi)
             assert constant_term_power(f, p - 1, p) == dfs_constant_term(f, p - 1, p)
+            assert constant_term_power(f[:-1], p - 1, p) == dfs_constant_term(
+                f, p - 1, p)
         # e = 0 and every e below p, not only p - 1
-        f = specialize(pencil, 3)
+        f = member_terms(delta, 3)
         for e in range(p):
             assert constant_term_power(f, e, p) == dfs_constant_term(f, e, p)
 
@@ -275,21 +263,21 @@ def test_constant_term_edge_cases_match_dfs(name):
 def test_constant_term_rank_zero_kernel():
     # x + 1: the exponent (1,) alone has a trivial kernel, so only the
     # origin contributes and the constant term of (x + 1)^e is 1
-    f = LaurentPolynomial(1, (((1,), F(1)), ((0,), F(1))))
+    f = [((1,), F(1)), ((0,), F(1))]
     for p in (5, 7):
         for e in range(p):
             assert constant_term_power(f, e, p) == dfs_constant_term(f, e, p) == 1
     # without the origin the only vector left is a = 0, at e = 0
-    g = LaurentPolynomial(1, (((1,), F(2)),))
+    g = [((1,), F(2))]
     assert [constant_term_power(g, e, 5) for e in range(5)] == [1, 0, 0, 0, 0]
 
 
 def test_constant_term_repeated_exponents():
     # repeated exponents, the origin twice, and a pair that cancels mod 7
-    f = LaurentPolynomial(1, (
+    f = [
         ((1,), F(1)), ((-1,), F(3)), ((1,), F(2)), ((0,), F(1, 2)),
         ((-2,), F(5)), ((0,), F(4)), ((-2,), F(2)),
-    ))
+    ]
     for p in (5, 7, 11):
         for e in range(p):
             assert constant_term_power(f, e, p) == dfs_constant_term(f, e, p)
@@ -298,20 +286,20 @@ def test_constant_term_repeated_exponents():
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_hasse_witt_polynomial_matches_dfs(name, p):
-    pencil = get_family(name).vertex_pencil()
-    assert hasse_witt_polynomial(name, p) == dfs_hasse_witt_polynomial(pencil, p)
+    delta = get_family(name).polytope
+    assert hasse_witt_polynomial(name, p) == dfs_hasse_witt_polynomial(delta, p)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
 def test_hasse_witt_matches_dfs_at_each_psi(fixture_polytopes, p):
-    # hasse_witt evaluates one memoized polynomial per (pencil, p); the DFS
+    # hasse_witt evaluates one memoized polynomial per (polytope, p); the DFS
     # takes the constant term of the member specialized at psi.  Both psi
     # orders start from an empty cache, so the value cannot depend on which
     # psi filled it; psi = p is 0 mod p.
     polys = fixture_polytopes + [get_family(name).polytope for name in sorted(FAMILIES)]
     psis = (F(-1), F(1, 2), F(1), F(2), F(3), F(p))
     expected = {
-        (i, psi): dfs_constant_term(specialize(build_vertex_pencil(d), psi), p - 1, p)
+        (i, psi): dfs_constant_term(member_terms(d, psi), p - 1, p)
         for i, d in enumerate(polys)
         for psi in psis
     }
@@ -324,7 +312,7 @@ def test_hasse_witt_matches_dfs_at_each_psi(fixture_polytopes, p):
 
 def test_period_coefficients_match_dfs(fixture_polytopes):
     for delta in fixture_polytopes:
-        assert period_coefficients(delta, 12).values == dfs_period_coefficients(delta, 12)
+        assert period_coefficients(delta, 12) == dfs_period_coefficients(delta, 12)
 
 
 # --------------------------------------------------------------------------
