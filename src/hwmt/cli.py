@@ -5,11 +5,14 @@ Rationals are written `r/s` on the command line and as strings in JSON
 codes: 0 success / all verifications pass, 1 verification failure (with a
 JSON diagnostic on stdout), 2 usage errors.  In a (psi, p) grid an error in
 one cell becomes that cell's row, {"psi", "p", "error", "message"}, and the
-other cells are still computed.
+other cells are still computed.  When stdout closes before the output is
+written (``hwmt census | head -1``), the exit code is 1 and a one-line JSON
+diagnostic goes to stderr.
 """
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -124,7 +127,8 @@ def _select_polytope(args) -> LatticePolytope:
         return LatticePolytope(len(args.vertices[0]), args.vertices)
     if args.id is not None:
         return _fixture_polytopes(args.input, (args.id,), "--id")[0]
-    raise _UsageError("select a polytope with --vertices or --id")
+    flags = "--vertices, --id or --family" if "family" in vars(args) else "--vertices or --id"
+    raise _UsageError(f"select a polytope with {flags}")
 
 
 # --------------------------------------------------------------------------
@@ -272,7 +276,19 @@ def _cmd_census(args) -> int:
     return 0
 
 
+# the selectors each verify mode reads; any other one is a usage error
+_VERIFY_SELECTORS = {
+    "key-lemma": ("pair",),
+    "truncation": ("family", "vertices", "id"),
+    "congruence": ("family",),
+    "clausen": ("family",),
+}
+
+
 def _cmd_verify(args) -> int:
+    for flag in ("pair", "family", "vertices", "id"):
+        if getattr(args, flag) is not None and flag not in _VERIFY_SELECTORS[args.what]:
+            raise _UsageError(f"verify {args.what} does not read --{flag}")
     if args.what in ("congruence", "clausen") and args.family is None:
         raise _UsageError(f"verify {args.what} requires --family")
     if args.what == "key-lemma":
@@ -400,13 +416,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = parser.parse_args(argv)
+        try:
+            code = args.func(args)
+        except HwmtError as exc:
+            _emit(_error_row(exc))
+            code = 1
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except _UsageError as exc:
         parser.error(str(exc))
-    except HwmtError as exc:
-        _emit(_error_row(exc))
+    except BrokenPipeError:
+        # the reader stopped early; what is still buffered goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(json.dumps({"error": "BrokenPipeError",
+                          "message": "stdout closed before the output was written"}),
+              file=sys.stderr)
         return 1
 
 

@@ -10,15 +10,20 @@ integer vectors a with sum(a) = e and sum_i a_i w_i = 0, each contributing
 multinomial(e; a) * prod c_i^{a_i}.  After duplicate exponents are merged
 and the origin term is split off (it takes whatever budget e - sum(a) the
 others leave), those vectors are the points of the kernel lattice of the
-remaining exponent matrix in a simplex.  One engine, ``_kernel_points``,
-enumerates them through the integer coefficients of the lattice's HNF
-basis: each pivot bounds its coefficient and partial sums on the free
-columns prune, so the cost follows the rank of the kernel and the number
-of surviving vectors rather than the number of monomials.
-``constant_term_power``, ``hasse_witt_polynomial`` and
-``period_coefficients`` all use it and differ only in how they weight a
-vector.  The tests compare it with an independent depth-first search over
-every exponent coordinate.
+remaining exponent matrix in a simplex.  One recursion, ``_kernel_runs``,
+walks them through the integer coefficients of the lattice's HNF basis:
+each pivot bounds its coefficient and partial sums on the free columns
+prune, so the cost follows the rank of the kernel and the number of
+surviving vectors rather than the number of monomials.  At the last basis
+row the points left are an arithmetic progression, and the walk returns
+each such progression as one run, not as vectors.  What depends only on
+the exponents (basis, pivots, back substitution, bounds) is one cached
+``_kernel_plan`` per exponent tuple, shared by every budget and prime.
+``constant_term_power`` and ``hasse_witt_polynomial`` fold each run into
+weights mod p without building a vector; ``period_coefficients``, which
+needs exact multinomials, expands the runs into vectors
+(``_kernel_points``).  The tests compare the engine with an independent
+depth-first search over every exponent coordinate.
 
 For a fixed polytope and prime the invariant is one polynomial in psi of
 degree <= p-1, with coefficients binom(p-1, n) b_n mod p.
@@ -29,10 +34,13 @@ member at psi, is what ``truncation_relation_check`` uses, so the period
 identity it checks is never the source of the value it checks.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial
+from operator import mul
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -53,57 +61,80 @@ class HWInvariant:
     psi: Optional[Fraction] = None
 
 
+# the part of the kernel-lattice walk that depends only on the exponents
+_Plan = namedtuple("_Plan", "fixed varying incs d m least most step above gain")
+
+
 @lru_cache(maxsize=CACHE_SIZE)
-def _kernel_basis(exps):
-    """Row-HNF basis of the left kernel of a tuple of exponent vectors."""
-    return left_kernel(exps)
+def _kernel_plan(exps) -> _Plan:
+    """Set up the walk over the nonnegative points of the left kernel of a
+    tuple of exponent vectors; nothing here depends on the budget or p.
 
-
-def _kernel_points(exps, e):
-    """Every nonnegative integer vector a with sum_i a_i exps[i] = 0 and
-    sum(a) <= e, as a list of tuples.
-
-    Every such a is c @ B for one integer vector c, where B is the row-HNF
-    basis of the left kernel of ``exps``; c is enumerated row by row.  Row
-    t fixes the pivot column of B[t]: its value u_t = a[pivot_t] runs
-    through [0, e] in steps of the pivot entry, and with it every column
-    before the next pivot is final.  The other (free) columns are rational
+    Every such point a is c @ B for one integer vector c, where B is the
+    row-HNF basis of the kernel, and the walk fixes c row by row.  Row t
+    fixes the pivot column of B[t]: its value u_t = a[pivot_t] moves in
+    steps of the pivot entry ``step[t]``, and ``above`` holds what each row
+    puts on the pivot columns.  The other (free) columns are rational
     combinations of the pivot values, a[j] = sum_t u_t M[t][j] with
-    M = B_pivots^-1 @ B, so each u_t is kept to the interval where every
-    free column can still end nonnegative and the least that the free
-    columns still add to sum(a) fits the budget.  At the last row the free
-    columns are final and the interval is exact.
+    M = B_pivots^-1 @ B; ``m`` holds the rows of M on the free columns
+    scaled by d = det(B_pivots) so that they are integral.  ``least`` and
+    ``most`` are the least value rows t.. and the greatest value rows
+    t+1.. can still put on each free column.  d * sum(a) is
+    sum_t u_t (d + sum(m[t])); ``gain[t]`` is row t's term where no later
+    row's is negative, so that the budget bounds u_t alone, and else None.
+
+    A run of the walk fixes u_0..u_{r-2}, the values of the ``fixed``
+    columns, and steps u_{r-1} by its pivot entry; each step adds the last
+    basis row, so the ``varying`` columns (the last pivot, then the free
+    columns) advance by ``incs``, that row's entries on them.
     """
     k = len(exps)
-    basis = _kernel_basis(tuple(exps))
+    basis = left_kernel(exps)
     r = len(basis)
     if r == 0:
-        return [(0,) * k]
+        return _Plan((), tuple(range(k)), (0,) * k, 1, (), (), (), (), (), ())
     pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
     free = [j for j in range(k) if j not in pivots]
-    where = [0] * k  # a[j] = (pivot values + free values)[where[j]]
-    for s, j in enumerate(pivots + free):
-        where[j] = s
-    # rows of M on the free columns, scaled by d = det(B_pivots) so that
-    # they are integral, by back substitution
     d = 1
     for t, j in enumerate(pivots):
         d *= basis[t][j]
+    # back substitution
     m = [None] * r
     for t in range(r - 1, -1, -1):
         row = basis[t]
-        m[t] = [
+        m[t] = tuple(
             (d * row[j] - sum(row[pivots[s]] * m[s][i] for s in range(t + 1, r)))
             // row[pivots[t]]
             for i, j in enumerate(free)
-        ]
-    # least coefficient rows t.. and greatest coefficient rows t+1.. can
-    # still put on each free column
+        )
     columns = list(zip(*m))
-    least = [[min(0, *col[t:]) for col in columns] for t in range(r)]
-    most = [[max((0, *col[t + 1:])) for col in columns] for t in range(r)]
-    step = [row[j] for row, j in zip(basis, pivots)]
-    above = [[row[j] for j in pivots] for row in basis]
+    least = tuple(tuple(min(0, *col[t:]) for col in columns) for t in range(r))
+    most = tuple(tuple(max((0, *col[t + 1:])) for col in columns) for t in range(r))
+    step = tuple(row[j] for row, j in zip(basis, pivots))
+    above = tuple(tuple(row[j] for j in pivots) for row in basis)
+    gain = [d + sum(row) for row in m]
+    gain = tuple(g if min(gain[t + 1:], default=0) >= 0 else None
+                 for t, g in enumerate(gain))
+    varying = (pivots[-1], *free)
+    return _Plan(tuple(pivots[:-1]), varying, tuple(basis[-1][j] for j in varying),
+                 d, tuple(m), least, most, step, above, gain)
+
+
+def _kernel_runs(plan: _Plan, e: int):
+    """The nonnegative kernel points a with sum(a) <= e, as a list of runs
+    (prefix, count, starts): the points with a[plan.fixed] = prefix and
+    a[plan.varying] = starts + i * plan.incs for i = 0..count-1.
+
+    Each u_t is kept to the interval where every free column can still end
+    nonnegative, the least that the free columns still add to sum(a) fits
+    the budget, and, where ``gain[t]`` is set, u_t's own share of sum(a)
+    fits it.  At the last row the free columns are final and the interval
+    is exact, so it is one run.
+    """
+    _, varying, _, d, m, least, most, step, above, gain = plan
+    r = len(step)
+    if r == 0:
+        return [([], 1, [0] * len(varying))]
     u = [0] * r
     out = []
 
@@ -111,7 +142,7 @@ def _kernel_points(exps, e):
         # q: d * free columns from rows < t; pp: what rows < t put on pivots
         room = e - used
         first, last = 0, room
-        if t:
+        if 0 < t < r - 1:  # at the last row the exact bounds below imply it
             need = 0
             for x, y in zip(q, least[t]):
                 if x + room * y > 0:
@@ -126,6 +157,15 @@ def _kernel_points(exps, e):
                 last = min(last, base // -slope)
             elif base < 0:
                 return
+        if gain[t] is not None:
+            # u_t * gain[t] <= d * room - sum(q), exact at the last row
+            slack, slope = d * room - sum(q), gain[t]
+            if slope > 0:
+                last = min(last, slack // slope)
+            elif slope < 0:
+                first = max(first, -(-slack // slope))
+            elif slack < 0:
+                return
         b = step[t]
         if t < r - 1:
             first += (pp[t] - first) % b
@@ -135,30 +175,41 @@ def _kernel_points(exps, e):
                 rec(t + 1, used + ut, [x + ut * y for x, y in zip(q, m[t])],
                     [x + c * y for x, y in zip(pp, above[t])] if c else pp)
             return
-        # last row: d * sum(a) = d * (used + u_t) + sum(q) + u_t * sum(m[t]),
-        # so u_t * slope <= slack
-        slack, slope = d * room - sum(q), d + sum(m[t])
-        if slope > 0:
-            last = min(last, slack // slope)
-        elif slope < 0:
-            first = max(first, -(-slack // slope))
-        elif slack < 0:
-            return
         first += (pp[t] - first) % b
-        for ut in range(first, last + 1, b):
-            u[t] = ut
-            vals = u + [(x + ut * y) // d for x, y in zip(q, m[t])]
-            out.append(tuple(vals[s] for s in where))
+        if first <= last:
+            out.append((u[:-1], (last - first) // b + 1,
+                        [first, *[(x + first * y) // d for x, y in zip(q, m[t])]]))
 
-    rec(0, 0, [0] * len(free), [0] * r)
+    rec(0, 0, [0] * len(m[0]), [0] * r)
+    return out
+
+
+def _kernel_points(exps, e):
+    """Every nonnegative integer vector a with sum_i a_i exps[i] = 0 and
+    sum(a) <= e, as a list of tuples: the runs of the walk, expanded."""
+    plan = _kernel_plan(tuple(exps))
+    where = [0] * len(exps)  # a[j] = (prefix + varying values)[where[j]]
+    for s, j in enumerate(plan.fixed + plan.varying):
+        where[j] = s
+    out = []
+    for prefix, count, starts in _kernel_runs(plan, e):
+        for i in range(count):
+            vals = prefix + [v + i * inc for v, inc in zip(starts, plan.incs)]
+            out.append(tuple(vals[s] for s in where))
     return out
 
 
 def _factorials_mod(e, p):
+    """x! and 1/x! mod p for x = 0..e, with e < p: one inverse, then
+    1/(x-1)! = x/x!."""
     fact = [1] * (e + 1)
     for i in range(1, e + 1):
         fact[i] = fact[i - 1] * i % p
-    return fact, [pow(x, -1, p) for x in fact]
+    inv_fact = [1] * (e + 1)
+    inv_fact[e] = pow(fact[e], -1, p)
+    for i in range(e, 1, -1):
+        inv_fact[i - 1] = inv_fact[i] * i % p
+    return fact, inv_fact
 
 
 def _power_table(c, e, inv_fact, p):
@@ -171,15 +222,35 @@ def _power_table(c, e, inv_fact, p):
 
 
 def _budget_weights(terms, e, p, inv_fact):
-    """W[s] = sum of prod_i c_i^a_i / a_i! mod p over the kernel points a of
-    the (exponent, coefficient) terms with sum(a) = s, for s = 0..e."""
-    tables = [_power_table(c, e, inv_fact, p) for _, c in terms]
+    """W[s] = sum of prod_i c_i^a_i / a_i! over the kernel points a of the
+    (exponent, coefficient) terms with sum(a) = s, for s = 0..e; each W[s]
+    is correct mod p but not reduced.
+
+    Each run multiplies its prefix's table entries once; along the run each
+    varying column reads a slice of its table, and the slices multiply
+    pointwise.  A coefficient 1 reads 1/m! from ``inv_fact`` itself.
+    """
+    tables = [inv_fact if c == 1 else _power_table(c, e, inv_fact, p)
+              for _, c in terms]
+    plan = _kernel_plan(tuple(w for w, _ in terms))
+    fixed = [tables[j] for j in plan.fixed]
+    varying = [(tables[j], inc) for j, inc in zip(plan.varying, plan.incs)]
+    ds = sum(plan.incs)
     weights = [0] * (e + 1)
-    for a in _kernel_points([w for w, _ in terms], e):
-        weight = 1
-        for ai, table in zip(a, tables):
-            weight = weight * table[ai] % p
-        weights[sum(a)] += weight
+    for prefix, count, starts in _kernel_runs(plan, e):
+        w = 1
+        for table, v in zip(fixed, prefix):
+            w = w * table[v] % p
+        column = [w] * count
+        for (table, inc), v in zip(varying, starts):
+            # map stops at the run's end, inside the slice
+            column = map(mul, column, table[v::inc] if inc else repeat(table[v]))
+        s0 = sum(prefix) + sum(starts)
+        if ds:
+            for s, x in zip(range(s0, s0 + count * ds, ds), column):
+                weights[s] += x % p
+        else:
+            weights[s0] += sum(column)
     return weights
 
 

@@ -3,7 +3,8 @@
 Each is independent of the engine it checks:
 
 - ``zero_sum_exponents``, a depth-first search over every exponent
-  coordinate, against the kernel-lattice enumerator of ``hwmt.hasse_witt``;
+  coordinate, against the kernel-lattice walk of ``hwmt.hasse_witt``, both
+  its runs expanded into vectors and its runs folded into weights mod p;
 - ``member_terms``, the vertex pencil member at psi written out as
   (exponent, coefficient) terms, the input of the constant-term checks;
 - ``pochhammer_mod_p`` and ``_series_term``, the term by term series,
@@ -49,10 +50,10 @@ def zero_sum_exponents(exponents, e):
     """Yield all nonnegative integer vectors a with sum(a) = e and
     sum_i a_i * exponents[i] = 0.
 
-    Reference enumerator for ``hwmt.hasse_witt._kernel_points``.  The
-    search fixes a_i coordinate by coordinate; a branch survives only while
-    each lattice coordinate of the running sum can still be pulled back to
-    zero by the remaining budget.
+    Reference enumerator for the runs of ``hwmt.hasse_witt._kernel_runs``.
+    The search fixes a_i coordinate by coordinate; a branch survives only
+    while each lattice coordinate of the running sum can still be pulled
+    back to zero by the remaining budget.
     """
     k = len(exponents)
     if k == 0:

@@ -177,6 +177,19 @@ class TestPolytopeCommands:
         assert exc.value.code == 2
         assert "select a polytope with --vertices or --id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["pencil", "build"],
+        ["hw", "--psi", "2", "--primes", "5"],
+        ["verify", "truncation", "--psi", "2", "--primes", "5"],
+    ], ids=["pencil", "hw", "verify-truncation"])
+    def test_missing_selector_names_family(self, capsys, argv):
+        # these commands also take --family, so the message names it
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "select a polytope with --vertices, --id or --family" in err
+
 
 class TestPairAndPencil:
     def test_pair_check(self, capsys):
@@ -348,6 +361,40 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, "")
         assert "not allowed with argument" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["key-lemma", "--pair", "2,4317", "--id", "5"], "--id"),
+        (["key-lemma", "--pair", "2,4317", "--family", "quartic"], "--family"),
+        (["truncation", "--family", "sextic", "--pair", "2,4317"], "--pair"),
+        (["congruence", "--family", "elliptic", "--pair", "2,4317"], "--pair"),
+        (["clausen", "--family", "group2", "--pair", "2,4317"], "--pair"),
+    ], ids=["key-lemma-id", "key-lemma-family", "truncation-pair",
+            "congruence-pair", "clausen-pair"])
+    def test_unused_verify_selector_exits_2(self, capsys, argv, flag):
+        # a selector the mode does not read is a usage error, not ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv, "--psi", "2", "--primes", "5"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"verify {argv[0]} does not read {flag}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "--report", "json"],
+        ["hw", "--input", str(fixture_path("polygons2d.txt")), "--id", "9",
+         "--psi", "2", "--primes", "31"],
+    ], ids=["census", "hw"])
+    def test_closed_stdout_exits_1_without_traceback(self, argv):
+        # the read end closes before the command writes, as `| head` can
+        src = str(Path(hwmt.__file__).resolve().parent.parent)
+        proc = subprocess.Popen([sys.executable, "-m", "hwmt.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, env={"PYTHONPATH": src})
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert json.loads(err) == {
+            "error": "BrokenPipeError",
+            "message": "stdout closed before the output was written"}
 
     def test_hw_without_a_lattice_dual_fails_the_command(self, capsys):
         # one diagnostic for the command, not one error row per grid cell

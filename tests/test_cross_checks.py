@@ -12,6 +12,8 @@ import pytest
 from hwmt.census import classify_kernel_types
 from hwmt.families import FAMILIES, get_family
 from hwmt.hasse_witt import (
+    _budget_weights,
+    _factorials_mod,
     _hw_coefficients,
     _kernel_points,
     constant_term_power,
@@ -224,6 +226,52 @@ def test_kernel_points_match_dfs_vectors(fixture_polytopes):
         for e in (0, 3, 6):
             with_origin = sorted(a[:-1] for a in zero_sum_exponents(exps + [origin], e))
             assert sorted(_kernel_points(exps, e)) == with_origin
+
+
+def _weights_per_vector(terms, e, p):
+    """The budget weights from the depth-first enumerator, one vector at a
+    time: W[s] = sum of prod_i c_i^a_i / a_i! mod p over the zero-sum
+    vectors a of the terms with sum(a) = s, the origin taking e - s."""
+    exps = [w for w, _ in terms]
+    origin = (0,) * (len(exps[0]) if exps else 1)
+    weights = [0] * (e + 1)
+    for v in zero_sum_exponents(exps + [origin], e):
+        weight = 1
+        for ai, (_, c) in zip(v, terms):
+            weight = weight * pow(c, ai, p) * pow(factorial(ai), -1, p) % p
+        weights[e - v[-1]] += weight
+    return [w % p for w in weights]
+
+
+def test_folded_weights_match_per_vector_weights(fixture_polytopes):
+    # random coefficients (0 and 1 among them) on the fixture duals and on
+    # random exponent sets, at every budget e < p; the rank-0 kernels are
+    # a lone exponent, a basis, and no term at all.  The terms hold no
+    # origin, so their constant term is the full-budget weight alone.
+    rng = random.Random(2007)
+    exponent_sets = [list(polar_dual(d).vertices) for d in fixture_polytopes]
+    exponent_sets += list(_random_exponent_sets(120, seed=2008))
+    exponent_sets += [[(1,)], [(2, 0), (0, -1)], [(1, 1, 0), (0, 1, 1), (1, 0, 1)]]
+    ranks = {len(left_kernel(exps)) for exps in exponent_sets}
+    assert {0, 1, 2, 3} <= ranks
+    for exps in exponent_sets + [[]]:
+        for p in (2, 3, 5, 7, 11):
+            terms = [(w, rng.randrange(p)) for w in exps]
+            _, inv_fact = _factorials_mod(p - 1, p)
+            for e in range(p):
+                folded = [w % p for w in _budget_weights(terms, e, p, inv_fact)]
+                assert folded == _weights_per_vector(terms, e, p), (exps, terms, e)
+                if terms:
+                    assert constant_term_power(terms, e, p) == dfs_constant_term(
+                        terms, e, p), (exps, terms, e)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101])
+def test_factorials_mod_are_inverse_pairs(p):
+    for e in range(p):
+        fact, inv_fact = _factorials_mod(e, p)
+        assert fact == [factorial(x) % p for x in range(e + 1)]
+        assert inv_fact == [pow(x, -1, p) for x in fact]
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])

@@ -14,7 +14,7 @@ from hwmt.errors import (
     NotInteriorOrigin,
     NotReflexive,
 )
-from hwmt.hasse_witt import _hw_coefficients, _kernel_basis, hasse_witt_polynomial
+from hwmt.hasse_witt import _hw_coefficients, _kernel_plan, hasse_witt_polynomial
 from hwmt.polytope import (
     _canonical_orders,
     LatticePolytope,
@@ -417,7 +417,7 @@ class TestCaches:
         distinct = 2 * (len(records2d) + len(records3d))
         for cached in (facets, lattice_points, vertex_facet_sets, polar_dual,
                        vertex_kernel, _canonical_orders, normal_form,
-                       _kernel_basis, _hw_coefficients):
+                       _kernel_plan, _hw_coefficients):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize >= distinct
 
