@@ -418,6 +418,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # where --id is a selector, --input names the file that --id or
+        # --pair reads; without them it would be silently unused
+        readers = [f for f in ("id", "pair") if f in vars(args)]
+        if "id" in readers and args.input is not None and all(
+                getattr(args, f) is None for f in readers):
+            raise _UsageError("--input is read only with "
+                              + " or ".join("--" + f for f in readers))
         try:
             code = args.func(args)
         except HwmtError as exc:

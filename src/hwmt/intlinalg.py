@@ -2,7 +2,10 @@
 
 Vectors are tuples of ints; matrices are tuples of row tuples.  Everything
 here is dimension-generic and allocation-light: the polytopes in this
-package have at most ~14 vertices in dimension <= 4.
+package have at most ~14 vertices in dimension <= 4.  Row Hermite normal
+forms give canonical lattice bases and integer kernels; ``det`` (Bareiss)
+gives the signed maximal minors that are the facet normals of
+``hwmt.polytope``.
 """
 
 from math import gcd
@@ -136,22 +139,3 @@ def det(m):
         prev = pk
     return sign * a[-1][-1] if n else 1
 
-
-def adjugate_det(m):
-    """(adj(m), det(m)) of a square integer matrix, in integers.
-
-    adj(m) @ m == m @ adj(m) == det(m) * I, singular m included; so m is
-    invertible over Z exactly when det(m) is +-1, and adj(m) @ b is
-    divisible by det(m) exactly when m^-1 @ b is integral.  Each cofactor is
-    a Bareiss determinant.
-    """
-    n = len(m)
-    adj = tuple(
-        tuple(
-            (-1) ** (i + j)
-            * det([r[:i] + r[i + 1:] for t, r in enumerate(m) if t != j])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return adj, det(m)

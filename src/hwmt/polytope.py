@@ -9,6 +9,14 @@ Conventions: a polytope stores an ordered tuple of vertices (order is
 significant -- the vertex-matrix kernel lives in Z^k indexed by that order).
 A facet inequality <normal, x> >= -offset has a primitive integer normal.
 
+Facets are found once per duality pair.  For P they come from the
+hyperplanes through dim vertices: the normal is the vector of signed
+maximal minors of the dim-1 edge vectors (Bareiss determinants, no HNF),
+and a vertex subset already inside the tight set of a facet found earlier
+is skipped.  The polar dual of a reflexive P inherits its facets,
+<v, w> >= -1 for the vertices v of P, so building and validating P* and
+every later ``facets(P*)`` is a lookup.
+
 Per-polytope results (facets, lattice points, vertex-facet incidences,
 vertex kernels, the polar dual, the canonical vertex orders and the normal
 form) are memoized in bounded caches of ``CACHE_SIZE`` entries, so a census
@@ -54,7 +62,7 @@ from .errors import (
     NotInteriorOrigin,
     NotReflexive,
 )
-from .intlinalg import hnf_rows, left_kernel, mat_rank, vec_primitive
+from .intlinalg import det, hnf_rows, left_kernel, mat_rank, vec_primitive
 
 LatticePoint = Tuple[int, ...]
 
@@ -95,6 +103,9 @@ class LatticePolytope:
     dim: int
     vertices: Tuple[LatticePoint, ...]
     id: Optional[int] = field(default=None, compare=False)
+    # facets known at construction (a polar dual's); a cache, not data
+    known_facets: Optional[Tuple[FacetInequality, ...]] = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         verts = tuple(tuple(int(x) for x in v) for v in self.vertices)
@@ -127,36 +138,37 @@ class LatticePolytope:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def facets(p: LatticePolytope) -> Tuple[FacetInequality, ...]:
-    """All facet inequalities, each with primitive normal.
+    """All facet inequalities, each with primitive normal, sorted.
 
-    Enumerates hyperplanes spanned by dim-subsets of vertices and keeps the
-    supporting ones; exact and fast for the desk-scale vertex counts here.
+    A polar dual carries its facets from construction.  Otherwise every
+    dim-subset of vertices spans a candidate hyperplane whose normal is the
+    vector of signed maximal minors of its dim-1 edge vectors (zero when
+    they are dependent), and the supporting ones are facets.  A subset
+    inside the tight set of a facet already found spans that facet again,
+    so it is skipped and each facet is found once.
     """
-    n = p.dim
-    verts = p.vertices
-    if n == 1:
-        lo = min(v[0] for v in verts)
-        hi = max(v[0] for v in verts)
-        return (FacetInequality((1,), -lo), FacetInequality((-1,), hi))
-    seen = {}
+    if p.known_facets is not None:
+        return p.known_facets
+    n, verts = p.dim, p.vertices
+    found, tight_sets = [], []
     for sub in combinations(range(len(verts)), n):
+        if any(tight.issuperset(sub) for tight in tight_sets):
+            continue
         base = verts[sub[0]]
-        diffs = [tuple(verts[i][j] - base[j] for j in range(n)) for i in sub[1:]]
-        normals = left_kernel(tuple(zip(*diffs))) if diffs else ()
-        if len(normals) != 1:
+        edges = [[x - y for x, y in zip(verts[i], base)] for i in sub[1:]]
+        normal = vec_primitive(tuple(
+            (-1) ** j * det([e[:j] + e[j + 1:] for e in edges]) for j in range(n)))
+        if not any(normal):
             continue
-        normal = vec_primitive(normals[0])
-        c = sum(normal[j] * base[j] for j in range(n))
-        vals = [sum(normal[j] * v[j] for j in range(n)) for v in verts]
-        if all(val >= c for val in vals):
-            pass
-        elif all(val <= c for val in vals):
-            normal = tuple(-x for x in normal)
-            c = -c
-        else:
+        vals = [sum(a * x for a, x in zip(normal, v)) for v in verts]
+        c, lo = vals[sub[0]], min(vals)
+        if c != lo and c != max(vals):
             continue
-        seen[(normal, c)] = FacetInequality(normal, -c)
-    return tuple(sorted(seen.values(), key=lambda f: (f.normal, f.offset)))
+        tight_sets.append({i for i, val in enumerate(vals) if val == c})
+        if c != lo:
+            normal, c = tuple(-a for a in normal), -c
+        found.append(FacetInequality(normal, -c))
+    return tuple(sorted(found, key=lambda f: (f.normal, f.offset)))
 
 
 def has_interior_origin(p: LatticePolytope) -> bool:
@@ -184,8 +196,10 @@ def polar_dual(p: LatticePolytope) -> LatticePolytope:
     """Polar polytope {w : <v, w> >= -1 for all v}, vertices sorted lex.
 
     Raises NonLatticeDual when some dual vertex is non-integral, which is
-    exactly the non-reflexive case.  Memoized: the dual carries no id, so
-    one dual serves every id of p; errors are raised on every call.
+    exactly the non-reflexive case.  The dual is built with its facets,
+    one per vertex of p, so it needs no facet enumeration of its own.
+    Memoized: the dual carries no id, so one dual serves every id of p;
+    errors are raised on every call.
     """
     _require_interior_origin(p)
     if p.dim > 4:
@@ -197,7 +211,10 @@ def polar_dual(p: LatticePolytope) -> LatticePolytope:
                 f"facet {f.normal} has lattice distance {f.offset} != 1"
             )
         dual_verts.append(f.normal)
-    return LatticePolytope(p.dim, tuple(sorted(dual_verts)))
+    # <v, w> >= -1 for each vertex v of p, primitive because the dual's
+    # lattice points on that facet give it the value -1
+    known = tuple(FacetInequality(v, 1) for v in sorted(p.vertices))
+    return LatticePolytope(p.dim, tuple(sorted(dual_verts)), known_facets=known)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

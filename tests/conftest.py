@@ -1,7 +1,19 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import hwmt
 from hwmt.census import fixture_path, load_polytopes
 from hwmt.polytope import LatticePolytope
+
+
+def hwmt_env():
+    """Environment for a Python subprocess of a test: the caller's own, so
+    that settings such as PYTHONDONTWRITEBYTECODE still hold, with
+    PYTHONPATH naming the source tree of the imported hwmt."""
+    return {**os.environ,
+            "PYTHONPATH": str(Path(hwmt.__file__).resolve().parent.parent)}
 
 
 @pytest.fixture(scope="session")

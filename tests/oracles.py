@@ -11,6 +11,10 @@ Each is independent of the engine it checks:
   against the one-pass ``hwmt.hypergeometric.truncated_pFq``;
 - ``series_square``, the Cauchy square that states Clausen's identity over
   Q;
+- ``hnf_facets`` and ``hnf_polytope``, facets by an HNF left kernel per
+  vertex subset, against the cofactor normals of ``hwmt.polytope.facets``
+  and the facets a polar dual inherits;
+- ``adjugate_det``, the adjugate by cofactors, for the lattice maps below;
 - the backtracking bijection search, against the relations that
   ``hwmt.polytope`` decides and witnesses by canonical vertex orders.
 
@@ -24,13 +28,15 @@ and unimodular.  Nothing here reads the pairing matrix or the normal form.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Optional, Tuple
 
-from hwmt.errors import BadDenominator
+from hwmt.errors import BadDenominator, DegeneratePolytope
 from hwmt.hypergeometric import HypergeometricData, require_prime
-from hwmt.intlinalg import adjugate_det, det
+from hwmt.intlinalg import det, left_kernel, mat_rank, vec_primitive
 from hwmt.polytope import (
     CACHE_SIZE,
+    FacetInequality,
     LatticePolytope,
     _require_reflexive,
     polar_dual,
@@ -144,6 +150,80 @@ def series_square(coeffs):
     return [
         sum(coeffs[i] * coeffs[k - i] for i in range(k + 1)) for k in range(n)
     ]
+
+
+def hnf_facets(dim, vertices):
+    """All facet inequalities of the polytope with these vertices, each with
+    primitive normal: the normal of every hyperplane through dim vertices
+    is the HNF left kernel of its edge vectors, and the supporting ones are
+    kept."""
+    n = dim
+    verts = vertices
+    if n == 1:
+        lo = min(v[0] for v in verts)
+        hi = max(v[0] for v in verts)
+        return (FacetInequality((1,), -lo), FacetInequality((-1,), hi))
+    seen = {}
+    for sub in combinations(range(len(verts)), n):
+        base = verts[sub[0]]
+        diffs = [tuple(verts[i][j] - base[j] for j in range(n)) for i in sub[1:]]
+        normals = left_kernel(tuple(zip(*diffs))) if diffs else ()
+        if len(normals) != 1:
+            continue
+        normal = vec_primitive(normals[0])
+        c = sum(normal[j] * base[j] for j in range(n))
+        vals = [sum(normal[j] * v[j] for j in range(n)) for v in verts]
+        if all(val >= c for val in vals):
+            pass
+        elif all(val <= c for val in vals):
+            normal = tuple(-x for x in normal)
+            c = -c
+        else:
+            continue
+        seen[(normal, c)] = FacetInequality(normal, -c)
+    return tuple(sorted(seen.values(), key=lambda f: (f.normal, f.offset)))
+
+
+def hnf_polytope(dim, points):
+    """(facets, vertex-facet sets) of the listed points by ``hnf_facets``,
+    or the DegeneratePolytope that ``LatticePolytope(dim, points)`` raises:
+    duplicates, a rank below dim, or a point that the facets through it do
+    not pin down."""
+    if len(set(points)) != len(points):
+        raise DegeneratePolytope("duplicate vertices")
+    if mat_rank([[x - y for x, y in zip(v, points[0])] for v in points[1:]]) < dim:
+        raise DegeneratePolytope("vertex list is not full-dimensional")
+    fts = hnf_facets(dim, points)
+    fsets = tuple(
+        frozenset(i for i, v in enumerate(points)
+                  if sum(a * x for a, x in zip(f.normal, v)) == -f.offset)
+        for f in fts
+    )
+    for i, v in enumerate(points):
+        through = [f for f in fsets if i in f]
+        if [j for j in range(len(points)) if all(j in f for f in through)] != [i]:
+            raise DegeneratePolytope(f"point {v} is not a vertex")
+    return fts, fsets
+
+
+def adjugate_det(m):
+    """(adj(m), det(m)) of a square integer matrix, in integers.
+
+    adj(m) @ m == m @ adj(m) == det(m) * I, singular m included; so m is
+    invertible over Z exactly when det(m) is +-1, and adj(m) @ b is
+    divisible by det(m) exactly when m^-1 @ b is integral.  Each cofactor is
+    a Bareiss determinant.
+    """
+    n = len(m)
+    adj = tuple(
+        tuple(
+            (-1) ** (i + j)
+            * det([r[:i] + r[i + 1:] for t, r in enumerate(m) if t != j])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return adj, det(m)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -4,13 +4,13 @@ import hashlib
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import hwmt
 from hwmt.census import fixture_path
 from hwmt.cli import main
+
+from conftest import hwmt_env
 
 
 def run(capsys, *argv):
@@ -20,10 +20,8 @@ def run(capsys, *argv):
 
 
 def run_subprocess(*argv):
-    src = str(Path(hwmt.__file__).resolve().parent.parent)
     return subprocess.run([sys.executable, "-m", "hwmt.cli", *argv],
-                          capture_output=True, text=True,
-                          env={"PYTHONPATH": src})
+                          capture_output=True, text=True, env=hwmt_env())
 
 
 class TestVerify:
@@ -378,6 +376,25 @@ class TestUsageErrors:
         assert (exc.value.code, out) == (2, "")
         assert f"verify {argv[0]} does not read {flag}" in err
 
+    @pytest.mark.parametrize("argv, readers", [
+        (["hw", "--family", "quartic", "--psi", "2", "--primes", "5"], "--id"),
+        (["verify", "congruence", "--family", "quartic", "--psi", "2",
+          "--primes", "5"], "--id or --pair"),
+        (["verify", "truncation", "--vertices", "1,0;0,1;-1,-1", "--psi", "2",
+          "--primes", "5"], "--id or --pair"),
+        (["polytope", "dual", "--vertices", "1,0;0,1;-1,-1"], "--id"),
+        (["pencil", "build", "--family", "quartic"], "--id"),
+    ], ids=["hw-family", "verify-congruence", "verify-truncation-vertices",
+            "polytope-vertices", "pencil-family"])
+    def test_unread_input_exits_2(self, capsys, argv, readers):
+        # --input names the file --id or --pair reads; alone it is unused,
+        # so a file that does not exist would go unnoticed
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", "/nonexistent/fixture.txt"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"--input is read only with {readers}" in err
+
     @pytest.mark.parametrize("argv", [
         ["census", "--report", "json"],
         ["hw", "--input", str(fixture_path("polygons2d.txt")), "--id", "9",
@@ -385,10 +402,9 @@ class TestUsageErrors:
     ], ids=["census", "hw"])
     def test_closed_stdout_exits_1_without_traceback(self, argv):
         # the read end closes before the command writes, as `| head` can
-        src = str(Path(hwmt.__file__).resolve().parent.parent)
         proc = subprocess.Popen([sys.executable, "-m", "hwmt.cli", *argv],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                text=True, env={"PYTHONPATH": src})
+                                text=True, env=hwmt_env())
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 1

@@ -2,6 +2,7 @@
 together through independent data paths."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -21,7 +22,12 @@ from hwmt.hasse_witt import (
     hasse_witt_polynomial,
     period_coefficients,
 )
-from hwmt.errors import HwmtError
+from hwmt.errors import (
+    DegeneratePolytope,
+    HwmtError,
+    NonLatticeDual,
+    NotInteriorOrigin,
+)
 from hwmt.hypergeometric import (
     HypergeometricData,
     _argument_mod_p,
@@ -38,9 +44,10 @@ from hwmt.point_count import (
     count_family,
     count_graded,
 )
-from hwmt.intlinalg import adjugate_det, left_kernel
+from hwmt.intlinalg import left_kernel
 from hwmt.polytope import (
     LatticePolytope,
+    facets,
     is_kernel_pair,
     lattice_points,
     polar_dual,
@@ -50,7 +57,10 @@ from hwmt.polytope import (
 
 from oracles import (
     _series_term,
+    adjugate_det,
     combinatorial_bijections,
+    hnf_facets,
+    hnf_polytope,
     lattice_isomorphism,
     member_terms,
     zero_sum_exponents,
@@ -660,6 +670,83 @@ def test_truncated_series_edge_cases_match_term_sum(data, psi, p, error):
     got = _outcome(lambda *a: truncated_pFq(*a).value, data, psi, p)
     assert got == expected
     assert (expected.__name__ if isinstance(expected, type) else None) == error
+
+
+# --------------------------------------------------------------------------
+# facets by cofactor normals, and the facets a polar dual inherits, against
+# the HNF enumeration
+# --------------------------------------------------------------------------
+
+def _random_point_sets(count, seed=1717):
+    """Seeded point sets in dimensions 2-4 with entries of size at most 1 or
+    2: lattice midpoints of random pairs mixed in as listed non-vertices,
+    some sets squashed onto a hyperplane, and some shifted so that the
+    origin lies on the boundary or outside."""
+    rng = random.Random(seed)
+    for i in range(count):
+        dim, r = 2 + i % 3, rng.choice((1, 2))  # r = 1: often reflexive
+        box = [v for v in product(range(-r, r + 1), repeat=dim) if any(v)]
+        pts = rng.sample(box, rng.randint(dim + 1, dim + 5))
+        if rng.random() < 0.1:  # squash onto the hyperplane x_0 = x_(dim-1)
+            pts = [(v[-1],) + v[1:] for v in pts]
+        if rng.random() < 0.3:
+            shift = rng.randint(1, 2)
+            pts = [(v[0] + shift,) + v[1:] for v in pts]
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.sample(pts, 2)
+            if all((x + y) % 2 == 0 for x, y in zip(a, b)):
+                pts.append(tuple((x + y) // 2 for x, y in zip(a, b)))
+        yield dim, tuple(dict.fromkeys(pts))
+
+
+def _facets_or_error(dim, pts):
+    try:
+        p = LatticePolytope(dim, pts)
+        return p, (facets(p), vertex_facet_sets(p))
+    except HwmtError as exc:
+        return None, (type(exc), str(exc))
+
+
+def test_facets_match_hnf_oracle():
+    seen = Counter()
+    for dim, pts in _random_point_sets(900):
+        p, got = _facets_or_error(dim, pts)
+        try:
+            expected = hnf_polytope(dim, pts)
+        except DegeneratePolytope as exc:
+            expected = (DegeneratePolytope, str(exc))
+        assert got == expected, (dim, pts)
+        if p is None:
+            seen[got[1].split()[0]] += 1  # "point" or "vertex"
+            continue
+        # the origin inside, on the boundary or outside; a dual when reflexive
+        low = min(f.offset for f in got[0])
+        dual = _outcome(polar_dual, p)
+        if low < 1:
+            assert dual is NotInteriorOrigin
+            seen["boundary" if low == 0 else "outside"] += 1
+        elif any(f.offset != 1 for f in got[0]):
+            assert dual is NonLatticeDual
+            seen["interior"] += 1
+        else:
+            assert facets(dual) == hnf_facets(dim, dual.vertices), pts
+            seen["reflexive"] += 1
+    assert min(seen[k] for k in ("point", "vertex", "boundary", "outside",
+                                 "interior", "reflexive")) >= 10, seen
+
+
+def test_inherited_dual_facets_match_hnf_oracle(fixture_polytopes):
+    polys = fixture_polytopes + [fam.polytope for fam in FAMILIES.values()]
+    for cached in (facets, vertex_facet_sets, polar_dual):
+        cached.cache_clear()
+    for p in polys:
+        dual = polar_dual(p)
+        assert facets(dual) == dual.known_facets == hnf_facets(dual.dim, dual.vertices)
+        # the inherited facets are a cache: a fresh polytope with the same
+        # vertices is equal, hashes alike and prints alike
+        fresh = LatticePolytope(dual.dim, dual.vertices)
+        assert fresh.known_facets is None
+        assert (fresh, hash(fresh), repr(fresh)) == (dual, hash(dual), repr(dual))
 
 
 # --------------------------------------------------------------------------

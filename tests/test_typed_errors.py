@@ -3,12 +3,12 @@ asserts."""
 
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import hwmt
 from hwmt.errors import MalformedHypergeometric, ZeroRescale
+
+from conftest import hwmt_env
 
 # each case: (imports, expression that must raise, error name)
 CASES = [
@@ -71,10 +71,8 @@ def test_typed_error(case, capsys):
 
 
 def test_typed_errors_under_optimize():
-    src = str(Path(hwmt.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-O", "-c", _script(CASES)],
-                         capture_output=True, text=True,
-                         env={"PYTHONPATH": src}, check=True)
+                         capture_output=True, text=True, env=hwmt_env(), check=True)
     assert out.stdout.split() == [c[2] for c in CASES]
 
 
@@ -85,11 +83,10 @@ def test_typed_errors_keep_their_builtin_bases():
 
 
 def test_cli_malformed_hypergeometric_exits_2():
-    src = str(Path(hwmt.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-m", "hwmt.cli", "hyp", "--params",
                           "1/2,1/2;1,1", "--arg", "1,0", "--psi", "1",
                           "--prime", "5"],
-                         capture_output=True, text=True, env={"PYTHONPATH": src})
+                         capture_output=True, text=True, env=hwmt_env())
     assert out.returncode == 2 and out.stdout == ""
     assert "one fewer lower parameter" in out.stderr
     assert "Traceback" not in out.stderr

@@ -24,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hwmt.intlinalg import adjugate_det, det, hermite_row, hnf_rows
+from hwmt.intlinalg import det, hermite_row, hnf_rows
 from hwmt.polytope import (
     LatticePolytope,
     is_reflexive,
@@ -194,6 +194,16 @@ def _upper_hnfs(max_det):
                             yield ((a, s, t), (0, b, v), (0, 0, c))
 
 
+def _adjugate(m):
+    """adj(m) of a square integer matrix by cofactors: adj(m) @ m = det(m) I."""
+    n = len(m)
+    return tuple(
+        tuple((-1) ** (i + j)
+              * det([r[:i] + r[i + 1:] for t, r in enumerate(m) if t != j])
+              for j in range(n))
+        for i in range(n))
+
+
 def refinements(poly):
     """The polytope re-read in every lattice between Z^3 and its reflexive
     closure (the dual of the lattice generated by the polar vertices)."""
@@ -205,7 +215,7 @@ def refinements(poly):
     out = []
     for h in _upper_hnfs(index):
         # H^{-1} = adj(H) / det(H); det(H) > 0 (positive HNF diagonal)
-        adj, hdet = adjugate_det(h)
+        adj, hdet = _adjugate(h), det(h)
         # L' = rowspan(H) must contain rowspan(D): D adj(H) divisible by det(H)
         dh = [
             [sum(d[r][k] * adj[k][c] for k in range(3)) for c in range(3)]
