@@ -12,8 +12,8 @@ class HwmtError(Exception):
 # --- polytope errors ---------------------------------------------------------
 
 class DegeneratePolytope(HwmtError):
-    """Vertex list is not full-dimensional, has duplicates, or has a
-    non-vertex point."""
+    """Vertex list has a non-integer coordinate, is not full-dimensional,
+    has duplicates, or has a non-vertex point."""
 
 
 class NotInteriorOrigin(HwmtError):

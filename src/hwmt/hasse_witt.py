@@ -62,7 +62,7 @@ class HWInvariant:
 
 
 # the part of the kernel-lattice walk that depends only on the exponents
-_Plan = namedtuple("_Plan", "fixed varying incs d m least most step above gain")
+_Plan = namedtuple("_Plan", "fixed varying incs d m most step above gain")
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -77,11 +77,11 @@ def _kernel_plan(exps) -> _Plan:
     puts on the pivot columns.  The other (free) columns are rational
     combinations of the pivot values, a[j] = sum_t u_t M[t][j] with
     M = B_pivots^-1 @ B; ``m`` holds the rows of M on the free columns
-    scaled by d = det(B_pivots) so that they are integral.  ``least`` and
-    ``most`` are the least value rows t.. and the greatest value rows
-    t+1.. can still put on each free column.  d * sum(a) is
-    sum_t u_t (d + sum(m[t])); ``gain[t]`` is row t's term where no later
-    row's is negative, so that the budget bounds u_t alone, and else None.
+    scaled by d = det(B_pivots) so that they are integral.  ``most`` is
+    the greatest value rows t+1.. can still put on each free column.
+    d * sum(a) is sum_t u_t (d + sum(m[t])); ``gain[t]`` is row t's term
+    where no later row's is negative, so that the budget bounds u_t alone,
+    and else None.
 
     A run of the walk fixes u_0..u_{r-2}, the values of the ``fixed``
     columns, and steps u_{r-1} by its pivot entry; each step adds the last
@@ -92,7 +92,7 @@ def _kernel_plan(exps) -> _Plan:
     basis = left_kernel(exps)
     r = len(basis)
     if r == 0:
-        return _Plan((), tuple(range(k)), (0,) * k, 1, (), (), (), (), (), ())
+        return _Plan((), tuple(range(k)), (0,) * k, 1, (), (), (), (), ())
     pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
     free = [j for j in range(k) if j not in pivots]
     d = 1
@@ -108,7 +108,6 @@ def _kernel_plan(exps) -> _Plan:
             for i, j in enumerate(free)
         )
     columns = list(zip(*m))
-    least = tuple(tuple(min(0, *col[t:]) for col in columns) for t in range(r))
     most = tuple(tuple(max((0, *col[t + 1:])) for col in columns) for t in range(r))
     step = tuple(row[j] for row, j in zip(basis, pivots))
     above = tuple(tuple(row[j] for j in pivots) for row in basis)
@@ -117,7 +116,7 @@ def _kernel_plan(exps) -> _Plan:
                  for t, g in enumerate(gain))
     varying = (pivots[-1], *free)
     return _Plan(tuple(pivots[:-1]), varying, tuple(basis[-1][j] for j in varying),
-                 d, tuple(m), least, most, step, above, gain)
+                 d, tuple(m), most, step, above, gain)
 
 
 def _kernel_runs(plan: _Plan, e: int):
@@ -126,12 +125,11 @@ def _kernel_runs(plan: _Plan, e: int):
     a[plan.varying] = starts + i * plan.incs for i = 0..count-1.
 
     Each u_t is kept to the interval where every free column can still end
-    nonnegative, the least that the free columns still add to sum(a) fits
-    the budget, and, where ``gain[t]`` is set, u_t's own share of sum(a)
-    fits it.  At the last row the free columns are final and the interval
-    is exact, so it is one run.
+    nonnegative and, where ``gain[t]`` is set, u_t's own share of sum(a)
+    fits the budget.  At the last row the free columns are final and the
+    interval is exact, so it is one run.
     """
-    _, varying, _, d, m, least, most, step, above, gain = plan
+    _, varying, _, d, m, most, step, above, gain = plan
     r = len(step)
     if r == 0:
         return [([], 1, [0] * len(varying))]
@@ -142,12 +140,6 @@ def _kernel_runs(plan: _Plan, e: int):
         # q: d * free columns from rows < t; pp: what rows < t put on pivots
         room = e - used
         first, last = 0, room
-        if 0 < t < r - 1:  # at the last row the exact bounds below imply it
-            need = 0
-            for x, y in zip(q, least[t]):
-                if x + room * y > 0:
-                    need += x + room * y
-            last -= -(-need // d)
         # a free column ends at most at x + u_t * y + (room - u_t) * h
         for x, y, h in zip(q, m[t], most[t]):
             base, slope = x + room * h, y - h

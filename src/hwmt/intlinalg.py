@@ -11,28 +11,13 @@ gives the signed maximal minors that are the facet normals of
 from math import gcd
 
 
-def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
-
-
 def vec_primitive(v):
     """Divide an integer vector by the gcd of its entries (zero vector is
     returned unchanged)."""
-    g = vec_gcd(v)
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
-
-
-def identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_rank(rows):
-    return len(hnf_rows(rows))
 
 
 def _hermite(rows, track):
@@ -40,7 +25,7 @@ def _hermite(rows, track):
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    u = [list(r) for r in identity_matrix(nrows)] if track else None
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if track else None
 
     def swap(i, j):
         m[i], m[j] = m[j], m[i]

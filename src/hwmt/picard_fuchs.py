@@ -155,11 +155,6 @@ def residue_at_zero(system: FuchsianSystem):
     return _value_at_zero(system, PoleAtZero, "0")
 
 
-def residue_at_infinity(system: FuchsianSystem):
-    """Residue at infinity: -M(1/zeta) evaluated at zeta = 0."""
-    return _value_at_zero(invert_system(system), PoleAtInfinity, "infinity")
-
-
 def _char_poly(matrix) -> Poly:
     """det(x I - A) for a matrix of Fractions, as a Poly in x."""
     n = len(matrix)

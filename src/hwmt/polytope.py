@@ -20,8 +20,10 @@ every later ``facets(P*)`` is a lookup.
 Per-polytope results (facets, lattice points, vertex-facet incidences,
 vertex kernels, the polar dual, the canonical vertex orders and the normal
 form) are memoized in bounded caches of ``CACHE_SIZE`` entries, so a census
-builds each of them once however many pairs it appears in.  A listed point
-is a vertex iff the facets through it meet in that point alone.
+builds each of them once however many pairs it appears in.  The facets
+also validate a vertex list: it is full-dimensional iff it has a facet and
+no facet is tight on every listed point, and a listed point is a vertex
+iff the facets through it meet in that point alone.
 
 One normal form serves both equivalences (after PALP, Kreuzer-Skarke
 math/0204356, and Grinis-Kasprzyk arXiv:1301.6641).  The pairing matrix M
@@ -51,6 +53,7 @@ Q o sigma has the pairing matrix of P, and ``is_kernel_pair`` returns the
 least of them.
 """
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
@@ -62,7 +65,7 @@ from .errors import (
     NotInteriorOrigin,
     NotReflexive,
 )
-from .intlinalg import det, hnf_rows, left_kernel, mat_rank, vec_primitive
+from .intlinalg import det, hnf_rows, left_kernel, vec_primitive
 
 LatticePoint = Tuple[int, ...]
 
@@ -108,7 +111,7 @@ class LatticePolytope:
         default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        verts = tuple(tuple(int(x) for x in v) for v in self.vertices)
+        verts = tuple(tuple(map(_coordinate, v)) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
         if self.dim < 1 or not verts:
             raise DegeneratePolytope("a polytope needs dimension >= 1 and a vertex")
@@ -116,17 +119,15 @@ class LatticePolytope:
             raise DegeneratePolytope("vertex length does not match dimension")
         if len(set(verts)) != len(verts):
             raise DegeneratePolytope("duplicate vertices")
-        base = verts[0]
-        diffs = tuple(
-            tuple(v[j] - base[j] for j in range(self.dim)) for v in verts[1:]
-        )
-        if mat_rank(diffs) < self.dim:
+        # points in a proper affine subspace span no facet (codimension >= 2)
+        # or one facet, their own hyperplane, tight on every point
+        fsets = vertex_facet_sets(self)
+        listed = set(range(len(verts)))
+        if not fsets or listed in fsets:
             raise DegeneratePolytope("vertex list is not full-dimensional")
         # a listed point is a vertex iff the facets through it meet in that
         # point alone: a non-vertex lies in the relative interior of a face
         # with at least two vertices, all of them listed
-        fsets = vertex_facet_sets(self)
-        listed = set(range(len(verts)))
         for i, v in enumerate(verts):
             if len(listed.intersection(*(f for f in fsets if i in f))) != 1:
                 raise DegeneratePolytope(f"point {v} is not a vertex")
@@ -134,6 +135,14 @@ class LatticePolytope:
     @property
     def nvertices(self) -> int:
         return len(self.vertices)
+
+
+def _coordinate(x) -> int:
+    """x as an int, refusing what int() would truncate or parse."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DegeneratePolytope(f"coordinate {x!r} is not an integer") from None
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -316,12 +325,10 @@ def kernel_invariant(p: LatticePolytope):
 
 def _pairing_bijections(p: LatticePolytope, q: LatticePolytope):
     """The vertex bijections sigma, in lexicographic order, under which
-    Q o sigma has the pairing matrix of P: the first canonical order of p
-    sent onto each canonical order of q; none when the codes differ."""
-    code, orders = _canonical_orders(p)
-    q_code, q_orders = _canonical_orders(q)
-    if p.dim != q.dim or code != q_code:
-        return []
+    Q o sigma has the pairing matrix of P, for p and q of equal code: the
+    first canonical order of p sent onto each canonical order of q."""
+    _, orders = _canonical_orders(p)
+    _, q_orders = _canonical_orders(q)
     # position of each vertex of p in its first canonical order
     where = sorted(range(p.nvertices), key=orders[0].__getitem__)
     return sorted(tuple(order[i] for i in where) for order in q_orders)

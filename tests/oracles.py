@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Tuple
 
 from hwmt.errors import BadDenominator, DegeneratePolytope
 from hwmt.hypergeometric import HypergeometricData, require_prime
-from hwmt.intlinalg import det, left_kernel, mat_rank, vec_primitive
+from hwmt.intlinalg import det, hnf_rows, left_kernel, vec_primitive
 from hwmt.polytope import (
     CACHE_SIZE,
     FacetInequality,
@@ -191,7 +191,7 @@ def hnf_polytope(dim, points):
     not pin down."""
     if len(set(points)) != len(points):
         raise DegeneratePolytope("duplicate vertices")
-    if mat_rank([[x - y for x, y in zip(v, points[0])] for v in points[1:]]) < dim:
+    if len(hnf_rows([[x - y for x, y in zip(v, points[0])] for v in points[1:]])) < dim:
         raise DegeneratePolytope("vertex list is not full-dimensional")
     fts = hnf_facets(dim, points)
     fsets = tuple(

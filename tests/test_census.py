@@ -89,6 +89,18 @@ class TestLoad:
         with pytest.raises(ParseError):
             load_polytopes(path)
 
+    @pytest.mark.parametrize("text, named", [
+        ("0 2 x\n1 0\n0 1\n-1 -1\n", "non-integer header '0 2 x'"),
+        ("0 2 3\n1 0\n0 1.5\n-1 -1\n", "bad coordinate line '0 1.5'"),
+        ("0 2 3\n1 0\n0 1 0\n-1 -1\n", "record 0 has a length-3 vertex in dimension 2"),
+    ], ids=["header", "coordinate", "vertex-length"])
+    def test_parse_error_names_file_and_text(self, tmp_path, text, named):
+        path = tmp_path / "records.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_polytopes(path)
+        assert str(exc.value) == f"records.txt: {named}"
+
     def test_not_reflexive_named_id(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("7 2 4\n2 2\n-2 2\n-2 -2\n2 -2\n")

@@ -435,6 +435,36 @@ class TestValidation:
         with pytest.raises(DegeneratePolytope):
             LatticePolytope(2, ((1, 1), (-1, 1), (-1, -1), (1, -1), (0, 0)))
 
+    @pytest.mark.parametrize("bad", [1.9, Fraction(3, 2), "1"],
+                             ids=["float", "Fraction", "str"])
+    def test_non_integer_coordinate_is_refused(self, bad):
+        # int() would truncate 1.9 to the vertex (1, 0) of a valid triangle
+        with pytest.raises(DegeneratePolytope) as exc:
+            LatticePolytope(2, ((bad, 0), (0, 1), (-1, -1)))
+        assert str(exc.value) == f"coordinate {bad!r} is not an integer"
+
+
+# points in an affine subspace of codimension >= 2 span no facet; the other
+# sets span one hyperplane that is tight on every point
+LOW_DIMENSIONAL = {
+    "collinear-3d": (3, ((0, 0, 0), (1, 1, 1), (-1, -1, -1), (2, 2, 2))),
+    "triangle-4d": (4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0))),
+    "point-1d": (1, ((3,),)),
+    "point-3d": (3, ((1, -1, 2),)),
+    "dim-points-2d": (2, ((1, 0), (0, 1))),
+    "dim-points-4d": (4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+    "square-in-3d": (3, ((1, 1, 0), (-1, 1, 0), (-1, -1, 0), (1, -1, 0))),
+}
+
+
+@pytest.mark.parametrize("dim, pts", LOW_DIMENSIONAL.values(), ids=LOW_DIMENSIONAL)
+def test_low_dimensional_vertex_lists_are_refused(dim, pts):
+    message = rank_vertex_oracle(dim, pts)
+    assert message == "vertex list is not full-dimensional"
+    with pytest.raises(DegeneratePolytope) as exc:
+        LatticePolytope(dim, pts)
+    assert str(exc.value) == message
+
 
 def frac_rank(rows):
     """Rank over the rationals by Gaussian elimination."""

@@ -39,10 +39,11 @@ CASES = [
     ("from hwmt.point_count import count_family",
      "count_family('quartic', 2, 1601)",
      "BudgetExceeded"),
-    ("from hwmt.picard_fuchs import FuchsianSystem, residue_at_infinity\n"
-     "from hwmt.ratfunc import ONE, Poly, RatFunc",
-     "residue_at_infinity(FuchsianSystem(1, ((RatFunc(Poly.of(0, 1), ONE),),),"
-     " 'scaled'))",  # (1/t) [[t]] has a pole at infinity
+    ("from dataclasses import replace\n"
+     "from hwmt.families import get_family\n"
+     "from hwmt.picard_fuchs import analyze_family",
+     # F' + psi F = 0 rescales to (1/t) [[-8t]], which has a pole at infinity
+     "analyze_family(replace(get_family('elliptic'), pf_ode=(((0, 1), (1,)),)))",
      "PoleAtInfinity"),
     ("from hwmt.point_count import count_graded",
      "count_graded([(1, (2, 0)), (1, (0, 1))], ((1, 1),), 5)",  # x^2 + y
