@@ -98,6 +98,11 @@ class ZeroRescale(HwmtError, ZeroDivisionError):
     """A rescaling z = c * lambda was asked for with c = 0."""
 
 
+class ZeroDenominator(HwmtError, ZeroDivisionError):
+    """A polynomial division by zero, a rational function with a zero
+    denominator, or a rational function evaluated at one of its poles."""
+
+
 class DegreeTooSmall(HwmtError):
     """A polynomial reversal asked for a degree below the polynomial's."""
 

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .families import get_family
 from .hypergeometric import HypergeometricData
-from .ratfunc import ONE, Poly, RatFunc, RF_ONE, RF_ZERO
+from .ratfunc import Poly, RatFunc, RF_ONE, RF_ZERO
 
 Matrix = Tuple[Tuple[RatFunc, ...], ...]
 
@@ -84,25 +84,17 @@ def gauge_shear(system: FuchsianSystem) -> FuchsianSystem:
 
     With u = diag(psi^i) y the system becomes du/dpsi = (1/psi) M u where
     M_ij = psi^(1+i-j) A_ij + delta_ij * i; the result has regular singular
-    points at 0 and infinity.
+    points at 0 and infinity.  Each power of psi is a RatFunc.shift, which
+    cancels only powers of psi, and adding i is adding a polynomial, so no
+    entry runs Euclid.
     """
     _require_form(system, "raw")
-    n = system.size
-    a = system.matrix
     rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = 1 + i - j
-            if e >= 0:
-                entry = a[i][j] * RatFunc(Poly((Fraction(0),) * e + (Fraction(1),)), ONE)
-            else:
-                entry = a[i][j] / RatFunc(Poly((Fraction(0),) * (-e) + (Fraction(1),)), ONE)
-            if i == j:
-                entry = entry + RatFunc.of(i)
-            row.append(entry)
-        rows.append(tuple(row))
-    return FuchsianSystem(n, tuple(rows), "scaled", "psi")
+    for i, row in enumerate(system.matrix):
+        entries = [e.shift(1 + i - j) for j, e in enumerate(row)]
+        entries[i] = entries[i] + i
+        rows.append(tuple(entries))
+    return FuchsianSystem(system.size, tuple(rows), "scaled", "psi")
 
 
 def substitute_power(system: FuchsianSystem, k: int) -> FuchsianSystem:
@@ -179,47 +171,66 @@ def _char_poly(matrix) -> Poly:
 
 def rational_eigenvalues(matrix) -> Tuple[Fraction, ...]:
     """All eigenvalues, found by the rational-root theorem, with
-    multiplicity; IrrationalEigenvalue if any root is not rational."""
+    multiplicity; IrrationalEigenvalue if any root is not rational.
+
+    The characteristic polynomial is cleared of denominators once.  A
+    candidate p/q in lowest terms is a root of sum a_i x^i exactly when
+    sum a_i p^i q^(n-i) = 0, and then (q x - p) divides it in Z[x] (Gauss's
+    lemma), so the search and the deflation stay in integers."""
     chi = _char_poly(matrix)
-    roots: List[Fraction] = []
-    # factor out roots at zero first
-    coeffs = list(chi.coeffs)
-    while coeffs and coeffs[0] == 0:
-        roots.append(Fraction(0))
-        coeffs.pop(0)
-    poly = Poly(tuple(coeffs))
-    while poly.degree > 0:
-        lcm = 1
-        for c in poly.coeffs:
-            lcm = math.lcm(lcm, c.denominator)
-        ints = [int(c * lcm) for c in poly.coeffs]
-        a0, an = abs(ints[0]), abs(ints[-1])
-        root = None
-        for num in _divisors(a0):
-            for den in _divisors(an):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if poly(cand) == 0:
-                        root = cand
-                        break
-                if root is not None:
-                    break
-            if root is not None:
-                break
+    lcm = math.lcm(*(c.denominator for c in chi.coeffs))
+    ints = [c.numerator * (lcm // c.denominator) for c in chi.coeffs]
+    zeros = next(i for i, a in enumerate(ints) if a)  # chi is monic
+    roots = [Fraction(0)] * zeros
+    ints = ints[zeros:]
+    while len(ints) > 1:
+        root = _rational_root(ints)
         if root is None:
             raise IrrationalEigenvalue(
                 f"characteristic polynomial {chi} has an irrational factor"
             )
-        roots.append(root)
-        poly = poly.divmod(Poly.of(-root, 1))[0]
+        roots.append(Fraction(*root))
+        ints = _deflate(ints, *root)
     return tuple(sorted(roots))
 
 
-def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [0]
-    out = [d for d in range(1, n + 1) if n % d == 0]
+def _rational_root(ints):
+    """A root (p, q), q > 0, gcd(p, q) = 1, of the integer polynomial
+    sum ints[i] x^i with ints[0] != 0, or None.  The first hit is in lowest
+    terms: p/g over q/g is tried before p over q, as |p|/g < |p|."""
+    n = len(ints) - 1
+    dens = _divisors(ints[-1])
+    for num in _divisors(ints[0]):
+        for den in dens:
+            for p in (num, -num):
+                if sum(a * p**i * den**(n - i) for i, a in enumerate(ints)) == 0:
+                    return p, den
+    return None
+
+
+def _deflate(ints, p, q):
+    """sum ints[i] x^i divided by (q x - p), which divides it in Z[x]."""
+    out = [0] * (len(ints) - 1)
+    carry = 0
+    for i in range(len(ints) - 1, 0, -1):
+        carry = (ints[i] + p * carry) // q
+        out[i - 1] = carry
     return out
+
+
+def _divisors(n):
+    """The positive divisors of n != 0 in increasing order, from the pairs
+    (d, |n|/d) with d <= sqrt(|n|)."""
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
 
 
 def extract_parameters(exponents: ExponentData,

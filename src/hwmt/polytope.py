@@ -111,7 +111,16 @@ class LatticePolytope:
         default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        verts = tuple(tuple(map(_coordinate, v)) for v in self.vertices)
+        try:
+            dim = operator.index(self.dim)
+        except TypeError:
+            raise DegeneratePolytope(f"dim {self.dim!r} is not an integer") from None
+        try:
+            verts = tuple(tuple(map(_coordinate, v)) for v in self.vertices)
+        except TypeError:
+            raise DegeneratePolytope(
+                f"vertices {self.vertices!r} are not a sequence of points") from None
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vertices", verts)
         if self.dim < 1 or not verts:
             raise DegeneratePolytope("a polytope needs dimension >= 1 and a vertex")

@@ -3,14 +3,22 @@
 Minimal exact arithmetic for the Picard-Fuchs pipeline: everything is a
 Fraction, rational functions are kept gcd-reduced with monic denominator,
 and the only fancy operations are power substitution t -> t^(1/k), variable
-scaling, and inversion t -> 1/t.
+scaling, inversion t -> 1/t and the shift t^e * f.
+
+Every public construction, and the sum, product and quotient of two general
+rational functions, reduce by Euclid's algorithm.  The maps that provably
+keep a reduced num/den reduced skip it and only make the denominator monic:
+negation, a nonzero constant multiple, adding a polynomial, t -> c*t,
+t -> t^(1/k), t -> 1/t, and t^e * f, which cancels only a power of t.  Each
+method's docstring gives the reason; the reduced form with monic
+denominator is unique, so both routes give the same value.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import DegreeTooSmall, NotAPowerFunction
+from .errors import DegreeTooSmall, NotAPowerFunction, ZeroDenominator, ZeroRescale
 
 
 def _trim(coeffs):
@@ -27,9 +35,9 @@ class Poly:
     coeffs: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", _trim(Fraction(c) for c in self.coeffs)
-        )
+        object.__setattr__(self, "coeffs", _trim(
+            c if c.__class__ is Fraction else Fraction(c) for c in self.coeffs
+        ))
 
     @staticmethod
     def of(*coeffs) -> "Poly":
@@ -74,7 +82,7 @@ class Poly:
 
     def divmod(self, other):
         if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
+            raise ZeroDenominator("polynomial division by zero")
         rem = list(self.coeffs)
         q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
         d = other.coeffs
@@ -155,20 +163,18 @@ class RatFunc:
     def __post_init__(self):
         num, den = self.num, self.den
         if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            num, den = ZERO, ONE
-        else:
+            raise ZeroDenominator("zero denominator")
+        if not num.is_zero():
             g = num.gcd(den)
             if g.degree > 0:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
-            lead = den.coeffs[-1]
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den * (1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _settle(self, num, den)
+
+    @staticmethod
+    def _coprime(num: Poly, den: Poly) -> "RatFunc":
+        """num/den for coprime num and nonzero den, without Euclid."""
+        return _settle(object.__new__(RatFunc), num, den)
 
     @staticmethod
     def of(num, den=None) -> "RatFunc":
@@ -184,19 +190,28 @@ class RatFunc:
         return self.num.is_zero()
 
     def __add__(self, other):
-        other = _coerce(other)
+        """A polynomial P (a number or a Poly) is added without Euclid,
+        since gcd(p + P*q, q) = gcd(p, q)."""
+        if isinstance(other, (int, Fraction)):
+            other = Poly.of(other)
+        if isinstance(other, Poly):
+            return RatFunc._coprime(self.num + other * self.den, self.den)
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._coprime(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self + (-other)
 
     def __mul__(self, other):
+        """A nonzero constant is a unit of Q[t], so multiplying by it keeps
+        num/den coprime (and 0 gives 0/1); other products reduce by Euclid."""
+        if isinstance(other, (int, Fraction)):
+            return RatFunc._coprime(self.num * other, self.den)
         other = _coerce(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 
@@ -210,29 +225,84 @@ class RatFunc:
         x = Fraction(x)
         d = self.den(x)
         if d == 0:
-            raise ZeroDivisionError(f"pole at {x}")
+            raise ZeroDenominator(f"pole at {x}")
         return self.num(x) / d
 
     def has_pole_at(self, x) -> bool:
         return self.den(x) == 0 and not self.is_zero()
 
     def scale_variable(self, c) -> "RatFunc":
-        return RatFunc(self.num.scale_variable(c), self.den.scale_variable(c))
+        """f(c*t) for c != 0.  t -> c*t is an automorphism of Q[t], so it
+        maps coprime num, den to coprime polynomials."""
+        c = Fraction(c)
+        if c == 0:
+            raise ZeroRescale("t -> 0*t is not a change of variable")
+        return RatFunc._coprime(self.num.scale_variable(c),
+                                self.den.scale_variable(c))
 
     def power_substitute(self, k: int) -> "RatFunc":
-        return RatFunc(self.num.power_substitute(k), self.den.power_substitute(k))
+        """g with f(t) = g(t^k).  t -> t^k is an injective endomorphism of
+        Q[t]: a common factor h of g's num and den would give the common
+        factor h(t^k) of f's, so g is reduced when f is."""
+        return RatFunc._coprime(self.num.power_substitute(k),
+                                self.den.power_substitute(k))
 
     def invert_variable(self) -> "RatFunc":
-        """f(1/t) as a reduced rational function of t."""
+        """f(1/t) as a reduced rational function of t.
+
+        Both sides are reversed to d = max(deg num, deg den), so one of them
+        has full degree d and t divides at most one reversal.  A common
+        factor h with h(0) != 0 of the reversals would give, reversed, a
+        common factor of num and den.  So the reversals are coprime."""
         if self.is_zero():
             return self
         d = max(self.num.degree, self.den.degree)
-        return RatFunc(self.num.reversed_to(d), self.den.reversed_to(d))
+        return RatFunc._coprime(self.num.reversed_to(d),
+                                self.den.reversed_to(d))
+
+    def shift(self, e: int) -> "RatFunc":
+        """t^e * f for any integer e.
+
+        For coprime p, q, gcd(t^e p, q) = gcd(t^e, q) and gcd(p, t^e q) =
+        gcd(p, t^e), so only a power of t cancels: as many factors as the
+        other side has low-order zero coefficients, at most |e|."""
+        num, den = self.num, self.den
+        if num.is_zero():
+            return self
+        if e >= 0:
+            m = min(e, _order(den))
+            return RatFunc._coprime(_times_t(num, e - m), _times_t(den, -m))
+        m = min(-e, _order(num))
+        return RatFunc._coprime(_times_t(num, -m), _times_t(den, -e - m))
 
     def __str__(self):
         if self.den == ONE:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
+
+
+def _settle(f: RatFunc, num: Poly, den: Poly) -> RatFunc:
+    """Store coprime num, den in f with monic denominator, 0 as 0/1."""
+    if num.is_zero():
+        num, den = ZERO, ONE
+    else:
+        lead = den.coeffs[-1]
+        if lead != 1:
+            num = num * (1 / lead)
+            den = den * (1 / lead)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+    return f
+
+
+def _order(p: Poly) -> int:
+    """The power of t dividing the nonzero p: its low-order zero count."""
+    return next(i for i, c in enumerate(p.coeffs) if c)
+
+
+def _times_t(p: Poly, k: int) -> Poly:
+    """t^k * p; for k < 0, t^-k must divide p."""
+    return Poly((Fraction(0),) * k + p.coeffs if k >= 0 else p.coeffs[-k:])
 
 
 def _coerce(x) -> RatFunc:

@@ -120,6 +120,18 @@ GOLDEN = [
      "dc2346c696090b191f2abbdd386aabb2c8522f1feda2a39c1d8063352afab512"),
     ("verify truncation --family group2 --psi 1,2,3 --primes 5,7,11,13", 0,
      "a026e1850c218dc0cba02f27752e59fa985e8887ea1816e241408063863bf6de"),
+    # recorded before the rational-function maps skipped Euclid: every
+    # Picard-Fuchs stage of the four families, and the text form of one
+    ("pf analyze --family elliptic --json", 0,
+     "50ee2b9647d9f613cbda4c77d605f1710c3f4d7312320104a1af43c2975d01fb"),
+    ("pf analyze --family sextic --json", 0,
+     "ae95fb1464b4d4264e7b4a6b5dd64364f480293067be5e8760e4317fe3b863a8"),
+    ("pf analyze --family group1 --json", 0,
+     "603b7311aac49cd8a7ebd7bec5a1fd24e9972980e34599bda11abaa60b60ada7"),
+    ("pf analyze --family group2 --json", 0,
+     "8649fb204e1db79243d70191767c53f9623c44438238152ab6350fb174a3f157"),
+    ("pf analyze --family group2", 0,
+     "69d1967f4544d40005d4a3dcf951220927b4182142b9d1cb3dd699a58358167a"),
 ]
 
 

@@ -2,6 +2,9 @@
 parameters pipeline, checked entry-for-entry against the published
 displays."""
 
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +20,7 @@ from hwmt.families import get_family
 from hwmt.picard_fuchs import (
     ExponentData,
     FuchsianSystem,
+    _char_poly,
     analyze_family,
     companion_matrix,
     extract_parameters,
@@ -52,6 +56,41 @@ def matrices_equal(system, expected):
         for i in range(system.size)
         for j in range(system.size)
     )
+
+
+def eigenvalues_by_evaluation(chi):
+    """Roots of chi by the rational-root theorem with Fraction evaluation of
+    every candidate, deflated by Poly.divmod; None if one is irrational."""
+    roots = []
+    while chi.degree > 0:
+        lcm = math.lcm(*(c.denominator for c in chi.coeffs))
+        a0, an = (abs(int(c * lcm)) for c in (chi.coeffs[0], chi.coeffs[-1]))
+        candidates = [F(s * num, den)
+                      for num in range(1, a0 + 1) if a0 % num == 0
+                      for den in range(1, an + 1) if an % den == 0
+                      for s in (1, -1)]
+        root = next((x for x in [F(0)] + candidates if chi(x) == 0), None)
+        if root is None:
+            return None
+        roots.append(root)
+        chi = chi.divmod(Poly.of(-root, 1))[0]
+    return tuple(sorted(roots))
+
+
+def matrix_with_spectrum(rng, eigs):
+    """A seeded matrix similar to an upper triangular one with diagonal eigs,
+    conjugated by elementary integer matrices I + c e_ij."""
+    n = len(eigs)
+    a = [[eigs[i] if i == j else F(rng.randint(-2, 2)) if j > i else F(0)
+          for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        for k in range(n):
+            a[i][k] += c * a[j][k]
+        for k in range(n):
+            a[k][j] -= c * a[k][i]
+    return tuple(map(tuple, a))
 
 
 class TestCompanion:
@@ -256,6 +295,43 @@ class TestEigenvalues:
         m = ((F(0), F(2)), (F(1), F(0)))  # eigenvalues +-sqrt(2)
         with pytest.raises(IrrationalEigenvalue):
             rational_eigenvalues(m)
+
+    def test_large_eigenvalues_search_divisors_to_the_square_root(self):
+        start = time.perf_counter()
+        assert rational_eigenvalues(((F(10**12),),)) == (10**12,)
+        assert rational_eigenvalues(((F(1), F(5)), (F(0), F(-10**12, 7)))) == (
+            F(-10**12, 7), 1)
+        with pytest.raises(IrrationalEigenvalue):
+            # x^2 - 2*3*5*7*11*13*17 has 64 divisor pairs and no rational root
+            rational_eigenvalues(((F(0), F(510510)), (F(1), F(0))))
+        assert time.perf_counter() - start < 10
+
+    def test_matches_evaluation_oracle_on_known_spectra(self):
+        rng = random.Random(1019)
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            eigs = tuple(sorted(F(rng.randint(-3, 3), rng.randint(1, 3))
+                                for _ in range(n)))
+            m = matrix_with_spectrum(rng, eigs)
+            assert rational_eigenvalues(m) == eigs
+            assert eigenvalues_by_evaluation(_char_poly(m)) == eigs
+
+    def test_matches_evaluation_oracle_on_integer_matrices(self):
+        # mostly irrational spectra, some rational
+        rng = random.Random(1020)
+        rational = 0
+        for _ in range(150):
+            n = rng.randint(2, 3)
+            m = tuple(tuple(F(rng.randint(-3, 3)) for _ in range(n))
+                      for _ in range(n))
+            want = eigenvalues_by_evaluation(_char_poly(m))
+            if want is None:
+                with pytest.raises(IrrationalEigenvalue):
+                    rational_eigenvalues(m)
+            else:
+                rational += 1
+                assert rational_eigenvalues(m) == want
+        assert 10 < rational < 140
 
 
 class TestParameterExtraction:

@@ -443,6 +443,16 @@ class TestValidation:
             LatticePolytope(2, ((bad, 0), (0, 1), (-1, -1)))
         assert str(exc.value) == f"coordinate {bad!r} is not an integer"
 
+    @pytest.mark.parametrize("dim, vertices, message", [
+        (2, (1, 2), "vertices (1, 2) are not a sequence of points"),
+        (2, None, "vertices None are not a sequence of points"),
+        ("2", ((1, 0), (0, 1), (-1, -1)), "dim '2' is not an integer"),
+    ], ids=["flat-vertices", "no-vertices", "str-dim"])
+    def test_malformed_shape_is_refused(self, dim, vertices, message):
+        with pytest.raises(DegeneratePolytope) as exc:
+            LatticePolytope(dim, vertices)
+        assert str(exc.value) == message
+
 
 # points in an affine subspace of codimension >= 2 span no facet; the other
 # sets span one hyperplane that is tight on every point

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hwmt.errors import MalformedHypergeometric, ZeroRescale
+from hwmt.errors import MalformedHypergeometric, ZeroDenominator, ZeroRescale
 
 from conftest import hwmt_env
 
@@ -54,6 +54,15 @@ CASES = [
     ("from hwmt.polytope import LatticePolytope",
      "LatticePolytope(0, ((),))",
      "DegeneratePolytope"),
+    ("from hwmt.ratfunc import Poly",
+     "Poly.of(1, 2).divmod(Poly.of(0))",
+     "ZeroDenominator"),
+    ("from hwmt.ratfunc import Poly, RatFunc",
+     "RatFunc(Poly.of(1), Poly.of(0))",
+     "ZeroDenominator"),
+    ("from hwmt.ratfunc import Poly, RatFunc",
+     "RatFunc(Poly.of(1), Poly.of(-1, 1))(1)",  # 1/(t - 1) at its pole
+     "ZeroDenominator"),
 ]
 
 
@@ -81,6 +90,7 @@ def test_typed_errors_keep_their_builtin_bases():
     # callers that caught the untyped errors still catch them
     assert issubclass(MalformedHypergeometric, ValueError)
     assert issubclass(ZeroRescale, ZeroDivisionError)
+    assert issubclass(ZeroDenominator, ZeroDivisionError)
 
 
 def test_cli_malformed_hypergeometric_exits_2():
