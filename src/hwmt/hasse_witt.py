@@ -19,6 +19,13 @@ row the points left are an arithmetic progression, and the walk returns
 each such progression as one run, not as vectors.  What depends only on
 the exponents (basis, pivots, back substitution, bounds) is one cached
 ``_kernel_plan`` per exponent tuple, shared by every budget and prime.
+The plan also holds the runs of the largest budget walked so far, so one
+walk per exponent set serves every budget up to it, and so every prime up
+to it: a smaller budget cuts each run instead of walking again.  The cut
+is exact because the walk's last row is: a run is every point of its
+prefix within the budget, and sum(a) moves by the constant sum of the
+last basis row along it, so the points within a smaller budget are a head
+or a tail of the run, or all or none of it.
 ``constant_term_power`` and ``hasse_witt_polynomial`` fold each run into
 weights mod p without building a vector; ``period_coefficients``, which
 needs exact multinomials, expands the runs into vectors
@@ -61,8 +68,12 @@ class HWInvariant:
     psi: Optional[Fraction] = None
 
 
-# the part of the kernel-lattice walk that depends only on the exponents
-_Plan = namedtuple("_Plan", "fixed varying incs d m most step above gain")
+# the part of the kernel-lattice walk that depends only on the exponents,
+# and ``walked``, a one-element list holding (budget, runs) of the largest
+# budget walked so far.  The pair is replaced whole, never edited, so a
+# thread always reads a consistent pair; two threads racing to replace it
+# can only cost a later call a repeat walk.
+_Plan = namedtuple("_Plan", "fixed varying incs d m most step above gain walked")
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -92,7 +103,8 @@ def _kernel_plan(exps) -> _Plan:
     basis = left_kernel(exps)
     r = len(basis)
     if r == 0:
-        return _Plan((), tuple(range(k)), (0,) * k, 1, (), (), (), (), ())
+        return _Plan((), tuple(range(k)), (0,) * k, 1, (), (), (), (), (),
+                     [(-1, [])])
     pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
     free = [j for j in range(k) if j not in pivots]
     d = 1
@@ -116,7 +128,7 @@ def _kernel_plan(exps) -> _Plan:
                  for t, g in enumerate(gain))
     varying = (pivots[-1], *free)
     return _Plan(tuple(pivots[:-1]), varying, tuple(basis[-1][j] for j in varying),
-                 d, tuple(m), most, step, above, gain)
+                 d, tuple(m), most, step, above, gain, [(-1, [])])
 
 
 def _kernel_runs(plan: _Plan, e: int):
@@ -124,12 +136,48 @@ def _kernel_runs(plan: _Plan, e: int):
     (prefix, count, starts): the points with a[plan.fixed] = prefix and
     a[plan.varying] = starts + i * plan.incs for i = 0..count-1.
 
+    The plan holds the runs of the largest budget walked so far, and a
+    smaller budget cuts them rather than walking again.  Along a run sum(a)
+    is s0 + i * ds with ds = sum(plan.incs), so the points with sum <= e
+    are a head of the run when ds > 0, a tail when ds < 0, and all or none
+    of it when ds = 0.  The walk's last row is exact, so each of its runs
+    is every point of its prefix within the budget, and the cut is the
+    walk at e, run for run.  The returned lists are shared: read them only.
+    """
+    budget, runs = plan.walked[0]
+    if e > budget:
+        runs = _walk(plan, e)
+        plan.walked[0] = (e, runs)
+    elif e < budget:
+        incs = plan.incs
+        ds = sum(incs)
+        cut = []
+        for prefix, count, starts in runs:
+            s0 = sum(prefix) + sum(starts)
+            if ds > 0:
+                count = min(count, (e - s0) // ds + 1)
+            elif ds < 0:
+                skip = -((e - s0) // -ds)  # ceil((s0 - e) / -ds)
+                if skip > 0:
+                    count -= skip
+                    starts = [v + skip * inc for v, inc in zip(starts, incs)]
+            elif s0 > e:
+                continue
+            if count > 0:
+                cut.append((prefix, count, starts))
+        runs = cut
+    return runs
+
+
+def _walk(plan: _Plan, e: int):
+    """The runs of ``_kernel_runs`` at budget e, walked row by row.
+
     Each u_t is kept to the interval where every free column can still end
     nonnegative and, where ``gain[t]`` is set, u_t's own share of sum(a)
     fits the budget.  At the last row the free columns are final and the
     interval is exact, so it is one run.
     """
-    _, varying, _, d, m, most, step, above, gain = plan
+    _, varying, _, d, m, most, step, above, gain, _ = plan
     r = len(step)
     if r == 0:
         return [([], 1, [0] * len(varying))]
@@ -191,9 +239,11 @@ def _kernel_points(exps, e):
     return out
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _factorials_mod(e, p):
     """x! and 1/x! mod p for x = 0..e, with e < p: one inverse, then
-    1/(x-1)! = x/x!."""
+    1/(x-1)! = x/x!.  Memoized per (e, p); the lists are shared, so read
+    them only."""
     fact = [1] * (e + 1)
     for i in range(1, e + 1):
         fact[i] = fact[i - 1] * i % p
@@ -295,7 +345,8 @@ def hasse_witt(source: Union[str, FamilyTag, LatticePolytope], psi,
         raise SingularMember(f"{fam.name} member at psi = {psi} is singular")
     require_psi_mod_p(psi, p)
     coeffs = _hw_coefficients(delta, p)
-    x, value = frac_mod(psi, p), 0
+    # p is prime and does not divide psi's denominator: both checked above
+    x, value = psi.numerator * pow(psi.denominator, -1, p) % p, 0
     for c in reversed(coeffs):
         value = (value * x + c) % p
     return HWInvariant(p, value, psi)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import (
+    BudgetExceeded,
     IrrationalEigenvalue,
     NoZeroExponent,
     NotMUMAtInfinity,
@@ -29,6 +30,11 @@ from .hypergeometric import HypergeometricData
 from .ratfunc import Poly, RatFunc, RF_ONE, RF_ZERO
 
 Matrix = Tuple[Tuple[RatFunc, ...], ...]
+
+# The most trial divisors a rational-root search tries for one coefficient:
+# it runs to sqrt(|a|), so 10^6 covers |a| < (10^6 + 1)^2, about 0.13 s a
+# search on a 2-vCPU machine with Python 3.11.
+DIVISOR_SEARCH_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -133,12 +139,20 @@ def invert_system(system: FuchsianSystem) -> FuchsianSystem:
 
 
 def _value_at_zero(system: FuchsianSystem, error, where: str):
-    """M(0), raising error when an entry has a pole there."""
+    """M(0), raising error when an entry has a pole there.  Each entry is
+    reduced with 0 stored as 0/1, so it has a pole at 0 exactly when its
+    denominator's constant term is 0, and otherwise its value is the ratio
+    of the constant terms."""
+    rows = []
     for row in system.matrix:
+        values = []
         for e in row:
-            if e.has_pole_at(0):
+            den = e.den.coeffs[0]
+            if not den:
                 raise error(f"entry {e} has a pole at {where}")
-    return tuple(tuple(e(0) for e in row) for row in system.matrix)
+            values.append(e.num.coeffs[0] / den if e.num.coeffs else Fraction(0))
+        rows.append(tuple(values))
+    return tuple(rows)
 
 
 def residue_at_zero(system: FuchsianSystem):
@@ -148,25 +162,47 @@ def residue_at_zero(system: FuchsianSystem):
 
 
 def _char_poly(matrix) -> Poly:
-    """det(x I - A) for a matrix of Fractions, as a Poly in x."""
+    """det(x I - A) for a matrix of Fractions, as a Poly in x, in O(n^3).
+
+    A is brought to upper Hessenberg form H by similarity (a row operation
+    and the inverse column operation per step, with a row and column swap
+    where the pivot is 0), and the characteristic polynomials chi_k of the
+    leading k x k blocks of H satisfy
+    chi_k = (x - h[k-1][k-1]) chi_{k-1}
+            - sum_i h[k-1-i][k-1] h[k-1][k-2]...h[k-i][k-i-1] chi_{k-1-i}.
+    """
     n = len(matrix)
-    entries = [
-        [Poly.of(-matrix[i][j]) if i != j else Poly.of(-matrix[i][j], 1)
-         for j in range(n)]
-        for i in range(n)
-    ]
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return entries[rows[0]][cols[0]]
-        total = Poly(())
-        for k, c in enumerate(cols):
-            minor = det(rows[1:], cols[:k] + cols[k + 1:])
-            term = entries[rows[0]][c] * minor
-            total = total + term if k % 2 == 0 else total - term
-        return total
-
-    return det(tuple(range(n)), tuple(range(n)))
+    h = [[Fraction(x) for x in row] for row in matrix]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        pivot = h[m][m - 1]
+        for j in range(m + 1, n):
+            u = h[j][m - 1] / pivot
+            if u:
+                h[j] = [a - u * b for a, b in zip(h[j], h[m])]
+                for row in h:
+                    row[m] += u * row[j]
+    chis = [[Fraction(1)]]  # ascending coefficients of chi_0, chi_1, ...
+    for k in range(1, n + 1):
+        chi = [Fraction(0)] + chis[k - 1]  # x * chi_{k-1}
+        for i, c in enumerate(chis[k - 1]):
+            chi[i] -= h[k - 1][k - 1] * c
+        sub = Fraction(1)
+        for i in range(1, k):
+            sub *= h[k - i][k - i - 1]
+            if not sub:
+                break
+            t = h[k - 1 - i][k - 1] * sub
+            for j, c in enumerate(chis[k - 1 - i]):
+                chi[j] -= t * c
+        chis.append(chi)
+    return Poly(tuple(chis[n]))
 
 
 def rational_eigenvalues(matrix) -> Tuple[Fraction, ...]:
@@ -176,7 +212,9 @@ def rational_eigenvalues(matrix) -> Tuple[Fraction, ...]:
     The characteristic polynomial is cleared of denominators once.  A
     candidate p/q in lowest terms is a root of sum a_i x^i exactly when
     sum a_i p^i q^(n-i) = 0, and then (q x - p) divides it in Z[x] (Gauss's
-    lemma), so the search and the deflation stay in integers."""
+    lemma), so the search and the deflation stay in integers.  The divisor
+    search is bounded: BudgetExceeded, before it starts, when the integer
+    square root of a coefficient it factors exceeds DIVISOR_SEARCH_BUDGET."""
     chi = _char_poly(matrix)
     lcm = math.lcm(*(c.denominator for c in chi.coeffs))
     ints = [c.numerator * (lcm // c.denominator) for c in chi.coeffs]
@@ -220,8 +258,13 @@ def _deflate(ints, p, q):
 
 def _divisors(n):
     """The positive divisors of n != 0 in increasing order, from the pairs
-    (d, |n|/d) with d <= sqrt(|n|)."""
+    (d, |n|/d) with d <= sqrt(|n|); BudgetExceeded before the search when
+    sqrt(|n|) is above DIVISOR_SEARCH_BUDGET."""
     n = abs(n)
+    if math.isqrt(n) > DIVISOR_SEARCH_BUDGET:
+        raise BudgetExceeded(
+            f"a divisor search of {n} would take {math.isqrt(n)} steps, "
+            f"above its bound {DIVISOR_SEARCH_BUDGET}")
     small, large = [], []
     d = 1
     while d * d <= n:

@@ -18,12 +18,13 @@ is skipped.  The polar dual of a reflexive P inherits its facets,
 every later ``facets(P*)`` is a lookup.
 
 Per-polytope results (facets, lattice points, vertex-facet incidences,
-vertex kernels, the polar dual, the canonical vertex orders and the normal
-form) are memoized in bounded caches of ``CACHE_SIZE`` entries, so a census
-builds each of them once however many pairs it appears in.  The facets
-also validate a vertex list: it is full-dimensional iff it has a facet and
-no facet is tight on every listed point, and a listed point is a vertex
-iff the facets through it meet in that point alone.
+vertex kernels, the polar dual, the canonical vertex orders, the normal
+form and the kernel invariant) are memoized in bounded caches of
+``CACHE_SIZE`` entries, so a census builds each of them once however many
+pairs it appears in.  The facets also validate a vertex list: it is
+full-dimensional iff it has a facet and no facet is tight on every listed
+point, and a listed point is a vertex iff the facets through it meet in
+that point alone.
 
 One normal form serves both equivalences (after PALP, Kreuzer-Skarke
 math/0204356, and Grinis-Kasprzyk arXiv:1301.6641).  The pairing matrix M
@@ -325,9 +326,11 @@ def normal_form(p: LatticePolytope):
     return p.dim, code, verts
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def kernel_invariant(p: LatticePolytope):
     """(dim, code) of the normal form, equal for reflexive p and q exactly
-    when they are a kernel pair."""
+    when they are a kernel pair.  Memoized; NotReflexive and
+    NotInteriorOrigin are raised on every call, as errors are not cached."""
     _require_reflexive(p)
     return normal_form(p)[:2]
 

@@ -14,6 +14,9 @@ Each is independent of the engine it checks:
 - ``hnf_facets`` and ``hnf_polytope``, facets by an HNF left kernel per
   vertex subset, against the cofactor normals of ``hwmt.polytope.facets``
   and the facets a polar dual inherits;
+- ``cofactor_char_poly``, the characteristic polynomial by cofactor
+  expansion, against the Hessenberg route of
+  ``hwmt.picard_fuchs._char_poly``;
 - ``adjugate_det``, the adjugate by cofactors, for the lattice maps below;
 - the backtracking bijection search, against the relations that
   ``hwmt.polytope`` decides and witnesses by canonical vertex orders.
@@ -34,6 +37,7 @@ from typing import Iterator, Optional, Tuple
 from hwmt.errors import BadDenominator, DegeneratePolytope
 from hwmt.hypergeometric import HypergeometricData, require_prime
 from hwmt.intlinalg import det, hnf_rows, left_kernel, vec_primitive
+from hwmt.ratfunc import Poly
 from hwmt.polytope import (
     CACHE_SIZE,
     FacetInequality,
@@ -204,6 +208,29 @@ def hnf_polytope(dim, points):
         if [j for j in range(len(points)) if all(j in f for f in through)] != [i]:
             raise DegeneratePolytope(f"point {v} is not a vertex")
     return fts, fsets
+
+
+def cofactor_char_poly(matrix) -> Poly:
+    """det(x I - A) for a matrix of Fractions, as a Poly in x, by cofactor
+    expansion along the first row over Poly entries (n! products)."""
+    n = len(matrix)
+    entries = [
+        [Poly.of(-matrix[i][j]) if i != j else Poly.of(-matrix[i][j], 1)
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return entries[rows[0]][cols[0]]
+        total = Poly(())
+        for k, c in enumerate(cols):
+            minor = det(rows[1:], cols[:k] + cols[k + 1:])
+            term = entries[rows[0]][c] * minor
+            total = total + term if k % 2 == 0 else total - term
+        return total
+
+    return det(tuple(range(n)), tuple(range(n)))
 
 
 def adjugate_det(m):

@@ -9,6 +9,7 @@ import pytest
 
 from hwmt.census import fixture_path
 from hwmt.cli import main
+from hwmt.hasse_witt import _hw_coefficients, _kernel_plan
 
 from conftest import hwmt_env
 
@@ -132,6 +133,12 @@ GOLDEN = [
      "8649fb204e1db79243d70191767c53f9623c44438238152ab6350fb174a3f157"),
     ("pf analyze --family group2", 0,
      "69d1967f4544d40005d4a3dcf951220927b4182142b9d1cb3dd699a58358167a"),
+    # recorded before one kernel walk per exponent set served every prime:
+    # a large prime first, so the smaller ones cut its runs
+    ("hw --family group1 --psi 2,3 --primes 17,5,13", 0,
+     "fba90f9ee09985123543e4c3e30bcc2786cdb9df3a26eec1a666827f22cab74c"),
+    ("hw --family group1 --psi 2,3 --primes 5,13,17", 0,
+     "09a8f9bebe894f24182c41cbd6ef9ffdbbee691f87c9b9729024b853e5877b93"),
 ]
 
 
@@ -143,6 +150,20 @@ def test_cli_output_matches_golden(capsys, command, code, digest):
             for a in command.split()]
     got_code, out = run(capsys, *argv)
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def test_hw_grid_is_the_same_in_any_prime_order(capsys):
+    # cold caches, so the primes after 17 are cuts of its kernel walk
+    _kernel_plan.cache_clear()
+    _hw_coefficients.cache_clear()
+    code, out = run(capsys, "hw", "--family", "group1", "--psi", "2,3",
+                    "--primes", "17,5,13")
+    assert code == 0
+    rows = sorted(json.loads(out), key=lambda r: (r["psi"], r["p"]))
+    ascending = json.dumps(rows, sort_keys=True, indent=2) + "\n"
+    digest = dict((g[0], g[2]) for g in GOLDEN)[
+        "hw --family group1 --psi 2,3 --primes 5,13,17"]
+    assert hashlib.sha256(ascending.encode()).hexdigest() == digest
 
 
 class TestCensus:

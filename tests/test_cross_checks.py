@@ -2,6 +2,8 @@
 together through independent data paths."""
 
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -16,7 +18,10 @@ from hwmt.hasse_witt import (
     _budget_weights,
     _factorials_mod,
     _hw_coefficients,
+    _kernel_plan,
     _kernel_points,
+    _kernel_runs,
+    _walk,
     constant_term_power,
     hasse_witt,
     hasse_witt_polynomial,
@@ -236,6 +241,60 @@ def test_kernel_points_match_dfs_vectors(fixture_polytopes):
         for e in (0, 3, 6):
             with_origin = sorted(a[:-1] for a in zero_sum_exponents(exps + [origin], e))
             assert sorted(_kernel_points(exps, e)) == with_origin
+
+
+def test_cut_of_a_larger_walk_is_a_fresh_walk(fixture_polytopes):
+    # budgets asked in random order, so most are cuts of a larger walk; the
+    # kernels' last basis rows have sums of every sign
+    rng = random.Random(2020)
+    exponent_sets = [list(polar_dual(d).vertices) for d in fixture_polytopes]
+    exponent_sets += list(_random_exponent_sets(400, seed=2020))
+    signs, cuts = Counter(), 0
+    for exps in exponent_sets:
+        budgets = list(range(9))
+        rng.shuffle(budgets)
+        fresh = {}
+        for e in budgets:
+            _kernel_plan.cache_clear()
+            fresh[e] = (_walk(_kernel_plan(tuple(exps)), e),
+                        sorted(_kernel_points(exps, e)))
+        _kernel_plan.cache_clear()
+        plan = _kernel_plan(tuple(exps))
+        for e in budgets:
+            cuts += plan.walked[0][0] > e
+            assert _kernel_runs(plan, e) == fresh[e][0], (exps, e)
+            assert sorted(_kernel_points(exps, e)) == fresh[e][1], (exps, e)
+        if plan.step:
+            ds = sum(plan.incs)
+            signs[(ds > 0) - (ds < 0)] += 1
+    assert len(exponent_sets) >= 74 + 200 and cuts > 1000
+    assert min(signs[-1], signs[0], signs[1]) >= 5, signs
+
+
+def test_threads_sharing_a_plan_get_their_own_budgets(fixture_polytopes):
+    exps = tuple(polar_dual(fixture_polytopes[-1]).vertices)
+    want = {e: sorted(_kernel_points(exps, e)) for e in range(12)}
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            e = rng.randrange(12)
+            if sorted(_kernel_points(exps, e)) != want[e]:
+                errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _kernel_plan.cache_clear()
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
 
 
 def _weights_per_vector(terms, e, p):

@@ -222,3 +222,19 @@ class TestErrorPaths:
 
         with pytest.raises(BadDenominator):
             hasse_witt("quartic", Fraction(1, 5), 5)
+
+    def test_messages_are_the_same_on_a_cache_hit_and_a_miss(self):
+        from hwmt.errors import BadDenominator, NotPrime
+
+        cases = [((Fraction(1, 5), 5), BadDenominator,
+                  "psi = 1/5 has denominator divisible by 5"),
+                 ((2, 6), NotPrime, "6 is not prime"),
+                 ((Fraction(1, 6), 6), NotPrime, "6 is not prime")]
+        _hw_coefficients.cache_clear()
+        for warm in (False, True):
+            for args, error, message in cases:
+                with pytest.raises(error) as exc:
+                    hasse_witt("quartic", *args)
+                assert str(exc.value) == message, (warm, args)
+            assert _hw_coefficients.cache_info().currsize == warm
+            hasse_witt("quartic", 2, 5)

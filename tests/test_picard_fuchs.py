@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from hwmt.errors import (
+    BudgetExceeded,
     IrrationalEigenvalue,
     NoZeroExponent,
     NotAPowerFunction,
@@ -33,6 +34,8 @@ from hwmt.picard_fuchs import (
     substitute_power,
 )
 from hwmt.ratfunc import ONE, Poly, RatFunc
+
+from oracles import cofactor_char_poly
 
 F = Fraction
 
@@ -231,6 +234,18 @@ class TestResidues:
         with pytest.raises(PoleAtZero):
             residue_at_zero(bad)
 
+    def test_constant_terms_match_evaluation_at_zero(self):
+        rng = random.Random(1022)
+        for _ in range(200):
+            entry = rf([rng.randint(-2, 2) for _ in range(rng.randint(1, 3))],
+                       [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))] + [1])
+            system = FuchsianSystem(1, ((entry,),), "scaled")
+            if entry.has_pole_at(0):
+                with pytest.raises(PoleAtZero):
+                    residue_at_zero(system)
+            else:
+                assert residue_at_zero(system) == ((entry(0),),)
+
     def test_fuchs_trace_relation(self):
         # residues at 0, 1, infinity sum to trace zero for every family
         for name in ("elliptic", "sextic", "group1", "group2"):
@@ -305,6 +320,23 @@ class TestEigenvalues:
             # x^2 - 2*3*5*7*11*13*17 has 64 divisor pairs and no rational root
             rational_eigenvalues(((F(0), F(510510)), (F(1), F(0))))
         assert time.perf_counter() - start < 10
+
+    def test_large_product_is_refused_before_the_search(self):
+        # eigenvalues e and e + 1: the search would run to sqrt(e (e + 1))
+        e = 10**7
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            rational_eigenvalues(((F(e), F(1)), (F(0), F(e + 1))))
+        assert time.perf_counter() - start < 0.1
+
+    def test_char_poly_matches_cofactor_oracle(self):
+        rng = random.Random(1021)
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            m = tuple(tuple(F(rng.randint(-4, 4), rng.randint(1, 4))
+                            if rng.random() < 0.7 else F(0) for _ in range(n))
+                      for _ in range(n))
+            assert _char_poly(m) == cofactor_char_poly(m), m
 
     def test_matches_evaluation_oracle_on_known_spectra(self):
         rng = random.Random(1019)

@@ -14,7 +14,12 @@ from hwmt.errors import (
     NotInteriorOrigin,
     NotReflexive,
 )
-from hwmt.hasse_witt import _hw_coefficients, _kernel_plan, hasse_witt_polynomial
+from hwmt.hasse_witt import (
+    _factorials_mod,
+    _hw_coefficients,
+    _kernel_plan,
+    hasse_witt_polynomial,
+)
 from hwmt.polytope import (
     _canonical_orders,
     LatticePolytope,
@@ -376,8 +381,13 @@ class TestNormalForm:
         assert 2 * len(polys) < found.count(True) < len(found) // 4
 
     def test_kernel_invariant_requires_reflexive(self):
-        with pytest.raises(NotReflexive):
-            kernel_invariant(LatticePolytope(2, ((2, 0), (0, 2), (-2, -2))))
+        # memoized, but an error is not cached: raised on every call
+        p = LatticePolytope(2, ((2, 0), (0, 2), (-2, -2)))
+        for _ in range(3):
+            with pytest.raises(NotReflexive):
+                kernel_invariant(p)
+        reflexive = LatticePolytope(2, ((1, 0), (0, 1), (-1, -1)))
+        assert kernel_invariant(reflexive) is kernel_invariant(reflexive)
 
     @given(data=st.data())
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -417,7 +427,8 @@ class TestCaches:
         distinct = 2 * (len(records2d) + len(records3d))
         for cached in (facets, lattice_points, vertex_facet_sets, polar_dual,
                        vertex_kernel, _canonical_orders, normal_form,
-                       _kernel_plan, _hw_coefficients):
+                       kernel_invariant, _kernel_plan, _factorials_mod,
+                       _hw_coefficients):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize >= distinct
 
