@@ -19,13 +19,17 @@ row the points left are an arithmetic progression, and the walk returns
 each such progression as one run, not as vectors.  What depends only on
 the exponents (basis, pivots, back substitution, bounds) is one cached
 ``_kernel_plan`` per exponent tuple, shared by every budget and prime.
-The plan also holds the runs of the largest budget walked so far, so one
-walk per exponent set serves every budget up to it, and so every prime up
-to it: a smaller budget cuts each run instead of walking again.  The cut
-is exact because the walk's last row is: a run is every point of its
-prefix within the budget, and sum(a) moves by the constant sum of the
-last basis row along it, so the points within a smaller budget are a head
-or a tail of the run, or all or none of it.
+The plan also holds walks made at powers of two: a budget e is served by
+the walk at the least power of two >= e, its horizon, and cuts each run
+of it instead of walking again, so one walk per exponent set serves every
+prime p with p - 1 in (2^(k-1), 2^k].  The cut is exact because the
+walk's last row is: a run is every point of its prefix within the
+budget, and sum(a) moves by the constant sum of the last basis row along
+it, so the points within a smaller budget are a head or a tail of the
+run, or all or none of it.  A budget never cuts the walk of a larger
+horizon, so which walks a call makes depends only on its own budget and
+on whether its horizon was walked before, never on the order of the
+budgets asked.
 ``constant_term_power`` and ``hasse_witt_polynomial`` fold each run into
 weights mod p without building a vector; ``period_coefficients``, which
 needs exact multinomials, expands the runs into vectors
@@ -69,10 +73,9 @@ class HWInvariant:
 
 
 # the part of the kernel-lattice walk that depends only on the exponents,
-# and ``walked``, a one-element list holding (budget, runs) of the largest
-# budget walked so far.  The pair is replaced whole, never edited, so a
-# thread always reads a consistent pair; two threads racing to replace it
-# can only cost a later call a repeat walk.
+# and ``walked``, a dict from each horizon walked so far to its runs.  An
+# entry is stored whole, never edited, so a thread always reads complete
+# runs; two threads racing to store one can only cost a repeat walk.
 _Plan = namedtuple("_Plan", "fixed varying incs d m most step above gain walked")
 
 
@@ -103,8 +106,7 @@ def _kernel_plan(exps) -> _Plan:
     basis = left_kernel(exps)
     r = len(basis)
     if r == 0:
-        return _Plan((), tuple(range(k)), (0,) * k, 1, (), (), (), (), (),
-                     [(-1, [])])
+        return _Plan((), tuple(range(k)), (0,) * k, 1, (), (), (), (), (), {})
     pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
     free = [j for j in range(k) if j not in pivots]
     d = 1
@@ -128,7 +130,13 @@ def _kernel_plan(exps) -> _Plan:
                  for t, g in enumerate(gain))
     varying = (pivots[-1], *free)
     return _Plan(tuple(pivots[:-1]), varying, tuple(basis[-1][j] for j in varying),
-                 d, tuple(m), most, step, above, gain, [(-1, [])])
+                 d, tuple(m), most, step, above, gain, {})
+
+
+def _horizon(e: int) -> int:
+    """The budget of the walk that serves budget e: the least power of two
+    >= e (1 for e <= 1)."""
+    return 1 << max(e - 1, 0).bit_length()
 
 
 def _kernel_runs(plan: _Plan, e: int):
@@ -136,37 +144,37 @@ def _kernel_runs(plan: _Plan, e: int):
     (prefix, count, starts): the points with a[plan.fixed] = prefix and
     a[plan.varying] = starts + i * plan.incs for i = 0..count-1.
 
-    The plan holds the runs of the largest budget walked so far, and a
-    smaller budget cuts them rather than walking again.  Along a run sum(a)
-    is s0 + i * ds with ds = sum(plan.incs), so the points with sum <= e
-    are a head of the run when ds > 0, a tail when ds < 0, and all or none
-    of it when ds = 0.  The walk's last row is exact, so each of its runs
-    is every point of its prefix within the budget, and the cut is the
-    walk at e, run for run.  The returned lists are shared: read them only.
+    The runs are those of the walk at e's horizon, walked once per plan and
+    cut to e.  Along a run sum(a) is s0 + i * ds with ds = sum(plan.incs),
+    so the points with sum <= e are a head of the run when ds > 0, a tail
+    when ds < 0, and all or none of it when ds = 0.  The walk's last row is
+    exact, so each of its runs is every point of its prefix within the
+    horizon, and the cut is the walk at e, run for run.  The returned lists
+    are shared: read them only.
     """
-    budget, runs = plan.walked[0]
-    if e > budget:
-        runs = _walk(plan, e)
-        plan.walked[0] = (e, runs)
-    elif e < budget:
-        incs = plan.incs
-        ds = sum(incs)
-        cut = []
-        for prefix, count, starts in runs:
-            s0 = sum(prefix) + sum(starts)
-            if ds > 0:
-                count = min(count, (e - s0) // ds + 1)
-            elif ds < 0:
-                skip = -((e - s0) // -ds)  # ceil((s0 - e) / -ds)
-                if skip > 0:
-                    count -= skip
-                    starts = [v + skip * inc for v, inc in zip(starts, incs)]
-            elif s0 > e:
-                continue
-            if count > 0:
-                cut.append((prefix, count, starts))
-        runs = cut
-    return runs
+    h = _horizon(e)
+    runs = plan.walked.get(h)
+    if runs is None:
+        runs = plan.walked[h] = _walk(plan, h)
+    if e == h:
+        return runs
+    incs = plan.incs
+    ds = sum(incs)
+    cut = []
+    for prefix, count, starts in runs:
+        s0 = sum(prefix) + sum(starts)
+        if ds > 0:
+            count = min(count, (e - s0) // ds + 1)
+        elif ds < 0:
+            skip = -((e - s0) // -ds)  # ceil((s0 - e) / -ds)
+            if skip > 0:
+                count -= skip
+                starts = [v + skip * inc for v, inc in zip(starts, incs)]
+        elif s0 > e:
+            continue
+        if count > 0:
+            cut.append((prefix, count, starts))
+    return cut
 
 
 def _walk(plan: _Plan, e: int):

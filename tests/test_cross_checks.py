@@ -17,6 +17,7 @@ from hwmt.families import FAMILIES, get_family
 from hwmt.hasse_witt import (
     _budget_weights,
     _factorials_mod,
+    _horizon,
     _hw_coefficients,
     _kernel_plan,
     _kernel_points,
@@ -261,7 +262,7 @@ def test_cut_of_a_larger_walk_is_a_fresh_walk(fixture_polytopes):
         _kernel_plan.cache_clear()
         plan = _kernel_plan(tuple(exps))
         for e in budgets:
-            cuts += plan.walked[0][0] > e
+            cuts += _horizon(e) > e
             assert _kernel_runs(plan, e) == fresh[e][0], (exps, e)
             assert sorted(_kernel_points(exps, e)) == fresh[e][1], (exps, e)
         if plan.step:
@@ -269,6 +270,31 @@ def test_cut_of_a_larger_walk_is_a_fresh_walk(fixture_polytopes):
             signs[(ds > 0) - (ds < 0)] += 1
     assert len(exponent_sets) >= 74 + 200 and cuts > 1000
     assert min(signs[-1], signs[0], signs[1]) >= 5, signs
+
+
+def test_walks_do_not_depend_on_budget_order(fixture_polytopes, monkeypatch):
+    # a budget is served by the walk at its horizon alone, so every order of
+    # the same budgets makes the same walks, one per horizon.  The package's
+    # name hasse_witt is the function, so the module comes from sys.modules.
+    module, walks = sys.modules["hwmt.hasse_witt"], []
+    monkeypatch.setattr(module, "_walk",
+                        lambda plan, e: walks.append(e) or _walk(plan, e))
+    assert [_horizon(e) for e in (0, 1, 2, 3, 4, 5, 8, 9, 42, 58, 64, 65)] == \
+        [1, 1, 2, 4, 4, 8, 8, 16, 64, 64, 64, 128]
+    exponent_sets = [list(polar_dual(d).vertices) for d in fixture_polytopes[:20]]
+    exponent_sets += [list(polar_dual(f.polytope).vertices) for f in FAMILIES.values()]
+    rng = random.Random(7)
+    for exps in exponent_sets:
+        for budgets in ([42, 46, 52, 58], [4, 6, 10, 12, 16]):
+            made = set()
+            for order in (budgets, budgets[::-1], rng.sample(budgets, len(budgets))):
+                _kernel_plan.cache_clear()
+                walks.clear()
+                for e in order:
+                    _kernel_points(exps, e)
+                made.add(tuple(sorted(walks)))
+            assert made == {tuple(sorted({_horizon(e) for e in budgets}))}, exps
+    _kernel_plan.cache_clear()
 
 
 def test_threads_sharing_a_plan_get_their_own_budgets(fixture_polytopes):
