@@ -4,8 +4,14 @@ The truncation [.]^(p-1) keeps terms of degree 0 through p-1 inclusive;
 that is the length forced by the degree-(p-1) Hasse-Witt polynomial.
 Rational parameters and arguments are reduced mod p through modular
 inverses of their denominators.
+
+An upper factor a + n - 1 of (a)_n is 0 mod p from n = (1 - a) mod p on,
+so every later term is 0: the pass over the terms stops at the first such
+n.  A lower factor that would vanish below p is refused before the pass.
+The truncation length reported as `terms_used` is still p.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -33,7 +39,13 @@ def is_prime(n) -> bool:
 
 
 def require_prime(p):
-    if not is_prime(p):
+    """NotPrime unless p is an integer (anything operator.index takes) and
+    prime; a float or a string is refused, not truncated or parsed."""
+    try:
+        n = operator.index(p)
+    except TypeError:
+        raise NotPrime(f"modulus {p!r} is not an integer") from None
+    if not is_prime(n):
         raise NotPrime(f"{p} is not prime")
 
 
@@ -118,6 +130,12 @@ def _argument_mod_p(data: HypergeometricData, psi, p: int) -> int:
     return z_c * pow(psi_mod, e, p) % p
 
 
+def _first_vanishing_term(params, p: int) -> int:
+    """Least n in [1, p) with a + n - 1 == 0 mod p for some reduced
+    parameter a, or p when there is none (every a == 1 mod p)."""
+    return min(((1 - a) % p or p for a in params), default=p)
+
+
 def truncated_pFq(data: HypergeometricData, psi, p: int) -> TruncatedValue:
     """Sum of the first p terms (degrees 0..p-1) of pFq at c*psi^e, mod p.
 
@@ -126,23 +144,32 @@ def truncated_pFq(data: HypergeometricData, psi, p: int) -> TruncatedValue:
     each stepped by one factor per term.  The partial sum is carried as a
     numerator over den_n (total <- total * r_n + num_n * z^n, where
     den_n = den_(n-1) * r_n), so a single inverse is taken at the end.
-    BadDenominator is raised at the first term whose step r_n vanishes,
-    which is where den_n first vanishes.  The tests compare it with a term
-    by term sum of Pochhammer products.
+
+    When z != 0 mod p, a lower factor b + n - 1 that vanishes at some
+    n = (1 - b) mod p below p is refused with BadDenominator at the least
+    such n, before the pass.  The pass then stops at the first vanishing
+    upper factor, n = (1 - a) mod p: every later term is 0, and the sum
+    over den_n already has its final ratio.  `terms_used` is still the
+    truncation length p.  The tests compare it with a term by term sum of
+    Pochhammer products.
     """
     require_prime(p)
     z = _argument_mod_p(data, psi, p)
     nums = [frac_mod(a, p) for a in data.numerators]
     dens = [frac_mod(b, p) for b in data.denominators]
+    stop = 1
+    if z:
+        bad = _first_vanishing_term(dens, p)
+        if bad < p:
+            raise BadDenominator(
+                f"lower-parameter Pochhammer vanishes mod {p} at term {bad}"
+            )
+        stop = _first_vanishing_term(nums, p)
     total = num = den = zn = 1
-    for n in range(1, p if z else 1):
+    for n in range(1, stop):
         r = n
         for b in dens:
             r = r * (b + n - 1) % p
-        if r == 0:
-            raise BadDenominator(
-                f"lower-parameter Pochhammer vanishes mod {p} at term {n}"
-            )
         for a in nums:
             num = num * (a + n - 1) % p
         zn = zn * z % p

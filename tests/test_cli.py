@@ -139,6 +139,17 @@ GOLDEN = [
      "fba90f9ee09985123543e4c3e30bcc2786cdb9df3a26eec1a666827f22cab74c"),
     ("hw --family group1 --psi 2,3 --primes 5,13,17", 0,
      "09a8f9bebe894f24182c41cbd6ef9ffdbbee691f87c9b9729024b853e5877b93"),
+    # recorded before the truncated series stopped at its first vanishing
+    # upper factor: a long series, a lower factor refused at term 5 after
+    # the upper stop at 4, and the callers that sum series at larger p
+    ("hyp --params 1/2,1/4,3/4;1,1 --arg 256,-4 --psi 2 --prime 401", 0,
+     "41b398ced922b3ee62a5e0974baabc44de45ed6d213e816339ec999b43edd641"),
+    ("hyp --params 1/4,1/2;1/3 --arg 1,1 --psi 2 --prime 13", 1,
+     "fb8e85e8d6c6fa3dc6a244fe790e6c5dd30a0ca6d5cdfc2cbf279da977a1cfbf"),
+    ("verify clausen --family group2 --psi 1,2 --primes 401", 0,
+     "903a5fef1b393dad2c88f6f9d768b99510d00b6326a173d6dfb5dcf27b8c55f3"),
+    ("verify congruence --family quartic --psi 2 --primes 29,31", 0,
+     "9410c40e020e8947cab57773d3a5e2b86213f81ae9e7ae319060f96e557cfecc"),
 ]
 
 

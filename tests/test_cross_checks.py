@@ -29,6 +29,7 @@ from hwmt.hasse_witt import (
     period_coefficients,
 )
 from hwmt.errors import (
+    BadDenominator,
     DegeneratePolytope,
     HwmtError,
     NonLatticeDual,
@@ -719,18 +720,54 @@ def _random_series(rng, p):
 PRIMES_TO_50 = [q for q in range(2, 50) if all(q % d for d in range(2, q))]
 
 
-@pytest.mark.parametrize("p", PRIMES_TO_50)
-def test_truncated_series_matches_term_sum(p):
+def _seeded_draws(p):
     rng = random.Random(4200 + p)
-    seen = set()
     for _ in range(40):
         data = _random_series(rng, p)
         psi = rng.choice((_random_rational(rng), F(rng.randint(0, 3 * p))))
+        yield data, psi
+
+
+def _first_vanishing_factor(params, p):
+    """Least n in 1..p-1 with a + n - 1 == 0 mod p for some parameter a,
+    found by scanning, or p when there is none."""
+    reduced = [frac_mod(a, p) for a in params]
+    return next((n for n in range(1, p)
+                 if any((a + n - 1) % p == 0 for a in reduced)), p)
+
+
+def _stop_order(data, p):
+    """'before' when the first vanishing upper factor comes before the
+    first vanishing lower one, 'after' when at or after it, and None when
+    no lower factor vanishes below p or a parameter does not reduce."""
+    try:
+        upper = _first_vanishing_factor(data.numerators, p)
+        lower = _first_vanishing_factor(data.denominators, p)
+    except BadDenominator:
+        return None
+    if lower == p:
+        return None
+    return "before" if upper < lower else "after"
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_50)
+def test_truncated_series_matches_term_sum(p):
+    seen = set()
+    for data, psi in _seeded_draws(p):
         expected = _outcome(series_by_terms, data, psi, p)
         got = _outcome(lambda *a: truncated_pFq(*a).value, data, psi, p)
         assert got == expected, (data, psi)
         seen.add(expected if isinstance(expected, type) else int)
     assert int in seen
+
+
+def test_truncated_series_draws_reach_both_stop_orders():
+    # the series is refused at a vanishing lower factor whether the upper
+    # stop comes before it or not; the seeded draws above cover both
+    orders = {_stop_order(data, p) for p in PRIMES_TO_50
+              for data, psi in _seeded_draws(p)
+              if _outcome(series_by_terms, data, psi, p) is BadDenominator}
+    assert {"before", "after"} <= orders
 
 
 @pytest.mark.parametrize("data,psi,p,error", [
@@ -749,12 +786,27 @@ def test_truncated_series_matches_term_sum(p):
     # psi^-4 with psi == 0 mod 7
     (HypergeometricData((F(1, 2), F(1, 4), F(3, 4)), (F(1), F(1)), (F(256), -4)),
      7, 7, "PsiNotInvertible"),
+    # mod 13 the upper (1/4)_n vanishes from n = 4, the lower (1/3)_n at
+    # n = 5: still refused
+    (HypergeometricData((F(1, 4), F(1, 2)), (F(1, 3),), (F(1), 1)), 2, 13,
+     "BadDenominator"),
+    # upper parameters 0 and -2: the value is 1, and a 3-term sum
+    (HypergeometricData((F(0), F(1, 2)), (F(1),), (F(1), 1)), 2, 13, None),
+    (HypergeometricData((F(-2), F(1, 2)), (F(1),), (F(1), 1)), 2, 13, None),
+    # every parameter == 1 mod 13: no factor vanishes, all 13 terms count
+    (HypergeometricData((F(14), F(-12)), (F(27),), (F(1), 1)), 3, 13, None),
 ])
 def test_truncated_series_edge_cases_match_term_sum(data, psi, p, error):
     expected = _outcome(series_by_terms, data, psi, p)
     got = _outcome(lambda *a: truncated_pFq(*a).value, data, psi, p)
     assert got == expected
     assert (expected.__name__ if isinstance(expected, type) else None) == error
+
+
+def test_lower_factor_after_an_upper_stop_is_refused_at_its_term():
+    data = HypergeometricData((F(1, 4), F(1, 2)), (F(1, 3),), (F(1), 1))
+    with pytest.raises(BadDenominator, match="vanishes mod 13 at term 5$"):
+        truncated_pFq(data, 2, 13)
 
 
 # --------------------------------------------------------------------------

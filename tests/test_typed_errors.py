@@ -66,6 +66,20 @@ CASES = [
     ("from hwmt.picard_fuchs import rational_eigenvalues",
      "rational_eigenvalues(((10**7, 1), (0, 10**7 + 1)))",
      "BudgetExceeded"),
+    # a prime that is not an int is refused, not truncated or parsed
+    ("from hwmt.hasse_witt import hasse_witt",
+     "hasse_witt('quartic', 2, 5.0)",
+     "NotPrime"),
+    ("from hwmt.hypergeometric import truncated_pFq\n"
+     "from hwmt.families import get_family",
+     "truncated_pFq(get_family('quartic').hg, 2, 7.0)",
+     "NotPrime"),
+    ("from hwmt.point_count import congruence_check",
+     "congruence_check('quartic', 2, 13.0)",
+     "NotPrime"),
+    ("from hwmt.hasse_witt import hasse_witt",
+     "hasse_witt('quartic', 2, '7')",
+     "NotPrime"),
 ]
 
 
