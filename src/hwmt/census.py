@@ -195,24 +195,17 @@ def run_census(records: List[PolytopeRecord]) -> CensusResult:
 
 
 def _rows(result: CensusResult):
-    pair_lookup = {}
-    for a, b in result.pairs:
-        pair_lookup.setdefault(a, []).append((a, b))
-        if a != b:
-            pair_lookup.setdefault(b, []).append((a, b))
+    # a mirror kernel pair is a kernel pair: both its ids are in one type
+    pairs = sorted(result.pairs)
     rows = []
     for t in sorted(result.types, key=lambda t: t.members[0]):
-        seen = []
-        for m in t.members:
-            for pr in pair_lookup.get(m, ()):
-                if pr not in seen:
-                    seen.append(pr)
+        members = set(t.members)
         rows.append(
             {
                 "label": t.label or "-",
                 "kernel": [list(v) for v in t.kernel.basis],
                 "members": sorted(t.members),
-                "pairs": sorted(seen),
+                "pairs": [pr for pr in pairs if pr[0] in members],
             }
         )
     return rows

@@ -249,11 +249,10 @@ def _cmd_hyp(args) -> int:
 
 
 def _cmd_pf(args) -> int:
-    rep = analyze_family(args.family)
+    d = analyze_family(args.family).as_dict()
     if args.json:
-        _emit(rep.as_dict())
+        _emit(d)
         return 0
-    d = rep.as_dict()
     print(f"family: {d['family']}")
     for stage in ("companion", "sheared", "powered", "rescaled", "inverted",
                   "residue_zero", "residue_infinity"):

@@ -78,8 +78,8 @@ class NonIntegerOrbitSum(HwmtError):
 
 
 class BudgetExceeded(HwmtError):
-    """A point count or an eigenvalue search would exceed its documented
-    work bound; refused before any work starts."""
+    """A point count, a Hasse-Witt kernel walk or an eigenvalue search would
+    exceed its documented work bound; refused before any work starts."""
 
 
 class UncountableAmbient(HwmtError):

@@ -77,10 +77,6 @@ class FamilyTag:
         )
 
 
-def _pf(*coeffs):
-    return tuple(coeffs)
-
-
 _ELLIPTIC = FamilyTag(
     name="elliptic",
     display="EllipticP1xP1",
@@ -89,7 +85,7 @@ _ELLIPTIC = FamilyTag(
     hg=HypergeometricData((F(1, 2), F(1, 2)), (F(1),), (F(1, 16), 2)),
     model="biprojective",
     model_psi_coeff=F(1),
-    pf_ode=_pf(
+    pf_ode=(
         ((0, 1), (0, -16, 0, 1)),          # psi / (psi^3 - 16 psi)
         ((-16, 0, 3), (0, -16, 0, 1)),     # (3 psi^2 - 16) / (psi^3 - 16 psi)
     ),
@@ -122,7 +118,7 @@ _SEXTIC = FamilyTag(
     hg=HypergeometricData((F(1, 2), F(1, 6), F(5, 6)), (F(1), F(1)), (F(1728), -6)),
     model="weighted_projective",
     model_psi_coeff=F(-1),
-    pf_ode=_pf(
+    pf_ode=(
         ((0, 0, 0, 1), (-1728, 0, 0, 0, 0, 0, 1)),
         ((-5184, 0, 0, 0, 0, 0, 7), (0, 0, -1728, 0, 0, 0, 0, 0, 1)),
         ((5184, 0, 0, 0, 0, 0, 6), (0, -1728, 0, 0, 0, 0, 0, 1)),
@@ -141,7 +137,7 @@ _GROUP1 = FamilyTag(
     hg=HypergeometricData((F(1, 2), F(1, 3), F(2, 3)), (F(1), F(1)), (F(-108), -3)),
     model=None,
     model_psi_coeff=F(1),
-    pf_ode=_pf(
+    pf_ode=(
         ((0, 1), (0, 108, 0, 0, 1)),
         ((0, 0, 7), (0, 108, 0, 0, 1)),
         ((162, 0, 0, 6), (0, 108, 0, 0, 1)),
@@ -166,7 +162,7 @@ _GROUP2 = FamilyTag(
     hg=HypergeometricData((F(1, 2), F(1, 4), F(3, 4)), (F(1), F(1)), (F(256), -4)),
     model=None,
     model_psi_coeff=F(1),
-    pf_ode=_pf(
+    pf_ode=(
         ((0, 1), (-256, 0, 0, 0, 1)),
         ((0, 0, 7), (-256, 0, 0, 0, 1)),
         ((0, 0, 0, 6), (-256, 0, 0, 0, 1)),
@@ -180,17 +176,11 @@ FAMILIES = {
     f.name: f for f in (_ELLIPTIC, _QUARTIC, _SEXTIC, _GROUP1, _GROUP2)
 }
 
+# each family by its name and its display name, plus the other spellings
 _ALIASES = {
-    "elliptic": "elliptic",
-    "ellipticp1xp1": "elliptic",
-    "quartic": "quartic",
+    **{key: f.name for f in FAMILIES.values() for key in (f.name, f.display.lower())},
     "fermat": "quartic",
-    "sextic": "sextic",
-    "group1": "group1",
-    "groupi": "group1",
     "group-i": "group1",
-    "group2": "group2",
-    "groupii": "group2",
     "group-ii": "group2",
 }
 

@@ -5,7 +5,8 @@ here is dimension-generic and allocation-light: the polytopes in this
 package have at most ~14 vertices in dimension <= 4.  Row Hermite normal
 forms give canonical lattice bases and integer kernels; ``det`` (Bareiss)
 gives the signed maximal minors that are the facet normals of
-``hwmt.polytope``.
+``hwmt.polytope``; ``char_poly`` (Faddeev-LeVerrier) gives the polynomials
+whose rational roots are the Picard-Fuchs exponents.
 """
 
 from math import gcd
@@ -124,3 +125,20 @@ def det(m):
         prev = pk
     return sign * a[-1][-1] if n else 1
 
+
+
+def char_poly(m):
+    """Ascending integer coefficients c_0, ..., c_n = 1 of det(x I - m) for a
+    square integer matrix, by the Faddeev-LeVerrier recurrence
+    M_k = m M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(m M_k) / k from M_0 = 0:
+    every c is an integer, so each division is exact."""
+    n = len(m)
+    c = [0] * n + [1]
+    prod = [[0] * n for _ in range(n)]  # m M_(k-1)
+    for k in range(1, n + 1):
+        mk = [[x + c[n - k + 1] * (i == j) for j, x in enumerate(row)]
+              for i, row in enumerate(prod)]
+        prod = [[sum(a * b for a, b in zip(row, col)) for col in zip(*mk)]
+                for row in m]
+        c[n - k] = -sum(prod[i][i] for i in range(n)) // k
+    return c

@@ -9,7 +9,7 @@ the published displays can be compared entry for entry.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -27,6 +27,7 @@ from .errors import (
 )
 from .families import get_family
 from .hypergeometric import HypergeometricData
+from .intlinalg import char_poly, vec_primitive
 from .ratfunc import Poly, RatFunc, RF_ONE, RF_ZERO
 
 Matrix = Tuple[Tuple[RatFunc, ...], ...]
@@ -41,7 +42,6 @@ DIVISOR_SEARCH_BUDGET = 10**6
 class FuchsianSystem:
     """First-order system dy/dt = M y (raw) or dy/dt = (1/t) M y (scaled)."""
 
-    size: int
     matrix: Matrix
     form: str = "raw"  # raw | scaled
     var: str = "psi"
@@ -71,6 +71,14 @@ def _require_form(system: FuchsianSystem, form: str) -> None:
         raise WrongSystemForm(f"expected a {form} system, got {system.form}")
 
 
+def _map_entries(system: FuchsianSystem, var: str, f) -> FuchsianSystem:
+    """The scaled system in var whose (i, j) entry is f(i, j, M_ij)."""
+    return FuchsianSystem(
+        tuple(tuple(f(i, j, e) for j, e in enumerate(row))
+              for i, row in enumerate(system.matrix)),
+        "scaled", var)
+
+
 def companion_matrix(ode_coeffs) -> FuchsianSystem:
     """Companion system of the monic ODE F^(n) + c_{n-1} F^(n-1) + ... +
     c_0 F = 0; coefficients are RatFuncs or (num_coeffs, den_coeffs) pairs."""
@@ -82,7 +90,7 @@ def companion_matrix(ode_coeffs) -> FuchsianSystem:
     for i in range(n - 1):
         rows.append(tuple(RF_ONE if j == i + 1 else RF_ZERO for j in range(n)))
     rows.append(tuple(-c for c in coeffs))
-    return FuchsianSystem(n, tuple(rows), "raw", "psi")
+    return FuchsianSystem(tuple(rows), "raw", "psi")
 
 
 def gauge_shear(system: FuchsianSystem) -> FuchsianSystem:
@@ -95,12 +103,8 @@ def gauge_shear(system: FuchsianSystem) -> FuchsianSystem:
     entry runs Euclid.
     """
     _require_form(system, "raw")
-    rows = []
-    for i, row in enumerate(system.matrix):
-        entries = [e.shift(1 + i - j) for j, e in enumerate(row)]
-        entries[i] = entries[i] + i
-        rows.append(tuple(entries))
-    return FuchsianSystem(system.size, tuple(rows), "scaled", "psi")
+    return _map_entries(system, "psi", lambda i, j, e: (
+        e.shift(1) + i if i == j else e.shift(1 + i - j)))
 
 
 def substitute_power(system: FuchsianSystem, k: int) -> FuchsianSystem:
@@ -109,11 +113,9 @@ def substitute_power(system: FuchsianSystem, k: int) -> FuchsianSystem:
     _require_form(system, "scaled")
     if k == 1:
         return system
-    rows = tuple(
-        tuple(e.power_substitute(k) * Fraction(1, k) for e in row)
-        for row in system.matrix
-    )
-    return FuchsianSystem(system.size, rows, "scaled", "z")
+    inv_k = Fraction(1, k)
+    return _map_entries(system, "z",
+                        lambda i, j, e: e.power_substitute(k) * inv_k)
 
 
 def rescale(system: FuchsianSystem, c) -> FuchsianSystem:
@@ -122,20 +124,14 @@ def rescale(system: FuchsianSystem, c) -> FuchsianSystem:
     c = Fraction(c)
     if c == 0:
         raise ZeroRescale("rescale constant must be nonzero")
-    rows = tuple(
-        tuple(e.scale_variable(c) for e in row) for row in system.matrix
-    )
-    return FuchsianSystem(system.size, rows, "scaled", "lambda")
+    return _map_entries(system, "lambda", lambda i, j, e: e.scale_variable(c))
 
 
 def invert_system(system: FuchsianSystem) -> FuchsianSystem:
     """The system at 1/t: lambda = 1/zeta turns (1/lambda) M(lambda) into
     (1/zeta) (-M(1/zeta))."""
     _require_form(system, "scaled")
-    rows = tuple(
-        tuple(-(e.invert_variable()) for e in row) for row in system.matrix
-    )
-    return FuchsianSystem(system.size, rows, "scaled", "zeta")
+    return _map_entries(system, "zeta", lambda i, j, e: -e.invert_variable())
 
 
 def _value_at_zero(system: FuchsianSystem, error, where: str):
@@ -161,63 +157,36 @@ def residue_at_zero(system: FuchsianSystem):
     return _value_at_zero(system, PoleAtZero, "0")
 
 
-def _char_poly(matrix) -> Poly:
-    """det(x I - A) for a matrix of Fractions, as a Poly in x, in O(n^3).
+def _cleared_char_poly(matrix):
+    """det(x I - A) cleared of denominators, ascending.  A monic polynomial
+    cleared by the lcm of its denominators is primitive, so this is the
+    primitive part of L^n chi_A(x) = sum b_i L^i x^i, where L is the lcm of
+    the entry denominators and b the integer characteristic polynomial of
+    L A."""
+    lcm = math.lcm(*(x.denominator for row in matrix for x in row))
+    b = char_poly([[x.numerator * (lcm // x.denominator) for x in row]
+                   for row in matrix])
+    return vec_primitive([c * lcm**i for i, c in enumerate(b)])
 
-    A is brought to upper Hessenberg form H by similarity (a row operation
-    and the inverse column operation per step, with a row and column swap
-    where the pivot is 0), and the characteristic polynomials chi_k of the
-    leading k x k blocks of H satisfy
-    chi_k = (x - h[k-1][k-1]) chi_{k-1}
-            - sum_i h[k-1-i][k-1] h[k-1][k-2]...h[k-i][k-i-1] chi_{k-1-i}.
-    """
-    n = len(matrix)
-    h = [[Fraction(x) for x in row] for row in matrix]
-    for m in range(1, n - 1):
-        i = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if i is None:
-            continue
-        if i != m:
-            h[i], h[m] = h[m], h[i]
-            for row in h:
-                row[i], row[m] = row[m], row[i]
-        pivot = h[m][m - 1]
-        for j in range(m + 1, n):
-            u = h[j][m - 1] / pivot
-            if u:
-                h[j] = [a - u * b for a, b in zip(h[j], h[m])]
-                for row in h:
-                    row[m] += u * row[j]
-    chis = [[Fraction(1)]]  # ascending coefficients of chi_0, chi_1, ...
-    for k in range(1, n + 1):
-        chi = [Fraction(0)] + chis[k - 1]  # x * chi_{k-1}
-        for i, c in enumerate(chis[k - 1]):
-            chi[i] -= h[k - 1][k - 1] * c
-        sub = Fraction(1)
-        for i in range(1, k):
-            sub *= h[k - i][k - i - 1]
-            if not sub:
-                break
-            t = h[k - 1 - i][k - 1] * sub
-            for j, c in enumerate(chis[k - 1 - i]):
-                chi[j] -= t * c
-        chis.append(chi)
-    return Poly(tuple(chis[n]))
+
+def _char_poly(matrix) -> Poly:
+    """det(x I - A) as a Poly in x: the cleared polynomial made monic."""
+    ints = _cleared_char_poly(matrix)
+    return Poly(tuple(Fraction(c, ints[-1]) for c in ints))
 
 
 def rational_eigenvalues(matrix) -> Tuple[Fraction, ...]:
     """All eigenvalues, found by the rational-root theorem, with
     multiplicity; IrrationalEigenvalue if any root is not rational.
 
-    The characteristic polynomial is cleared of denominators once.  A
+    The search runs on the characteristic polynomial cleared of
+    denominators, which ``_cleared_char_poly`` finds in integers.  A
     candidate p/q in lowest terms is a root of sum a_i x^i exactly when
     sum a_i p^i q^(n-i) = 0, and then (q x - p) divides it in Z[x] (Gauss's
     lemma), so the search and the deflation stay in integers.  The divisor
     search is bounded: BudgetExceeded, before it starts, when the integer
     square root of a coefficient it factors exceeds DIVISOR_SEARCH_BUDGET."""
-    chi = _char_poly(matrix)
-    lcm = math.lcm(*(c.denominator for c in chi.coeffs))
-    ints = [c.numerator * (lcm // c.denominator) for c in chi.coeffs]
+    ints = _cleared_char_poly(matrix)
     zeros = next(i for i, a in enumerate(ints) if a)  # chi is monic
     roots = [Fraction(0)] * zeros
     ints = ints[zeros:]
@@ -225,7 +194,8 @@ def rational_eigenvalues(matrix) -> Tuple[Fraction, ...]:
         root = _rational_root(ints)
         if root is None:
             raise IrrationalEigenvalue(
-                f"characteristic polynomial {chi} has an irrational factor"
+                f"characteristic polynomial {_char_poly(matrix)} has an "
+                "irrational factor"
             )
         roots.append(Fraction(*root))
         ints = _deflate(ints, *root)
@@ -260,20 +230,13 @@ def _divisors(n):
     """The positive divisors of n != 0 in increasing order, from the pairs
     (d, |n|/d) with d <= sqrt(|n|); BudgetExceeded before the search when
     sqrt(|n|) is above DIVISOR_SEARCH_BUDGET."""
-    n = abs(n)
-    if math.isqrt(n) > DIVISOR_SEARCH_BUDGET:
+    n, root = abs(n), math.isqrt(abs(n))
+    if root > DIVISOR_SEARCH_BUDGET:
         raise BudgetExceeded(
-            f"a divisor search of {n} would take {math.isqrt(n)} steps, "
+            f"a divisor search of {n} would take {root} steps, "
             f"above its bound {DIVISOR_SEARCH_BUDGET}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, root + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def extract_parameters(exponents: ExponentData,
@@ -332,22 +295,18 @@ class PipelineReport:
     notes: List[str] = field(default_factory=list)
 
     def as_dict(self) -> Dict:
-        def mat(m):
-            return [[str(x) for x in row] for row in m]
+        def strs(xs):
+            return [str(x) for x in xs]
 
+        systems = ("companion", "sheared", "powered", "rescaled", "inverted")
         return {
             "family": self.family,
-            "companion": [list(r) for r in self.companion.entry_strings()],
-            "sheared": [list(r) for r in self.sheared.entry_strings()],
-            "powered": [list(r) for r in self.powered.entry_strings()],
-            "rescaled": [list(r) for r in self.rescaled.entry_strings()],
-            "inverted": [list(r) for r in self.inverted.entry_strings()],
-            "residue_zero": mat(self.residue_zero),
-            "residue_infinity": mat(self.residue_infinity),
-            "exponents_at_zero": [str(e) for e in self.exponents.exponents_at_zero],
-            "exponents_at_infinity": [
-                str(e) for e in self.exponents.exponents_at_infinity
-            ],
+            **{s: [list(r) for r in getattr(self, s).entry_strings()]
+               for s in systems},
+            "residue_zero": [strs(row) for row in self.residue_zero],
+            "residue_infinity": [strs(row) for row in self.residue_infinity],
+            "exponents_at_zero": strs(self.exponents.exponents_at_zero),
+            "exponents_at_infinity": strs(self.exponents.exponents_at_infinity),
             "intermediate": str(self.intermediate),
             "final": str(self.final),
             "mum_argument": [str(self.mum_argument[0]), self.mum_argument[1]],
@@ -375,21 +334,15 @@ def analyze_family(family) -> PipelineReport:
         rational_eigenvalues(res0), rational_eigenvalues(res_inf)
     )
     intermediate = extract_parameters(exponents, (1 / c, k))
-    final = mum_normalize(exponents, (c, k))
-    notes = []
-    if fam.mum_note:
-        notes.append(fam.mum_note)
-    if fam.intermediate_note:
-        notes.append(fam.intermediate_note)
-    if final.argument != fam.hg.argument:
+    final = generic = mum_normalize(exponents, (c, k))
+    notes = [note for note in (fam.mum_note, fam.intermediate_note) if note]
+    if generic.argument != fam.hg.argument:
         # keep the family's printed orientation as the reported argument
-        final = HypergeometricData(
-            final.numerators, final.denominators, fam.hg.argument
-        )
+        final = replace(generic, argument=fam.hg.argument)
         notes.append(
             "argument reported in the printed orientation "
             f"{fam.hg.argument_str()}; the generic inversion gives "
-            f"{mum_normalize(exponents, (c, k)).argument_str()}"
+            f"{generic.argument_str()}"
         )
     return PipelineReport(
         family=fam.name,

@@ -107,9 +107,9 @@ class LatticePolytope:
     dim: int
     vertices: Tuple[LatticePoint, ...]
     id: Optional[int] = field(default=None, compare=False)
-    # facets known at construction (a polar dual's); a cache, not data
-    known_facets: Optional[Tuple[FacetInequality, ...]] = field(
-        default=None, compare=False, repr=False)
+    # set only by polar_dual: not a field, so no caller can pass facets that
+    # ``facets`` would then cache for every equal polytope
+    _known_facets = None
 
     def __post_init__(self):
         try:
@@ -166,8 +166,8 @@ def facets(p: LatticePolytope) -> Tuple[FacetInequality, ...]:
     inside the tight set of a facet already found spans that facet again,
     so it is skipped and each facet is found once.
     """
-    if p.known_facets is not None:
-        return p.known_facets
+    if p._known_facets is not None:
+        return p._known_facets
     n, verts = p.dim, p.vertices
     found, tight_sets = [], []
     for sub in combinations(range(len(verts)), n):
@@ -231,9 +231,13 @@ def polar_dual(p: LatticePolytope) -> LatticePolytope:
             )
         dual_verts.append(f.normal)
     # <v, w> >= -1 for each vertex v of p, primitive because the dual's
-    # lattice points on that facet give it the value -1
-    known = tuple(FacetInequality(v, 1) for v in sorted(p.vertices))
-    return LatticePolytope(p.dim, tuple(sorted(dual_verts)), known_facets=known)
+    # lattice points on that facet give it the value -1; they are set before
+    # __init__ validates the dual, so the validation enumerates nothing
+    dual = object.__new__(LatticePolytope)
+    object.__setattr__(dual, "_known_facets",
+                       tuple(FacetInequality(v, 1) for v in sorted(p.vertices)))
+    dual.__init__(p.dim, tuple(sorted(dual_verts)))
+    return dual
 
 
 @lru_cache(maxsize=CACHE_SIZE)

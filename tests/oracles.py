@@ -15,8 +15,8 @@ Each is independent of the engine it checks:
   vertex subset, against the cofactor normals of ``hwmt.polytope.facets``
   and the facets a polar dual inherits;
 - ``cofactor_char_poly``, the characteristic polynomial by cofactor
-  expansion, against the Hessenberg route of
-  ``hwmt.picard_fuchs._char_poly``;
+  expansion, against the Faddeev-LeVerrier ``hwmt.intlinalg.char_poly``
+  and the integer polynomial that ``hwmt.picard_fuchs`` searches;
 - ``adjugate_det``, the adjugate by cofactors, for the lattice maps below;
 - the backtracking bijection search, against the relations that
   ``hwmt.polytope`` decides and witnesses by canonical vertex orders.
@@ -230,7 +230,8 @@ def cofactor_char_poly(matrix) -> Poly:
             total = total + term if k % 2 == 0 else total - term
         return total
 
-    return det(tuple(range(n)), tuple(range(n)))
+    # det of the 0 x 0 matrix is the empty product 1
+    return det(tuple(range(n)), tuple(range(n))) if n else Poly.of(1)
 
 
 def adjugate_det(m):

@@ -281,8 +281,8 @@ def test_criterion_9_picard_fuchs_pipeline():
         for stage in ("companion", "sheared", "powered", "rescaled", "inverted"):
             system = getattr(rep, stage)
             expected = displays[stage]
-            for i in range(system.size):
-                for j in range(system.size):
+            for i in range(len(system.matrix)):
+                for j in range(len(system.matrix)):
                     ok &= system.matrix[i][j] == expected[i][j]
         ok &= rep.residue_zero == displays["residue_zero"]
         ok &= rep.residue_infinity == displays["residue_infinity"]

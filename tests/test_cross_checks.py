@@ -51,7 +51,8 @@ from hwmt.point_count import (
     count_family,
     count_graded,
 )
-from hwmt.intlinalg import left_kernel
+from hwmt.intlinalg import char_poly, left_kernel
+from hwmt.ratfunc import Poly
 from hwmt.polytope import (
     LatticePolytope,
     facets,
@@ -65,6 +66,7 @@ from hwmt.polytope import (
 from oracles import (
     _series_term,
     adjugate_det,
+    cofactor_char_poly,
     combinatorial_bijections,
     hnf_facets,
     hnf_polytope,
@@ -878,11 +880,12 @@ def test_inherited_dual_facets_match_hnf_oracle(fixture_polytopes):
         cached.cache_clear()
     for p in polys:
         dual = polar_dual(p)
-        assert facets(dual) == dual.known_facets == hnf_facets(dual.dim, dual.vertices)
+        assert facets(dual) == dual._known_facets \
+            == hnf_facets(dual.dim, dual.vertices)
         # the inherited facets are a cache: a fresh polytope with the same
         # vertices is equal, hashes alike and prints alike
         fresh = LatticePolytope(dual.dim, dual.vertices)
-        assert fresh.known_facets is None
+        assert fresh._known_facets is None
         assert (fresh, hash(fresh), repr(fresh)) == (dual, hash(dual), repr(dual))
 
 
@@ -970,6 +973,38 @@ def test_adjugate_det_matches_fraction_oracles():
         )
         assert adj == cofactors, m
     assert 400 < singular < 900
+
+
+def test_char_poly_matches_cofactor_oracle():
+    assert char_poly(()) == [1]
+    assert cofactor_char_poly(()) == Poly.of(1)
+    rng = random.Random(2207)
+    kinds = Counter()
+    for i in range(360):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if i % 3 == 1:
+            # one row an integer combination of the others: singular
+            r = rng.randrange(n)
+            m[r] = [sum(rng.randint(-2, 2) * m[t][c] for t in range(n) if t != r)
+                    for c in range(n)]
+        elif i % 3 == 2:
+            # strictly upper triangular, conjugated by elementary integer
+            # matrices I + c e_ab: nilpotent, det(x I - m) = x^n
+            m = [[x if b > a else 0 for b, x in enumerate(row)]
+                 for a, row in enumerate(m)]
+            for _ in range(2 * n if n > 1 else 0):
+                a, b = rng.sample(range(n), 2)
+                c = rng.randint(-2, 2)
+                m[a] = [x + c * y for x, y in zip(m[a], m[b])]
+                for row in m:
+                    row[b] -= c * row[a]
+        got = char_poly(m)
+        assert all(type(c) is int for c in got), m
+        assert Poly(tuple(got)) == cofactor_char_poly(m), m
+        kinds["singular" if got[0] == 0 else "regular"] += 1
+        kinds["nilpotent"] += got == [0] * n + [1]
+    assert min(kinds.values()) >= 90, kinds
 
 
 def test_kernel_pair_ordering_matches_hnf(fixture_polytopes):

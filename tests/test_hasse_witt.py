@@ -1,15 +1,24 @@
 """Constant-term Hasse-Witt invariants, the Key Lemma, and truncations."""
 
+import importlib
+import time
 from collections import defaultdict
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
-from hwmt.errors import ExponentTooLarge, NotKernelPair, SingularMember, UnknownFamily
+from hwmt.errors import (
+    BudgetExceeded,
+    ExponentTooLarge,
+    NotKernelPair,
+    SingularMember,
+    UnknownFamily,
+)
 from hwmt.families import FAMILIES, get_family
 from hwmt.hasse_witt import (
     _hw_coefficients,
+    _kernel_plan,
     constant_term_power,
     hasse_witt,
     hasse_witt_polynomial,
@@ -21,6 +30,9 @@ from hwmt.hypergeometric import truncated_pFq
 from hwmt.polytope import LatticePolytope
 
 from oracles import member_terms, zero_sum_exponents
+
+# the module, which the package's hasse_witt function shadows as an attribute
+HW_MODULE = importlib.import_module("hwmt.hasse_witt")
 
 
 def naive_constant_term(terms, e: int):
@@ -238,3 +250,32 @@ class TestErrorPaths:
                 assert str(exc.value) == message, (warm, args)
             assert _hw_coefficients.cache_info().currsize == warm
             hasse_witt("quartic", 2, 5)
+
+
+class TestWalkBudget:
+    def test_refused_before_the_walk(self, records2d, monkeypatch):
+        # the hexagon's dual has a rank 4 kernel: C(1024 + 4, 4) > 4 * 10^10
+        walked = []
+        monkeypatch.setattr(HW_MODULE, "_walk",
+                            lambda plan, e: walked.append(e))
+        _hw_coefficients.cache_clear()
+        _kernel_plan.cache_clear()
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="46261908225 summands"):
+            hasse_witt(records2d[9].polytope, 2, 1009)
+        assert time.perf_counter() - start < 0.01
+        assert walked == []
+
+    @pytest.mark.parametrize("slack, refused", [(0, False), (-1, True)])
+    def test_bound_is_inclusive(self, slack, refused, monkeypatch):
+        # elliptic at p = 13: rank 2, horizon 16, C(18, 2) = 153 summands
+        monkeypatch.setattr(HW_MODULE, "KERNEL_WALK_BUDGET",
+                            comb(18, 2) + slack)
+        _hw_coefficients.cache_clear()
+        _kernel_plan.cache_clear()
+        if refused:
+            with pytest.raises(BudgetExceeded):
+                hasse_witt("elliptic", 3, 13)
+        else:
+            assert hasse_witt("elliptic", 3, 13).value == \
+                truncated_pFq(get_family("elliptic").hg, 3, 13).value

@@ -22,6 +22,7 @@ from hwmt.picard_fuchs import (
     ExponentData,
     FuchsianSystem,
     _char_poly,
+    _cleared_char_poly,
     analyze_family,
     companion_matrix,
     extract_parameters,
@@ -56,8 +57,8 @@ def matrices_equal(system, expected):
     """Compare a FuchsianSystem matrix with a matrix of RatFuncs."""
     return all(
         system.matrix[i][j] == expected[i][j]
-        for i in range(system.size)
-        for j in range(system.size)
+        for i in range(len(system.matrix))
+        for j in range(len(system.matrix))
     )
 
 
@@ -223,14 +224,14 @@ class TestResidues:
         )
 
     def test_zero_system(self):
-        zero = FuchsianSystem(2, ((rf((0,)), rf((0,))),
-                                  (rf((0,)), rf((0,)))), "scaled")
+        zero = FuchsianSystem(((rf((0,)), rf((0,))),
+                               (rf((0,)), rf((0,)))), "scaled")
         assert residue_at_zero(zero) == ((0, 0), (0, 0))
         # the residue at infinity is the value at 0 of the inverted system
         assert residue_at_zero(invert_system(zero)) == ((0, 0), (0, 0))
 
     def test_pole_at_zero_detected(self):
-        bad = FuchsianSystem(1, ((rf((1,), (0, 1)),),), "scaled")
+        bad = FuchsianSystem(((rf((1,), (0, 1)),),), "scaled")
         with pytest.raises(PoleAtZero):
             residue_at_zero(bad)
 
@@ -239,7 +240,7 @@ class TestResidues:
         for _ in range(200):
             entry = rf([rng.randint(-2, 2) for _ in range(rng.randint(1, 3))],
                        [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))] + [1])
-            system = FuchsianSystem(1, ((entry,),), "scaled")
+            system = FuchsianSystem(((entry,),), "scaled")
             if entry.has_pole_at(0):
                 with pytest.raises(PoleAtZero):
                     residue_at_zero(system)
@@ -280,7 +281,7 @@ class TestResidues:
         fam = get_family(name)
         raw = companion_matrix(fam.pf_ode)
         sheared = gauge_shear(raw)
-        n = raw.size
+        n = len(raw.matrix)
         a_val = [[e(t0) for e in row] for row in raw.matrix]
         expected = [
             [
@@ -337,6 +338,20 @@ class TestEigenvalues:
                             if rng.random() < 0.7 else F(0) for _ in range(n))
                       for _ in range(n))
             assert _char_poly(m) == cofactor_char_poly(m), m
+
+    def test_cleared_polynomial_matches_cofactor_oracle(self):
+        # the searched integer polynomial is the cofactor characteristic
+        # polynomial cleared by the lcm of its coefficient denominators
+        rng = random.Random(2208)
+        for _ in range(1000):
+            n = rng.randint(1, 5)
+            m = tuple(tuple(F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 35)))
+                            if rng.random() < 0.7 else F(0) for _ in range(n))
+                      for _ in range(n))
+            chi = cofactor_char_poly(m)
+            lcm = math.lcm(*(c.denominator for c in chi.coeffs))
+            want = tuple(c.numerator * (lcm // c.denominator) for c in chi.coeffs)
+            assert _cleared_char_poly(m) == want, m
 
     def test_matches_evaluation_oracle_on_known_spectra(self):
         rng = random.Random(1019)

@@ -22,6 +22,7 @@ from hwmt.hasse_witt import (
 )
 from hwmt.polytope import (
     _canonical_orders,
+    FacetInequality,
     LatticePolytope,
     vertex_facet_sets,
     facets,
@@ -421,6 +422,22 @@ class TestCaches:
         for _ in range(2):
             with pytest.raises(NonLatticeDual):
                 polar_dual(square)
+
+    def test_facets_cannot_be_passed_in(self):
+        # facets handed to the constructor would be cached for every equal
+        # polytope; only polar_dual sets them, and only true ones
+        verts = ((1, 0), (0, 1), (-1, -1))
+        doubled = tuple(FacetInequality(tuple(2 * a for a in f.normal),
+                                        2 * f.offset)
+                        for f in oracles.hnf_facets(2, verts))
+        facets.cache_clear()
+        with pytest.raises(TypeError):
+            LatticePolytope(2, verts, known_facets=doubled)
+        p = LatticePolytope(2, verts)
+        assert facets(p) == oracles.hnf_facets(2, verts)
+        assert is_reflexive(p)
+        assert facets(polar_dual(p)) == oracles.hnf_facets(
+            2, polar_dual(p).vertices)
 
     def test_every_cache_is_bounded(self, records2d, records3d):
         # a census touches every fixture polytope and its dual
