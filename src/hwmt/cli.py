@@ -65,7 +65,10 @@ def _frac_list(text: str):
 
 
 def _int_list(text: str):
-    return _nonempty([int(x) for x in text.split(",") if x], text)
+    try:
+        return _nonempty([int(x) for x in text.split(",") if x], text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
 def _vertices_arg(text: str):
@@ -327,8 +330,11 @@ def _cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 
 def _pair_arg(text):
-    a, b = text.split(",")
-    return (int(a), int(b))
+    try:
+        a, b = (int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected A,B, got {text!r}") from exc
+    return a, b
 
 
 def _add_selector(parser, with_family=False):

@@ -99,8 +99,8 @@ class ZeroRescale(HwmtError, ZeroDivisionError):
 
 
 class ZeroDenominator(HwmtError, ZeroDivisionError):
-    """A polynomial division by zero, a rational function with a zero
-    denominator, or a rational function evaluated at one of its poles."""
+    """A polynomial division by zero or a rational function with a zero
+    denominator."""
 
 
 class DegreeTooSmall(HwmtError):

@@ -98,9 +98,11 @@ class HypergeometricData:
         if e == 0:
             return str(c)
         pw = "psi" if abs(e) == 1 else f"psi^{abs(e)}"
-        if e > 0:
-            return f"{pw}/{1/c}" if c.numerator == 1 else f"{c}*{pw}"
-        return f"{c}/{pw}"
+        if e < 0:
+            return f"{c}/{pw}"
+        if c == 1:
+            return pw
+        return f"{pw}/{1/c}" if c.numerator == 1 else f"{c}*{pw}"
 
     def __str__(self):
         p, q = len(self.numerators), len(self.denominators)

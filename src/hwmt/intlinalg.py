@@ -2,11 +2,11 @@
 
 Vectors are tuples of ints; matrices are tuples of row tuples.  Everything
 here is dimension-generic and allocation-light: the polytopes in this
-package have at most ~14 vertices in dimension <= 4.  Row Hermite normal
-forms give canonical lattice bases and integer kernels; ``det`` (Bareiss)
-gives the signed maximal minors that are the facet normals of
-``hwmt.polytope``; ``char_poly`` (Faddeev-LeVerrier) gives the polynomials
-whose rational roots are the Picard-Fuchs exponents.
+package have at most ~14 vertices in dimension <= 4.  One row Hermite
+elimination gives canonical lattice bases, the transform and integer
+kernels; ``det`` (Bareiss) gives the signed maximal minors that are the
+facet normals of ``hwmt.polytope``; ``char_poly`` (Faddeev-LeVerrier)
+gives the polynomials whose rational roots are the Picard-Fuchs exponents.
 """
 
 from math import gcd
@@ -21,27 +21,17 @@ def vec_primitive(v):
     return tuple(x // g for x in v)
 
 
-def _hermite(rows, track):
-    """Row Hermite normal form of rows, with the transform when track."""
+def _hermite(rows, ncols):
+    """Row Hermite normal form of rows with pivots sought only in the first
+    ncols columns; the later columns follow the same row operations."""
     m = [list(r) for r in rows]
     nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if track else None
-
-    def swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        if track:
-            u[i], u[j] = u[j], u[i]
 
     def addmul(dst, src, c):
         if c:
             mi, ms = m[dst], m[src]
-            for k in range(ncols):
+            for k in range(len(mi)):
                 mi[k] += c * ms[k]
-            if track:
-                ui, us = u[dst], u[src]
-                for k in range(nrows):
-                    ui[k] += c * us[k]
 
     pivot = 0
     for col in range(ncols):
@@ -54,7 +44,7 @@ def _hermite(rows, track):
                 break
             i0 = min(nz, key=lambda i: abs(m[i][col]))
             if i0 != pivot:
-                swap(pivot, i0)
+                m[pivot], m[i0] = m[i0], m[pivot]
             done = True
             for i in range(pivot + 1, nrows):
                 if m[i][col]:
@@ -63,16 +53,20 @@ def _hermite(rows, track):
                         done = False
             if done:
                 break
-        if pivot < nrows and m[pivot][col]:
+        if m[pivot][col]:
             if m[pivot][col] < 0:
                 m[pivot] = [-x for x in m[pivot]]
-                if track:
-                    u[pivot] = [-x for x in u[pivot]]
             p = m[pivot][col]
             for i in range(pivot):
                 addmul(i, pivot, -(m[i][col] // p))
             pivot += 1
-    return tuple(tuple(r) for r in m), (tuple(tuple(r) for r in u) if track else None)
+    return tuple(tuple(r) for r in m)
+
+
+def _with_identity(rows):
+    """[rows | I]: each row followed by its unit vector."""
+    return [tuple(r) + tuple(int(i == j) for j in range(len(rows)))
+            for i, r in enumerate(rows)]
 
 
 def hermite_row(rows):
@@ -82,25 +76,29 @@ def hermite_row(rows):
     pivots, zeros below each pivot, entries above a pivot reduced into
     [0, pivot), and zero rows at the bottom.  H is the unique HNF of the row
     lattice for the given row span, so lattice equality is tuple equality.
+    H and U are the left and right blocks of [rows | I] after the row
+    operations that put its left block in HNF.
     """
-    return _hermite(rows, True)
+    ncols = len(rows[0]) if rows else 0
+    hu = _hermite(_with_identity(rows), ncols)
+    return (tuple(r[:ncols] for r in hu), tuple(r[ncols:] for r in hu))
 
 
 def hnf_rows(rows):
-    """Row HNF with zero rows dropped (canonical basis of the row lattice).
-
-    Transform-free: the elimination does not carry U."""
-    h, _ = _hermite(rows, False)
+    """Row HNF with zero rows dropped (canonical basis of the row lattice)."""
+    h = _hermite(rows, len(rows[0]) if rows else 0)
     return tuple(r for r in h if any(r))
 
 
 def left_kernel(rows):
-    """Canonical basis of {a : a @ rows == 0} as rows of an HNF matrix."""
-    h, u = hermite_row(rows)
-    ker = [u[i] for i in range(len(h)) if not any(h[i])]
-    if not ker:
-        return ()
-    return hnf_rows(ker)
+    """Canonical basis of {a : a @ rows == 0} as rows of an HNF matrix.
+
+    In the full HNF of [rows | I] the rows that vanish on rows' columns
+    are the transforms a with a @ rows == 0, a basis of the kernel, and
+    they are put in HNF by the same elimination on the identity columns."""
+    ncols = len(rows[0]) if rows else 0
+    hu = _hermite(_with_identity(rows), ncols + len(rows))
+    return tuple(r[ncols:] for r in hu if not any(r[:ncols]))
 
 
 def det(m):
@@ -124,7 +122,6 @@ def det(m):
                 ai[j] = (ai[j] * pk - c * ak[j]) // prev
         prev = pk
     return sign * a[-1][-1] if n else 1
-
 
 
 def char_poly(m):

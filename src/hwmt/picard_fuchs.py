@@ -99,7 +99,7 @@ def gauge_shear(system: FuchsianSystem) -> FuchsianSystem:
     With u = diag(psi^i) y the system becomes du/dpsi = (1/psi) M u where
     M_ij = psi^(1+i-j) A_ij + delta_ij * i; the result has regular singular
     points at 0 and infinity.  Each power of psi is a RatFunc.shift, which
-    cancels only powers of psi, and adding i is adding a polynomial, so no
+    cancels only powers of psi, and adding i is adding a number, so no
     entry runs Euclid.
     """
     _require_form(system, "raw")

@@ -5,13 +5,14 @@ Fraction, rational functions are kept gcd-reduced with monic denominator,
 and the only fancy operations are power substitution t -> t^(1/k), variable
 scaling, inversion t -> 1/t and the shift t^e * f.
 
-Every public construction, and the sum, product and quotient of two general
-rational functions, reduce by Euclid's algorithm.  The maps that provably
-keep a reduced num/den reduced skip it and only make the denominator monic:
-negation, a nonzero constant multiple, adding a polynomial, t -> c*t,
-t -> t^(1/k), t -> 1/t, and t^e * f, which cancels only a power of t.  Each
-method's docstring gives the reason; the reduced form with monic
-denominator is unique, so both routes give the same value.
+Euclid's algorithm runs in one place, the ``RatFunc(num, den)``
+constructor.  Every other operation is a map that provably keeps a reduced
+num/den reduced, so it skips Euclid and only makes the denominator monic:
+negation, multiplying by a number, adding a number, t -> c*t, t -> t^(1/k),
+t -> 1/t, and t^e * f, which cancels only a power of t.  Each method's
+docstring gives the reason; the reduced form with monic denominator is
+unique, so both routes give the same value.  There is no general sum,
+product, quotient or evaluation: the pipeline needs none.
 """
 
 from dataclasses import dataclass
@@ -63,22 +64,9 @@ class Poly:
     def __neg__(self):
         return Poly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(tuple(out))
-
-    __rmul__ = __mul__
+    def __mul__(self, c):
+        """p * c for a number c."""
+        return Poly(tuple(a * c for a in self.coeffs))
 
     def divmod(self, other):
         if other.is_zero():
@@ -105,13 +93,6 @@ class Poly:
         if a.is_zero():
             return a
         return a * (1 / a.coeffs[-1])  # monic
-
-    def __call__(self, x):
-        x = Fraction(x)
-        total = Fraction(0)
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
 
     def scale_variable(self, c) -> "Poly":
         """p(c*t)."""
@@ -150,7 +131,6 @@ class Poly:
 
 ZERO = Poly(())
 ONE = Poly.of(1)
-T = Poly.of(0, 1)
 
 
 @dataclass(frozen=True)
@@ -176,60 +156,21 @@ class RatFunc:
         """num/den for coprime num and nonzero den, without Euclid."""
         return _settle(object.__new__(RatFunc), num, den)
 
-    @staticmethod
-    def of(num, den=None) -> "RatFunc":
-        if isinstance(num, (int, Fraction)):
-            num = Poly.of(num)
-        if den is None:
-            den = ONE
-        elif isinstance(den, (int, Fraction)):
-            den = Poly.of(den)
-        return RatFunc(num, den)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __add__(self, other):
-        """A polynomial P (a number or a Poly) is added without Euclid,
-        since gcd(p + P*q, q) = gcd(p, q)."""
-        if isinstance(other, (int, Fraction)):
-            other = Poly.of(other)
-        if isinstance(other, Poly):
-            return RatFunc._coprime(self.num + other * self.den, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
+    def __add__(self, c):
+        """f + c for a number c, without Euclid, since gcd(p + c*q, q) =
+        gcd(p, q)."""
+        return RatFunc._coprime(self.num + self.den * c, self.den)
 
     def __neg__(self):
         return RatFunc._coprime(-self.num, self.den)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """A nonzero constant is a unit of Q[t], so multiplying by it keeps
-        num/den coprime (and 0 gives 0/1); other products reduce by Euclid."""
-        if isinstance(other, (int, Fraction)):
-            return RatFunc._coprime(self.num * other, self.den)
-        other = _coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        d = self.den(x)
-        if d == 0:
-            raise ZeroDenominator(f"pole at {x}")
-        return self.num(x) / d
-
-    def has_pole_at(self, x) -> bool:
-        return self.den(x) == 0 and not self.is_zero()
+    def __mul__(self, c):
+        """f * c for a number c.  A nonzero constant is a unit of Q[t], so
+        multiplying by it keeps num/den coprime (and 0 gives 0/1)."""
+        return RatFunc._coprime(self.num * c, self.den)
 
     def scale_variable(self, c) -> "RatFunc":
         """f(c*t) for c != 0.  t -> c*t is an automorphism of Q[t], so it
@@ -303,14 +244,6 @@ def _order(p: Poly) -> int:
 def _times_t(p: Poly, k: int) -> Poly:
     """t^k * p; for k < 0, t^-k must divide p."""
     return Poly((Fraction(0),) * k + p.coeffs if k >= 0 else p.coeffs[-k:])
-
-
-def _coerce(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, Poly):
-        return RatFunc(x, ONE)
-    return RatFunc.of(Fraction(x))
 
 
 RF_ZERO = RatFunc(ZERO, ONE)

@@ -14,10 +14,17 @@ Each is independent of the engine it checks:
 - ``hnf_facets`` and ``hnf_polytope``, facets by an HNF left kernel per
   vertex subset, against the cofactor normals of ``hwmt.polytope.facets``
   and the facets a polar dual inherits;
+- ``poly_product`` and ``evaluate``, the schoolbook product and Horner
+  evaluation of polynomials and rational functions, which ``hwmt.ratfunc``
+  leaves out: its maps are checked against Euclid on products built here,
+  and the Picard-Fuchs tests evaluate the systems' entries pointwise;
 - ``cofactor_char_poly``, the characteristic polynomial by cofactor
   expansion, against the Faddeev-LeVerrier ``hwmt.intlinalg.char_poly``
   and the integer polynomial that ``hwmt.picard_fuchs`` searches;
 - ``adjugate_det``, the adjugate by cofactors, for the lattice maps below;
+- ``frac_rank``, the rank over Q, against the vertex checks of
+  ``hwmt.polytope`` and the kernels and Hermite forms of
+  ``hwmt.intlinalg``;
 - the backtracking bijection search, against the relations that
   ``hwmt.polytope`` decides and witnesses by canonical vertex orders.
 
@@ -37,7 +44,7 @@ from typing import Iterator, Optional, Tuple
 from hwmt.errors import BadDenominator, DegeneratePolytope
 from hwmt.hypergeometric import HypergeometricData, require_prime
 from hwmt.intlinalg import det, hnf_rows, left_kernel, vec_primitive
-from hwmt.ratfunc import Poly
+from hwmt.ratfunc import Poly, RatFunc
 from hwmt.polytope import (
     CACHE_SIZE,
     FacetInequality,
@@ -210,6 +217,26 @@ def hnf_polytope(dim, points):
     return fts, fsets
 
 
+def poly_product(p: Poly, q: Poly) -> Poly:
+    """p * q by the schoolbook convolution of the coefficients."""
+    out = [Fraction(0)] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(tuple(out))
+
+
+def evaluate(f, x) -> Fraction:
+    """f(x) for a Poly or a RatFunc f, by Horner's rule; a RatFunc at a
+    pole raises ZeroDivisionError."""
+    if isinstance(f, RatFunc):
+        return evaluate(f.num, x) / evaluate(f.den, x)
+    total = Fraction(0)
+    for c in reversed(f.coeffs):
+        total = total * x + c
+    return total
+
+
 def cofactor_char_poly(matrix) -> Poly:
     """det(x I - A) for a matrix of Fractions, as a Poly in x, by cofactor
     expansion along the first row over Poly entries (n! products)."""
@@ -226,8 +253,8 @@ def cofactor_char_poly(matrix) -> Poly:
         total = Poly(())
         for k, c in enumerate(cols):
             minor = det(rows[1:], cols[:k] + cols[k + 1:])
-            term = entries[rows[0]][c] * minor
-            total = total + term if k % 2 == 0 else total - term
+            term = poly_product(entries[rows[0]][c], minor)
+            total = total + (term if k % 2 == 0 else -term)
         return total
 
     # det of the 0 x 0 matrix is the empty product 1
@@ -252,6 +279,22 @@ def adjugate_det(m):
         for i in range(n)
     )
     return adj, det(m)
+
+
+def frac_rank(rows):
+    """Rank over the rationals by Gaussian elimination."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            c = m[r][col] / m[rank][col]
+            m[r] = [x - c * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
 
 
 @lru_cache(maxsize=CACHE_SIZE)

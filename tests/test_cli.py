@@ -327,6 +327,24 @@ class TestUsageErrors:
         assert "Traceback" not in out.stderr
         assert "error:" in out.stderr and out.stdout == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["hw", "--family", "quartic", "--psi", "1", "--primes", "5,x"],
+         "argument --primes: bad integer list '5,x'"),
+        (["pair", "check", "--pair", "1,2,3"],
+         "argument --pair: expected A,B, got '1,2,3'"),
+        (["pair", "check", "--pair", "1,x"],
+         "argument --pair: expected A,B, got '1,x'"),
+        (["pair", "check", "--pair", "7"],
+         "argument --pair: expected A,B, got '7'"),
+    ], ids=["primes", "pair-three", "pair-not-int", "pair-one"])
+    def test_bad_list_names_the_value_not_the_parser(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.rstrip().endswith(message)
+        assert "_int_list" not in err and "_pair_arg" not in err
+
     @pytest.mark.parametrize("p", ["0", "1"])
     @pytest.mark.parametrize("argv", [
         ["hw", "--family", "quartic", "--psi", "2"],

@@ -51,7 +51,7 @@ from hwmt.point_count import (
     count_family,
     count_graded,
 )
-from hwmt.intlinalg import char_poly, left_kernel
+from hwmt.intlinalg import char_poly, hermite_row, hnf_rows, left_kernel
 from hwmt.ratfunc import Poly
 from hwmt.polytope import (
     LatticePolytope,
@@ -68,6 +68,7 @@ from oracles import (
     adjugate_det,
     cofactor_char_poly,
     combinatorial_bijections,
+    frac_rank,
     hnf_facets,
     hnf_polytope,
     lattice_isomorphism,
@@ -973,6 +974,75 @@ def test_adjugate_det_matches_fraction_oracles():
         )
         assert adj == cofactors, m
     assert 400 < singular < 900
+
+
+def _random_row_lists(count, seed=2310):
+    """Seeded integer row lists, the empty list first; every fourth has a
+    zero row, a repeated row or a row that combines the others."""
+    rng = random.Random(seed)
+    yield ()
+    for i in range(count):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 5)
+        m = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+        r = rng.randrange(nrows)
+        if i % 4 == 1:
+            m[r] = [0] * ncols
+        elif i % 4 == 2:
+            m[r] = list(m[rng.randrange(nrows)])
+        elif i % 4 == 3:
+            m[r] = [sum(rng.randint(-2, 2) * m[t][c] for t in range(nrows) if t != r)
+                    for c in range(ncols)]
+        yield tuple(map(tuple, m))
+
+
+def _times(u, rows, ncols):
+    return tuple(tuple(sum(a * row[c] for a, row in zip(ur, rows))
+                       for c in range(ncols)) for ur in u)
+
+
+def _assert_hnf(h):
+    """Positive pivots in strictly increasing columns, zero rows last, and
+    every entry above a pivot in [0, pivot)."""
+    last, zero_seen = -1, False
+    for i, row in enumerate(h):
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is None:
+            zero_seen = True
+            continue
+        assert not zero_seen and col > last and row[col] > 0, h
+        assert all(0 <= h[k][col] < row[col] for k in range(i)), h
+        last = col
+
+
+def test_hermite_row_is_a_unimodular_transform_to_hnf():
+    kinds = Counter()
+    for rows in _random_row_lists(800):
+        ncols = len(rows[0]) if rows else 0
+        h, u = hermite_row(rows)
+        _assert_hnf(h)
+        assert len(h) == len(u) == len(rows)
+        assert _times(u, rows, ncols) == h, rows
+        assert abs(frac_det(u)) == 1, rows
+        nonzero = tuple(r for r in h if any(r))
+        assert len(nonzero) == frac_rank(rows), rows
+        assert hnf_rows(rows) == nonzero, rows
+        kinds["rank-deficient" if len(nonzero) < len(rows) else "full"] += 1
+    assert min(kinds.values()) >= 200, kinds
+
+
+def test_left_kernel_is_the_hnf_of_the_transform_beside_zero_rows():
+    for rows in _random_row_lists(800):
+        ncols = len(rows[0]) if rows else 0
+        ker = left_kernel(rows)
+        assert _times(ker, rows, ncols) == ((0,) * ncols,) * len(ker), rows
+        _assert_hnf(ker)
+        assert len(ker) == len(rows) - frac_rank(rows), rows
+        assert all(len(a) == len(rows) for a in ker)
+        # the route it replaces: the HNF of the transform rows that
+        # hermite_row pairs with zero rows of H
+        h, u = hermite_row(rows)
+        beside_zero = [ur for ur, hr in zip(u, h) if not any(hr)]
+        assert ker == (hnf_rows(beside_zero) if beside_zero else ()), rows
 
 
 def test_char_poly_matches_cofactor_oracle():

@@ -178,3 +178,20 @@ class TestDataValidation:
     def test_pfq_shape_enforced(self):
         with pytest.raises(ValueError):
             HypergeometricData((F(1, 2),), (F(1), F(1)), (F(1), 0))
+
+
+class TestArgumentString:
+    @pytest.mark.parametrize("argument, text", [
+        ((F(1), 1), "psi"),
+        ((F(1), 3), "psi^3"),
+        ((F(1, 256), 4), "psi^4/256"),
+        ((F(-1, 4), 2), "-1/4*psi^2"),
+        ((F(3, 2), 1), "3/2*psi"),
+        ((F(1), -2), "1/psi^2"),
+        ((F(-108), -3), "-108/psi^3"),
+        ((F(5), 0), "5"),
+    ])
+    def test_argument_str(self, argument, text):
+        data = HypergeometricData((F(1, 2), F(1, 2)), (F(1),), argument)
+        assert data.argument_str() == text
+        assert str(data) == f"2F1(1/2,1/2;1 | {text})"

@@ -34,9 +34,9 @@ from hwmt.picard_fuchs import (
     residue_at_zero,
     substitute_power,
 )
-from hwmt.ratfunc import ONE, Poly, RatFunc
+from hwmt.ratfunc import Poly, RatFunc
 
-from oracles import cofactor_char_poly
+from oracles import cofactor_char_poly, evaluate, poly_product
 
 F = Fraction
 
@@ -49,8 +49,10 @@ def residue_at_point(system, a):
     """Residue of (1/t) M(t) dt at a finite nonzero point a: the value of
     (t - a) M(t) / t at t = a."""
     a = F(a)
-    shift = RatFunc(Poly.of(-a, 1), ONE)
-    return tuple(tuple((e * shift)(a) / a for e in row) for row in system.matrix)
+    return tuple(
+        tuple(evaluate(RatFunc(poly_product(e.num, Poly.of(-a, 1)), e.den), a) / a
+              for e in row)
+        for row in system.matrix)
 
 
 def matrices_equal(system, expected):
@@ -73,7 +75,8 @@ def eigenvalues_by_evaluation(chi):
                       for num in range(1, a0 + 1) if a0 % num == 0
                       for den in range(1, an + 1) if an % den == 0
                       for s in (1, -1)]
-        root = next((x for x in [F(0)] + candidates if chi(x) == 0), None)
+        root = next((x for x in [F(0)] + candidates if evaluate(chi, x) == 0),
+                    None)
         if root is None:
             return None
         roots.append(root)
@@ -241,11 +244,11 @@ class TestResidues:
             entry = rf([rng.randint(-2, 2) for _ in range(rng.randint(1, 3))],
                        [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))] + [1])
             system = FuchsianSystem(((entry,),), "scaled")
-            if entry.has_pole_at(0):
+            if evaluate(entry.den, 0) == 0:
                 with pytest.raises(PoleAtZero):
                     residue_at_zero(system)
             else:
-                assert residue_at_zero(system) == ((entry(0),),)
+                assert residue_at_zero(system) == ((evaluate(entry, 0),),)
 
     def test_fuchs_trace_relation(self):
         # residues at 0, 1, infinity sum to trace zero for every family
@@ -266,8 +269,9 @@ class TestResidues:
         # the shear is needed in the first place)
         fam = get_family("elliptic")
         raw = companion_matrix(fam.pf_ode)
-        t = RatFunc(Poly.of(0, 1), Poly.of(1))
-        raw_res = tuple(tuple((e * t)(0) for e in row) for row in raw.matrix)
+        t = Poly.of(0, 1)
+        raw_res = tuple(tuple(evaluate(RatFunc(poly_product(e.num, t), e.den), 0)
+                              for e in row) for row in raw.matrix)
         sheared_res = residue_at_zero(gauge_shear(raw))
         raw_eigs = sorted(x % 1 for x in rational_eigenvalues(raw_res))
         new_eigs = sorted(x % 1 for x in rational_eigenvalues(sheared_res))
@@ -282,7 +286,7 @@ class TestResidues:
         raw = companion_matrix(fam.pf_ode)
         sheared = gauge_shear(raw)
         n = len(raw.matrix)
-        a_val = [[e(t0) for e in row] for row in raw.matrix]
+        a_val = [[evaluate(e, t0) for e in row] for row in raw.matrix]
         expected = [
             [
                 t0 * a_val[i][j] * t0**i / t0**j + (i if i == j else 0)
@@ -290,7 +294,7 @@ class TestResidues:
             ]
             for i in range(n)
         ]
-        actual = [[e(t0) for e in row] for row in sheared.matrix]
+        actual = [[evaluate(e, t0) for e in row] for row in sheared.matrix]
         assert actual == expected
 
 

@@ -504,22 +504,6 @@ def test_low_dimensional_vertex_lists_are_refused(dim, pts):
     assert str(exc.value) == message
 
 
-def frac_rank(rows):
-    """Rank over the rationals by Gaussian elimination."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(rank + 1, len(m)):
-            c = m[r][col] / m[rank][col]
-            m[r] = [x - c * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
 def laplace_det(m):
     """Determinant by cofactor expansion along the first row."""
     if not m:
@@ -539,7 +523,7 @@ def rank_vertex_oracle(dim, points):
     if len(set(points)) != len(points):
         return "duplicate vertices"
     diffs = [tuple(x - y for x, y in zip(v, points[0])) for v in points[1:]]
-    if frac_rank(diffs) < dim:
+    if oracles.frac_rank(diffs) < dim:
         return "vertex list is not full-dimensional"
     supporting = []
     for sub in combinations(points, dim):
@@ -555,7 +539,7 @@ def rank_vertex_oracle(dim, points):
     for v in points:
         tight = [a for a, c in supporting
                  if sum(x * y for x, y in zip(a, v)) == c]
-        if frac_rank(tight) < dim:
+        if oracles.frac_rank(tight) < dim:
             return f"point {v} is not a vertex"
     return None
 

@@ -60,9 +60,6 @@ CASES = [
     ("from hwmt.ratfunc import Poly, RatFunc",
      "RatFunc(Poly.of(1), Poly.of(0))",
      "ZeroDenominator"),
-    ("from hwmt.ratfunc import Poly, RatFunc",
-     "RatFunc(Poly.of(1), Poly.of(-1, 1))(1)",  # 1/(t - 1) at its pole
-     "ZeroDenominator"),
     ("from hwmt.picard_fuchs import rational_eigenvalues",
      "rational_eigenvalues(((10**7, 1), (0, 10**7 + 1)))",
      "BudgetExceeded"),

@@ -36,6 +36,13 @@ from hwmt.polytope import (
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "hwmt" / "data"
 
 
+def _check(ok, claim):
+    """Raise unless ok: a structural claim that python -O keeps, unlike an
+    assert, so no fixture is written without its checks."""
+    if not ok:
+        raise RuntimeError(f"fixture check failed: {claim}")
+
+
 # --------------------------------------------------------------------------
 # canonical form up to GL(n,Z) and vertex relabeling
 # --------------------------------------------------------------------------
@@ -120,7 +127,7 @@ def enumerate_reflexive_polygons(box=3):
         if doubled != boundary:  # Pick: exactly one interior point
             return
         poly = LatticePolytope(2, tuple(chain))
-        assert is_reflexive(poly)
+        _check(is_reflexive(poly), f"polygon {chain} is reflexive")
         nf = normal_form(poly)
         # keep the most readable representative of each class
         beauty = (
@@ -175,11 +182,13 @@ def minimal_simplex(weights):
     the vertex matrix kernel is generated by the weight vector itself.
     """
     h, u = hermite_row(tuple((w,) for w in weights))
-    assert h[0] == (1,) and all(r == (0,) for r in h[1:])
+    _check(h[0] == (1,) and all(r == (0,) for r in h[1:]),
+           f"weights {weights} are coprime")
     verts = tuple(tuple(u[r][i] for r in range(1, 4)) for i in range(4))
     poly = LatticePolytope(3, verts)
-    assert vertex_kernel(poly).basis == (tuple(weights),)
-    assert is_reflexive(poly)
+    _check(vertex_kernel(poly).basis == (tuple(weights),),
+           f"the simplex of {weights} has kernel {weights}")
+    _check(is_reflexive(poly), f"the simplex of {weights} is reflexive")
     return poly
 
 
@@ -209,7 +218,7 @@ def refinements(poly):
     closure (the dual of the lattice generated by the polar vertices)."""
     dual = polar_dual(poly)
     b = hnf_rows(dual.vertices)                      # basis of M_min, rows
-    assert len(b) == 3
+    _check(len(b) == 3, f"the polar vertices of {poly.vertices} span rank 3")
     d = tuple(zip(*b))                               # D = B^T = C^{-1}
     index = abs(det(d))
     out = []
@@ -232,10 +241,11 @@ def refinements(poly):
                 ok = False
                 break
             new_verts.append(tuple(x // hdet for x in y))
-        assert ok, "vertices must be integral in every intermediate lattice"
+        _check(ok, "vertices are integral in every intermediate lattice")
         cand = LatticePolytope(3, tuple(new_verts))
-        assert is_reflexive(cand)
-        assert vertex_kernel(cand).basis == vertex_kernel(poly).basis
+        _check(is_reflexive(cand), f"refinement {cand.vertices} is reflexive")
+        _check(vertex_kernel(cand).basis == vertex_kernel(poly).basis,
+               f"refinement {cand.vertices} keeps the kernel of {poly.vertices}")
         out.append(cand)
     return out
 
@@ -311,8 +321,8 @@ def assign_ids(pool, table_pairs):
                           else (j, i))
     table_self = sorted(a for a, b in table_pairs if a == b)
     table_proper = sorted(((a, b) for a, b in table_pairs if a != b))
-    assert len(table_self) == len(self_dual), "self-dual count mismatch"
-    assert len(table_proper) == len(proper), "pair count mismatch"
+    _check(len(table_self) == len(self_dual), "self-dual counts match")
+    _check(len(table_proper) == len(proper), "pair counts match")
     self_dual.sort(key=lambda i: _size_key(members[i]))
     proper.sort(key=lambda ij: (_size_key(members[ij[0]]), _size_key(members[ij[1]])))
     assignment = {}
@@ -334,20 +344,23 @@ def build_3d_records():
         rep = minimal_simplex(weights)
         pool = grow_type(rep)
         expected = len({i for pr in pairs for i in pr})
-        assert len(pool) == expected, (weights, len(pool), expected)
+        _check(len(pool) == expected,
+               f"weights {weights}: {len(pool)} members, expected {expected}")
         records.update(assign_ids(pool, pairs))
         print(f"weights {weights}: {len(pool)} members ok")
     for name, verts, pairs in GROUP_ROWS:
         rep = LatticePolytope(3, verts)
         pool = grow_type(rep)
         expected = len({i for pr in pairs for i in pr})
-        assert len(pool) == expected, (name, len(pool), expected)
+        _check(len(pool) == expected,
+               f"group {name}: {len(pool)} members, expected {expected}")
         records.update(assign_ids(pool, pairs))
         print(f"group {name}: {len(pool)} members ok")
     # pin printed representatives where the publication spells them out
     for pid, verts in PRINTED_ANCHORS.items():
         printed = LatticePolytope(3, verts)
-        assert normal_form(printed) == normal_form(records[pid]), pid
+        _check(normal_form(printed) == normal_form(records[pid]),
+               f"id {pid} is its printed representative")
         records[pid] = printed
     # structural verification: every published pair is a polar-dual pair
     for _, pairs in SIMPLEX_ROWS:
@@ -359,8 +372,10 @@ def build_3d_records():
 
 def _check_pairs(records, pairs):
     for a, b in pairs:
-        assert normal_form(polar_dual(records[a])) == normal_form(records[b]), (a, b)
-        assert normal_form(polar_dual(records[b])) == normal_form(records[a]), (a, b)
+        _check(normal_form(polar_dual(records[a])) == normal_form(records[b]),
+               f"the dual of {a} is {b}")
+        _check(normal_form(polar_dual(records[b])) == normal_form(records[a]),
+               f"the dual of {b} is {a}")
 
 
 # --------------------------------------------------------------------------
@@ -382,7 +397,7 @@ def main():
     DATA_DIR.mkdir(parents=True, exist_ok=True)
 
     polygons = enumerate_reflexive_polygons()
-    assert len(polygons) == 16, f"expected 16 reflexive polygons, got {len(polygons)}"
+    _check(len(polygons) == 16, f"16 reflexive polygons, got {len(polygons)}")
     write_fixture(
         DATA_DIR / "polygons2d.txt",
         {i: p for i, p in enumerate(polygons)},
