@@ -73,8 +73,9 @@ class NonHomogeneous(HwmtError):
 
 
 class NonIntegerOrbitSum(HwmtError):
-    """Stabilizer-weighted orbit sum not divisible by p-1; signals a
-    modeling failure."""
+    """An affine zero count not divisible by the torus orbit size it is
+    divided by (p-1 on the cone, the coset count in a stratum); signals a
+    polynomial that is not homogeneous for its grading."""
 
 
 class BudgetExceeded(HwmtError):

@@ -49,8 +49,16 @@ class FamilyTag:
     intermediate_note: str = ""
 
     def is_smooth(self, psi) -> bool:
-        psi = Fraction(psi)
-        return psi != 0 and self.hg.argument_at(psi) != 1
+        """psi != 0 and hg's argument c psi^e != 1.  With psi = a/b and c =
+        u/v, c psi^e = 1 exactly when u a^e = v b^e (u b^-e = v a^-e for
+        e < 0), so the test is one integer comparison."""
+        if not isinstance(psi, (int, Fraction)):
+            psi = Fraction(psi)
+        a, b = psi.numerator, psi.denominator
+        c, e = self.hg.argument
+        if e < 0:
+            a, b, e = b, a, -e
+        return psi.numerator != 0 and c.numerator * a**e != c.denominator * b**e
 
     @property
     def model_hg(self) -> HypergeometricData:

@@ -4,38 +4,48 @@ One counter, `count_graded`, takes a polynomial F and a grading: integer
 rows, the characters of a torus acting on affine space.  For a family
 model the grading is its polytope's vertex kernel, the Cox grading of the
 toric variety (Cox, alg-geom/9210008), and the quotient is the printed
-ambient.  A one-row count divides the nonzero affine zeros by p-1;
-`P1_X_P1` is counted on the chart y0 = 1, whose fibers in y1 have degree 2
-for the elliptic pencil, and then the points with y0 = 0 as a projective
-line.
+ambient.  The grading is countable when every variable has a positive
+weight in exactly one row: the quotient is then a product of weighted
+projective spaces, one per row's block of variables (P^3, P(3,1,1,1) and
+P1 x P1 among the families).  Its points are the affine zeros that are
+nonzero in every block, divided by (p-1)^rows, and `count_graded` picks
+one of two exact routes from the grading and the shape of F itself, never
+from a family name:
 
-Every count reduces to the affine zeros of a polynomial in n variables
-over F_p, and `_cone_count` picks one of two exact routes from the shape
-of F itself, never from a family name:
-
-* Character sums.  When F = sum_i a_i x_i^(d_i) + c prod_i x_i^(e_i), with
-  one pure power per variable, one further monomial in every variable and
-  nothing else (the quartic and sextic models), `_character_sum_zeros`
-  expands the additive character of t F in multiplicative characters
-  (Koblitz, Compositio 1983): the count is (p^n + a sum over t != 0 of
-  Gauss sums times one length-(p-1) transform per variable) / p.  Points
-  with a zero coordinate contribute prod(1 + S_i) - prod S_i.  The sums are
-  taken in F_q for the least prime q = 1 mod p(p-1) above p^n, which holds
-  the p-th and (p-1)-th roots of unity; the count lies in [0, p^n], so its
-  residue mod q is the count itself.  Cost O(n p^2) instead of p^(n-1)
-  fibers.
-* Fibered scan.  Every other input goes through `_fibered_zeros`: fix all
-  coordinates but the last, read off the univariate polynomial that F
+* Character sums.  When there is one row and F = sum_i a_i x_i^(d_i) +
+  c prod_i x_i^(e_i), with one pure power per variable, one further
+  monomial in every variable and nothing else (the quartic and sextic
+  models), `_character_sum_zeros` expands the additive character of t F in
+  multiplicative characters (Koblitz, Compositio 1983): the count is (p^n
+  + a sum over t != 0 of Gauss sums times one length-(p-1) transform per
+  variable) / p.  Points with a zero coordinate contribute prod(1 + S_i) -
+  prod S_i.  The sums are taken in F_q for the least prime q = 1 mod
+  p(p-1) above p^n, which holds the p-th and (p-1)-th roots of unity; the
+  count lies in [0, p^n], so its residue mod q is the count itself.  Cost
+  O(n p^2) instead of a scan.
+* Stratified scan.  Every other input goes through `_stratified_count`,
+  which visits each point of the quotient once.  In each block the points
+  are split by their first nonzero coordinate x_i: the coordinates before
+  it are 0, those after it are free, and x_i runs over gcd(w_i, p-1) coset
+  representatives of the w_i-th powers in F_p^*, onto which the torus
+  moves every other value.  A stratum's points are its zeros divided by
+  the product of those gcds, which is exactly its nonzero affine zeros
+  divided by (p-1)^rows.  `_fibered_zeros` counts the zeros: fix every
+  free coordinate but the last, read off the univariate polynomial that F
   becomes in the last one, and add its number of roots.  Root counts are
   cached by that polynomial's reduced coefficient tuple; a new fiber of
-  degree <= 2 is solved in closed form (the discriminant and Euler's
-  criterion, p odd), a higher one by evaluating it at every value of the
-  last coordinate.  The scan visits p^(n-1) prefixes instead of p^n points.
+  degree <= 2 is solved in closed form (a Legendre-symbol lookup on the
+  discriminant, p odd), a higher one by evaluating it at every value of
+  the last coordinate.  In n variables of one row the strata visit about
+  p^(n-2) prefixes, and P1 x P1 costs p + 2 fibers and one point.  One
+  power table, built by running products, and one Legendre table serve
+  every stratum of a count.
 
-Work is bounded before it starts: `BudgetExceeded` when a fibered scan
-would visit more than `FIBERED_PREFIX_BUDGET` prefixes, or a character sum
-would cost more than `CHARACTER_SUM_BUDGET` (n p^2 steps, or the sqrt(p^n)
-trial divisions that find q).
+Work is bounded before it starts: `BudgetExceeded` when the strata would
+take more than `FIBERED_PREFIX_BUDGET` steps (one per prefix, p per prefix
+whose fiber may have degree above 2 and is solved by evaluation), or a
+character sum would cost more than `CHARACTER_SUM_BUDGET` (n p^2 steps, or
+the sqrt(p^n) trial divisions that find q).
 """
 
 from dataclasses import dataclass
@@ -61,14 +71,12 @@ from .hypergeometric import (
 )
 from .polytope import vertex_kernel
 
-# At its bound a fibered scan runs for about half a minute (a prefix costs
-# about 3 us) and a character sum for about 1.5 s (the quartic at p = 1579).
+# At its bound a stratified scan runs for about half a minute (a prefix with
+# a fiber of degree <= 2 costs about 2 us, one of higher degree p evaluations
+# of about 1 us) and a character sum for about 1.5 s (the quartic at
+# p = 1579).
 FIBERED_PREFIX_BUDGET = 10**7
 CHARACTER_SUM_BUDGET = 10**7
-
-# the Cox grading of P1 x P1 on (x0, x1, y0, y1)
-P1_X_P1 = ((1, 1, 0, 0), (0, 0, 1, 1))
-
 
 @dataclass(frozen=True)
 class CountResult:
@@ -96,47 +104,60 @@ def _require_budget(work, bound, route):
         )
 
 
-def _root_count(coeffs, degrees, table, p):
-    """#{t in F_p : sum_j coeffs[j] t^degrees[j] = 0}, for distinct
-    degrees."""
-    top = max((d for c, d in zip(coeffs, degrees) if c), default=-1)
+def _tables(p, top):
+    """(powers, legendre): powers[v][e] = v^e mod p for e <= top, built by
+    running products, and legendre[v], the Legendre symbol (v/p)."""
+    columns = [[1] * p]
+    for _ in range(top):
+        columns.append([x * v % p for v, x in enumerate(columns[-1])])
+    legendre = [-1] * p
+    for v in range(p):
+        legendre[v * v % p] = 1
+    legendre[0] = 0
+    return list(zip(*columns)), legendre
+
+
+def _root_count(coeffs, powers, legendre):
+    """#{t in F_p : sum_d coeffs[d] t^d = 0}."""
+    p = len(powers)
+    top = len(coeffs) - 1
+    while top >= 0 and not coeffs[top]:
+        top -= 1
     if top > 2 or (top == 2 and p == 2):
         return sum(
-            1 for t in range(p)
-            if sum(c * table[t][d] for c, d in zip(coeffs, degrees)) % p == 0
+            1 for row in powers
+            if sum(c * t for c, t in zip(coeffs, row)) % p == 0
         )
     if top <= 0:
         return p if top < 0 else 0
     if top == 1:
         return 1
-    a, b, c = (dict(zip(degrees, coeffs)).get(d, 0) for d in (2, 1, 0))
-    disc = (b * b - 4 * a * c) % p
-    return {0: 1, 1: 2}.get(pow(disc, (p - 1) // 2, p), 0)
+    c, b, a = coeffs[:3]
+    return 1 + legendre[(b * b - 4 * a * c) % p]
 
 
-def _fibered_zeros(poly, prefixes, p):
+def _fibered_zeros(poly, prefixes, powers, legendre):
     """#{(x, t) : x in prefixes, t in F_p, F(x, t) = 0} for reduced F,
-    where t is the last variable.
+    where t is the last variable; `powers` must reach F's largest
+    exponent.
 
     The monomials are grouped by their exponent of t; evaluating each group
     at x gives the coefficients of the fiber polynomial in t, whose root
     count is cached by that coefficient tuple for the rest of the call.
     """
-    groups = {}
+    p = len(powers)
+    groups = [[] for _ in range(1 + max((e[-1] for _, e in poly), default=0))]
     for c, exps in poly:
         mono = tuple((i, e) for i, e in enumerate(exps[:-1]) if e)
-        groups.setdefault(exps[-1], []).append((c, mono))
-    degrees = tuple(groups)
-    max_exp = max((e for _, exps in poly for e in exps), default=0)
-    table = [[pow(v, e, p) for e in range(max_exp + 1)] for v in range(p)]
+        groups[exps[-1]].append((c, mono))
     roots = {}
     total = 0
     for x in prefixes:
-        rows = [table[v] for v in x]
+        rows = [powers[v] for v in x]
         coeffs = []
-        for d in degrees:
+        for group in groups:
             s = 0
-            for c, mono in groups[d]:
+            for c, mono in group:
                 for i, e in mono:
                     c *= rows[i][e]
                 s += c
@@ -144,7 +165,7 @@ def _fibered_zeros(poly, prefixes, p):
         key = tuple(coeffs)
         n = roots.get(key)
         if n is None:
-            n = roots[key] = _root_count(key, degrees, table, p)
+            n = roots[key] = _root_count(key, powers, legendre)
         total += n
     return total
 
@@ -255,24 +276,76 @@ def _character_sum_zeros(a, d, c, e, p):
     return (p**n + total) * pow(p, -1, q) % q
 
 
-def _cone_count(poly, nvars, p):
-    """Nonzero zeros of F in F_p^nvars divided by p-1: the points of the
-    (weighted) projective quotient."""
-    shape = _diagonal_shape(poly, nvars)
-    if shape:
-        _require_budget(max(nvars * p * p, isqrt(p**nvars)),
-                        CHARACTER_SUM_BUDGET, "character sum")
-        affine = _character_sum_zeros(*shape, p)
-    else:
-        _require_budget(p ** (nvars - 1), FIBERED_PREFIX_BUDGET, "fibered scan")
-        affine = _fibered_zeros(poly, product(range(p), repeat=nvars - 1), p)
-    if sum(c for c, exps in poly if not any(exps)) % p == 0:
-        affine -= 1  # the origin is not a point
-    if affine % (p - 1):
+def _orbits(zeros, size):
+    """zeros / size, the points that `zeros` affine solutions make when the
+    torus moves `size` of them onto each point."""
+    if zeros % size:
         raise NonIntegerOrbitSum(
-            f"affine solution count {affine} not divisible by {p - 1}"
+            f"affine solution count {zeros} not divisible by {size}"
         )
-    return affine // (p - 1)
+    return zeros // size
+
+
+def _blocks(grading):
+    """Each row's support as [(variable, weight)], when every variable has
+    a positive weight in exactly one row; else `UncountableAmbient`."""
+    blocks = [[(i, w) for i, w in enumerate(row) if w] for row in grading]
+    owned = sorted(i for block in blocks for i, _ in block)
+    if not (blocks and all(blocks) and owned == list(range(len(grading[0])))
+            and min(w for block in blocks for _, w in block) > 0):
+        raise UncountableAmbient(f"no point count for the grading {grading}")
+    return blocks
+
+
+def _restrict(poly, values, free, powers):
+    """F with each variable in `values` set to its value, as reduced
+    [(coeff, exponents of the free variables)] with like terms merged."""
+    p = len(powers)
+    merged = {}
+    for c, exps in poly:
+        for i, v in values.items():
+            c = c * powers[v][exps[i]] % p
+        if c:
+            key = tuple(exps[i] for i in free)
+            merged[key] = (merged.get(key, 0) + c) % p
+    return [(c, exps) for exps, c in merged.items() if c]
+
+
+def _stratified_count(poly, blocks, p):
+    """Points of {F = 0} in the product of the blocks' weighted projective
+    spaces: per stratum, a first nonzero coordinate in every block."""
+    primitive = _element_of_order(p - 1, p)
+    strata = []
+    for firsts in product(*(range(len(block)) for block in blocks)):
+        values, free, cosets = {}, [], 1
+        for block, k in zip(blocks, firsts):
+            i, w = block[k]
+            g = gcd(w, p - 1)
+            values.update((j, (0,)) for j, _ in block[:k])
+            values[i] = tuple(pow(primitive, r, p) for r in range(g))
+            free += [j for j, _ in block[k + 1:]]
+            cosets *= g
+        strata.append((values, sorted(free), cosets))
+    # a prefix whose fiber may exceed degree 2 counts p steps, one for each
+    # evaluation of a new fiber
+    _require_budget(sum(
+        cosets * p ** (len(free) - 1)
+        * (p if max((e[free[-1]] for _, e in poly), default=0) > 2 else 1)
+        for _, free, cosets in strata if free
+    ), FIBERED_PREFIX_BUDGET, "stratified scan")
+    powers, legendre = _tables(p, max((max(e) for _, e in poly), default=0))
+    total = 0
+    for values, free, cosets in strata:
+        zeros = 0
+        for point in product(*values.values()):
+            f = _restrict(poly, dict(zip(values, point)), free, powers)
+            if free:
+                prefixes = product(range(p), repeat=len(free) - 1)
+                zeros += _fibered_zeros(f, prefixes, powers, legendre)
+            else:
+                zeros += not f
+        total += _orbits(zeros, cosets)
+    return total
 
 
 def count_graded(poly, grading, p: int) -> int:
@@ -280,18 +353,23 @@ def count_graded(poly, grading, p: int) -> int:
     torus whose characters are the rows of `grading`.
 
     Every monomial of F must have one exponent per column of the grading
-    and the same degree vector under the rows, else `NonHomogeneous`.  One
-    row of positive weights is a (weighted) projective space, the all-ones
-    row plain projective space; `P1_X_P1` is P1 x P1 in the variables
-    (x0, x1, y0, y1).  Any other grading raises `UncountableAmbient`.
+    and the same degree vector under the rows, else `NonHomogeneous`.  The
+    grading must give every variable a positive weight in exactly one row,
+    else `UncountableAmbient`: one row is a (weighted) projective space,
+    the all-ones row plain projective space, and rows with disjoint
+    supports a product of them, such as P1 x P1 on (x0, x1, y0, y1) by
+    ((1, 1, 0, 0), (0, 0, 1, 1)).
 
     After dividing the weights on the support of a point by their gcd, the
     scaling acts freely on rational points, and every stable geometric
     orbit carries exactly p-1 of them (the torsor is trivial by Hilbert
-    90), so a one-row count is the nonzero affine solution count divided by
-    p-1, for every weight.  In particular the ambient count always equals
-    that of straight projective space, which a stabilizer-weighted orbit
-    formula would miss whenever gcd(p-1, w_i) > 1.
+    90), so the count is the number of affine zeros that are nonzero in
+    every block, divided by (p-1)^rows, for every weight.  In particular
+    the ambient count always equals that of the straight product of
+    projective spaces, which a stabilizer-weighted orbit formula would miss
+    whenever gcd(p-1, w_i) > 1.  A one-row diagonal-plus-monomial F is
+    counted by character sums on the whole cone; every other input by one
+    stratified scan that visits each point once.
     """
     require_prime(p)
     grading = tuple(tuple(row) for row in grading)
@@ -309,17 +387,15 @@ def count_graded(poly, grading, p: int) -> int:
         raise NonHomogeneous(
             f"degrees {sorted(degrees)} differ for the grading {grading}"
         )
-    if len(grading) == 1 and min(grading[0], default=0) > 0:
-        return _cone_count(poly, len(grading[0]), p)
-    if grading != P1_X_P1:
-        raise UncountableAmbient(f"no point count for the grading {grading}")
-    line = [(1, t) for t in range(p)] + [(0, 1)]
-    _require_budget(len(line), FIBERED_PREFIX_BUDGET, "fibered scan")
-    # y = (1, y1): fiber over y1 above each x on the line
-    chart = _fibered_zeros(poly, [x + (1,) for x in line], p)
-    # y = (0, 1): F(x0, x1, 0, 1) is homogeneous, count it on P^1
-    at_infinity = [(c, exps[:2]) for c, exps in poly if exps[2] == 0]
-    return chart + _cone_count(at_infinity, 2, p)
+    blocks = _blocks(grading)
+    n = len(grading[0])
+    shape = _diagonal_shape(poly, n) if len(blocks) == 1 else None
+    if shape is None:
+        return _stratified_count(poly, blocks, p)
+    _require_budget(max(n * p * p, isqrt(p**n)),
+                    CHARACTER_SUM_BUDGET, "character sum")
+    # the diagonal shape has no constant term, so the origin is a zero
+    return _orbits(_character_sum_zeros(*shape, p) - 1, p - 1)
 
 
 def count_family(family, psi, p: int) -> CountResult:

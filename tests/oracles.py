@@ -26,7 +26,9 @@ Each is independent of the engine it checks:
   ``hwmt.polytope`` and the kernels and Hermite forms of
   ``hwmt.intlinalg``;
 - the backtracking bijection search, against the relations that
-  ``hwmt.polytope`` decides and witnesses by canonical vertex orders.
+  ``hwmt.polytope`` decides and witnesses by canonical vertex orders;
+- ``P1_X_P1``, the Cox grading of P1 x P1 on (x0, x1, y0, y1), which the
+  point-count tests pass to ``hwmt.point_count.count_graded``.
 
 A vertex bijection of P onto Q is face-respecting when it maps the facet
 family of P onto that of Q.  The search yields those bijections in
@@ -54,6 +56,8 @@ from hwmt.polytope import (
     vertex_facet_sets,
     vertex_kernel,
 )
+
+P1_X_P1 = ((1, 1, 0, 0), (0, 0, 1, 1))
 
 
 def member_terms(delta, psi):

@@ -31,13 +31,12 @@ from hwmt.hypergeometric import (
 from hwmt.picard_fuchs import analyze_family
 from hwmt.point_count import (
     congruence_check,
-    P1_X_P1,
     count_graded,
 )
 from hwmt.polytope import LatticePolytope, polar_dual, vertex_kernel
 from hwmt.ratfunc import Poly, RatFunc
 
-from oracles import series_square
+from oracles import P1_X_P1, series_square
 
 F = Fraction
 

@@ -41,13 +41,14 @@ from hwmt.hypergeometric import (
     frac_mod,
     truncated_pFq,
 )
+from hwmt import point_count
 from hwmt.point_count import (
     _character_sum_zeros,
     _diagonal_shape,
     _fibered_zeros,
     _reduce_poly,
     _root_count,
-    P1_X_P1,
+    _tables,
     count_family,
     count_graded,
 )
@@ -64,6 +65,7 @@ from hwmt.polytope import (
 )
 
 from oracles import (
+    P1_X_P1,
     _series_term,
     adjugate_det,
     cofactor_char_poly,
@@ -494,6 +496,18 @@ def scan_biprojective(poly, p):
     return _affine_zeros(poly, (x + y for x in line for y in line), p)
 
 
+def scan_cox(poly, grading, p):
+    """Points of a product of weighted projective spaces, one per row of a
+    grading with disjoint supports: the zeros in F_p^n that are nonzero on
+    every row's support, divided by (p-1)^rows."""
+    supports = [[i for i, w in enumerate(row) if w] for row in grading]
+    points = (x for x in product(range(p), repeat=len(grading[0]))
+              if all(any(x[i] for i in s) for s in supports))
+    zeros = _affine_zeros(poly, points, p)
+    assert zeros % (p - 1) ** len(grading) == 0
+    return zeros // (p - 1) ** len(grading)
+
+
 def _P(n):
     """The grading of P^n: one all-ones row on n+1 variables."""
     return ((1,) * (n + 1),)
@@ -568,6 +582,103 @@ def test_random_bihomogeneous_counts_match_exhaustive_scan(p):
         assert count_graded(poly, P1_X_P1, p) == scan_biprojective(poly, p)
 
 
+def _graded_monomials(grading, degree):
+    """Every monomial of the given degree vector; the rows' supports are
+    disjoint, so exponents are drawn row by row."""
+    n = len(grading[0])
+    out = [(0,) * n]
+    for row, d in zip(grading, degree):
+        support = [i for i, w in enumerate(row) if w]
+        out = [tuple(e[i] + a[support.index(i)] if i in support else e[i]
+                     for i in range(n))
+               for e in out
+               for a in _monomials(len(support), d,
+                                   [row[i] for i in support])]
+    return out
+
+
+@pytest.mark.parametrize("weights,p", [
+    ((3, 1, 1, 1), 7), ((3, 1, 1, 1), 13),   # gcd(3, p-1) = 3 cosets
+    ((2, 1, 1), 3), ((2, 1, 1), 5), ((2, 1, 1), 7),
+])
+def test_stratified_weighted_counts_match_exhaustive_scan(weights, p):
+    rng = random.Random(9100 + 10 * len(weights) + p)
+    draws = 0
+    while draws < (6 if p > 7 else 25):
+        poly = _random_poly(rng, _monomials(len(weights), rng.randint(0, 6),
+                                            weights), p)
+        if _diagonal_shape(_reduce_poly(poly, p), len(weights)) is None:
+            draws += 1
+            assert (count_graded(poly, (weights,), p)
+                    == scan_weighted_projective(poly, weights, p))
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_stratified_sextic_matches_exhaustive_scan(p):
+    # the sextic model takes the character sums in count_graded; its strata
+    # put x0 in gcd(3, p-1) = 3 cube classes
+    fam = get_family("sextic")
+    grading = vertex_kernel(fam.polytope).basis
+    for psi in (1, 2):
+        poly = _reduce_poly(fam.model_polynomial(psi), p)
+        assert (point_count._stratified_count(poly, point_count._blocks(grading), p)
+                == scan_weighted_projective(poly, grading[0], p))
+
+
+@pytest.mark.parametrize("grading,primes", [
+    (P1_X_P1, (2, 3, 5, 7)),
+    (((1, 0, 1, 0), (0, 1, 0, 1)), (3, 5)),            # P1 x P1, interleaved
+    (((1, 1, 0, 0, 0), (0, 0, 1, 1, 1)), (2, 3, 5)),   # P1 x P2
+    (((2, 1, 1, 0, 0), (0, 0, 0, 1, 1)), (3, 5)),      # P(2,1,1) x P1
+])
+def test_stratified_product_counts_match_cox_scan(grading, primes):
+    rng = random.Random(9200 + sum(map(sum, grading)))
+    for p in primes:
+        assert count_graded([], grading, p) == scan_cox([], grading, p)
+        for _ in range(12):
+            degree = [rng.randint(0, 3) for _ in grading]
+            monomials = _graded_monomials(grading, degree)
+            poly = [(rng.randint(-6, 6), rng.choice(monomials))
+                    for _ in range(rng.randint(1, 5))]
+            assert count_graded(poly, grading, p) == scan_cox(poly, grading, p)
+
+
+def _prefixes_visited(monkeypatch, poly, grading, p):
+    """(count, prefixes the strata hand to _fibered_zeros)."""
+    seen = []
+    fibered = point_count._fibered_zeros
+
+    def counting(f, prefixes, *tables):
+        prefixes = list(prefixes)
+        seen.append(len(prefixes))
+        return fibered(f, prefixes, *tables)
+
+    monkeypatch.setattr(point_count, "_fibered_zeros", counting)
+    return count_graded(poly, grading, p), sum(seen)
+
+
+def test_strata_visit_each_projective_point_once(monkeypatch):
+    # a further monomial keeps the quartic off the character sums; the
+    # strata x0 = 1, (0, 1, ..), (0, 0, 1, x3) and (0, 0, 0, 1) have
+    # 13^2, 13, 1 and 0 prefixes, where the affine cone had 13^3
+    poly = QUARTIC + [(2, (2, 2, 0, 0))]
+    count, visited = _prefixes_visited(monkeypatch, poly, _P(3), 13)
+    assert count == scan_projective(poly, 3, 13)
+    assert visited == 13**2 + 13 + 1
+
+
+@pytest.mark.parametrize("p", [5, 101, 151])
+def test_elliptic_strata_visit_p_plus_two_fibers(monkeypatch, p):
+    # (1, x1; 1, y1) is p fibers in y1, (1, x1; 0, 1) and (0, 1; 1, y1) one
+    # each, and (0, 1; 0, 1) is a point
+    fam = get_family("elliptic")
+    poly = fam.model_polynomial(2)
+    grading = vertex_kernel(fam.polytope).basis
+    count, visited = _prefixes_visited(monkeypatch, poly, grading, p)
+    assert count == count_family(fam, 2, p).count
+    assert visited == p + 2
+
+
 def test_repeated_monomials_match_exhaustive_scan():
     # x0^2 + 2 x0^2 - 3 x0^2 cancels over Q; x1^2 + 4 x1^2 cancels mod 5 only
     poly = [(1, (2, 0, 0)), (2, (2, 0, 0)), (-3, (2, 0, 0)),
@@ -599,8 +710,9 @@ def test_character_sums_match_fibered_scan(name, p):
         shape = _diagonal_shape(poly, 4)
         assert (shape is None) == (frac_mod(fam.model_psi_coeff * psi, p) == 0)
         if shape is not None:
+            tables = _tables(p, 6)
             assert (_character_sum_zeros(*shape, p)
-                    == _fibered_zeros(poly, product(range(p), repeat=3), p))
+                    == _fibered_zeros(poly, product(range(p), repeat=3), *tables))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -645,16 +757,27 @@ def test_vanishing_coefficient_takes_the_fibered_scan():
         assert count_graded(f, _P(3), p) == scan_projective(f, 3, p)
 
 
+@pytest.mark.parametrize("p", _primes_to(200))
+def test_tables_match_pow_and_eulers_criterion(p):
+    powers, legendre = _tables(p, 4)
+    assert powers == [tuple(pow(v, e, p) for e in range(5)) for v in range(p)]
+    assert legendre[0] == 0
+    for v in range(1, p):
+        assert legendre[v] in (1, -1)
+        assert legendre[v] % p == pow(v, (p - 1) // 2, p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_closed_form_fibers_match_evaluation(p):
-    table = [[pow(t, d, p) for d in range(4)] for t in range(p)]
-    for degrees in ((0, 1, 2), (2, 0), (2, 1), (1, 0), (2,), (3, 1, 0)):
-        for coeffs in product(range(p), repeat=len(degrees)):
+    # coeffs[d] is the coefficient of t^d; trailing zeros lower the degree
+    powers, legendre = _tables(p, 3)
+    for length in range(5):
+        for coeffs in product(range(p), repeat=length):
             roots = sum(
                 1 for t in range(p)
-                if sum(c * table[t][d] for c, d in zip(coeffs, degrees)) % p == 0
+                if sum(c * pow(t, d, p) for d, c in enumerate(coeffs)) % p == 0
             )
-            assert _root_count(coeffs, degrees, table, p) == roots
+            assert _root_count(coeffs, powers, legendre) == roots
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

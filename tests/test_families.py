@@ -1,7 +1,7 @@
 """Family data: the printed-model target and smoothness are derived from
 the stored vertex-pencil target and the printed coefficient on psi."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -54,6 +54,36 @@ def _stored_rule(fam, psi):
 def test_is_smooth_model_matches_stored_rule(name, psi):
     fam = get_family(name)
     assert fam.is_smooth_model(psi) == _stored_rule(fam, F(psi))
+
+
+# signed integers and fractions; the rational conifold values (c psi^e = 1)
+# are +-4 for elliptic, quartic and group2, and sextic and group1 have none
+SMOOTHNESS_GRID = sorted({F(a, b) for a in range(-20, 21)
+                          for b in (1, 2, 3, 4, 5, 16)})
+CONIFOLD = {"elliptic": (4, -4), "quartic": (4, -4), "group2": (4, -4)}
+
+
+@pytest.mark.parametrize("argument", [
+    None, (F(1), 0), (F(2), 0), (F(-1), 1), (F(8), -3), (F(-27, 8), 3),
+    (F(-16, 81), -4), (F(9, 4), 2),
+], ids=str)
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_is_smooth_in_integers_matches_argument_at(name, argument):
+    fam = get_family(name)
+    if argument is not None:
+        fam = replace(fam, hg=replace(fam.hg, argument=argument))
+    singular = 0
+    for psi in SMOOTHNESS_GRID:
+        expected = psi != 0 and fam.hg.argument_at(psi) != 1
+        assert fam.is_smooth(psi) is expected
+        assert fam.is_smooth(str(psi)) is expected
+        if psi.denominator == 1:
+            assert fam.is_smooth(int(psi)) is expected
+        singular += not expected
+    # psi = 0, and each rational conifold value the grid holds
+    if argument is None:
+        assert singular == 1 + len(CONIFOLD.get(name, ()))
+        assert not any(fam.is_smooth(psi) for psi in CONIFOLD.get(name, ()))
 
 
 def test_elliptic_vertices_are_in_ruling_order():

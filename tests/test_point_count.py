@@ -19,12 +19,13 @@ from hwmt.errors import (
 from hwmt.families import FAMILIES, get_family
 from hwmt.hypergeometric import truncated_pFq
 from hwmt.point_count import (
-    P1_X_P1,
     congruence_check,
     count_family,
     count_graded,
 )
 from hwmt.polytope import vertex_kernel
+
+from oracles import P1_X_P1
 
 F = Fraction
 P3 = ((1, 1, 1, 1),)
@@ -126,6 +127,22 @@ class TestGrading:
         with pytest.raises(UncountableAmbient):
             count_graded([(1, (1, 1))], ((1, -1),), 5)
 
+    @pytest.mark.parametrize("grading", [
+        ((1, 1, 0), (0, 1, 1)),
+        ((1, 1, 0),),
+        ((1, 1), (0, 0)),
+        (),
+    ], ids=["rows-overlap", "unweighted-variable", "empty-row", "no-rows"])
+    def test_rejects_a_grading_that_is_no_product(self, grading):
+        # countable: every variable has a positive weight in exactly one row
+        with pytest.raises(UncountableAmbient):
+            count_graded([], grading, 5)
+
+    def test_interleaved_rulings_are_p1_x_p1(self):
+        # x0 * x1 = 0 with x0, x1 in different rows: two rulings again
+        grading = ((1, 0, 1, 0), (0, 1, 0, 1))
+        assert count_graded([(1, (1, 1, 0, 0))], grading, 5) == 11
+
 
 @cache
 def _weighted_monomials(weights, degree):
@@ -216,14 +233,25 @@ class TestCongruences:
 
 class TestBudget:
     def test_fibered_scan_refused_up_front(self):
-        # x0^3 x1 takes the quartic off the character-sum shape; the fibered
-        # scan would visit 1009^3 prefixes
+        # x0^3 x1 takes the quartic off the character-sum shape; the strata
+        # of P^3 would visit 1009^2 + 1009 + 1 prefixes, and each fiber of
+        # degree 4 in x3 costs up to 1009 evaluations
         poly = [(1, e) for e in ((4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0),
                                  (0, 0, 0, 4), (3, 1, 0, 0))]
         poly.append((-8, (1, 1, 1, 1)))
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded):
             count_graded(poly, P3, 1009)
+        assert time.perf_counter() - start < 1
+
+    def test_quadratic_fibers_refused_by_their_prefix_count(self):
+        # a quadric's fibers are closed-form lookups, one step each; the
+        # strata of P^3 would visit 3163^2 + 3163 + 1 = 10,007,733 prefixes
+        poly = [(1, (2, 0, 0, 0)), (1, (0, 2, 0, 0)), (1, (0, 1, 1, 0)),
+                (3, (0, 0, 0, 2))]
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="10007733 steps"):
+            count_graded(poly, P3, 3163)
         assert time.perf_counter() - start < 1
 
     def test_character_sum_refused_up_front(self):
