@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .errors import HwmtError, NotReflexive, ParseError, UnknownFormat
+from .errors import (
+    HwmtError,
+    NotInteriorOrigin,
+    NotReflexive,
+    ParseError,
+    UnknownFormat,
+)
 from .families import get_family
 from .polytope import (
     KernelLattice,
@@ -79,8 +85,8 @@ def fixture_path(name: str) -> Path:
 def load_polytopes(path) -> List[PolytopeRecord]:
     """Parse and validate a polytope fixture file.
 
-    Every record is checked for reflexivity; the offending id is named on
-    failure.
+    Every record is checked for reflexivity; the file and the offending
+    record are named on failure.
     """
     path = Path(path)
     source = path.name
@@ -127,7 +133,12 @@ def load_polytopes(path) -> List[PolytopeRecord]:
             poly = LatticePolytope(dim, tuple(verts), pid)
         except HwmtError as exc:
             raise ParseError(f"{source}: record {pid}: {exc}") from exc
-        if not is_reflexive(poly):
+        try:
+            reflexive = is_reflexive(poly)
+        except NotInteriorOrigin:
+            raise NotInteriorOrigin(
+                f"{source}: origin is not strictly interior to record {pid}") from None
+        if not reflexive:
             raise NotReflexive(f"{source}: record {pid} is not reflexive")
         records.append(PolytopeRecord(pid, poly))
 

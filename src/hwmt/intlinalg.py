@@ -26,39 +26,45 @@ def _hermite(rows, ncols):
     ncols columns; the later columns follow the same row operations."""
     m = [list(r) for r in rows]
     nrows = len(m)
-
-    def addmul(dst, src, c):
-        if c:
-            mi, ms = m[dst], m[src]
-            for k in range(len(mi)):
-                mi[k] += c * ms[k]
-
     pivot = 0
     for col in range(ncols):
         if pivot >= nrows:
             break
         # euclidean elimination in this column, rows pivot..nrows-1
         while True:
-            nz = [i for i in range(pivot, nrows) if m[i][col]]
-            if not nz:
+            # the first row of least nonzero |entry| becomes the pivot row
+            i0, least = None, 0
+            for i in range(pivot, nrows):
+                x = abs(m[i][col])
+                if x and (not least or x < least):
+                    i0, least = i, x
+            if i0 is None:
                 break
-            i0 = min(nz, key=lambda i: abs(m[i][col]))
             if i0 != pivot:
                 m[pivot], m[i0] = m[i0], m[pivot]
+            prow = m[pivot]
+            a = prow[col]
             done = True
             for i in range(pivot + 1, nrows):
-                if m[i][col]:
-                    addmul(i, pivot, -(m[i][col] // m[pivot][col]))
-                    if m[i][col]:
+                row = m[i]
+                if row[col]:
+                    c = row[col] // a
+                    if c:
+                        m[i] = row = [x - c * y for x, y in zip(row, prow)]
+                    if row[col]:
                         done = False
             if done:
                 break
-        if m[pivot][col]:
-            if m[pivot][col] < 0:
-                m[pivot] = [-x for x in m[pivot]]
-            p = m[pivot][col]
+        prow = m[pivot]
+        a = prow[col]
+        if a:
+            if a < 0:
+                m[pivot] = prow = [-x for x in prow]
+                a = -a
             for i in range(pivot):
-                addmul(i, pivot, -(m[i][col] // p))
+                c = m[i][col] // a
+                if c:
+                    m[i] = [x - c * y for x, y in zip(m[i], prow)]
             pivot += 1
     return tuple(tuple(r) for r in m)
 

@@ -9,29 +9,34 @@ Conventions: a polytope stores an ordered tuple of vertices (order is
 significant -- the vertex-matrix kernel lives in Z^k indexed by that order).
 A facet inequality <normal, x> >= -offset has a primitive integer normal.
 
-Facets are found once per duality pair.  For P they come from the
-hyperplanes through dim vertices: the normal is the vector of signed
-maximal minors of the dim-1 edge vectors (Bareiss determinants, no HNF),
-and a vertex subset already inside the tight set of a facet found earlier
-is skipped.  The polar dual of a reflexive P inherits its facets,
-<v, w> >= -1 for the vertices v of P, so building and validating P* and
-every later ``facets(P*)`` is a lookup.
+Facets and the pairing matrix are found once per duality pair.  The
+pairing matrix M of P has the entry <n_F, v> + offset_F for facet F and
+vertex v, rows in facet order.  For P the facets come from the hyperplanes
+through dim vertices: the normal is the vector of signed maximal minors of
+the dim-1 edge vectors (Bareiss determinants, no HNF), a vertex subset
+already inside the tight set of a facet found earlier is skipped, and the
+values of the vertices on a facet's hyperplane, which decide that it is a
+facet, are also its row of M.  The polar dual of a reflexive P inherits
+its facets, <v, w> >= -1 for the vertices v of P, and M(P*) = M(P)^T: its
+rows follow the sorted vertices of P, its facet order, and its columns
+follow the facets of P, its sorted vertices.  So building and validating
+P*, its vertex-facet incidences and its canonical orders compute no inner
+product.
 
-Per-polytope results (facets, lattice points, vertex-facet incidences,
-vertex kernels, the polar dual, the canonical vertex orders, the normal
-form and the kernel invariant) are memoized in bounded caches of
-``CACHE_SIZE`` entries, so a census builds each of them once however many
-pairs it appears in.  The facets also validate a vertex list: it is
+Per-polytope results (facets and pairing matrix, lattice points,
+vertex-facet incidences, vertex kernels, the polar dual, the canonical
+vertex orders, the normal form and the kernel invariant) are memoized in
+bounded caches of ``CACHE_SIZE`` entries, so a census builds each of them
+once however many pairs it appears in.  The facets also validate a vertex list: it is
 full-dimensional iff it has a facet and no facet is tight on every listed
 point, and a listed point is a vertex iff the facets through it meet in
 that point alone.
 
 One normal form serves both equivalences (after PALP, Kreuzer-Skarke
-math/0204356, and Grinis-Kasprzyk arXiv:1301.6641).  The pairing matrix M
-of P has the entry <n_F, v> + offset_F for facet F and vertex v.  A
-level-by-level search over vertex orders sigma keeps, at each length, every
-prefix whose descending-sorted facet rows are lexicographically greatest;
-the orders that survive are the canonical labelings, a coset of the
+math/0204356, and Grinis-Kasprzyk arXiv:1301.6641).  A level-by-level
+search over vertex orders sigma keeps, at each length, every prefix whose
+descending-sorted facet rows of M are lexicographically greatest; the
+orders that survive are the canonical labelings, a coset of the
 automorphisms of M, and the last sorted rows are the code: M up to row
 order, with its columns in a canonical order.  The normal form is the
 dimension, the code and the least row HNF of the transposed vertex matrix
@@ -46,6 +51,17 @@ of P o sigma over the canonical sigma.
   P o sigma.  Conversely a bijection with ker(Q o sigma) = ker(P) gives
   Q o sigma = P @ U for a rational U, which sends facets at distance 1 to
   facets at distance 1 and so preserves M.
+- One HNF suffices for a reflexive P whose first canonical order gives an
+  HNF H with every pivot 1.  The row lattice L_sigma of the transposed
+  vertex matrix of P o sigma lies in S_sigma, the integer vectors
+  orthogonal to ker(P o sigma), with index the gcd of its maximal minors.
+  The minor of H on its pivot columns is 1, so that first lattice is all
+  of its S.  Every other L_sigma is it with permuted columns, so it has
+  the same minors up to sign and is all of its S_sigma too; and for
+  reflexive P the code fixes ker(P o sigma), so every S_sigma is the same.
+  Every canonical order therefore gives the lattice of H.  Off reflexive
+  polytopes the code does not fix the kernel, and the least HNF over the
+  orders can be smaller than a first H with every pivot 1.
 
 The canonical labelings also witness the kernel-pair relation.  If pi is
 the first canonical order of P and tau runs over those of Q, the
@@ -107,9 +123,10 @@ class LatticePolytope:
     dim: int
     vertices: Tuple[LatticePoint, ...]
     id: Optional[int] = field(default=None, compare=False)
-    # set only by polar_dual: not a field, so no caller can pass facets that
-    # ``facets`` would then cache for every equal polytope
-    _known_facets = None
+    # (facets, pairing matrix), set only by polar_dual: not a field, so no
+    # caller can pass facets that ``_pairing`` would then cache for every
+    # equal polytope
+    _known_pairing = None
 
     def __post_init__(self):
         try:
@@ -156,18 +173,21 @@ def _coordinate(x) -> int:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def facets(p: LatticePolytope) -> Tuple[FacetInequality, ...]:
-    """All facet inequalities, each with primitive normal, sorted.
+def _pairing(p: LatticePolytope):
+    """(facets, M) of p: the facet inequalities, each with primitive normal,
+    sorted, and the pairing matrix, whose row for facet F holds
+    <n_F, v> + offset_F for each vertex v in order.
 
-    A polar dual carries its facets from construction.  Otherwise every
+    A polar dual carries both from construction.  Otherwise every
     dim-subset of vertices spans a candidate hyperplane whose normal is the
     vector of signed maximal minors of its dim-1 edge vectors (zero when
-    they are dependent), and the supporting ones are facets.  A subset
-    inside the tight set of a facet already found spans that facet again,
-    so it is skipped and each facet is found once.
+    they are dependent), and the supporting ones are facets, each row read
+    off the values of the vertices on its hyperplane.  A subset inside the
+    tight set of a facet already found spans that facet again, so it is
+    skipped and each facet is found once.
     """
-    if p._known_facets is not None:
-        return p._known_facets
+    if p._known_pairing is not None:
+        return p._known_pairing
     n, verts = p.dim, p.vertices
     found, tight_sets = [], []
     for sub in combinations(range(len(verts)), n):
@@ -180,23 +200,36 @@ def facets(p: LatticePolytope) -> Tuple[FacetInequality, ...]:
         if not any(normal):
             continue
         vals = [sum(a * x for a, x in zip(normal, v)) for v in verts]
-        c, lo = vals[sub[0]], min(vals)
-        if c != lo and c != max(vals):
-            continue
-        tight_sets.append({i for i, val in enumerate(vals) if val == c})
-        if c != lo:
-            normal, c = tuple(-a for a in normal), -c
-        found.append(FacetInequality(normal, -c))
-    return tuple(sorted(found, key=lambda f: (f.normal, f.offset)))
+        c = vals[sub[0]]
+        if c != min(vals):
+            if c != max(vals):
+                continue
+            normal, vals, c = tuple(-a for a in normal), [-val for val in vals], -c
+        row = tuple(val - c for val in vals)
+        tight_sets.append({i for i, x in enumerate(row) if not x})
+        found.append((FacetInequality(normal, -c), row))
+    found.sort(key=lambda fr: fr[0].normal)
+    return tuple(f for f, _ in found), tuple(r for _, r in found)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def facets(p: LatticePolytope) -> Tuple[FacetInequality, ...]:
+    """All facet inequalities, each with primitive normal, sorted; see
+    ``_pairing``."""
+    return _pairing(p)[0]
 
 
 def has_interior_origin(p: LatticePolytope) -> bool:
     return all(f.offset >= 1 for f in facets(p))
 
 
+def _name(p):
+    return f"polytope {p.id if p.id is not None else p.vertices}"
+
+
 def _require_interior_origin(p):
     if not has_interior_origin(p):
-        raise NotInteriorOrigin(f"origin is not strictly interior to {p.id or p.vertices}")
+        raise NotInteriorOrigin(f"origin is not strictly interior to {_name(p)}")
 
 
 def is_reflexive(p: LatticePolytope) -> bool:
@@ -207,7 +240,7 @@ def is_reflexive(p: LatticePolytope) -> bool:
 
 def _require_reflexive(p):
     if not is_reflexive(p):
-        raise NotReflexive(f"polytope {p.id or p.vertices} is not reflexive")
+        raise NotReflexive(f"{_name(p)} is not reflexive")
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -216,27 +249,33 @@ def polar_dual(p: LatticePolytope) -> LatticePolytope:
 
     Raises NonLatticeDual when some dual vertex is non-integral, which is
     exactly the non-reflexive case.  The dual is built with its facets,
-    one per vertex of p, so it needs no facet enumeration of its own.
+    one per vertex of p, and its pairing matrix, the transpose of p's, so
+    it needs no facet enumeration and no inner product of its own.
     Memoized: the dual carries no id, so one dual serves every id of p;
     errors are raised on every call.
     """
     _require_interior_origin(p)
     if p.dim > 4:
         raise DegeneratePolytope("polar_dual supports dimension <= 4")
-    dual_verts = []
-    for f in facets(p):
+    fs, rows = _pairing(p)
+    for f in fs:
         if f.offset != 1:
             raise NonLatticeDual(
                 f"facet {f.normal} has lattice distance {f.offset} != 1"
             )
-        dual_verts.append(f.normal)
-    # <v, w> >= -1 for each vertex v of p, primitive because the dual's
-    # lattice points on that facet give it the value -1; they are set before
-    # __init__ validates the dual, so the validation enumerates nothing
+    # dual vertex j is the normal of facet j, as the facets are sorted by
+    # normal.  The dual's facets are <v, w> >= -1 for the vertices v of p
+    # in sorted order, primitive because the dual's lattice points on that
+    # facet give it the value -1, and the row of v is column v of p's
+    # matrix.  Both are set before __init__ validates the dual, so the
+    # validation enumerates nothing.
+    where = sorted(range(p.nvertices), key=p.vertices.__getitem__)
+    cols = tuple(zip(*rows))
     dual = object.__new__(LatticePolytope)
-    object.__setattr__(dual, "_known_facets",
-                       tuple(FacetInequality(v, 1) for v in sorted(p.vertices)))
-    dual.__init__(p.dim, tuple(sorted(dual_verts)))
+    object.__setattr__(dual, "_known_pairing", (
+        tuple(FacetInequality(p.vertices[i], 1) for i in where),
+        tuple(cols[i] for i in where)))
+    dual.__init__(p.dim, tuple(f.normal for f in fs))
     return dual
 
 
@@ -277,16 +316,10 @@ def vertex_kernel(p: LatticePolytope) -> KernelLattice:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def vertex_facet_sets(p: LatticePolytope) -> Tuple[frozenset, ...]:
-    """Facets as frozensets of vertex indices."""
-    out = []
-    for f in facets(p):
-        tight = frozenset(
-            i
-            for i, v in enumerate(p.vertices)
-            if sum(f.normal[j] * v[j] for j in range(p.dim)) == -f.offset
-        )
-        out.append(tight)
-    return tuple(out)
+    """Facets as frozensets of vertex indices: the zeros of the pairing
+    matrix's rows."""
+    return tuple(frozenset(i for i, x in enumerate(row) if not x)
+                 for row in _pairing(p)[1])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -294,40 +327,52 @@ def _canonical_orders(p: LatticePolytope):
     """(code, orders) of p: the canonical vertex orders, found by a
     level-by-level search over the pairing matrix, and the code, the
     pairing matrix's facet rows under them sorted descending; see the
-    module docstring."""
+    module docstring.
+
+    A prefix of a row is packed into one int, its entries read as digits
+    in base 1 + the largest entry, so that prefixes of one length compare
+    as the tuples do; the winning rows are unpacked once at the end."""
     k = p.nvertices
-    pairing = [
-        tuple(sum(a * x for a, x in zip(f.normal, v)) + f.offset for v in p.vertices)
-        for f in facets(p)
-    ]
-    # (vertex order, facet rows cut to it): the rows stay in facet order so
-    # that extending a prefix appends one column
-    level = [((), [()] * len(pairing))]
+    matrix = _pairing(p)[1]
+    base = 1 + max(map(max, matrix))
+    cols = tuple(zip(*matrix))
+    # (vertex order, packed facet rows cut to it): the rows stay in facet
+    # order so that extending a prefix appends one column
+    level = [((), (0,) * len(matrix))]
     for _ in range(k):
         best, survivors = None, []
         for order, rows in level:
             for v in range(k):
                 if v in order:
                     continue
-                ext = [r + (f[v],) for r, f in zip(rows, pairing)]
+                ext = [r * base + x for r, x in zip(rows, cols[v])]
                 code = sorted(ext, reverse=True)
                 if best is None or code > best:
                     best, survivors = code, []
                 if code == best:
                     survivors.append((order + (v,), ext))
         level = survivors
-    return tuple(best), tuple(order for order, _ in level)
+    powers = [base ** e for e in range(k - 1, -1, -1)]
+    return (tuple(tuple(r // b % base for b in powers) for r in best),
+            tuple(order for order, _ in level))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def normal_form(p: LatticePolytope):
     """(dim, code, vertex part) of p, equal for p and q exactly when some U
     in GL(n,Z) maps the vertices of p onto those of q; see the module
-    docstring."""
+    docstring.  The vertex part of a reflexive p whose first canonical
+    order gives an HNF with every pivot 1 is that HNF (see there too)."""
     code, orders = _canonical_orders(p)
-    verts = min(hnf_rows(tuple(zip(*(p.vertices[i] for i in order))))
-                for order in orders)
-    return p.dim, code, verts
+
+    def hnf(order):
+        return hnf_rows(tuple(zip(*(p.vertices[i] for i in order))))
+
+    first = hnf(orders[0])
+    if (all(f.offset == 1 for f in facets(p))
+            and all(next(filter(None, r)) == 1 for r in first)):
+        return p.dim, code, first
+    return p.dim, code, min([first, *map(hnf, orders[1:])])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -336,7 +381,7 @@ def kernel_invariant(p: LatticePolytope):
     when they are a kernel pair.  Memoized; NotReflexive and
     NotInteriorOrigin are raised on every call, as errors are not cached."""
     _require_reflexive(p)
-    return normal_form(p)[:2]
+    return p.dim, _canonical_orders(p)[0]
 
 
 def _pairing_bijections(p: LatticePolytope, q: LatticePolytope):

@@ -27,6 +27,11 @@ Each is independent of the engine it checks:
   ``hwmt.intlinalg``;
 - the backtracking bijection search, against the relations that
   ``hwmt.polytope`` decides and witnesses by canonical vertex orders;
+- ``tuple_canonical_orders`` and ``min_order_normal_form``, the canonical
+  order search with tuple rows built from the facets and the least HNF
+  over every canonical order, against the packed search, the inherited
+  pairing matrix of a polar dual and the one-HNF normal form of a
+  saturated reflexive polytope;
 - ``P1_X_P1``, the Cox grading of P1 x P1 on (x0, x1, y0, y1), which the
   point-count tests pass to ``hwmt.point_count.count_graded``.
 
@@ -35,7 +40,8 @@ family of P onto that of Q.  The search yields those bijections in
 lexicographic order; the kernel pairs are the ones for which every basis
 row of ker(P) annihilates the reordered vertices of Q, and a lattice
 isomorphism is the first of them whose map on a vertex basis is integral
-and unimodular.  Nothing here reads the pairing matrix or the normal form.
+and unimodular.  Nothing here reads the package's pairing matrix or normal
+form.
 """
 
 from fractions import Fraction
@@ -52,6 +58,7 @@ from hwmt.polytope import (
     FacetInequality,
     LatticePolytope,
     _require_reflexive,
+    facets,
     polar_dual,
     vertex_facet_sets,
     vertex_kernel,
@@ -439,3 +446,44 @@ def lattice_isomorphism(
         if abs(det(uint)) == 1:
             return uint
     return None
+
+
+def pairing_rows(p: LatticePolytope):
+    """The pairing matrix of p from its facets: the row of facet F holds
+    <n_F, v> + offset_F for each vertex v in order."""
+    return tuple(
+        tuple(sum(a * x for a, x in zip(f.normal, v)) + f.offset for v in p.vertices)
+        for f in facets(p)
+    )
+
+
+def tuple_canonical_orders(p: LatticePolytope):
+    """(code, orders) of p by the level-by-level search with tuple rows:
+    at each length keep every vertex-order prefix whose descending-sorted
+    facet rows are lexicographically greatest."""
+    k = p.nvertices
+    pairing = pairing_rows(p)
+    level = [((), [()] * len(pairing))]
+    for _ in range(k):
+        best, survivors = None, []
+        for order, rows in level:
+            for v in range(k):
+                if v in order:
+                    continue
+                ext = [r + (f[v],) for r, f in zip(rows, pairing)]
+                code = sorted(ext, reverse=True)
+                if best is None or code > best:
+                    best, survivors = code, []
+                if code == best:
+                    survivors.append((order + (v,), ext))
+        level = survivors
+    return tuple(best), tuple(order for order, _ in level)
+
+
+def min_order_normal_form(p: LatticePolytope):
+    """(dim, code, vertex part) with the vertex part the least row HNF of
+    the transposed vertex matrix over every canonical order."""
+    code, orders = tuple_canonical_orders(p)
+    verts = min(hnf_rows(tuple(zip(*(p.vertices[i] for i in order))))
+                for order in orders)
+    return p.dim, code, verts

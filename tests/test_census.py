@@ -15,7 +15,7 @@ from hwmt.census import (
     CensusResult,
     PolytopeRecord,
 )
-from hwmt.errors import NotReflexive, ParseError, UnknownFormat
+from hwmt.errors import NotInteriorOrigin, NotReflexive, ParseError, UnknownFormat
 from hwmt.polytope import normal_form, polar_dual, vertex_kernel
 
 from oracles import is_kernel_pair, lattice_isomorphism
@@ -106,6 +106,24 @@ class TestLoad:
         path.write_text("7 2 4\n2 2\n-2 2\n-2 -2\n2 -2\n")
         with pytest.raises(NotReflexive, match="7"):
             load_polytopes(path)
+
+    @pytest.mark.parametrize("bad_id", [0, 7])
+    @pytest.mark.parametrize("record, error, message", [
+        # the origin is a point outside the triangle
+        ("2 3\n1 0\n2 1\n1 2\n", NotInteriorOrigin,
+         "origin is not strictly interior to record {}"),
+        # the origin is inside, at lattice distance 2 from each facet
+        ("2 4\n2 2\n-2 2\n-2 -2\n2 -2\n", NotReflexive,
+         "record {} is not reflexive"),
+    ], ids=["not-interior", "not-reflexive"])
+    def test_unreflexive_record_names_file_and_id(self, tmp_path, bad_id,
+                                                  record, error, message):
+        # id 0 is named as a number too, not by its vertices
+        path = tmp_path / "records.txt"
+        path.write_text(f"{7 - bad_id} 2 3\n1 0\n0 1\n-1 -1\n\n{bad_id} {record}")
+        with pytest.raises(error) as exc:
+            load_polytopes(path)
+        assert str(exc.value) == "records.txt: " + message.format(bad_id)
 
     def test_duplicate_ids(self, tmp_path):
         rec = "0 2 3\n1 0\n0 1\n-1 -1\n"

@@ -56,6 +56,7 @@ from hwmt.intlinalg import char_poly, hermite_row, hnf_rows, left_kernel
 from hwmt.ratfunc import Poly
 from hwmt.polytope import (
     LatticePolytope,
+    _pairing,
     facets,
     is_kernel_pair,
     lattice_points,
@@ -75,6 +76,7 @@ from oracles import (
     hnf_polytope,
     lattice_isomorphism,
     member_terms,
+    pairing_rows,
     zero_sum_exponents,
 )
 
@@ -982,6 +984,7 @@ def test_facets_match_hnf_oracle():
         if p is None:
             seen[got[1].split()[0]] += 1  # "point" or "vertex"
             continue
+        assert _pairing(p)[1] == pairing_rows(p), pts
         # the origin inside, on the boundary or outside; a dual when reflexive
         low = min(f.offset for f in got[0])
         dual = _outcome(polar_dual, p)
@@ -1000,16 +1003,19 @@ def test_facets_match_hnf_oracle():
 
 def test_inherited_dual_facets_match_hnf_oracle(fixture_polytopes):
     polys = fixture_polytopes + [fam.polytope for fam in FAMILIES.values()]
-    for cached in (facets, vertex_facet_sets, polar_dual):
+    for cached in (_pairing, facets, vertex_facet_sets, polar_dual):
         cached.cache_clear()
     for p in polys:
         dual = polar_dual(p)
-        assert facets(dual) == dual._known_facets \
-            == hnf_facets(dual.dim, dual.vertices)
+        known, matrix = dual._known_pairing
+        assert facets(dual) == known == hnf_facets(dual.dim, dual.vertices)
+        # the inherited pairing matrix, p's transposed, is the one the
+        # dual's own facets and vertices give
+        assert _pairing(dual)[1] == matrix == pairing_rows(dual)
         # the inherited facets are a cache: a fresh polytope with the same
         # vertices is equal, hashes alike and prints alike
         fresh = LatticePolytope(dual.dim, dual.vertices)
-        assert fresh._known_facets is None
+        assert fresh._known_pairing is None
         assert (fresh, hash(fresh), repr(fresh)) == (dual, hash(dual), repr(dual))
 
 

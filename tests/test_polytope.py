@@ -20,8 +20,11 @@ from hwmt.hasse_witt import (
     _kernel_plan,
     hasse_witt_polynomial,
 )
+from hwmt import polytope
+from hwmt.intlinalg import hnf_rows
 from hwmt.polytope import (
     _canonical_orders,
+    _pairing,
     FacetInequality,
     LatticePolytope,
     vertex_facet_sets,
@@ -102,6 +105,20 @@ class TestReflexive:
     def test_requires_interior_origin(self):
         with pytest.raises(NotInteriorOrigin):
             is_reflexive(LatticePolytope(2, ((1, 0), (2, 1), (1, 2))))
+
+    @pytest.mark.parametrize("pid", [0, 7, None])
+    def test_errors_name_the_polytope(self, pid):
+        # by its id when it has one, id 0 included, else by its vertices
+        shifted = LatticePolytope(2, ((1, 0), (2, 1), (1, 2)), pid)
+        big = LatticePolytope(2, ((2, 2), (-2, 2), (-2, -2), (2, -2)), pid)
+        with pytest.raises(NotInteriorOrigin) as exc:
+            is_reflexive(shifted)
+        name = shifted.vertices if pid is None else pid
+        assert str(exc.value) == f"origin is not strictly interior to polytope {name}"
+        with pytest.raises(NotReflexive) as exc:
+            kernel_invariant(big)
+        name = big.vertices if pid is None else pid
+        assert str(exc.value) == f"polytope {name} is not reflexive"
 
 
 class TestLatticePoints:
@@ -357,17 +374,10 @@ class TestNormalForm:
             (True, True): 296, (True, False): 912, (False, False): 13272}
 
     def test_normal_form_matches_search_off_reflexive(self, gl_image):
-        # seeded lattice polytopes in dimensions 1-4, mostly not reflexive,
-        # each with an image; every pair of one dimension and vertex count
-        rng = random.Random(2424)
+        # every pair of one dimension and vertex count
         shapes = {}
-        for dim, pts in random_point_sets(200):
-            try:
-                p = LatticePolytope(dim, pts)
-            except DegeneratePolytope:
-                continue
-            for poly in (p, gl_image(rng, p)):
-                shapes.setdefault((dim, poly.nvertices), []).append(poly)
+        for poly in off_reflexive_polytopes(gl_image):
+            shapes.setdefault((poly.dim, poly.nvertices), []).append(poly)
         found = []
         for group in shapes.values():
             for p in group:
@@ -380,6 +390,52 @@ class TestNormalForm:
         assert sum(has_interior_origin(p) and is_reflexive(p) for p in polys) < 10
         # more isomorphic pairs than each polytope with itself and its image
         assert 2 * len(polys) < found.count(True) < len(found) // 4
+
+    def test_search_and_hnf_match_oracles(self, reflexive_pool, gl_image):
+        # the packed search against the tuple rows, and the normal form
+        # against the least HNF over every canonical order, on the fixtures
+        # and their duals, seeded images of them, and the polytopes of the
+        # test above
+        pool = [p for shape in sorted(reflexive_pool) for p in reflexive_pool[shape]]
+        rng = random.Random(2525)
+        images = [gl_image(rng, rng.choice(pool)) for _ in range(200)]
+        saturated = 0
+        for p in pool + images + list(off_reflexive_polytopes(gl_image)):
+            code, orders = oracles.tuple_canonical_orders(p)
+            assert _canonical_orders(p) == (code, orders), p
+            assert normal_form(p) == oracles.min_order_normal_form(p), p
+            first = hnf_rows(tuple(zip(*(p.vertices[i] for i in orders[0]))))
+            saturated += (len(orders) > 1 and normal_form(p)[2] == first
+                          and all(next(filter(None, r)) == 1 for r in first))
+        # the one-HNF case is common among the fixtures
+        assert saturated > 20
+
+    def test_first_order_hnf_is_not_enough_off_reflexive(self):
+        # the origin is a vertex: every pivot of the first order's HNF is 1,
+        # but a later order gives a smaller HNF, and it makes the two
+        # isomorphic triangles equal
+        p = LatticePolytope(2, ((1, -2), (0, 0), (1, -1)))
+        q = LatticePolytope(2, ((-1, 0), (-1, -1), (0, 0)))
+        _, orders = _canonical_orders(p)
+        first = hnf_rows(tuple(zip(*(p.vertices[i] for i in orders[0]))))
+        assert first == ((1, 0, 0), (0, 0, 1))
+        assert normal_form(p)[2] == ((0, 1, 0), (0, 0, 1)) < first
+        assert normal_form(p) == normal_form(q) == oracles.min_order_normal_form(q)
+        assert oracles.lattice_isomorphism(p, q) is not None
+
+    def test_dual_enumerates_nothing(self, records3d, monkeypatch):
+        # the dual's pairing matrix is p's transposed: its validation, its
+        # canonical orders and its normal form enumerate no facet hyperplane,
+        # so they compute no inner product
+        p = records3d[427].polytope
+        for cached in (_pairing, facets, vertex_facet_sets, polar_dual,
+                       _canonical_orders, normal_form):
+            cached.cache_clear()
+        _pairing(p)
+        monkeypatch.setattr(polytope, "combinations", None)
+        dual = polar_dual(p)
+        assert _pairing(dual) is dual._known_pairing
+        assert normal_form(dual) == oracles.min_order_normal_form(dual)
 
     def test_kernel_invariant_requires_reflexive(self):
         # memoized, but an error is not cached: raised on every call
@@ -442,8 +498,8 @@ class TestCaches:
     def test_every_cache_is_bounded(self, records2d, records3d):
         # a census touches every fixture polytope and its dual
         distinct = 2 * (len(records2d) + len(records3d))
-        for cached in (facets, lattice_points, vertex_facet_sets, polar_dual,
-                       vertex_kernel, _canonical_orders, normal_form,
+        for cached in (_pairing, facets, lattice_points, vertex_facet_sets,
+                       polar_dual, vertex_kernel, _canonical_orders, normal_form,
                        kernel_invariant, _kernel_plan, _factorials_mod,
                        _hw_coefficients):
             maxsize = cached.cache_info().maxsize
@@ -542,6 +598,19 @@ def rank_vertex_oracle(dim, points):
         if oracles.frac_rank(tight) < dim:
             return f"point {v} is not a vertex"
     return None
+
+
+def off_reflexive_polytopes(gl_image):
+    """Seeded lattice polytopes in dimensions 1-4, mostly not reflexive,
+    each followed by an image."""
+    rng = random.Random(2424)
+    for dim, pts in random_point_sets(200):
+        try:
+            p = LatticePolytope(dim, pts)
+        except DegeneratePolytope:
+            continue
+        yield p
+        yield gl_image(rng, p)
 
 
 def random_point_sets(count, seed=2121):
