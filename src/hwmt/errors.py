@@ -52,10 +52,6 @@ class BadDenominator(HwmtError):
     """A denominator is divisible by p, so it cannot be inverted mod p."""
 
 
-class ExponentTooLarge(HwmtError):
-    """constant_term_power requires the exponent to be < p."""
-
-
 class PsiNotInvertible(HwmtError):
     """The argument needs a negative power of psi but p divides psi."""
 

@@ -5,13 +5,13 @@ f_psi = sum of x^m over the vertices m of the polar dual, plus psi.  So
 every function here takes the polytope (or a family, which names one) and
 reads the dual's vertices; no pencil object is built.
 
-The constant term of (sum_i c_i x^{w_i})^e is a sum over nonnegative
-integer vectors a with sum(a) = e and sum_i a_i w_i = 0, each contributing
-multinomial(e; a) * prod c_i^{a_i}.  After duplicate exponents are merged
-and the origin term is split off (it takes whatever budget e - sum(a) the
-others leave), those vectors are the points of the kernel lattice of the
-remaining exponent matrix in a simplex.  One recursion, ``_kernel_runs``,
-walks them through the integer coefficients of the lattice's HNF basis:
+The constant term of f_psi^e is a sum over nonnegative integer vectors
+(a, a_0), a_i the power of the dual vertex w_i and a_0 that of psi, with
+sum(a) + a_0 = e and sum_i a_i w_i = 0, each contributing
+multinomial(e; a, a_0) * psi^{a_0}.  The origin takes whatever budget
+e - sum(a) the vertices leave, so the vectors a are the points of the
+kernel lattice of the vertex matrix in a simplex.  One recursion,
+``_kernel_runs``, walks them through the integer coefficients of the lattice's HNF basis:
 each pivot bounds its coefficient and partial sums on the free columns
 prune, so the cost follows the rank of the kernel and the number of
 surviving vectors rather than the number of monomials.  At the last basis
@@ -33,19 +33,22 @@ budgets asked.  The r pivot values of a point of a rank-r kernel are
 nonnegative, sum to at most h and fix the point, so C(h + r, r) bounds the
 summands of the walk at horizon h; above ``KERNEL_WALK_BUDGET`` the walk is
 refused with ``BudgetExceeded`` before it starts.
-``constant_term_power`` and ``hasse_witt_polynomial`` fold each run into
-weights mod p without building a vector; ``period_coefficients``, which
-needs exact multinomials, expands the runs into vectors
-(``_kernel_points``).  The tests compare the engine with an independent
-depth-first search over every exponent coordinate.
+``hasse_witt_polynomial`` folds each run into weights mod p without
+building a vector; ``period_coefficients``, which needs exact
+multinomials, expands the runs into vectors (``_kernel_points``).  The
+tests compare the engine with an independent depth-first search over
+every exponent coordinate.
 
 For a fixed polytope and prime the invariant is one polynomial in psi of
 degree <= p-1, with coefficients binom(p-1, n) b_n mod p.
 ``hasse_witt_polynomial`` enumerates once per (polytope, p) and memoizes
-the coefficients; ``hasse_witt`` evaluates them at psi mod p.  The direct
-route, ``constant_term_power`` of the (exponent, coefficient) terms of the
-member at psi, is what ``truncation_relation_check`` uses, so the period
-identity it checks is never the source of the value it checks.
+the coefficients; ``hasse_witt`` evaluates them at psi mod p.
+``truncation_relation_check`` reads its Hasse-Witt side from that
+polynomial and sets it against the exact b_n of ``period_coefficients``,
+with binom(p-1, n) = (-1)^n mod p.  So it checks the fold mod p against
+exact arithmetic, but both sides read one walk: a walk that misses a
+point changes both alike.  Only a named family's truncated hypergeometric
+value, and the tests' depth-first search, are independent of the walk.
 """
 
 from collections import namedtuple
@@ -53,16 +56,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import comb, factorial
+from math import comb
 from operator import mul
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from .errors import (
-    BudgetExceeded,
-    ExponentTooLarge,
-    NotKernelPair,
-    SingularMember,
-)
+from .errors import BudgetExceeded, NotKernelPair, SingularMember
 from .families import FamilyTag, get_family, identify_family
 from .hypergeometric import frac_mod, require_prime, require_psi_mod_p, truncated_pFq
 from .intlinalg import left_kernel
@@ -280,39 +278,29 @@ def _factorials_mod(e, p):
     return fact, inv_fact
 
 
-def _power_table(c, e, inv_fact, p):
-    """c^m / m! mod p for m = 0..e."""
-    out, cm = [], 1
-    for m in range(e + 1):
-        out.append(cm * inv_fact[m] % p)
-        cm = cm * c % p
-    return out
+def _budget_weights(exps, e, p):
+    """W[s] = sum of prod_i 1/a_i! over the kernel points a of the exponent
+    vectors with sum(a) = s, for s = 0..e < p; each W[s] is correct mod p
+    but not reduced.
 
-
-def _budget_weights(terms, e, p, inv_fact):
-    """W[s] = sum of prod_i c_i^a_i / a_i! over the kernel points a of the
-    (exponent, coefficient) terms with sum(a) = s, for s = 0..e; each W[s]
-    is correct mod p but not reduced.
-
-    Each run multiplies its prefix's table entries once; along the run each
-    varying column reads a slice of its table, and the slices multiply
-    pointwise.  A coefficient 1 reads 1/m! from ``inv_fact`` itself.
+    Each run multiplies its prefix's 1/m! once; along the run each varying
+    column reads a slice of the 1/m! table, and the slices multiply
+    pointwise.  The table, sized by e, is built after the walk, so a walk
+    refused by its budget builds none.
     """
-    tables = [inv_fact if c == 1 else _power_table(c, e, inv_fact, p)
-              for _, c in terms]
-    plan = _kernel_plan(tuple(w for w, _ in terms))
-    fixed = [tables[j] for j in plan.fixed]
-    varying = [(tables[j], inc) for j, inc in zip(plan.varying, plan.incs)]
+    plan = _kernel_plan(tuple(exps))
+    runs = _kernel_runs(plan, e)
+    inv_fact = _factorials_mod(e, p)[1]
     ds = sum(plan.incs)
     weights = [0] * (e + 1)
-    for prefix, count, starts in _kernel_runs(plan, e):
+    for prefix, count, starts in runs:
         w = 1
-        for table, v in zip(fixed, prefix):
-            w = w * table[v] % p
+        for v in prefix:
+            w = w * inv_fact[v] % p
         column = [w] * count
-        for (table, inc), v in zip(varying, starts):
+        for v, inc in zip(starts, plan.incs):
             # map stops at the run's end, inside the slice
-            column = map(mul, column, table[v::inc] if inc else repeat(table[v]))
+            column = map(mul, column, inv_fact[v::inc] if inc else repeat(inv_fact[v]))
         s0 = sum(prefix) + sum(starts)
         if ds:
             for s, x in zip(range(s0, s0 + count * ds, ds), column):
@@ -320,30 +308,6 @@ def _budget_weights(terms, e, p, inv_fact):
         else:
             weights[s0] += sum(column)
     return weights
-
-
-def constant_term_power(terms: Sequence[Tuple[Tuple[int, ...], Fraction]], e: int,
-                        p: int) -> int:
-    """Constant term of f^e reduced mod p, for f given as (exponent,
-    coefficient) terms; an all-zero exponent is the origin.
-
-    Requires e < p so every multinomial(e; a) is a unit ratio of factorials
-    below p.  The other terms take a budget s <= e and the origin the rest,
-    so without an origin term only s = e contributes.
-    """
-    require_prime(p)
-    if e >= p:
-        raise ExponentTooLarge(f"exponent {e} must be < p = {p}")
-    merged = {}
-    for w, c in terms:
-        w = w if any(w) else ()  # the origin, whatever its dimension
-        merged[w] = (merged.get(w, 0) + frac_mod(c, p)) % p
-    c0 = merged.pop((), 0)
-    terms = [(w, c) for w, c in merged.items() if c]
-    fact, inv_fact = _factorials_mod(e, p)
-    weights = _budget_weights(terms, e, p, inv_fact)
-    origin = _power_table(c0, e, inv_fact, p)  # the origin takes e - s
-    return fact[e] * sum(w * origin[e - s] for s, w in enumerate(weights)) % p
 
 
 def _resolve_polytope(source) -> Tuple[LatticePolytope, Optional[FamilyTag]]:
@@ -396,9 +360,8 @@ def _hw_coefficients(delta: LatticePolytope, p: int) -> Tuple[int, ...]:
     # an exception is not cached, so NotPrime is raised on every call
     require_prime(p)
     e = p - 1
+    weights = _budget_weights(polar_dual(delta).vertices, e, p)
     fact, inv_fact = _factorials_mod(e, p)
-    terms = [(m, 1) for m in polar_dual(delta).vertices]
-    weights = _budget_weights(terms, e, p, inv_fact)
     # budget s on the vertex monomials leaves e - s for psi * x^0
     return tuple(fact[e] * inv_fact[d] * weights[e - d] % p for d in range(p))
 
@@ -409,9 +372,12 @@ def period_coefficients(delta: LatticePolytope, n_max: int) -> Tuple[int, ...]:
     These are the integer Taylor coefficients of the holomorphic-period
     expansion at the large complex structure limit.
     """
-    fact = [factorial(i) for i in range(n_max + 1)]
+    points = _kernel_points(polar_dual(delta).vertices, n_max)
+    fact = [1] * (n_max + 1)
+    for i in range(1, n_max + 1):
+        fact[i] = fact[i - 1] * i
     values = [0] * (n_max + 1)
-    for a in _kernel_points(polar_dual(delta).vertices, n_max):
+    for a in points:
         denom = 1
         for ai in a:
             denom *= fact[ai]
@@ -440,22 +406,20 @@ def key_lemma_check(delta: LatticePolytope, gamma: LatticePolytope,
 def truncation_relation_check(delta_or_family, psi, p: int) -> bool:
     """Verify HW_p == sum_n binom(p-1, n) b_n psi^(p-1-n) mod p, and, when
     the polytope belongs to a named family, that HW_p matches the family's
-    truncated hypergeometric value."""
+    truncated hypergeometric value.
+
+    HW_p is ``hasse_witt``'s memoized polynomial at psi, b_n the exact
+    ``period_coefficients``, and binom(p-1, n) = (-1)^n mod p.
+    """
     psi = Fraction(psi)
     delta, fam = _resolve_polytope(delta_or_family)
     fam = fam or identify_family(delta)
     if fam is not None and not fam.is_smooth(psi):
         raise SingularMember(f"member at psi = {psi} is singular")
-    # the direct route, not the Hasse-Witt polynomial: that polynomial's
-    # coefficients are the binom(p-1, n) b_n of the identity checked here
-    require_psi_mod_p(psi, p)
-    terms = [(m, 1) for m in polar_dual(delta).vertices] + [((0,) * delta.dim, psi)]
-    hw = constant_term_power(terms, p - 1, p)
-    b = period_coefficients(delta, p - 1)
-    psi_mod = frac_mod(psi, p)
-    rhs = 0
-    for n in range(p):
-        rhs = (rhs + comb(p - 1, n) * (b[n] % p) * pow(psi_mod, p - 1 - n, p)) % p
+    hw = hasse_witt(delta, psi, p).value
+    x, rhs = frac_mod(psi, p), 0
+    for n, bn in enumerate(period_coefficients(delta, p - 1)):
+        rhs = (rhs * x + (-bn if n % 2 else bn)) % p
     if hw != rhs:
         return False
     if fam is not None:

@@ -23,7 +23,6 @@ from hwmt.hasse_witt import (
     _kernel_points,
     _kernel_runs,
     _walk,
-    constant_term_power,
     hasse_witt,
     hasse_witt_polynomial,
     period_coefficients,
@@ -331,27 +330,23 @@ def test_threads_sharing_a_plan_get_their_own_budgets(fixture_polytopes):
     assert not any(t.is_alive() for t in threads) and errors == []
 
 
-def _weights_per_vector(terms, e, p):
+def _weights_per_vector(exps, e, p):
     """The budget weights from the depth-first enumerator, one vector at a
-    time: W[s] = sum of prod_i c_i^a_i / a_i! mod p over the zero-sum
-    vectors a of the terms with sum(a) = s, the origin taking e - s."""
-    exps = [w for w, _ in terms]
+    time: W[s] = sum of prod_i 1/a_i! mod p over the zero-sum vectors a of
+    the exponents with sum(a) = s, the origin taking e - s."""
     origin = (0,) * (len(exps[0]) if exps else 1)
     weights = [0] * (e + 1)
-    for v in zero_sum_exponents(exps + [origin], e):
+    for v in zero_sum_exponents(list(exps) + [origin], e):
         weight = 1
-        for ai, (_, c) in zip(v, terms):
-            weight = weight * pow(c, ai, p) * pow(factorial(ai), -1, p) % p
+        for ai in v[:-1]:
+            weight = weight * pow(factorial(ai), -1, p) % p
         weights[e - v[-1]] += weight
     return [w % p for w in weights]
 
 
 def test_folded_weights_match_per_vector_weights(fixture_polytopes):
-    # random coefficients (0 and 1 among them) on the fixture duals and on
-    # random exponent sets, at every budget e < p; the rank-0 kernels are
-    # a lone exponent, a basis, and no term at all.  The terms hold no
-    # origin, so their constant term is the full-budget weight alone.
-    rng = random.Random(2007)
+    # the fixture duals and random exponent sets, at every budget e < p;
+    # the rank-0 kernels are a lone exponent, a basis, and no exponent at all
     exponent_sets = [list(polar_dual(d).vertices) for d in fixture_polytopes]
     exponent_sets += list(_random_exponent_sets(120, seed=2008))
     exponent_sets += [[(1,)], [(2, 0), (0, -1)], [(1, 1, 0), (0, 1, 1), (1, 0, 1)]]
@@ -359,14 +354,9 @@ def test_folded_weights_match_per_vector_weights(fixture_polytopes):
     assert {0, 1, 2, 3} <= ranks
     for exps in exponent_sets + [[]]:
         for p in (2, 3, 5, 7, 11):
-            terms = [(w, rng.randrange(p)) for w in exps]
-            _, inv_fact = _factorials_mod(p - 1, p)
             for e in range(p):
-                folded = [w % p for w in _budget_weights(terms, e, p, inv_fact)]
-                assert folded == _weights_per_vector(terms, e, p), (exps, terms, e)
-                if terms:
-                    assert constant_term_power(terms, e, p) == dfs_constant_term(
-                        terms, e, p), (exps, terms, e)
+                folded = [w % p for w in _budget_weights(exps, e, p)]
+                assert folded == _weights_per_vector(exps, e, p), (exps, e)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101])
@@ -382,7 +372,7 @@ def test_constant_term_matches_dfs_on_fixtures(fixture_polytopes, p):
     for delta in fixture_polytopes:
         for psi in (1, 2, 3):
             f = member_terms(delta, psi)
-            assert constant_term_power(f, p - 1, p) == dfs_constant_term(f, p - 1, p)
+            assert hasse_witt(delta, psi, p).value == dfs_constant_term(f, p - 1, p)
 
 
 @pytest.mark.parametrize("p", [43, 53])
@@ -391,47 +381,34 @@ def test_constant_term_matches_dfs_on_families(name, p):
     delta = get_family(name).polytope
     for psi in (1, 2, 3):
         f = member_terms(delta, psi)
-        assert constant_term_power(f, p - 1, p) == dfs_constant_term(f, p - 1, p)
+        assert hasse_witt(delta, psi, p).value == dfs_constant_term(f, p - 1, p)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_constant_term_edge_cases_match_dfs(name):
+    # the polytope, not the family, so that a psi where the member is
+    # singular (psi = 0 for some) is still evaluated
     delta = get_family(name).polytope
     for p in (5, 7, 11):
         # psi = p leaves an origin term that vanishes mod p; at psi = 0 the
         # origin term is 0, and with the origin dropped the value is the same
         for psi in (p, 2 * p, 0):
             f = member_terms(delta, psi)
-            assert constant_term_power(f, p - 1, p) == dfs_constant_term(f, p - 1, p)
-            assert constant_term_power(f[:-1], p - 1, p) == dfs_constant_term(
-                f, p - 1, p)
+            assert hasse_witt(delta, psi, p).value == dfs_constant_term(
+                f, p - 1, p) == dfs_constant_term(f[:-1], p - 1, p)
         # e = 0 and every e below p, not only p - 1
-        f = member_terms(delta, 3)
+        exps = polar_dual(delta).vertices
         for e in range(p):
-            assert constant_term_power(f, e, p) == dfs_constant_term(f, e, p)
+            folded = [w % p for w in _budget_weights(exps, e, p)]
+            assert folded == _weights_per_vector(exps, e, p)
 
 
 def test_constant_term_rank_zero_kernel():
-    # x + 1: the exponent (1,) alone has a trivial kernel, so only the
-    # origin contributes and the constant term of (x + 1)^e is 1
-    f = [((1,), F(1)), ((0,), F(1))]
+    # the exponent (1,) alone has a trivial kernel, so only a = 0 survives,
+    # with weight 1 at budget 0: the constant term of (x + 1)^e is 1
     for p in (5, 7):
         for e in range(p):
-            assert constant_term_power(f, e, p) == dfs_constant_term(f, e, p) == 1
-    # without the origin the only vector left is a = 0, at e = 0
-    g = [((1,), F(2))]
-    assert [constant_term_power(g, e, 5) for e in range(5)] == [1, 0, 0, 0, 0]
-
-
-def test_constant_term_repeated_exponents():
-    # repeated exponents, the origin twice, and a pair that cancels mod 7
-    f = [
-        ((1,), F(1)), ((-1,), F(3)), ((1,), F(2)), ((0,), F(1, 2)),
-        ((-2,), F(5)), ((0,), F(4)), ((-2,), F(2)),
-    ]
-    for p in (5, 7, 11):
-        for e in range(p):
-            assert constant_term_power(f, e, p) == dfs_constant_term(f, e, p)
+            assert _budget_weights([(1,)], e, p) == [1] + [0] * e
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])

@@ -10,7 +10,6 @@ import pytest
 
 from hwmt.errors import (
     BudgetExceeded,
-    ExponentTooLarge,
     NotKernelPair,
     SingularMember,
     UnknownFamily,
@@ -19,7 +18,6 @@ from hwmt.families import FAMILIES, get_family
 from hwmt.hasse_witt import (
     _hw_coefficients,
     _kernel_plan,
-    constant_term_power,
     hasse_witt,
     hasse_witt_polynomial,
     key_lemma_check,
@@ -28,6 +26,7 @@ from hwmt.hasse_witt import (
 )
 from hwmt.hypergeometric import truncated_pFq
 from hwmt.polytope import LatticePolytope
+from hwmt import cli
 
 from oracles import member_terms, zero_sum_exponents
 
@@ -51,26 +50,21 @@ def naive_constant_term(terms, e: int):
 
 class TestConstantTermPower:
     def test_binomial_middle(self):
-        f = [((1,), Fraction(1)), ((-1,), Fraction(1))]
-        assert constant_term_power(f, 2, 3) == 2
+        # the segment [-1, 1] is its own dual: the member at psi = 0 is
+        # x + 1/x, and the constant term of its square is 2
+        segment = LatticePolytope(1, ((1,), (-1,)))
+        assert hasse_witt(segment, 0, 3).value == 2
 
     def test_quartic_psi1_p5(self):
-        fam = get_family("quartic")
-        f = member_terms(fam.polytope, 1)
         # contributions: 1 (all psi) + 4!/1^4 = 25 == 0 mod 5
-        assert constant_term_power(f, 4, 5) == 0
-
-    def test_exponent_too_large(self):
-        f = [((1,), Fraction(1)), ((-1,), Fraction(1))]
-        with pytest.raises(ExponentTooLarge):
-            constant_term_power(f, 5, 5)
+        assert hasse_witt(get_family("quartic").polytope, 1, 5).value == 0
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_oracle_equivalence(self, family, p):
-        f = member_terms(get_family(family).polytope, 2)
-        expected = naive_constant_term(f, p - 1)
-        assert constant_term_power(f, p - 1, p) == expected % p
+        delta = get_family(family).polytope
+        expected = naive_constant_term(member_terms(delta, 2), p - 1)
+        assert hasse_witt(delta, 2, p).value == expected % p
 
     def test_enumerator_against_direct_filter(self):
         exps = [(1, 0), (0, 1), (-1, 0), (0, -1), (0, 0)]
@@ -116,7 +110,7 @@ class TestHasseWitt:
     def test_accepts_polytope_input(self, p113_simplex):
         f = member_terms(p113_simplex, 2)
         via_poly = hasse_witt(p113_simplex, 2, 7)
-        assert constant_term_power(f, 6, 7) == via_poly.value
+        assert naive_constant_term(f, 6) % 7 == via_poly.value
 
     def test_pencil_input_is_unknown_family(self, p113_simplex):
         # a list of terms is not an input: a polytope or a family names the
@@ -215,19 +209,33 @@ class TestTruncationRelation:
     def test_polytope_of_known_family_identified(self, p113_simplex):
         assert truncation_relation_check(p113_simplex, 2, 7)
 
+    def test_a_wrong_inverse_factorial_fails_the_cli_check(self, records3d,
+                                                           monkeypatch):
+        # the Hasse-Witt side folds the walk with 1/m! mod p, the period side
+        # with exact factorials: 1/1! read as 2 must break the identity
+        real = HW_MODULE._factorials_mod
+
+        def wrong(e, p):
+            fact, inv_fact = real(e, p)
+            return fact, [inv_fact[0], 2, *inv_fact[2:]]
+
+        argv = ["verify", "truncation", "--psi", "2", "--primes", "7", "--id"]
+        monkeypatch.setattr(HW_MODULE, "_factorials_mod", wrong)
+        _hw_coefficients.cache_clear()
+        try:
+            failed = [i for i in sorted(records3d) if cli.main(argv + [str(i)]) == 1]
+        finally:
+            monkeypatch.undo()
+            _hw_coefficients.cache_clear()
+        assert failed
+        assert all(cli.main(argv + [str(i)]) == 0 for i in failed)
+
 
 class TestErrorPaths:
     def test_not_prime(self):
         with pytest.raises(Exception) as exc:
             hasse_witt("quartic", 1, 6)
         assert "prime" in str(exc.value)
-
-    def test_bad_coefficient_denominator(self):
-        f = [((1,), Fraction(1, 5)), ((-1,), Fraction(1))]
-        from hwmt.errors import BadDenominator
-
-        with pytest.raises(BadDenominator):
-            constant_term_power(f, 4, 5)
 
     def test_bad_psi_denominator(self):
         from hwmt.errors import BadDenominator
@@ -265,6 +273,21 @@ class TestWalkBudget:
             hasse_witt(records2d[9].polytope, 2, 1009)
         assert time.perf_counter() - start < 0.01
         assert walked == []
+
+    def test_refused_before_the_tables_sized_by_p(self, monkeypatch):
+        # the quartic's rank 1 kernel at p = 16777259 bounds C(2^25 + 1, 1)
+        # summands; the refusal comes before any list of length p
+        def refuse(e, p):
+            raise AssertionError("factorial tables built before the budget")
+
+        monkeypatch.setattr(HW_MODULE, "_factorials_mod", refuse)
+        _hw_coefficients.cache_clear()
+        with pytest.raises(BudgetExceeded, match="33554433 summands"):
+            hasse_witt("quartic", 1, 16777259)
+        with pytest.raises(BudgetExceeded, match="33554433 summands"):
+            truncation_relation_check("quartic", 1, 16777259)
+        with pytest.raises(BudgetExceeded, match="33554433 summands"):
+            period_coefficients(get_family("quartic").polytope, 16777258)
 
     @pytest.mark.parametrize("slack, refused", [(0, False), (-1, True)])
     def test_bound_is_inclusive(self, slack, refused, monkeypatch):
