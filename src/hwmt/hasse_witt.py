@@ -33,11 +33,11 @@ budgets asked.  The r pivot values of a point of a rank-r kernel are
 nonnegative, sum to at most h and fix the point, so C(h + r, r) bounds the
 summands of the walk at horizon h; above ``KERNEL_WALK_BUDGET`` the walk is
 refused with ``BudgetExceeded`` before it starts.
-``hasse_witt_polynomial`` folds each run into weights mod p without
-building a vector; ``period_coefficients``, which needs exact
-multinomials, expands the runs into vectors (``_kernel_points``).  The
-tests compare the engine with an independent depth-first search over
-every exponent coordinate.
+Both readers fold each run without building a vector:
+``hasse_witt_polynomial`` into weights mod p, and ``period_coefficients``
+into exact multinomials, stepping each from the last by ratios of
+factorials, so it reads no factorial table.  The tests compare the engine
+with an independent depth-first search over every exponent coordinate.
 
 For a fixed polytope and prime the invariant is one polynomial in psi of
 degree <= p-1, with coefficients binom(p-1, n) b_n mod p.
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import comb
+from math import comb, log2, perm
 from operator import mul
 from typing import Optional, Tuple, Union
 
@@ -73,6 +73,14 @@ from .polytope import CACHE_SIZE, LatticePolytope, kernel_invariant, polar_dual
 # and rank 2 at p = 1009 bounds 525,825 in 36 ms; the hexagon at p = 1009
 # (4.6 * 10^10) is refused.
 KERNEL_WALK_BUDGET = 2 * 10**7
+
+# The greatest bound in bits that ``period_coefficients`` may put on its
+# exact b_0..b_n_max, log2(k) * n_max (n_max + 1) / 2 for k dual vertices.
+# The quartic (k = 4) at n_max = 31622 bounds 1.0 * 10^9 bits and holds
+# 2.5 * 10^8; cold, on a 2-vCPU machine with Python 3.11, it took 0.28 s and
+# 48 MB peak RSS, and `verify truncation` at p = 31607 0.36 s and 52 MB; the
+# quartic at p = 1000003 (10^12) is refused.
+PERIOD_BITS_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -248,21 +256,6 @@ def _walk(plan: _Plan, e: int):
     return out
 
 
-def _kernel_points(exps, e):
-    """Every nonnegative integer vector a with sum_i a_i exps[i] = 0 and
-    sum(a) <= e, as a list of tuples: the runs of the walk, expanded."""
-    plan = _kernel_plan(tuple(exps))
-    where = [0] * len(exps)  # a[j] = (prefix + varying values)[where[j]]
-    for s, j in enumerate(plan.fixed + plan.varying):
-        where[j] = s
-    out = []
-    for prefix, count, starts in _kernel_runs(plan, e):
-        for i in range(count):
-            vals = prefix + [v + i * inc for v, inc in zip(starts, plan.incs)]
-            out.append(tuple(vals[s] for s in where))
-    return out
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _factorials_mod(e, p):
     """x! and 1/x! mod p for x = 0..e, with e < p: one inverse, then
@@ -370,19 +363,41 @@ def period_coefficients(delta: LatticePolytope, n_max: int) -> Tuple[int, ...]:
     """b_n = constant term of (sum of dual-vertex monomials)^n, exactly.
 
     These are the integer Taylor coefficients of the holomorphic-period
-    expansion at the large complex structure limit.
+    expansion at the large complex structure limit.  With k dual vertices
+    b_n <= k^n, so BudgetExceeded, before the walk, when log2(k) * n_max *
+    (n_max + 1) / 2 bits is above PERIOD_BITS_BUDGET.
     """
-    points = _kernel_points(polar_dual(delta).vertices, n_max)
-    fact = [1] * (n_max + 1)
-    for i in range(1, n_max + 1):
-        fact[i] = fact[i - 1] * i
-    values = [0] * (n_max + 1)
-    for a in points:
-        denom = 1
-        for ai in a:
-            denom *= fact[ai]
-        n = sum(a)
-        values[n] += fact[n] // denom
+    exps = polar_dual(delta).vertices
+    bits = log2(len(exps)) * n_max * (n_max + 1) / 2
+    if bits > PERIOD_BITS_BUDGET:
+        raise BudgetExceeded(
+            f"exact periods to n = {n_max} over {len(exps)} dual vertices bound "
+            f"{bits:.0f} bits, above {PERIOD_BITS_BUDGET}")
+    return _multinomial_sums(exps, n_max)
+
+
+def _ratio(x, k):
+    """(x + k)!/x! as (numerator, denominator), for x + k >= 0."""
+    return (perm(x + k, k), 1) if k >= 0 else (1, perm(x, -k))
+
+
+def _multinomial_sums(exps, n_max):
+    """Sum of n!/prod_i a_i! over the kernel points a of the exponent
+    vectors with sum(a) = n, exactly, for n = 0..n_max: one run at a time."""
+    plan = _kernel_plan(tuple(exps))
+    ds, values = sum(plan.incs), [0] * (n_max + 1)
+    for prefix, count, starts in _kernel_runs(plan, n_max):
+        n, w, a = 0, 1, list(starts)
+        for v in (*prefix, *starts):
+            n, w = n + v, w * comb(n + v, v)
+        values[n] += w
+        for _ in range(count - 1):  # a step past the run's end divides by 0
+            num, den = _ratio(n, ds)
+            for j, inc in enumerate(plan.incs):
+                up, down = _ratio(a[j], inc)
+                num, den, a[j] = num * down, den * up, a[j] + inc
+            n, w = n + ds, w * num // den
+            values[n] += w
     return tuple(values)
 
 

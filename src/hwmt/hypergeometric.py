@@ -89,10 +89,6 @@ class HypergeometricData:
                 raise MalformedHypergeometric(
                     f"lower parameter {b} is a nonpositive integer")
 
-    def argument_at(self, psi) -> Fraction:
-        c, e = self.argument
-        return c * Fraction(psi) ** e
-
     def argument_str(self) -> str:
         c, e = self.argument
         if e == 0:

@@ -3,12 +3,15 @@
 Each is independent of the engine it checks:
 
 - ``zero_sum_exponents``, a depth-first search over every exponent
-  coordinate, against the kernel-lattice walk of ``hwmt.hasse_witt``, both
-  its runs expanded into vectors and its runs folded into weights mod p;
+  coordinate, against the kernel-lattice walk of ``hwmt.hasse_witt``: its
+  runs expanded into vectors by ``kernel_points``, and its runs folded
+  into weights mod p and into exact multinomial sums;
 - ``member_terms``, the vertex pencil member at psi written out as
   (exponent, coefficient) terms, the input of the constant-term checks;
 - ``pochhammer_mod_p`` and ``_series_term``, the term by term series,
   against the one-pass ``hwmt.hypergeometric.truncated_pFq``;
+- ``argument_at``, a pFq argument c * psi^e evaluated in Fractions,
+  against the integer smoothness tests of ``hwmt.families``;
 - ``series_square``, the Cauchy square that states Clausen's identity over
   Q;
 - ``hnf_facets`` and ``hnf_polytope``, facets by an HNF left kernel per
@@ -50,6 +53,7 @@ from itertools import combinations
 from typing import Iterator, Optional, Tuple
 
 from hwmt.errors import BadDenominator, DegeneratePolytope
+from hwmt.hasse_witt import _kernel_plan, _kernel_runs
 from hwmt.hypergeometric import HypergeometricData, require_prime
 from hwmt.intlinalg import det, hnf_rows, left_kernel, vec_primitive
 from hwmt.ratfunc import Poly, RatFunc
@@ -133,6 +137,22 @@ def zero_sum_exponents(exponents, e):
     yield from rec(0, e)
 
 
+def kernel_points(exps, e):
+    """Every nonnegative integer vector a with sum_i a_i exps[i] = 0 and
+    sum(a) <= e, as a list of tuples: the runs of the walk, expanded, for
+    comparison with ``zero_sum_exponents``."""
+    plan = _kernel_plan(tuple(exps))
+    where = [0] * len(exps)  # a[j] = (prefix + varying values)[where[j]]
+    for s, j in enumerate(plan.fixed + plan.varying):
+        where[j] = s
+    out = []
+    for prefix, count, starts in _kernel_runs(plan, e):
+        for i in range(count):
+            vals = prefix + [v + i * inc for v, inc in zip(starts, plan.incs)]
+            out.append(tuple(vals[s] for s in where))
+    return out
+
+
 def pochhammer_mod_p(a, n: int, p: int) -> int:
     """(a)_n = a (a+1) ... (a+n-1) mod p for rational a = r/s with p not
     dividing s."""
@@ -164,6 +184,12 @@ def _series_term(data: HypergeometricData, n: int, z: int, p: int,
             f"lower-parameter Pochhammer vanishes mod {p} at term {n}"
         )
     return num * pow(den, -1, p) * pow(z, n, p) % p
+
+
+def argument_at(data: HypergeometricData, psi) -> Fraction:
+    """The argument c * psi^e of a pFq at psi."""
+    c, e = data.argument
+    return c * Fraction(psi) ** e
 
 
 def series_square(coeffs):

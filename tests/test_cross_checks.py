@@ -20,8 +20,8 @@ from hwmt.hasse_witt import (
     _horizon,
     _hw_coefficients,
     _kernel_plan,
-    _kernel_points,
     _kernel_runs,
+    _multinomial_sums,
     _walk,
     hasse_witt,
     hasse_witt_polynomial,
@@ -73,6 +73,7 @@ from oracles import (
     frac_rank,
     hnf_facets,
     hnf_polytope,
+    kernel_points,
     lattice_isomorphism,
     member_terms,
     pairing_rows,
@@ -215,8 +216,9 @@ def dfs_hasse_witt_polynomial(delta, p):
     return tuple(x % p for x in out)
 
 
-def dfs_period_coefficients(delta, n_max):
-    exps = tuple(polar_dual(delta).vertices) + ((0,) * delta.dim,)
+def dfs_multinomial_sums(exps, n_max):
+    # the origin, last, takes n_max - n
+    exps = tuple(exps) + ((0,) * len(exps[0]),)
     values = [0] * (n_max + 1)
     for a in _dfs_vectors(exps, n_max):
         values[n_max - a[-1]] += _multinomial(a[:-1])
@@ -248,7 +250,7 @@ def test_kernel_points_match_dfs_vectors(fixture_polytopes):
         origin = (0,) * len(exps[0])
         for e in (0, 3, 6):
             with_origin = sorted(a[:-1] for a in zero_sum_exponents(exps + [origin], e))
-            assert sorted(_kernel_points(exps, e)) == with_origin
+            assert sorted(kernel_points(exps, e)) == with_origin
 
 
 def test_cut_of_a_larger_walk_is_a_fresh_walk(fixture_polytopes):
@@ -265,13 +267,13 @@ def test_cut_of_a_larger_walk_is_a_fresh_walk(fixture_polytopes):
         for e in budgets:
             _kernel_plan.cache_clear()
             fresh[e] = (_walk(_kernel_plan(tuple(exps)), e),
-                        sorted(_kernel_points(exps, e)))
+                        sorted(kernel_points(exps, e)))
         _kernel_plan.cache_clear()
         plan = _kernel_plan(tuple(exps))
         for e in budgets:
             cuts += _horizon(e) > e
             assert _kernel_runs(plan, e) == fresh[e][0], (exps, e)
-            assert sorted(_kernel_points(exps, e)) == fresh[e][1], (exps, e)
+            assert sorted(kernel_points(exps, e)) == fresh[e][1], (exps, e)
         if plan.step:
             ds = sum(plan.incs)
             signs[(ds > 0) - (ds < 0)] += 1
@@ -298,7 +300,7 @@ def test_walks_do_not_depend_on_budget_order(fixture_polytopes, monkeypatch):
                 _kernel_plan.cache_clear()
                 walks.clear()
                 for e in order:
-                    _kernel_points(exps, e)
+                    kernel_points(exps, e)
                 made.add(tuple(sorted(walks)))
             assert made == {tuple(sorted({_horizon(e) for e in budgets}))}, exps
     _kernel_plan.cache_clear()
@@ -306,14 +308,14 @@ def test_walks_do_not_depend_on_budget_order(fixture_polytopes, monkeypatch):
 
 def test_threads_sharing_a_plan_get_their_own_budgets(fixture_polytopes):
     exps = tuple(polar_dual(fixture_polytopes[-1]).vertices)
-    want = {e: sorted(_kernel_points(exps, e)) for e in range(12)}
+    want = {e: sorted(kernel_points(exps, e)) for e in range(12)}
     errors = []
 
     def worker(seed):
         rng = random.Random(seed)
         for _ in range(40):
             e = rng.randrange(12)
-            if sorted(_kernel_points(exps, e)) != want[e]:
+            if sorted(kernel_points(exps, e)) != want[e]:
                 errors.append(e)
 
     interval = sys.getswitchinterval()
@@ -440,7 +442,27 @@ def test_hasse_witt_matches_dfs_at_each_psi(fixture_polytopes, p):
 
 def test_period_coefficients_match_dfs(fixture_polytopes):
     for delta in fixture_polytopes:
-        assert period_coefficients(delta, 12) == dfs_period_coefficients(delta, 12)
+        exps = polar_dual(delta).vertices
+        assert period_coefficients(delta, 12) == dfs_multinomial_sums(exps, 12)
+
+
+def test_multinomial_sums_match_dfs(fixture_polytopes):
+    # the fold steps along each run by ratios of factorials.  The random
+    # sets' last basis rows have sums of every sign, so some runs end where
+    # one more step would take n or a column below 0: a fold that stepped
+    # past a run's end would divide by 0 there
+    exponent_sets = [list(polar_dual(d).vertices) for d in fixture_polytopes]
+    exponent_sets += list(_random_exponent_sets(400, seed=2027))
+    signs = Counter()
+    for exps in exponent_sets:
+        plan = _kernel_plan(tuple(exps))
+        if plan.step:
+            ds = sum(plan.incs)
+            signs[(ds > 0) - (ds < 0)] += 1
+        for n_max in (0, 3, 6, 9):
+            assert _multinomial_sums(exps, n_max) == \
+                dfs_multinomial_sums(exps, n_max), (exps, n_max)
+    assert min(signs[-1], signs[0], signs[1]) >= 5, signs
 
 
 # --------------------------------------------------------------------------

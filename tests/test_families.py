@@ -10,6 +10,8 @@ from hwmt.families import FAMILIES, FamilyTag, get_family
 from hwmt.hypergeometric import HypergeometricData
 from hwmt.polytope import vertex_kernel
 
+from oracles import argument_at
+
 F = Fraction
 
 # the paper's printed targets for the model equations
@@ -45,7 +47,7 @@ def _stored_rule(fam, psi):
     if psi == 0:
         return False
     if fam.name in PRINTED:
-        return PRINTED[fam.name][0].argument_at(psi) != 1
+        return argument_at(PRINTED[fam.name][0], psi) != 1
     return fam.is_smooth(psi)
 
 
@@ -74,7 +76,7 @@ def test_is_smooth_in_integers_matches_argument_at(name, argument):
         fam = replace(fam, hg=replace(fam.hg, argument=argument))
     singular = 0
     for psi in SMOOTHNESS_GRID:
-        expected = psi != 0 and fam.hg.argument_at(psi) != 1
+        expected = psi != 0 and argument_at(fam.hg, psi) != 1
         assert fam.is_smooth(psi) is expected
         assert fam.is_smooth(str(psi)) is expected
         if psi.denominator == 1:

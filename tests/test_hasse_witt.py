@@ -276,7 +276,8 @@ class TestWalkBudget:
 
     def test_refused_before_the_tables_sized_by_p(self, monkeypatch):
         # the quartic's rank 1 kernel at p = 16777259 bounds C(2^25 + 1, 1)
-        # summands; the refusal comes before any list of length p
+        # summands; the refusal comes before any list of length p.  The
+        # exact periods there are refused first by their bound in bits.
         def refuse(e, p):
             raise AssertionError("factorial tables built before the budget")
 
@@ -286,8 +287,28 @@ class TestWalkBudget:
             hasse_witt("quartic", 1, 16777259)
         with pytest.raises(BudgetExceeded, match="33554433 summands"):
             truncation_relation_check("quartic", 1, 16777259)
-        with pytest.raises(BudgetExceeded, match="33554433 summands"):
+        with pytest.raises(BudgetExceeded, match="281476402775822 bits"):
             period_coefficients(get_family("quartic").polytope, 16777258)
+
+    def test_exact_periods_refused_before_the_walk(self, monkeypatch):
+        # the quartic's dual has 4 vertices, so b_0..b_n bound n (n + 1) bits
+        def refuse(plan, e):
+            raise AssertionError("walked before the bit budget")
+
+        monkeypatch.setattr(HW_MODULE, "_kernel_runs", refuse)
+        with pytest.raises(BudgetExceeded, match="1000005000006 bits"):
+            period_coefficients(get_family("quartic").polytope, 1000002)
+
+    @pytest.mark.parametrize("slack, refused", [(0, False), (-1, True)])
+    def test_bits_bound_is_inclusive(self, slack, refused, monkeypatch):
+        monkeypatch.setattr(HW_MODULE, "PERIOD_BITS_BUDGET", 100 * 101 + slack)
+        quartic = get_family("quartic").polytope
+        if refused:
+            with pytest.raises(BudgetExceeded, match="10100 bits, above 10099"):
+                period_coefficients(quartic, 100)
+        else:
+            assert period_coefficients(quartic, 100)[100] == \
+                factorial(100) // factorial(25) ** 4
 
     @pytest.mark.parametrize("slack, refused", [(0, False), (-1, True)])
     def test_bound_is_inclusive(self, slack, refused, monkeypatch):

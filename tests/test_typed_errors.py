@@ -79,6 +79,12 @@ CASES = [
      "from hwmt.ratfunc import Poly, RatFunc",
      "RatFunc(Poly.of(1), Poly.of(0))",
      "ZeroDenominator"),
+    # the exact periods' bound in bits, checked before the kernel walk
+    ("BudgetExceeded-period_coefficients",
+     "from hwmt.hasse_witt import period_coefficients\n"
+     "from hwmt.families import get_family",
+     "period_coefficients(get_family('quartic').polytope, 1000002)",
+     "BudgetExceeded"),
     ("BudgetExceeded-rational_eigenvalues",
      "from hwmt.picard_fuchs import rational_eigenvalues",
      "rational_eigenvalues(((10**7, 1), (0, 10**7 + 1)))",
