@@ -3,7 +3,21 @@
 Hasse-Witt invariants as constant terms of f^(p-1) mod p, exact point
 counts over F_p, truncated hypergeometric series, Picard-Fuchs parameter
 extraction, and a census of kernel pairs of reflexive polytopes.
+
+``import hwmt`` loads the layers that the census and the Hasse-Witt
+invariants use: ``errors``, ``intlinalg``, ``polytope``, ``hypergeometric``,
+``families``, ``census`` and ``hasse_witt``.  The Picard-Fuchs layer (with
+``ratfunc``) and the point-count layer load on first use: the first read of
+``hwmt.analyze_family`` or ``hwmt.congruence_check`` imports its module,
+and so does the first read of ``hwmt.picard_fuchs``, ``hwmt.point_count``
+or ``hwmt.ratfunc``, or an import of the submodule.
+``hasse_witt`` stays eager because the function shadows the submodule's
+name: once an import of ``hwmt.hasse_witt`` binds the module to the package
+attribute, a lazy lookup would never run again.  ``hwmt.cli`` imports every
+layer at its top, so a process that runs the CLI has them all loaded.
 """
+
+from importlib import import_module
 
 from .census import load_polytopes, run_census
 from .families import FAMILIES, FamilyTag, get_family
@@ -14,8 +28,6 @@ from .hasse_witt import (
     truncation_relation_check,
 )
 from .hypergeometric import HypergeometricData, truncated_pFq
-from .picard_fuchs import analyze_family
-from .point_count import congruence_check
 from .polytope import (
     FacetInequality,
     KernelLattice,
@@ -27,6 +39,28 @@ from .polytope import (
     polar_dual,
     vertex_kernel,
 )
+
+# public function -> the submodule that defines it, imported on first read
+_LAZY_FUNCTIONS = {
+    "analyze_family": "picard_fuchs",
+    "congruence_check": "point_count",
+}
+# submodules that ``import hwmt`` does not load, readable as package
+# attributes all the same (``hwmt.point_count.count_family``)
+_LAZY_MODULES = {"picard_fuchs", "point_count", "ratfunc"}
+
+
+def __getattr__(name):
+    # called only for a name the package does not hold yet (PEP 562)
+    if name in _LAZY_MODULES:
+        # the import binds the submodule to the package attribute
+        return import_module(f".{name}", __name__)
+    if name in _LAZY_FUNCTIONS:
+        module = import_module(f".{_LAZY_FUNCTIONS[name]}", __name__)
+        value = globals()[name] = getattr(module, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "FAMILIES",

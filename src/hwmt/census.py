@@ -13,9 +13,6 @@ a header line `id dim nvertices` followed by nvertices coordinate lines;
 records are blank-line separated and `#` starts a comment line.
 """
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -229,11 +226,17 @@ def report(result: CensusResult, fmt: str) -> str:
         "pairs": len(result.pairs),
         "self_dual": len(result.self_dual),
     }
+    # each format's modules load only when it is written, not on import hwmt
     if fmt == "json":
+        import json
+
         return json.dumps(
             {**summary, "rows": _rows(result)}, sort_keys=True, indent=2
         )
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["label", "kernel", "members", "pairs"])

@@ -42,7 +42,12 @@ with an independent depth-first search over every exponent coordinate.
 For a fixed polytope and prime the invariant is one polynomial in psi of
 degree <= p-1, with coefficients binom(p-1, n) b_n mod p.
 ``hasse_witt_polynomial`` enumerates once per (polytope, p) and memoizes
-the coefficients; ``hasse_witt`` evaluates them at psi mod p.
+the coefficients; ``hasse_witt`` evaluates them at psi mod p.  The fold
+reads one table per prime, 1/x! mod p for x < p, stepped down from
+1/(p-1)! = -1 (Wilson's theorem), so it takes no inverse and keeps no
+table of x!.  With (p-1)! = -1 the coefficient of psi^d is
+-W_(p-1-d)/d!, where W_s sums prod_i 1/a_i! over the kernel points a with
+sum(a) = s.
 ``truncation_relation_check`` reads its Hasse-Witt side from that
 polynomial and sets it against the exact b_n of ``period_coefficients``,
 with binom(p-1, n) = (-1)^n mod p.  So it checks the fold mod p against
@@ -257,18 +262,16 @@ def _walk(plan: _Plan, e: int):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _factorials_mod(e, p):
-    """x! and 1/x! mod p for x = 0..e, with e < p: one inverse, then
-    1/(x-1)! = x/x!.  Memoized per (e, p); the lists are shared, so read
-    them only."""
-    fact = [1] * (e + 1)
-    for i in range(1, e + 1):
-        fact[i] = fact[i - 1] * i % p
-    inv_fact = [1] * (e + 1)
-    inv_fact[e] = pow(fact[e], -1, p)
-    for i in range(e, 1, -1):
-        inv_fact[i - 1] = inv_fact[i] * i % p
-    return fact, inv_fact
+def _inverse_factorials(p):
+    """1/x! mod p for x = 0..p-1, from Wilson's theorem: 1/(p-1)! = -1 mod
+    p, then 1/(x-1)! = x/x! down to 1/0! = 1, so it takes no inverse and
+    keeps no table of x!.  Memoized per p; the list is shared, so read it
+    only."""
+    inv_fact = [1] * p
+    inv_fact[-1] = p - 1
+    for x in range(p - 1, 1, -1):
+        inv_fact[x - 1] = inv_fact[x] * x % p
+    return inv_fact
 
 
 def _budget_weights(exps, e, p):
@@ -278,12 +281,12 @@ def _budget_weights(exps, e, p):
 
     Each run multiplies its prefix's 1/m! once; along the run each varying
     column reads a slice of the 1/m! table, and the slices multiply
-    pointwise.  The table, sized by e, is built after the walk, so a walk
+    pointwise.  The table, sized by p, is built after the walk, so a walk
     refused by its budget builds none.
     """
     plan = _kernel_plan(tuple(exps))
     runs = _kernel_runs(plan, e)
-    inv_fact = _factorials_mod(e, p)[1]
+    inv_fact = _inverse_factorials(p)
     ds = sum(plan.incs)
     weights = [0] * (e + 1)
     for prefix, count, starts in runs:
@@ -354,9 +357,10 @@ def _hw_coefficients(delta: LatticePolytope, p: int) -> Tuple[int, ...]:
     require_prime(p)
     e = p - 1
     weights = _budget_weights(polar_dual(delta).vertices, e, p)
-    fact, inv_fact = _factorials_mod(e, p)
-    # budget s on the vertex monomials leaves e - s for psi * x^0
-    return tuple(fact[e] * inv_fact[d] * weights[e - d] % p for d in range(p))
+    inv_fact = _inverse_factorials(p)
+    # budget s on the vertex monomials leaves e - s for psi * x^0, and
+    # e! = -1 mod p (Wilson)
+    return tuple(-inv_fact[d] * weights[e - d] % p for d in range(p))
 
 
 def period_coefficients(delta: LatticePolytope, n_max: int) -> Tuple[int, ...]:

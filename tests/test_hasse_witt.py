@@ -213,14 +213,14 @@ class TestTruncationRelation:
                                                            monkeypatch):
         # the Hasse-Witt side folds the walk with 1/m! mod p, the period side
         # with exact factorials: 1/1! read as 2 must break the identity
-        real = HW_MODULE._factorials_mod
+        real = HW_MODULE._inverse_factorials
 
-        def wrong(e, p):
-            fact, inv_fact = real(e, p)
-            return fact, [inv_fact[0], 2, *inv_fact[2:]]
+        def wrong(p):
+            inv_fact = real(p)
+            return [inv_fact[0], 2, *inv_fact[2:]]
 
         argv = ["verify", "truncation", "--psi", "2", "--primes", "7", "--id"]
-        monkeypatch.setattr(HW_MODULE, "_factorials_mod", wrong)
+        monkeypatch.setattr(HW_MODULE, "_inverse_factorials", wrong)
         _hw_coefficients.cache_clear()
         try:
             failed = [i for i in sorted(records3d) if cli.main(argv + [str(i)]) == 1]
@@ -278,10 +278,10 @@ class TestWalkBudget:
         # the quartic's rank 1 kernel at p = 16777259 bounds C(2^25 + 1, 1)
         # summands; the refusal comes before any list of length p.  The
         # exact periods there are refused first by their bound in bits.
-        def refuse(e, p):
-            raise AssertionError("factorial tables built before the budget")
+        def refuse(p):
+            raise AssertionError("factorial table built before the budget")
 
-        monkeypatch.setattr(HW_MODULE, "_factorials_mod", refuse)
+        monkeypatch.setattr(HW_MODULE, "_inverse_factorials", refuse)
         _hw_coefficients.cache_clear()
         with pytest.raises(BudgetExceeded, match="33554433 summands"):
             hasse_witt("quartic", 1, 16777259)

@@ -1,5 +1,6 @@
 """Truncated pFq mod p, Pochhammer, Clausen identities, quadratic residues."""
 
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwmt.errors import BadDenominator, PsiNotInvertible
+from hwmt import hypergeometric as HG_MODULE
+from hwmt.errors import BadDenominator, BudgetExceeded, PsiNotInvertible
+from hwmt.families import get_family
 from hwmt.hasse_witt import hasse_witt
 from hwmt.hypergeometric import (
     HypergeometricData,
@@ -93,6 +96,32 @@ class TestTruncatedPFQ:
             (F(1, 2), F(1, 4), F(3, 4)), (F(1), F(1)), (F(2), 1)
         )
         assert truncated_pFq(data, 3, 11).value == truncated_pFq(base, 3, 11).value
+
+
+class TestSeriesBudget:
+    def test_refused_before_the_pass(self, monkeypatch):
+        # the quartic's 3F2 at p = 10^9 + 7 stops at its upper factor 1/4,
+        # after 250000001 steps; the pass is truncated_pFq's only range()
+        def refuse(*args):
+            raise AssertionError("the series pass started before the budget")
+
+        monkeypatch.setattr(HG_MODULE, "range", refuse, raising=False)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="250000001 steps, above 2000000"):
+            truncated_pFq(get_family("quartic").hg, 1, 1000000007)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("slack, refused", [(0, False), (-1, True)])
+    def test_bound_is_inclusive(self, slack, refused, monkeypatch):
+        # 1/4, 1/2, 3/4 are 10, 7, 4 mod 13: the pass stops at n = 4
+        data = get_family("quartic").hg
+        value = truncated_pFq(data, 2, 13)
+        monkeypatch.setattr(HG_MODULE, "SERIES_STEP_BUDGET", 3 + slack)
+        if refused:
+            with pytest.raises(BudgetExceeded, match="3 steps, above 2"):
+                truncated_pFq(data, 2, 13)
+        else:
+            assert truncated_pFq(data, 2, 13) == value
 
 
 class TestClausen:

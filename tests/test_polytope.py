@@ -15,8 +15,8 @@ from hwmt.errors import (
     NotReflexive,
 )
 from hwmt.hasse_witt import (
-    _factorials_mod,
     _hw_coefficients,
+    _inverse_factorials,
     _kernel_plan,
     hasse_witt_polynomial,
 )
@@ -500,7 +500,7 @@ class TestCaches:
         distinct = 2 * (len(records2d) + len(records3d))
         for cached in (_pairing, facets, lattice_points, vertex_facet_sets,
                        polar_dual, vertex_kernel, _canonical_orders, normal_form,
-                       kernel_invariant, _kernel_plan, _factorials_mod,
+                       kernel_invariant, _kernel_plan, _inverse_factorials,
                        _hw_coefficients):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize >= distinct

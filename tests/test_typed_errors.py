@@ -85,6 +85,12 @@ CASES = [
      "from hwmt.families import get_family",
      "period_coefficients(get_family('quartic').polytope, 1000002)",
      "BudgetExceeded"),
+    # the series pass's step count, checked before the pass
+    ("BudgetExceeded-truncated_pFq",
+     "from hwmt.hypergeometric import truncated_pFq\n"
+     "from hwmt.families import get_family",
+     "truncated_pFq(get_family('quartic').hg, 1, 1000000007)",
+     "BudgetExceeded"),
     ("BudgetExceeded-rational_eigenvalues",
      "from hwmt.picard_fuchs import rational_eigenvalues",
      "rational_eigenvalues(((10**7, 1), (0, 10**7 + 1)))",
