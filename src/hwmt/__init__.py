@@ -4,20 +4,20 @@ Hasse-Witt invariants as constant terms of f^(p-1) mod p, exact point
 counts over F_p, truncated hypergeometric series, Picard-Fuchs parameter
 extraction, and a census of kernel pairs of reflexive polytopes.
 
-``import hwmt`` loads the layers that the census and the Hasse-Witt
+``import hwmt`` runs the layers that the census and the Hasse-Witt
 invariants use: ``errors``, ``intlinalg``, ``polytope``, ``hypergeometric``,
 ``families``, ``census`` and ``hasse_witt``.  The Picard-Fuchs layer (with
-``ratfunc``) and the point-count layer load on first use: the first read of
-``hwmt.analyze_family`` or ``hwmt.congruence_check`` imports its module,
-and so does the first read of ``hwmt.picard_fuchs``, ``hwmt.point_count``
-or ``hwmt.ratfunc``, or an import of the submodule.
+``ratfunc``) and the point-count layer are registered as lazy submodules
+(``importlib.util.LazyLoader``): ``hwmt.point_count`` is in ``sys.modules``
+and on the package from the start, and its code runs on the first read of
+one of its attributes.  ``hwmt.analyze_family`` and
+``hwmt.congruence_check`` are such reads, made on first use of the name.
+``hwmt.cli`` reaches the two layers the same way, so only ``pf`` and
+``verify congruence`` run them; every other subcommand starts without them.
 ``hasse_witt`` stays eager because the function shadows the submodule's
 name: once an import of ``hwmt.hasse_witt`` binds the module to the package
-attribute, a lazy lookup would never run again.  ``hwmt.cli`` imports every
-layer at its top, so a process that runs the CLI has them all loaded.
+attribute, the function could not be resolved lazily again.
 """
-
-from importlib import import_module
 
 from .census import load_polytopes, run_census
 from .families import FAMILIES, FamilyTag, get_family
@@ -40,26 +40,34 @@ from .polytope import (
     vertex_kernel,
 )
 
-# public function -> the submodule that defines it, imported on first read
-_LAZY_FUNCTIONS = {
-    "analyze_family": "picard_fuchs",
-    "congruence_check": "point_count",
-}
-# submodules that ``import hwmt`` does not load, readable as package
-# attributes all the same (``hwmt.point_count.count_family``)
-_LAZY_MODULES = {"picard_fuchs", "point_count", "ratfunc"}
+
+def _lazy_submodule(name):
+    """hwmt.<name>, in sys.modules and on the package, run on first read."""
+    import importlib.util
+    import sys
+
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+picard_fuchs = _lazy_submodule("picard_fuchs")
+point_count = _lazy_submodule("point_count")
+ratfunc = _lazy_submodule("ratfunc")
+
+# public function -> its lazy submodule; read from it on first use
+_LAZY = {"analyze_family": picard_fuchs, "congruence_check": point_count}
 
 
 def __getattr__(name):
     # called only for a name the package does not hold yet (PEP 562)
-    if name in _LAZY_MODULES:
-        # the import binds the submodule to the package attribute
-        return import_module(f".{name}", __name__)
-    if name in _LAZY_FUNCTIONS:
-        module = import_module(f".{_LAZY_FUNCTIONS[name]}", __name__)
-        value = globals()[name] = getattr(module, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_LAZY[name], name)
+    return value
 
 
 __all__ = [

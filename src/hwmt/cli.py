@@ -17,6 +17,9 @@ import sys
 from fractions import Fraction
 
 from . import census as census_mod
+# lazy submodules (see hwmt/__init__): only `pf` and `verify congruence`
+# run their code
+from . import picard_fuchs, point_count
 from .errors import HwmtError
 from .families import FAMILIES, get_family
 from .hasse_witt import (
@@ -30,8 +33,6 @@ from .hypergeometric import (
     quadratic_residue_check,
     truncated_pFq,
 )
-from .picard_fuchs import analyze_family
-from .point_count import congruence_check
 from .polytope import (
     LatticePolytope,
     is_kernel_pair,
@@ -201,7 +202,9 @@ def _sweep(args, cell) -> int:
 
 def _congruence(fam, psi, p):
     """congruence_check, or None when the printed model is singular."""
-    return congruence_check(fam, psi, p) if fam.is_smooth_model(psi) else None
+    if not fam.is_smooth_model(psi):
+        return None
+    return point_count.congruence_check(fam, psi, p)
 
 
 def _cmd_hw(args) -> int:
@@ -252,7 +255,7 @@ def _cmd_hyp(args) -> int:
 
 
 def _cmd_pf(args) -> int:
-    d = analyze_family(args.family).as_dict()
+    d = picard_fuchs.analyze_family(args.family).as_dict()
     if args.json:
         _emit(d)
         return 0

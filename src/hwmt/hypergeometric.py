@@ -8,8 +8,8 @@ inverses of their denominators.
 An upper factor a + n - 1 of (a)_n is 0 mod p from n = (1 - a) mod p on,
 so every later term is 0: the pass over the terms stops at the first such
 n.  A lower factor that would vanish below p is refused before the pass,
-and so is a pass of more than ``SERIES_STEP_BUDGET`` steps.  The
-truncation length reported as `terms_used` is still p.
+and so is a pass that would cost more than ``SERIES_STEP_BUDGET`` modular
+products.  The truncation length reported as `terms_used` is still p.
 """
 
 import operator
@@ -26,12 +26,15 @@ from .errors import (
     UnknownFamily,
 )
 
-# The greatest number of steps n = 1..stop-1 one pass of ``truncated_pFq``
-# may take.  On a 2-vCPU machine with Python 3.11 a step took 530-900 ns
-# (2F1 and 3F2 families at p near 10^6), so about 1-2 s at the bound: the
-# 3F2 (1/4,1/2,3/4;1,1) at p = 1000003 takes 250,000 steps in 0.2 s, and at
-# p = 1000000007 (250,000,001 steps) it is refused.
-SERIES_STEP_BUDGET = 2 * 10**6
+# The greatest cost one pass of ``truncated_pFq`` may take, counted in
+# modular products: each step n = 1..stop-1 takes one per parameter and four
+# more, so a pass of stop - 1 steps costs (stop - 1) * (p + q + 4) for a pFq.
+# On a 2-vCPU machine with Python 3.11, a pass at the bound took 0.75-0.92 s
+# (75-92 ns per product) for every pFq from the 1F0 to the 24F23, each
+# parameter 1/2 at the largest prime the budget admits.  The quartic's 3F2
+# (1/4,1/2,3/4;1,1) takes 250,000 steps (2.25 * 10^6 products) at
+# p = 1000003 and is refused at p = 1000000007 (250,000,001 steps).
+SERIES_STEP_BUDGET = 10**7
 
 
 def is_prime(n) -> bool:
@@ -157,9 +160,10 @@ def truncated_pFq(data: HypergeometricData, psi, p: int) -> TruncatedValue:
     such n, before the pass.  The pass then stops at the first vanishing
     upper factor, n = (1 - a) mod p: every later term is 0, and the sum
     over den_n already has its final ratio.  A pass of more than
-    SERIES_STEP_BUDGET steps is refused with BudgetExceeded before it
-    starts.  `terms_used` is still the truncation length p.  The tests
-    compare it with a term by term sum of Pochhammer products.
+    SERIES_STEP_BUDGET modular products (p + q + 4 per step) is refused
+    with BudgetExceeded before it starts.  `terms_used` is still the
+    truncation length p.  The tests compare it with a term by term sum of
+    Pochhammer products.
     """
     require_prime(p)
     z = _argument_mod_p(data, psi, p)
@@ -173,10 +177,12 @@ def truncated_pFq(data: HypergeometricData, psi, p: int) -> TruncatedValue:
                 f"lower-parameter Pochhammer vanishes mod {p} at term {bad}"
             )
         stop = _first_vanishing_term(nums, p)
-    if stop - 1 > SERIES_STEP_BUDGET:
+    per_step = len(nums) + len(dens) + 4
+    if (stop - 1) * per_step > SERIES_STEP_BUDGET:
         raise BudgetExceeded(
-            f"the series pass mod {p} stops at term {stop}: {stop - 1} steps, "
-            f"above {SERIES_STEP_BUDGET}")
+            f"the series pass mod {p} stops at term {stop}: {stop - 1} steps "
+            f"of {per_step} products, {(stop - 1) * per_step} above "
+            f"{SERIES_STEP_BUDGET}")
     total = num = den = zn = 1
     for n in range(1, stop):
         r = n

@@ -101,27 +101,41 @@ class TestTruncatedPFQ:
 class TestSeriesBudget:
     def test_refused_before_the_pass(self, monkeypatch):
         # the quartic's 3F2 at p = 10^9 + 7 stops at its upper factor 1/4,
-        # after 250000001 steps; the pass is truncated_pFq's only range()
+        # after 250000001 steps of 3 + 2 + 4 products; the pass is
+        # truncated_pFq's only range()
         def refuse(*args):
             raise AssertionError("the series pass started before the budget")
 
         monkeypatch.setattr(HG_MODULE, "range", refuse, raising=False)
         start = time.perf_counter()
-        with pytest.raises(BudgetExceeded, match="250000001 steps, above 2000000"):
+        with pytest.raises(BudgetExceeded, match="250000001 steps of 9 products, "
+                                                 "2250000009 above 10000000"):
             truncated_pFq(get_family("quartic").hg, 1, 1000000007)
         assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("slack, refused", [(0, False), (-1, True)])
     def test_bound_is_inclusive(self, slack, refused, monkeypatch):
-        # 1/4, 1/2, 3/4 are 10, 7, 4 mod 13: the pass stops at n = 4
+        # 1/4, 1/2, 3/4 are 10, 7, 4 mod 13: the pass stops at n = 4, after
+        # 3 steps of 9 products
         data = get_family("quartic").hg
         value = truncated_pFq(data, 2, 13)
-        monkeypatch.setattr(HG_MODULE, "SERIES_STEP_BUDGET", 3 + slack)
+        monkeypatch.setattr(HG_MODULE, "SERIES_STEP_BUDGET", 27 + slack)
         if refused:
-            with pytest.raises(BudgetExceeded, match="3 steps, above 2"):
+            with pytest.raises(BudgetExceeded, match="3 steps of 9 products, 27 above 26"):
                 truncated_pFq(data, 2, 13)
         else:
             assert truncated_pFq(data, 2, 13) == value
+
+    def test_each_parameter_adds_to_the_cost(self, monkeypatch):
+        # every parameter 1/2, which is 7 mod 13: 6 steps for any pFq, of
+        # 7 products for the 2F1 and 51 for the 24F23
+        def series(k):
+            return HypergeometricData([Fraction(1, 2)] * k, [1] * (k - 1), (1, 1))
+
+        monkeypatch.setattr(HG_MODULE, "SERIES_STEP_BUDGET", 100)
+        assert truncated_pFq(series(2), 3, 13).terms_used == 13
+        with pytest.raises(BudgetExceeded, match="6 steps of 51 products, 306 above 100"):
+            truncated_pFq(series(24), 3, 13)
 
 
 class TestClausen:

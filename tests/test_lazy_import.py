@@ -1,4 +1,4 @@
-"""What ``import hwmt`` loads, and the names it resolves on first use.
+"""What ``import hwmt`` runs, and the layers that run on first use.
 
 Each check runs in a fresh interpreter (``python -B``, so no bytecode is
 written), since this test session has imported every layer already.
@@ -12,33 +12,39 @@ from conftest import hwmt_env
 
 CORE = ["hwmt", "hwmt.census", "hwmt.errors", "hwmt.families", "hwmt.hasse_witt",
         "hwmt.hypergeometric", "hwmt.intlinalg", "hwmt.polytope"]
+LAZY = ["hwmt.picard_fuchs", "hwmt.point_count", "hwmt.ratfunc"]
 
-LOADED = "sorted(m for m in sys.modules if m == 'hwmt' or m.startswith('hwmt.'))"
+# the hwmt modules whose code has run: a lazy submodule is an instance of a
+# ModuleType subclass until the first read of one of its attributes
+RUN = ("sorted(n for n, m in sys.modules.items() if (n == 'hwmt' or "
+       "n.startswith('hwmt.')) and type(m) is types.ModuleType)")
 
 
 def run(code):
     """The JSON value the code prints last, run in a fresh interpreter."""
-    out = subprocess.run([sys.executable, "-B", "-c", "import json, sys\n" + code],
+    out = subprocess.run([sys.executable, "-B", "-c",
+                          "import json, sys, types\n" + code],
                          capture_output=True, text=True, env=hwmt_env(),
                          check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def test_import_and_fixtures_load_only_the_core_layers():
+def test_import_and_fixtures_run_only_the_core_layers():
     assert run(f"""
 import hwmt
 from hwmt.census import fixture_path, load_polytopes
 for name in ('polygons2d.txt', 'tables3d.txt'):
     load_polytopes(fixture_path(name))
-print(json.dumps({LOADED}))
-""") == CORE
+registered = sorted(m for m in sys.modules if m.startswith('hwmt'))
+print(json.dumps([{RUN}, registered]))
+""") == [CORE, sorted(CORE + LAZY)]
 
 
 def test_lazy_names_are_their_modules_functions():
     assert run(f"""
 import hwmt
 first = hwmt.analyze_family
-after_pf = {LOADED}
+after_pf = {RUN}
 from hwmt import analyze_family, congruence_check
 from hwmt import point_count
 import hwmt.picard_fuchs
@@ -53,19 +59,44 @@ print(json.dumps([
 """) == [sorted(CORE + ["hwmt.picard_fuchs", "hwmt.ratfunc"]), True, True, True, True]
 
 
-def test_lazy_submodules_resolve_as_attributes():
+def test_lazy_submodules_run_on_first_read():
     # ``import hwmt`` alone, then a submodule read off the package, as
     # ``hwmt.point_count.count_family(...)`` is
     assert run(f"""
 import hwmt
+same = [getattr(hwmt, m) is sys.modules['hwmt.' + m]
+        for m in ('point_count', 'picard_fuchs', 'ratfunc')]
+before = {RUN}
 count = hwmt.point_count.count_family
-after_pc = {LOADED}
-print(json.dumps([
-    after_pc,
-    [getattr(hwmt, m) is sys.modules['hwmt.' + m]
-     for m in ('point_count', 'picard_fuchs', 'ratfunc')],
-]))
-""") == [sorted(CORE + ["hwmt.point_count"]), [True, True, True]]
+print(json.dumps([same, before, {RUN}]))
+""") == [[True, True, True], CORE, sorted(CORE + ["hwmt.point_count"])]
+
+
+def test_the_cli_runs_a_lazy_layer_only_for_its_commands():
+    # every subcommand but `verify congruence` and `pf` starts without them
+    assert run(f"""
+import contextlib, io
+import hwmt.cli
+seen = []
+for argv in (['hw', '--family', 'quartic', '--psi', '2', '--primes', '7'],
+             ['hyp', '--params', '1/2,1/4,3/4;1,1', '--arg', '256,-4',
+              '--psi', '2', '--prime', '13'],
+             ['verify', 'key-lemma', '--pair', '3,4283', '--psi', '2',
+              '--primes', '7'],
+             ['verify', 'congruence', '--family', 'quartic', '--psi', '2',
+              '--primes', '7'],
+             ['pf', 'analyze', '--family', 'sextic', '--json']):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = hwmt.cli.main(argv)
+    seen.append([code, sorted(set({RUN}) - set({CORE!r}))])
+print(json.dumps(seen))
+""") == [
+        [0, ["hwmt.cli"]],
+        [0, ["hwmt.cli"]],
+        [0, ["hwmt.cli"]],
+        [0, ["hwmt.cli", "hwmt.point_count"]],
+        [0, ["hwmt.cli", "hwmt.picard_fuchs", "hwmt.point_count", "hwmt.ratfunc"]],
+    ]
 
 
 def test_hasse_witt_stays_the_function():
