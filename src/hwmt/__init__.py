@@ -4,30 +4,30 @@ Hasse-Witt invariants as constant terms of f^(p-1) mod p, exact point
 counts over F_p, truncated hypergeometric series, Picard-Fuchs parameter
 extraction, and a census of kernel pairs of reflexive polytopes.
 
-``import hwmt`` runs the layers that the census and the Hasse-Witt
-invariants use: ``errors``, ``intlinalg``, ``polytope``, ``hypergeometric``,
-``families``, ``census`` and ``hasse_witt``.  The Picard-Fuchs layer (with
-``ratfunc``) and the point-count layer are registered as lazy submodules
-(``importlib.util.LazyLoader``): ``hwmt.point_count`` is in ``sys.modules``
-and on the package from the start, and its code runs on the first read of
-one of its attributes.  ``hwmt.analyze_family`` and
-``hwmt.congruence_check`` are such reads, made on first use of the name.
-``hwmt.cli`` reaches the two layers the same way, so only ``pf`` and
-``verify congruence`` run them; every other subcommand starts without them.
-``hasse_witt`` stays eager because the function shadows the submodule's
-name: once an import of ``hwmt.hasse_witt`` binds the module to the package
-attribute, the function could not be resolved lazily again.
+``import hwmt`` runs only the polytope and census layers: ``errors``,
+``intlinalg``, ``polytope`` and ``census``, all that ``load_polytopes`` and
+``run_census`` need.  Every other layer (``families``, ``hypergeometric``,
+``hasse_witt``, ``picard_fuchs``, ``point_count`` and ``ratfunc``) is
+registered as a lazy submodule (``importlib.util.LazyLoader``): it is in
+``sys.modules`` from the start, and its code runs on the first read of one
+of its attributes.  A public name such as ``hwmt.get_family`` or
+``hwmt.hasse_witt`` is such a read, made on first use of the name.
+
+The function ``hasse_witt`` shadows its submodule's name, so that module is
+kept only in ``sys.modules`` and never bound to the package: ``hwmt.hasse_witt``
+is always the function, and ``importlib.import_module("hwmt.hasse_witt")``
+the module.  An import of a submodule that is already in ``sys.modules``
+binds nothing on the package, so no import order changes that.  The other
+five lazy submodules are package attributes (``hwmt.families``,
+``hwmt.point_count``, ...).
+
+``hwmt.cli`` imports every layer but the Picard-Fuchs and point-count ones
+at its top, so ``import hwmt.cli`` runs them before any command does; only
+``pf`` and ``verify congruence`` run the other two.  So a lazy package root
+speeds up ``import hwmt`` for library use, not the start of the CLI.
 """
 
 from .census import load_polytopes, run_census
-from .families import FAMILIES, FamilyTag, get_family
-from .hasse_witt import (
-    hasse_witt,
-    key_lemma_check,
-    period_coefficients,
-    truncation_relation_check,
-)
-from .hypergeometric import HypergeometricData, truncated_pFq
 from .polytope import (
     FacetInequality,
     KernelLattice,
@@ -42,7 +42,7 @@ from .polytope import (
 
 
 def _lazy_submodule(name):
-    """hwmt.<name>, in sys.modules and on the package, run on first read."""
+    """hwmt.<name>, in sys.modules, run on first read."""
     import importlib.util
     import sys
 
@@ -54,12 +54,27 @@ def _lazy_submodule(name):
     return module
 
 
+families = _lazy_submodule("families")
+hypergeometric = _lazy_submodule("hypergeometric")
 picard_fuchs = _lazy_submodule("picard_fuchs")
 point_count = _lazy_submodule("point_count")
 ratfunc = _lazy_submodule("ratfunc")
 
-# public function -> its lazy submodule; read from it on first use
-_LAZY = {"analyze_family": picard_fuchs, "congruence_check": point_count}
+# public name -> its lazy submodule; read from it on first use.  The
+# hasse_witt module is not bound here: the name is the function's.
+_LAZY = {
+    name: module
+    for module, names in (
+        (families, ("FAMILIES", "FamilyTag", "get_family")),
+        (hypergeometric, ("HypergeometricData", "truncated_pFq")),
+        (_lazy_submodule("hasse_witt"), ("hasse_witt", "key_lemma_check",
+                                         "period_coefficients",
+                                         "truncation_relation_check")),
+        (picard_fuchs, ("analyze_family",)),
+        (point_count, ("congruence_check",)),
+    )
+    for name in names
+}
 
 
 def __getattr__(name):

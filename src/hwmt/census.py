@@ -24,7 +24,6 @@ from .errors import (
     ParseError,
     UnknownFormat,
 )
-from .families import get_family
 from .polytope import (
     KernelLattice,
     LatticePolytope,
@@ -156,6 +155,9 @@ def _type_label(rep: LatticePolytope) -> Optional[str]:
     if kernel.rank == 1:
         weights = tuple(sorted(kernel.basis[0]))
         return "(" + ",".join(str(w) for w in weights) + ")"
+    # the families layer loads on the first label of rank > 1, not on import
+    from .families import get_family
+
     for fam in (get_family("group1"), get_family("group2")):
         if kernel_invariant(rep) == kernel_invariant(fam.polytope):
             return fam.display

@@ -87,6 +87,15 @@ KERNEL_WALK_BUDGET = 2 * 10**7
 # quartic at p = 1000003 (10^12) is refused.
 PERIOD_BITS_BUDGET = 10**9
 
+# The greatest C(n_max + r, r) * log2(k) * n_max that ``period_coefficients``
+# may fold: its summands for a rank-r kernel times the bits of the largest.
+# Cold, on a 2-vCPU machine with Python 3.11, the folds measured above 10^9
+# units took 0.05-0.31 ns per unit, so at most about 1.3 s at the bound: the
+# hexagon (2D id 9, rank 4) at n_max = 126 bounds 3.7 * 10^9 in 1.16 s, the
+# elliptic family (rank 2) at n_max = 1414 2.8 * 10^9 in 0.40 s, and the
+# elliptic family at p = 4093 (6.9 * 10^10) is refused.
+PERIOD_FOLD_BUDGET = 4 * 10**9
+
 
 @dataclass(frozen=True)
 class HWInvariant:
@@ -367,9 +376,13 @@ def period_coefficients(delta: LatticePolytope, n_max: int) -> Tuple[int, ...]:
     """b_n = constant term of (sum of dual-vertex monomials)^n, exactly.
 
     These are the integer Taylor coefficients of the holomorphic-period
-    expansion at the large complex structure limit.  With k dual vertices
-    b_n <= k^n, so BudgetExceeded, before the walk, when log2(k) * n_max *
-    (n_max + 1) / 2 bits is above PERIOD_BITS_BUDGET.
+    expansion at the large complex structure limit.  Two bounds are checked
+    before the walk, each raising BudgetExceeded.  With k dual vertices
+    b_n <= k^n, so b_0..b_n_max hold at most log2(k) * n_max * (n_max + 1)
+    / 2 bits, bounded by PERIOD_BITS_BUDGET.  The fold adds at most
+    C(n_max + r, r) summands for a rank-r kernel (the walk's bound), each of
+    at most log2(k) * n_max bits; their product bounds its time and is
+    bounded by PERIOD_FOLD_BUDGET.
     """
     exps = polar_dual(delta).vertices
     bits = log2(len(exps)) * n_max * (n_max + 1) / 2
@@ -377,6 +390,14 @@ def period_coefficients(delta: LatticePolytope, n_max: int) -> Tuple[int, ...]:
         raise BudgetExceeded(
             f"exact periods to n = {n_max} over {len(exps)} dual vertices bound "
             f"{bits:.0f} bits, above {PERIOD_BITS_BUDGET}")
+    r = len(_kernel_plan(tuple(exps)).step)
+    summands = comb(n_max + r, r)
+    # an int compared with a float is exact and never overflows; k >= 2
+    if summands * n_max > PERIOD_FOLD_BUDGET / log2(len(exps)):
+        raise BudgetExceeded(
+            f"exact periods to n = {n_max} fold up to {summands} summands of a "
+            f"rank {r} kernel, of up to {log2(len(exps)) * n_max:.0f} bits each, "
+            f"above {PERIOD_FOLD_BUDGET} summand bits")
     return _multinomial_sums(exps, n_max)
 
 

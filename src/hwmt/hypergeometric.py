@@ -10,6 +10,9 @@ so every later term is 0: the pass over the terms stops at the first such
 n.  A lower factor that would vanish below p is refused before the pass,
 and so is a pass that would cost more than ``SERIES_STEP_BUDGET`` modular
 products.  The truncation length reported as `terms_used` is still p.
+
+Every prime goes through ``is_prime``, which is exact below
+``PRIMALITY_BOUND`` (3.3 * 10^24) and refuses anything larger.
 """
 
 import operator
@@ -37,22 +40,57 @@ from .errors import (
 SERIES_STEP_BUDGET = 10**7
 
 
+# Miller-Rabin on the first 13 prime bases is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster,
+# arXiv:1509.00864); ``is_prime`` refuses any n at or above it.
+PRIMALITY_BOUND = 3317044064679887385961981
+_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_WITNESSES = (2,) + _ODD_PRIMES[:12]
+
+
 def is_prime(n) -> bool:
+    """Whether the integer n is prime, exactly, for n < PRIMALITY_BOUND
+    (3.3 * 10^24); BudgetExceeded at or above it, before any test.
+
+    Trial division by the primes below 50 decides every n < 47^2 = 2209
+    at the cost of division to its square root, as a small p always took.
+    A larger n with no such factor goes to a deterministic Miller-Rabin
+    test over the first 13 prime bases, which no composite below the bound
+    passes, so the answer is never probabilistic.
+    """
+    if n >= PRIMALITY_BOUND:
+        raise BudgetExceeded(
+            f"primality of {n} is not decided: the test is exact only below "
+            f"{PRIMALITY_BOUND}")
     if n < 2:
         return False
     if n % 2 == 0:
         return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _ODD_PRIMES:
+        if q * q > n:
+            return True
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def require_prime(p):
     """NotPrime unless p is an integer (anything operator.index takes) and
-    prime; a float or a string is refused, not truncated or parsed."""
+    prime; a float or a string is refused, not truncated or parsed.
+    BudgetExceeded, before any test, when p >= PRIMALITY_BOUND."""
     try:
         n = operator.index(p)
     except TypeError:

@@ -369,6 +369,26 @@ class TestUsageErrors:
         assert (row["psi"], row["p"], row["error"]) == ("2", 1601, "BudgetExceeded")
         assert set(row) == {"psi", "p", "error", "message"}
 
+    @pytest.mark.parametrize("argv", [
+        # a 21-digit prime: decided by Miller-Rabin, then refused by the walk
+        ["hw", "--family", "quartic", "--psi", "1",
+         "--primes", "100000000000000000039"],
+        # at the bound of the exact primality test
+        ["hw", "--family", "quartic", "--psi", "1",
+         "--primes", "3317044064679887385961981"],
+        # the walk admits C(4094, 2) summands, the exact periods' fold not
+        ["verify", "truncation", "--family", "elliptic", "--psi", "2",
+         "--primes", "4093"],
+    ], ids=["21-digit-prime", "primality-bound", "elliptic-periods"])
+    def test_extreme_input_is_refused_at_once(self, argv):
+        # a missed bound would run for minutes, so the timeout fails it
+        out = subprocess.run([sys.executable, "-m", "hwmt.cli", *argv],
+                             capture_output=True, text=True, env=hwmt_env(),
+                             timeout=20)
+        assert (out.returncode, out.stderr) == (1, "")
+        [row] = json.loads(out.stdout)
+        assert (row["p"], row["error"]) == (int(argv[-1]), "BudgetExceeded")
+
     def test_one_raising_cell_keeps_the_grid(self):
         # psi = 5 is not invertible mod 5; the other 23 cells still count
         out = run_subprocess("count", "--family", "quartic", "--psi", "1,2,3,5",

@@ -310,6 +310,31 @@ class TestWalkBudget:
             assert period_coefficients(quartic, 100)[100] == \
                 factorial(100) // factorial(25) ** 4
 
+    def test_exact_period_fold_refused_before_the_walk(self, monkeypatch):
+        # elliptic at p = 4093: 1.7 * 10^7 bits pass the bit bound, but a
+        # rank 2 fold of C(4094, 2) summands of up to 2 * 4092 bits does not
+        def refuse(plan, e):
+            raise AssertionError("walked before the fold budget")
+
+        monkeypatch.setattr(HW_MODULE, "_kernel_runs", refuse)
+        with pytest.raises(BudgetExceeded,
+                           match="8378371 summands of a rank 2 kernel, "
+                                 "of up to 8184 bits each"):
+            period_coefficients(get_family("elliptic").polytope, 4092)
+
+    @pytest.mark.parametrize("slack, refused", [(0, False), (-1, True)])
+    def test_fold_bound_is_inclusive(self, slack, refused, monkeypatch):
+        # elliptic to n = 12: C(14, 2) summands of up to log2(4) * 12 bits
+        monkeypatch.setattr(HW_MODULE, "PERIOD_FOLD_BUDGET",
+                            comb(14, 2) * 2 * 12 + slack)
+        elliptic = get_family("elliptic").polytope
+        if refused:
+            with pytest.raises(BudgetExceeded,
+                               match="91 summands .* 24 bits each, above 2183"):
+                period_coefficients(elliptic, 12)
+        else:
+            assert period_coefficients(elliptic, 12)[12] == comb(12, 6) ** 2
+
     @pytest.mark.parametrize("slack, refused", [(0, False), (-1, True)])
     def test_bound_is_inclusive(self, slack, refused, monkeypatch):
         # elliptic at p = 13: rank 2, horizon 16, C(18, 2) = 153 summands

@@ -2,21 +2,23 @@
 
 import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwmt import hypergeometric as HG_MODULE
-from hwmt.errors import BadDenominator, BudgetExceeded, PsiNotInvertible
+from hwmt.errors import BadDenominator, BudgetExceeded, NotPrime, PsiNotInvertible
 from hwmt.families import get_family
 from hwmt.hasse_witt import hasse_witt
 from hwmt.hypergeometric import (
     HypergeometricData,
     clausen_check,
+    PRIMALITY_BOUND,
     is_prime,
     pfq_taylor,
+    require_prime,
     quadratic_residue_check,
     truncated_pFq,
 )
@@ -27,8 +29,86 @@ F = Fraction
 
 
 def test_is_prime_matches_every_divisor():
-    for n in range(-3, 3000):
-        assert is_prime(n) == (n > 1 and all(n % d for d in range(2, n)))
+    # trial division; from 2209 = 47^2 on, a number with no factor below 50
+    # goes to Miller-Rabin
+    assert [n for n in range(-3, 10**5) if is_prime(n) !=
+            (n > 1 and all(n % d for d in range(2, isqrt(n) + 1)))] == []
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+# (composite, its prime factors, how many of the first prime bases it passes)
+PSEUDOPRIMES = [
+    # Carmichael numbers: Fermat pseudoprimes to every base prime to them
+    (561, (3, 11, 17), 0),
+    (1105, (5, 13, 17), 0),
+    (1729, (7, 13, 19), 0),
+    (2465, (5, 17, 29), 0),
+    (2821, (7, 13, 31), 0),
+    (6601, (7, 23, 41), 0),
+    (8911, (7, 19, 67), 0),
+    (41041, (7, 11, 13, 41), 0),
+    (825265, (5, 7, 17, 19, 73), 0),
+    (321197185, (5, 19, 23, 29, 37, 137), 0),
+    (5394826801, (7, 13, 17, 23, 31, 67, 73), 0),
+    (232250619601, (7, 11, 13, 17, 31, 37, 73, 163), 0),
+    (9746347772161, (7, 11, 13, 17, 19, 31, 37, 41, 641), 0),
+    # the least strong pseudoprimes to the first 1, 2, ..., 12 prime bases
+    (2047, (23, 89), 1),
+    (1373653, (829, 1657), 2),
+    (25326001, (2251, 11251), 3),
+    (3215031751, (151, 751, 28351), 4),
+    (2152302898747, (6763, 10627, 29947), 5),
+    (3474749660383, (1303, 16927, 157543), 6),
+    (341550071728321, (10670053, 32010157), 8),
+    (3825123056546413051, (149491, 747451, 34233211), 11),
+    (318665857834031151167461, (399165290221, 798330580441), 12),
+]
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+@pytest.mark.parametrize("n, factors, bases", PSEUDOPRIMES,
+                         ids=[str(c[0]) for c in PSEUDOPRIMES])
+def test_is_prime_rejects_pseudoprimes(n, factors, bases):
+    assert prod(factors) == n
+    assert all(_strong_probable_prime(n, a) for a in FIRST_PRIMES[:bases])
+    assert not is_prime(n)
+
+
+def test_is_prime_accepts_large_primes():
+    # Mersenne primes, 2^64 - 59 (the largest prime below 2^64), 10^9 + 7
+    primes = [2**13 - 1, 2**17 - 1, 2**31 - 1, 2**61 - 1, 2**64 - 59, 10**9 + 7]
+    assert [is_prime(n) for n in primes] == [True] * 6
+    products = [(2**13 - 1) * (2**61 - 1), (2**17 - 1) * (2**64 - 59),
+                (2**31 - 1) * (10**9 + 7)]
+    assert [is_prime(n) for n in products] == [False] * 3
+
+
+def test_the_primality_bound_is_the_least_pseudoprime_to_13_bases():
+    n = PRIMALITY_BOUND
+    assert prod((1287836182261, 2575672364521)) == n
+    assert all(_strong_probable_prime(n, a) for a in FIRST_PRIMES)
+    with pytest.raises(BudgetExceeded):
+        is_prime(n)
+    assert is_prime(n - 2) == all(_strong_probable_prime(n - 2, a) for a in FIRST_PRIMES)
+
+
+@pytest.mark.parametrize("n", [PRIMALITY_BOUND, 10**25, 2**89 - 1])
+def test_require_prime_refuses_above_the_bound_before_any_test(n):
+    # even 10^25 is refused, not found even
+    with pytest.raises(BudgetExceeded, match="exact only below"):
+        require_prime(n)
+
+
+def test_require_prime_refuses_a_pseudoprime_below_the_bound():
+    with pytest.raises(NotPrime):
+        require_prime(318665857834031151167461)
 
 
 class TestPochhammer:

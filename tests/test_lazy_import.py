@@ -10,20 +10,34 @@ import sys
 
 from conftest import hwmt_env
 
-CORE = ["hwmt", "hwmt.census", "hwmt.errors", "hwmt.families", "hwmt.hasse_witt",
-        "hwmt.hypergeometric", "hwmt.intlinalg", "hwmt.polytope"]
-LAZY = ["hwmt.picard_fuchs", "hwmt.point_count", "hwmt.ratfunc"]
+CORE = ["hwmt", "hwmt.census", "hwmt.errors", "hwmt.intlinalg", "hwmt.polytope"]
+LAZY = ["hwmt.families", "hwmt.hasse_witt", "hwmt.hypergeometric",
+        "hwmt.picard_fuchs", "hwmt.point_count", "hwmt.ratfunc"]
+# what ``import hwmt.cli`` runs: every layer but the last three of LAZY
+CLI = sorted(CORE + ["hwmt.cli"] + LAZY[:3])
+# the two lazy layers that hasse_witt, picard_fuchs and point_count import
+SERIES = ["hwmt.families", "hwmt.hypergeometric"]
 
-# the hwmt modules whose code has run: a lazy submodule is an instance of a
-# ModuleType subclass until the first read of one of its attributes
-RUN = ("sorted(n for n, m in sys.modules.items() if (n == 'hwmt' or "
-       "n.startswith('hwmt.')) and type(m) is types.ModuleType)")
+# Each run of an hwmt module's code, seen by an audit hook on the exec of its
+# module code object, so a module run twice shows twice, and a module run
+# eagerly shows even when a lazy submodule later takes its sys.modules entry.
+PRELUDE = """import json, os, sys, types
+ran = []
+def _record(event, args):
+    code = args[0] if event == 'exec' else None
+    if getattr(code, 'co_name', '') == '<module>':
+        head, name = os.path.split(code.co_filename[:-3])
+        if os.path.basename(head) == 'hwmt':
+            ran.append('hwmt' if name == '__init__' else 'hwmt.' + name)
+sys.addaudithook(_record)
+"""
+# the hwmt modules whose code has run, in name order
+RUN = "sorted(ran)"
 
 
 def run(code):
     """The JSON value the code prints last, run in a fresh interpreter."""
-    out = subprocess.run([sys.executable, "-B", "-c",
-                          "import json, sys, types\n" + code],
+    out = subprocess.run([sys.executable, "-B", "-c", PRELUDE + code],
                          capture_output=True, text=True, env=hwmt_env(),
                          check=True)
     return json.loads(out.stdout.splitlines()[-1])
@@ -56,7 +70,8 @@ print(json.dumps([
     point_count is sys.modules['hwmt.point_count'],
     vars(hwmt)['analyze_family'] is analyze_family,
 ]))
-""") == [sorted(CORE + ["hwmt.picard_fuchs", "hwmt.ratfunc"]), True, True, True, True]
+""") == [sorted(CORE + SERIES + ["hwmt.picard_fuchs", "hwmt.ratfunc"]),
+          True, True, True, True]
 
 
 def test_lazy_submodules_run_on_first_read():
@@ -65,11 +80,21 @@ def test_lazy_submodules_run_on_first_read():
     assert run(f"""
 import hwmt
 same = [getattr(hwmt, m) is sys.modules['hwmt.' + m]
-        for m in ('point_count', 'picard_fuchs', 'ratfunc')]
+        for m in ('families', 'hypergeometric', 'point_count', 'picard_fuchs',
+                  'ratfunc')]
 before = {RUN}
 count = hwmt.point_count.count_family
-print(json.dumps([same, before, {RUN}]))
-""") == [[True, True, True], CORE, sorted(CORE + ["hwmt.point_count"])]
+print(json.dumps([same, 'hasse_witt' in vars(hwmt), before, {RUN}]))
+""") == [[True] * 5, False, CORE, sorted(CORE + SERIES + ["hwmt.point_count"])]
+
+
+def test_the_cli_import_runs_every_layer_it_times():
+    # no CLI command and no timed call through hwmt.cli pays a compile,
+    # except in the Picard-Fuchs and point-count layers
+    assert run(f"""
+import hwmt.cli
+print(json.dumps({RUN}))
+""") == CLI
 
 
 def test_the_cli_runs_a_lazy_layer_only_for_its_commands():
@@ -88,26 +113,32 @@ for argv in (['hw', '--family', 'quartic', '--psi', '2', '--primes', '7'],
              ['pf', 'analyze', '--family', 'sextic', '--json']):
     with contextlib.redirect_stdout(io.StringIO()):
         code = hwmt.cli.main(argv)
-    seen.append([code, sorted(set({RUN}) - set({CORE!r}))])
+    seen.append([code, sorted(set({RUN}) - set({CLI!r}))])
 print(json.dumps(seen))
 """) == [
-        [0, ["hwmt.cli"]],
-        [0, ["hwmt.cli"]],
-        [0, ["hwmt.cli"]],
-        [0, ["hwmt.cli", "hwmt.point_count"]],
-        [0, ["hwmt.cli", "hwmt.picard_fuchs", "hwmt.point_count", "hwmt.ratfunc"]],
+        [0, []],
+        [0, []],
+        [0, []],
+        [0, ["hwmt.point_count"]],
+        [0, ["hwmt.picard_fuchs", "hwmt.point_count", "hwmt.ratfunc"]],
     ]
 
 
 def test_hasse_witt_stays_the_function():
-    assert run("""
-import hwmt, hwmt.cli
+    # the module is in sys.modules only; the package name is the function's,
+    # whichever of the package, the CLI and the module is imported first
+    orders = ["import hwmt, hwmt.cli\nimport hwmt.hasse_witt",
+              "import hwmt\nimport hwmt.hasse_witt\nimport hwmt.cli",
+              "import hwmt.hasse_witt\nimport hwmt, hwmt.cli",
+              "import hwmt.cli\nimport hwmt.hasse_witt\nimport hwmt",
+              "from hwmt import hasse_witt\nimport hwmt.hasse_witt"]
+    assert [run(imports + """
+import importlib
 module = sys.modules['hwmt.hasse_witt']
-seen = [hwmt.hasse_witt is module.hasse_witt]
-import hwmt.hasse_witt
-seen.append(hwmt.hasse_witt is module.hasse_witt)
-print(json.dumps(seen))
-""") == [True, True]
+print(json.dumps([hwmt.hasse_witt is module.hasse_witt,
+                  importlib.import_module('hwmt.hasse_witt') is module,
+                  type(module) is types.ModuleType]))
+""") for imports in orders] == [[True, True, True]] * len(orders)
 
 
 def test_a_missing_name_raises_attribute_error():
@@ -121,10 +152,24 @@ except AttributeError as exc:
 
 
 def test_every_public_name_resolves():
+    # each name in __all__ is its module's object; the lazy names' modules
+    # are named here, the others' read off __module__
     assert run("""
+import importlib
 import hwmt
+lazy = {'FAMILIES': 'families', 'FamilyTag': 'families',
+        'get_family': 'families', 'HypergeometricData': 'hypergeometric',
+        'truncated_pFq': 'hypergeometric', 'hasse_witt': 'hasse_witt',
+        'key_lemma_check': 'hasse_witt', 'period_coefficients': 'hasse_witt',
+        'truncation_relation_check': 'hasse_witt',
+        'analyze_family': 'picard_fuchs', 'congruence_check': 'point_count'}
 names = {}
 exec('from hwmt import *', names)
-print(json.dumps([[n for n in hwmt.__all__ if not hasattr(hwmt, n)],
-                  sorted(set(hwmt.__all__) - set(names))]))
+wrong = []
+for n in hwmt.__all__:
+    owner = 'hwmt.' + lazy[n] if n in lazy else getattr(hwmt, n).__module__
+    if not (getattr(hwmt, n) is names.get(n)
+            is getattr(importlib.import_module(owner), n)):
+        wrong.append(n)
+print(json.dumps([wrong, sorted(set(lazy) ^ set(hwmt._LAZY))]))
 """) == [[], []]

@@ -85,6 +85,17 @@ CASES = [
      "from hwmt.families import get_family",
      "period_coefficients(get_family('quartic').polytope, 1000002)",
      "BudgetExceeded"),
+    # the exact periods' summands times bits, checked before the fold
+    ("BudgetExceeded-period_coefficients-fold",
+     "from hwmt.hasse_witt import period_coefficients\n"
+     "from hwmt.families import get_family",
+     "period_coefficients(get_family('elliptic').polytope, 4092)",
+     "BudgetExceeded"),
+    # a prime at or above the bound of the exact primality test
+    ("BudgetExceeded-is_prime",
+     "from hwmt.hypergeometric import is_prime",
+     "is_prime(3317044064679887385961981)",
+     "BudgetExceeded"),
     # the series pass's step count, checked before the pass
     ("BudgetExceeded-truncated_pFq",
      "from hwmt.hypergeometric import truncated_pFq\n"
