@@ -5,12 +5,15 @@ counts over F_p, truncated hypergeometric series, Picard-Fuchs parameter
 extraction, and a census of kernel pairs of reflexive polytopes.
 
 ``import hwmt`` runs only the polytope and census layers: ``errors``,
-``intlinalg``, ``polytope`` and ``census``, all that ``load_polytopes`` and
-``run_census`` need.  Every other layer (``families``, ``hypergeometric``,
+``intlinalg``, ``polytope`` and ``census``, all that ``load_polytopes``
+needs.  ``run_census`` loads ``families`` and ``hypergeometric`` on its
+first kernel type of rank > 1, which it labels against the families'
+polytopes.  Every other layer (``families``, ``hypergeometric``,
 ``hasse_witt``, ``picard_fuchs``, ``point_count`` and ``ratfunc``) is
-registered as a lazy submodule (``importlib.util.LazyLoader``): it is in
-``sys.modules`` from the start, and its code runs on the first read of one
-of its attributes.  A public name such as ``hwmt.get_family`` or
+registered as a lazy submodule (``_LazyModule``): it is in ``sys.modules``
+from the start, and its code runs on the first read of one of its
+attributes, under one lock, so first reads from several threads at once
+each see the whole module.  A public name such as ``hwmt.get_family`` or
 ``hwmt.hasse_witt`` is such a read, made on first use of the name.
 
 The function ``hasse_witt`` shadows its submodule's name, so that module is
@@ -27,6 +30,9 @@ at its top, so ``import hwmt.cli`` runs them before any command does; only
 speeds up ``import hwmt`` for library use, not the start of the CLI.
 """
 
+import _thread
+import types
+
 from .census import load_polytopes, run_census
 from .polytope import (
     FacetInequality,
@@ -41,16 +47,43 @@ from .polytope import (
 )
 
 
+class _LazyModule(types.ModuleType):
+    """A submodule whose code runs on the first read of one of its attributes.
+
+    The run holds one lock, and the module becomes a plain module only after
+    its code has run, so a read from another thread waits for the whole
+    module.  (``importlib.util.LazyLoader`` of Python 3.11 makes it plain
+    first and runs the code after, with no lock: another thread could then
+    read a half-run module.)
+    """
+
+    def __getattribute__(self, attr):
+        with _RUN_LOCK:
+            # the thread that runs a module reads it too; _RUNNING lets it
+            if type(self) is _LazyModule and self not in _RUNNING:
+                _RUNNING.add(self)
+                try:
+                    spec = types.ModuleType.__getattribute__(self, "__spec__")
+                    spec.loader.exec_module(self)
+                    self.__class__ = types.ModuleType
+                finally:
+                    _RUNNING.discard(self)
+        return types.ModuleType.__getattribute__(self, attr)
+
+
+_RUN_LOCK = _thread.RLock()
+_RUNNING = set()
+
+
 def _lazy_submodule(name):
     """hwmt.<name>, in sys.modules, run on first read."""
     import importlib.util
     import sys
 
     spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
+    module.__class__ = _LazyModule
     sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
     return module
 
 

@@ -173,3 +173,32 @@ for n in hwmt.__all__:
         wrong.append(n)
 print(json.dumps([wrong, sorted(set(lazy) ^ set(hwmt._LAZY))]))
 """) == [[], []]
+
+
+def test_first_use_from_many_threads():
+    # eight threads make the first reads of the lazy layers at once, through
+    # the package root and a from-import as census makes; a thread that read
+    # a half-run module would raise AttributeError or ImportError
+    assert run("""
+import threading
+import hwmt
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(8)
+seen = [None] * 8
+def first_use(i):
+    barrier.wait()
+    try:
+        from hwmt.families import FAMILIES
+        seen[i] = [hwmt.hasse_witt('quartic', 2, 11).value,
+                   hwmt.get_family('sextic').name, sorted(FAMILIES),
+                   hwmt.hypergeometric.pfq_taylor.__name__]
+    except Exception as exc:
+        seen[i] = repr(exc)
+threads = [threading.Thread(target=first_use, args=(i,)) for i in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(json.dumps(seen))
+""") == [[1, "sextic", ["elliptic", "group1", "group2", "quartic", "sextic"],
+          "pfq_taylor"]] * 8
