@@ -20,7 +20,11 @@ The function ``hasse_witt`` shadows its submodule's name, so that module is
 kept only in ``sys.modules`` and never bound to the package: ``hwmt.hasse_witt``
 is always the function, and ``importlib.import_module("hwmt.hasse_witt")``
 the module.  An import of a submodule that is already in ``sys.modules``
-binds nothing on the package, so no import order changes that.  The other
+binds nothing on the package, so no import order changes that.  For the
+same reason ``import hwmt.hasse_witt as m``, which Python compiles to a read
+of the name off the package, binds ``m`` to the function; ``from
+hwmt.hasse_witt import hasse_witt_polynomial`` and ``import_module`` read
+the module.  The other
 five lazy submodules are package attributes (``hwmt.families``,
 ``hwmt.point_count``, ...).
 

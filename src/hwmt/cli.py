@@ -20,7 +20,7 @@ from . import census as census_mod
 # lazy submodules (see hwmt/__init__): only `pf` and `verify congruence`
 # run their code
 from . import picard_fuchs, point_count
-from .errors import HwmtError
+from .errors import HwmtError, SingularMember
 from .families import FAMILIES, get_family
 from .hasse_witt import (
     hasse_witt,
@@ -200,13 +200,6 @@ def _sweep(args, cell) -> int:
     return 1 if failures else 0
 
 
-def _congruence(fam, psi, p):
-    """congruence_check, or None when the printed model is singular."""
-    if not fam.is_smooth_model(psi):
-        return None
-    return point_count.congruence_check(fam, psi, p)
-
-
 def _cmd_hw(args) -> int:
     if args.family:
         source = get_family(args.family)
@@ -225,11 +218,11 @@ def _cmd_count(args) -> int:
     fam = get_family(args.family)
 
     def cell(psi, p):
-        result = _congruence(fam, psi, p)
-        if result is None:
+        try:
+            ok, count, _ = point_count.congruence_check(fam, psi, p)
+        except SingularMember:
             return {"model": fam.model, "count": None, "congruence_ok": None,
                     "singular": True}, None
-        ok, count, _ = result
         return {"model": fam.model, "count": count, "congruence_ok": ok}, ok
 
     return _sweep(args, cell)
@@ -314,10 +307,10 @@ def _cmd_verify(args) -> int:
         fam = get_family(args.family)
 
         def cell(psi, p):
-            result = _congruence(fam, psi, p)
-            if result is None:
+            try:
+                ok, count, trunc = point_count.congruence_check(fam, psi, p)
+            except SingularMember:
                 return {"family": fam.name, "singular": True, "match": None}, None
-            ok, count, trunc = result
             return {"family": fam.name, "count": count, "truncation": trunc,
                     "match": ok}, ok
     else:  # clausen: mismatches are findings, not failures

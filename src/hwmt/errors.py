@@ -56,6 +56,11 @@ class PsiNotInvertible(HwmtError):
     """The argument needs a negative power of psi but p divides psi."""
 
 
+class NotRational(HwmtError, ValueError, TypeError):
+    """A psi or a pFq parameter that is not a rational number: a string
+    that Fraction does not read, None, or a float that is not finite."""
+
+
 class MalformedHypergeometric(HwmtError, ValueError):
     """pFq parameters of the wrong shape (q != p - 1 lower parameters) or
     with a nonpositive-integer lower parameter."""
@@ -75,8 +80,9 @@ class NonIntegerOrbitSum(HwmtError):
 
 
 class BudgetExceeded(HwmtError):
-    """A point count, a Hasse-Witt kernel walk or an eigenvalue search would
-    exceed its documented work bound; refused before any work starts."""
+    """A point count, a lattice-point enumeration, a Hasse-Witt kernel walk,
+    a series pass or an eigenvalue search would exceed its documented work
+    bound; refused before any work starts."""
 
 
 class UncountableAmbient(HwmtError):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import UnknownFamily
-from .hypergeometric import HypergeometricData
+from .hypergeometric import HypergeometricData, rational
 from .polytope import LatticePolytope, normal_form, polar_dual
 
 F = Fraction
@@ -53,7 +53,7 @@ class FamilyTag:
         u/v, c psi^e = 1 exactly when u a^e = v b^e (u b^-e = v a^-e for
         e < 0), so the test is one integer comparison."""
         if not isinstance(psi, (int, Fraction)):
-            psi = Fraction(psi)
+            psi = rational(psi)
         a, b = psi.numerator, psi.denominator
         c, e = self.hg.argument
         if e < 0:
@@ -67,7 +67,7 @@ class FamilyTag:
         return replace(self.hg, argument=(c * self.model_psi_coeff ** e, e))
 
     def is_smooth_model(self, psi) -> bool:
-        return self.is_smooth(self.model_psi_coeff * Fraction(psi))
+        return self.is_smooth(self.model_psi_coeff * rational(psi))
 
     def model_polynomial(self, psi) -> Tuple[Tuple[Fraction, Tuple[int, ...]], ...]:
         """Printed-model equation at the given psi, as (coeff, exponents)
@@ -78,7 +78,7 @@ class FamilyTag:
         """
         delta = self.polytope
         terms = [(m, F(1)) for m in polar_dual(delta).vertices]
-        terms.append(((0,) * delta.dim, self.model_psi_coeff * Fraction(psi)))
+        terms.append(((0,) * delta.dim, self.model_psi_coeff * rational(psi)))
         return tuple(
             (c, tuple(sum(x * y for x, y in zip(v, m)) + 1 for v in delta.vertices))
             for m, c in terms if c

@@ -67,7 +67,13 @@ from typing import Optional, Tuple, Union
 
 from .errors import BudgetExceeded, NotKernelPair, SingularMember
 from .families import FamilyTag, get_family, identify_family
-from .hypergeometric import frac_mod, require_prime, require_psi_mod_p, truncated_pFq
+from .hypergeometric import (
+    frac_mod,
+    rational,
+    require_prime,
+    require_psi_mod_p,
+    truncated_pFq,
+)
 from .intlinalg import left_kernel
 from .polytope import CACHE_SIZE, LatticePolytope, kernel_invariant, polar_dual
 
@@ -332,9 +338,13 @@ def hasse_witt(source: Union[str, FamilyTag, LatticePolytope], psi,
     other value raises UnknownFamily.  Family members known to be singular
     at psi are rejected; for a bare polytope no smoothness check is
     possible.  The value is the polytope's Hasse-Witt polynomial at psi, so
-    every psi after the first at the same (polytope, p) costs O(p).
+    every psi after the first at the same (polytope, p) costs O(p).  A psi
+    that is not a rational raises NotRational.
     """
-    psi = Fraction(psi)
+    try:
+        psi = Fraction(psi)  # one Fraction and no call on the usual path
+    except (TypeError, ValueError, ArithmeticError):
+        psi = rational(psi)  # raises NotRational for what Fraction refused
     delta, fam = _resolve_polytope(source)
     if fam is not None and not fam.is_smooth(psi):
         raise SingularMember(f"{fam.name} member at psi = {psi} is singular")
@@ -372,8 +382,11 @@ def _hw_coefficients(delta: LatticePolytope, p: int) -> Tuple[int, ...]:
     return tuple(-inv_fact[d] * weights[e - d] % p for d in range(p))
 
 
-def period_coefficients(delta: LatticePolytope, n_max: int) -> Tuple[int, ...]:
-    """b_n = constant term of (sum of dual-vertex monomials)^n, exactly.
+def period_coefficients(source: Union[str, FamilyTag, LatticePolytope],
+                        n_max: int) -> Tuple[int, ...]:
+    """b_n = constant term of (sum of dual-vertex monomials)^n, exactly, for
+    a family (its name or FamilyTag) or a LatticePolytope, as ``hasse_witt``
+    takes them.
 
     These are the integer Taylor coefficients of the holomorphic-period
     expansion at the large complex structure limit.  Two bounds are checked
@@ -384,7 +397,7 @@ def period_coefficients(delta: LatticePolytope, n_max: int) -> Tuple[int, ...]:
     at most log2(k) * n_max bits; their product bounds its time and is
     bounded by PERIOD_FOLD_BUDGET.
     """
-    exps = polar_dual(delta).vertices
+    exps = polar_dual(_resolve_polytope(source)[0]).vertices
     bits = log2(len(exps)) * n_max * (n_max + 1) / 2
     if bits > PERIOD_BITS_BUDGET:
         raise BudgetExceeded(
@@ -451,7 +464,7 @@ def truncation_relation_check(delta_or_family, psi, p: int) -> bool:
     HW_p is ``hasse_witt``'s memoized polynomial at psi, b_n the exact
     ``period_coefficients``, and binom(p-1, n) = (-1)^n mod p.
     """
-    psi = Fraction(psi)
+    psi = rational(psi)
     delta, fam = _resolve_polytope(delta_or_family)
     fam = fam or identify_family(delta)
     if fam is not None and not fam.is_smooth(psi):

@@ -25,6 +25,7 @@ from .errors import (
     BudgetExceeded,
     MalformedHypergeometric,
     NotPrime,
+    NotRational,
     PsiNotInvertible,
     UnknownFamily,
 )
@@ -107,6 +108,16 @@ def require_psi_mod_p(psi: Fraction, p: int):
         raise BadDenominator(f"psi = {psi} has denominator divisible by {p}")
 
 
+def rational(x) -> Fraction:
+    """x as a Fraction, from anything Fraction reads (an int, a Fraction, a
+    float, a Decimal, a string such as '3/2'); NotRational for any other
+    value, and for a float or string that names no rational."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):
+        raise NotRational(f"{x!r} is not a rational number") from None
+
+
 def frac_mod(x, p: int) -> int:
     """Image of a rational in F_p; BadDenominator if p divides its
     denominator."""
@@ -125,12 +136,12 @@ class HypergeometricData:
     argument: Tuple[Fraction, int]
 
     def __post_init__(self):
-        nums = tuple(sorted(Fraction(a) for a in self.numerators))
-        dens = tuple(sorted(Fraction(b) for b in self.denominators))
+        nums = tuple(sorted(rational(a) for a in self.numerators))
+        dens = tuple(sorted(rational(b) for b in self.denominators))
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominators", dens)
         c, e = self.argument
-        object.__setattr__(self, "argument", (Fraction(c), int(e)))
+        object.__setattr__(self, "argument", (rational(c), int(e)))
         if len(dens) != len(nums) - 1:
             raise MalformedHypergeometric(
                 "pFq shape requires one fewer lower parameter")
@@ -166,7 +177,7 @@ class TruncatedValue:
 
 def _argument_mod_p(data: HypergeometricData, psi, p: int) -> int:
     c, e = data.argument
-    psi = Fraction(psi)
+    psi = rational(psi)
     z_c = frac_mod(c, p)
     if e >= 0:
         return z_c * pow(frac_mod(psi, p), e, p) % p

@@ -65,6 +65,7 @@ from .families import get_family
 from .hypergeometric import (
     frac_mod,
     is_prime,
+    rational,
     require_prime,
     require_psi_mod_p,
     truncated_pFq,
@@ -402,7 +403,7 @@ def count_family(family, psi, p: int) -> CountResult:
     """Exact point count of the family's printed ambient model at psi,
     graded by its polytope's vertex kernel."""
     fam = get_family(family)
-    psi = Fraction(psi)
+    psi = rational(psi)
     if fam.model is None:
         raise UncountableAmbient(
             f"family {fam.name} has no countable ambient model; use the "
@@ -426,7 +427,7 @@ def congruence_check(family, psi, p: int):
     10 == 1 - 1 mod 5, not 1 + 1).
     """
     fam = get_family(family)
-    psi = Fraction(psi)
+    psi = rational(psi)
     if not fam.is_smooth_model(psi):
         raise SingularMember(
             f"{fam.name} printed model at psi = {psi} is singular"

@@ -150,6 +150,56 @@ GOLDEN = [
      "903a5fef1b393dad2c88f6f9d768b99510d00b6326a173d6dfb5dcf27b8c55f3"),
     ("verify congruence --family quartic --psi 2 --primes 29,31", 0,
      "9410c40e020e8947cab57773d3a5e2b86213f81ae9e7ae319060f96e557cfecc"),
+    # recorded before the singular-member path and the rational reader
+    # changed: the commands a separate python -O run once checked.  Point
+    # counts of the three printed models at p = 101, the stratified scan of
+    # P1 x P1 at small primes and at p = 1009
+    ("verify congruence --family quartic --psi 2 --primes 101", 0,
+     "34d1fc4a654856d1f13a6cacf4334f4404babc3dbe4e53feb1ad4ebb8cce08ea"),
+    ("verify congruence --family elliptic --psi 2 --primes 101", 0,
+     "8891a2c2e1673ff51dc6131d62714dc114226404bcc6b392dfa73c13ce026ce5"),
+    ("verify congruence --family sextic --psi 2 --primes 101", 0,
+     "b763fc12eb61e01e17156c67f0c7af51694ce93f4871475be18dbd8241cc424f"),
+    ("verify congruence --family elliptic --psi 2,3 --primes 3,5,7,1009", 0,
+     "8755ef7afa3f8945123d43ee120d24ca21a9ed3b5c007f59874e681dff659d92"),
+    # 24 canonical orders on vertex lattices of index 2, 8 and 4, so the
+    # normal form takes the least HNF over the orders; 427 has 6
+    ("pair check --pair 8,3313", 0,
+     "bd6ef13f95e93a3311c869b9479d9efeb261f90fb1bafd1506f67369d8dfe8a6"),
+    ("pair check --pair 427,427", 0,
+     "8b932626d97a218d7af994adb0be80979d51a09cc9ae8b7eddc1831154b20a28"),
+    ("hw --id 4283 --psi 2 --primes 7", 0,
+     "00a191d9327ee7f646ee2757e80beabe4edc1a61dce0347463114d3c21c340ec"),
+    ("verify key-lemma --pair 3,4283 --psi 2 --primes 7", 0,
+     "e2ae10a755d2ed37351665ce7fc60e9ce5c939c3d51370c2081de9ef73ceb0e4"),
+    ("verify truncation --id 10 --psi 2 --primes 7", 0,
+     "07dbcf12c6938e11db1c69ad562b3db0f5b1650024388def88c0a63f2ffe5068"),
+    # the Hasse-Witt run walk through multi-row prefixes: rank 2 and rank 4
+    # kernels, and the octahedron, whose dual (the cube) has a rank 5 kernel;
+    # a large prime first, so the smaller primes cut its kernel walk
+    ("hw --family group1 --psi 2 --primes 101", 0,
+     "9ec4bfcc97bb8366483bf4126c24c85ae860aaf720b17fac595cee9fc4282a06"),
+    ("hw --input {polygons2d} --id 9 --psi 2 --primes 31", 0,
+     "c443d22f3f081eec44085b3740dc27a69c3b63b8327ec83121206a0fa3c83499"),
+    ("hw --vertices 1,0,0;-1,0,0;0,1,0;0,-1,0;0,0,1;0,0,-1 --psi 2 --primes 13,31", 0,
+     "bba26988003d003860bed2f5e126f8085d0b63bd9ec497a3e1804c5ed128be16"),
+    ("hw --family group1 --psi 2,3 --primes 59,5,43", 0,
+     "e9452d01c4e367ac86883687100d9b96679e8c5f7cfd683012b6f6d6669cb9b1"),
+    ("hw --input {polygons2d} --id 9 --psi 2 --primes 31,7", 0,
+     "4511ead0b46ea251adb13fc07a4883dfc7df43a5a1f66d1b64fc845b4c4f279d"),
+    # the truncation check at large p: C(p-1, n) = (-1)^n mod p on the
+    # Hasse-Witt polynomial's side, exact periods folded run by run
+    ("verify truncation --family quartic --psi 2 --primes 2003", 0,
+     "b751a37a49eec5e84d654c209fddd37f97026fd250fd996172d9a31c49c6419a"),
+    ("verify truncation --family quartic --psi 1 --primes 10007", 0,
+     "8f98434e53e01f79994c65f696aebd1e14d44dfd6eec66ec33fc6dc2340efb1d"),
+    # facet normals by signed maximal minors: 1x1 in 2D, 3x3 in 4D
+    ("census --report json --input {polygons2d}", 0,
+     "40c4e6c0e0006d22dc4b85d90de864c1f212bd8da6d6acafacfea161096db34f"),
+    ("polytope dual --vertices 1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1;-1,-1,-1,-1", 0,
+     "bab9cd1da083abc951b083d19d1d5fd31422788aa42eeefe72a035209cfdbade"),
+    ("verify clausen --family group2 --psi 2 --primes 401", 0,
+     "8e450c3c131be33cda1b47298658f8854cb194b6476364789578c32c0cc9aa4f"),
 ]
 
 
@@ -379,15 +429,34 @@ class TestUsageErrors:
         # the walk admits C(4094, 2) summands, the exact periods' fold not
         ["verify", "truncation", "--family", "elliptic", "--psi", "2",
          "--primes", "4093"],
-    ], ids=["21-digit-prime", "primality-bound", "elliptic-periods"])
+        # a rank 4 walk of 4.6 * 10^10 summands
+        ["hw", "--input", str(fixture_path("polygons2d.txt")), "--id", "9",
+         "--psi", "2", "--primes", "1009"],
+        # the exact periods' bound in bits, before the walk
+        ["verify", "truncation", "--family", "quartic", "--psi", "1",
+         "--primes", "1000003"],
+        # the walk budget, before any table of length p is built
+        ["hw", "--family", "quartic", "--psi", "1", "--primes", "16777259"],
+        # a series pass of 2.25 * 10^9 products
+        ["hyp", "--params", "1/4,1/2,3/4;1,1", "--arg", "256,-4", "--psi", "1",
+         "--prime", "1000000007"],
+    ], ids=["21-digit-prime", "primality-bound", "elliptic-periods",
+            "hexagon-walk", "quartic-periods", "quartic-walk", "series-pass"])
     def test_extreme_input_is_refused_at_once(self, argv):
         # a missed bound would run for minutes, so the timeout fails it
         out = subprocess.run([sys.executable, "-m", "hwmt.cli", *argv],
                              capture_output=True, text=True, env=hwmt_env(),
                              timeout=20)
         assert (out.returncode, out.stderr) == (1, "")
-        [row] = json.loads(out.stdout)
-        assert (row["p"], row["error"]) == (int(argv[-1]), "BudgetExceeded")
+        diagnostic, p = json.loads(out.stdout), int(argv[-1])
+        if argv[0] == "hyp":
+            # one series, so one diagnostic object rather than a grid of rows
+            row = diagnostic
+            assert set(row) == {"error", "message"} and f"mod {p} " in row["message"]
+        else:
+            [row] = diagnostic
+            assert row["p"] == p
+        assert row["error"] == "BudgetExceeded"
 
     def test_one_raising_cell_keeps_the_grid(self):
         # psi = 5 is not invertible mod 5; the other 23 cells still count

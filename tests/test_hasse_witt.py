@@ -170,6 +170,14 @@ class TestPeriodCoefficients:
         for rec in list(records3d.values())[::9]:
             assert period_coefficients(rec.polytope, 0)[0] == 1
 
+    def test_takes_a_family_as_hasse_witt_does(self):
+        for name, fam in FAMILIES.items():
+            by_polytope = period_coefficients(fam.polytope, 12)
+            assert period_coefficients(name, 12) == by_polytope
+            assert period_coefficients(fam, 12) == by_polytope
+        with pytest.raises(UnknownFamily):
+            period_coefficients(3, 5)
+
 
 class TestKeyLemma:
     @pytest.mark.parametrize("pair,psi,p", [((0, 4311), 2, 7), ((2, 4317), 3, 11)])

@@ -139,6 +139,31 @@ print(json.dumps([hwmt.hasse_witt is module.hasse_witt,
                   importlib.import_module('hwmt.hasse_witt') is module,
                   type(module) is types.ModuleType]))
 """) for imports in orders] == [[True, True, True]] * len(orders)
+    # `import hwmt.hasse_witt as m` reads the name off the package, so it
+    # binds the function; import_module and a from-import read the module
+    assert run("""
+import hwmt.hasse_witt as m
+from hwmt.hasse_witt import hasse_witt_polynomial
+import importlib
+module = importlib.import_module('hwmt.hasse_witt')
+print(json.dumps([m is module.hasse_witt, module is sys.modules['hwmt.hasse_witt'],
+                  hasse_witt_polynomial is module.hasse_witt_polynomial]))
+""") == [True, True, True]
+
+
+def test_root_names_give_the_paper_values():
+    # the Picard-Fuchs, point-count, families, series and Hasse-Witt layers,
+    # each run on the first use of one of its names on the package root
+    assert run("""
+import hwmt
+print(json.dumps([
+    str(hwmt.analyze_family('sextic').final),
+    hwmt.congruence_check('quartic', 2, 11)[0],
+    hwmt.hasse_witt('quartic', 2, 11).value,
+    hwmt.truncated_pFq(hwmt.get_family('quartic').hg, 2, 11).value,
+    hwmt.truncated_pFq(hwmt.get_family('sextic').hg, 2, 13).value,
+]))
+""") == ["3F2(1/6,1/2,5/6;1,1 | 1728/psi^6)", True, 1, 1, 10]
 
 
 def test_a_missing_name_raises_attribute_error():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwmt.errors import (
+    BudgetExceeded,
     DegeneratePolytope,
     NonLatticeDual,
     NotInteriorOrigin,
@@ -139,6 +140,18 @@ class TestLatticePoints:
             assert list(lattice_points(rec.polytope)) == brute_force_points(
                 rec.polytope
             )
+
+    @pytest.mark.parametrize("slack, refused", [(0, False), (-1, True)])
+    def test_box_bound_is_inclusive(self, slack, refused, monkeypatch):
+        # the triangle (2,0), (0,2), (-2,-2) has a 5 x 5 box and 10 points
+        monkeypatch.setattr(polytope, "LATTICE_BOX_BUDGET", 25 + slack)
+        lattice_points.cache_clear()
+        triangle = LatticePolytope(2, ((2, 0), (0, 2), (-2, -2)))
+        if refused:
+            with pytest.raises(BudgetExceeded, match="holds 25 lattice points, above 24"):
+                lattice_points(triangle)
+        else:
+            assert list(lattice_points(triangle)) == brute_force_points(triangle)
 
 
 class TestVertexKernel:

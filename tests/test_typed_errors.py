@@ -1,12 +1,26 @@
 """Input checks raise typed HwmtErrors, also under python -O, which strips
-asserts."""
+asserts; and no code in the package or the fixture tool reads anything
+that -O changes."""
 
+import ast
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hwmt.errors import MalformedHypergeometric, ZeroDenominator, ZeroRescale
+from hwmt.errors import (
+    MalformedHypergeometric,
+    NotRational,
+    ZeroDenominator,
+    ZeroRescale,
+)
+from hwmt.families import get_family
+from hwmt.hasse_witt import hasse_witt
+from hwmt.hypergeometric import HypergeometricData, truncated_pFq
+from hwmt.point_count import count_family
 
 from conftest import hwmt_env
 
@@ -124,6 +138,41 @@ CASES = [
      "from hwmt.hasse_witt import hasse_witt",
      "hasse_witt('quartic', 2, '7')",
      "NotPrime"),
+    # a psi or a pFq parameter that Fraction does not read
+    ("NotRational-hasse_witt-str",
+     "from hwmt.hasse_witt import hasse_witt",
+     "hasse_witt('quartic', 'x', 7)",
+     "NotRational"),
+    ("NotRational-hasse_witt-None",
+     "from hwmt.hasse_witt import hasse_witt",
+     "hasse_witt('quartic', None, 7)",
+     "NotRational"),
+    ("NotRational-count_family",
+     "from hwmt.point_count import count_family",
+     "count_family('elliptic', 'x', 5)",
+     "NotRational"),
+    ("NotRational-congruence_check",
+     "from hwmt.point_count import congruence_check",
+     "congruence_check('quartic', float('nan'), 7)",
+     "NotRational"),
+    ("NotRational-HypergeometricData",
+     "from hwmt.hypergeometric import HypergeometricData",
+     "HypergeometricData(('a',), (), (1, 0))",
+     "NotRational"),
+    ("NotRational-truncated_pFq",
+     "from hwmt.hypergeometric import truncated_pFq\n"
+     "from hwmt.families import get_family",
+     "truncated_pFq(get_family('quartic').hg, '1/0', 7)",
+     "NotRational"),
+    ("UnknownFamily-period_coefficients",
+     "from hwmt.hasse_witt import period_coefficients",
+     "period_coefficients(3, 5)",
+     "UnknownFamily"),
+    # a bounding box of 2001^2 lattice points, checked before enumerating
+    ("BudgetExceeded-lattice_points",
+     "from hwmt.polytope import LatticePolytope, lattice_points",
+     "lattice_points(LatticePolytope(2, ((1000, 0), (0, 1000), (-1000, -1000))))",
+     "BudgetExceeded"),
 ]
 
 
@@ -152,11 +201,54 @@ def test_typed_errors_under_optimize():
     assert out.stdout.split() == [c[3] for c in CASES]
 
 
+ROOT = Path(__file__).resolve().parent.parent
+LINTED = ("src/hwmt", "tools")
+
+
+def _changed_by_optimize(tree):
+    """(line, what) of each node that python -O changes: an assert, which it
+    strips, and a read of __debug__, which it makes False."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno, "assert"
+        elif (isinstance(node, ast.Name) and node.id == "__debug__"
+              or isinstance(node, ast.Attribute) and node.attr == "__debug__"):
+            yield node.lineno, "__debug__"
+
+
+def test_optimize_changes_nothing():
+    # -O strips asserts and sets __debug__ to False, and changes nothing
+    # else (docstrings go only under -OO).  With neither in these trees, the
+    # CLI and the fixture tool run the same code under -O, so no check rests
+    # on an assert; a line-based grep would miss `if x: assert y`
+    paths = {tree: sorted((ROOT / tree).rglob("*.py")) for tree in LINTED}
+    assert all(paths.values()), paths
+    found = [f"{path.relative_to(ROOT)}:{line}: {what}"
+             for tree in LINTED for path in paths[tree]
+             for line, what in _changed_by_optimize(
+                 ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
 def test_typed_errors_keep_their_builtin_bases():
     # callers that caught the untyped errors still catch them
     assert issubclass(MalformedHypergeometric, ValueError)
     assert issubclass(ZeroRescale, ZeroDivisionError)
     assert issubclass(ZeroDenominator, ZeroDivisionError)
+    assert issubclass(NotRational, ValueError) and issubclass(NotRational, TypeError)
+
+
+@pytest.mark.parametrize("psi", [Fraction(1, 2), 0.5, "1/2", "0.5", Decimal("0.5")],
+                         ids=["Fraction", "float", "ratio", "decimal-str", "Decimal"])
+def test_every_rational_form_is_read(psi):
+    # what Fraction reads is still read; only what it refuses is now typed
+    half = Fraction(1, 2)
+    quartic = get_family("quartic")
+    assert hasse_witt("quartic", psi, 7) == hasse_witt("quartic", half, 7)
+    assert count_family("elliptic", psi, 5) == count_family("elliptic", half, 5)
+    assert truncated_pFq(quartic.hg, psi, 7) == truncated_pFq(quartic.hg, half, 7)
+    assert HypergeometricData((psi,), (), (psi, 0)) == \
+        HypergeometricData((half,), (), (half, 0))
 
 
 def test_cli_malformed_hypergeometric_exits_2():
