@@ -62,8 +62,9 @@ class NotRational(HwmtError, ValueError, TypeError):
 
 
 class MalformedHypergeometric(HwmtError, ValueError):
-    """pFq parameters of the wrong shape (q != p - 1 lower parameters) or
-    with a nonpositive-integer lower parameter."""
+    """pFq parameters of the wrong shape (q != p - 1 lower parameters),
+    with a nonpositive-integer lower parameter, or with an exponent of psi
+    that is not an integer."""
 
 
 # --- point counting errors ---------------------------------------------------

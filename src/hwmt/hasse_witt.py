@@ -341,10 +341,7 @@ def hasse_witt(source: Union[str, FamilyTag, LatticePolytope], psi,
     every psi after the first at the same (polytope, p) costs O(p).  A psi
     that is not a rational raises NotRational.
     """
-    try:
-        psi = Fraction(psi)  # one Fraction and no call on the usual path
-    except (TypeError, ValueError, ArithmeticError):
-        psi = rational(psi)  # raises NotRational for what Fraction refused
+    psi = rational(psi)
     delta, fam = _resolve_polytope(source)
     if fam is not None and not fam.is_smooth(psi):
         raise SingularMember(f"{fam.name} member at psi = {psi} is singular")

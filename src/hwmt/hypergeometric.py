@@ -141,7 +141,12 @@ class HypergeometricData:
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominators", dens)
         c, e = self.argument
-        object.__setattr__(self, "argument", (rational(c), int(e)))
+        try:
+            e = operator.index(e)  # a float or a string is refused, not cut
+        except TypeError:
+            raise MalformedHypergeometric(
+                f"exponent {e!r} of psi is not an integer") from None
+        object.__setattr__(self, "argument", (rational(c), e))
         if len(dens) != len(nums) - 1:
             raise MalformedHypergeometric(
                 "pFq shape requires one fewer lower parameter")

@@ -207,6 +207,10 @@ GOLDEN = [
                          ids=[g[0].split(" --")[0] + f"-{i}"
                               for i, g in enumerate(GOLDEN)])
 def test_cli_output_matches_golden(capsys, command, code, digest):
+    # cold Hasse-Witt caches, as in a fresh process: each row walks its own
+    # kernels, whatever rows or tests ran before it
+    _kernel_plan.cache_clear()
+    _hw_coefficients.cache_clear()
     argv = [str(fixture_path("polygons2d.txt")) if a == "{polygons2d}" else a
             for a in command.split()]
     got_code, out = run(capsys, *argv)

@@ -57,6 +57,15 @@ CASES = [
      "from hwmt.hypergeometric import HypergeometricData",
      "HypergeometricData((1, 2), (-1,), (1, 1))",
      "MalformedHypergeometric"),
+    # an exponent of psi is read as an integer, never truncated or parsed
+    ("MalformedHypergeometric-exponent-float",
+     "from hwmt.hypergeometric import HypergeometricData",
+     "HypergeometricData((1/2,), (), (1, 2.5))",
+     "MalformedHypergeometric"),
+    ("MalformedHypergeometric-exponent-str",
+     "from hwmt.hypergeometric import HypergeometricData",
+     "HypergeometricData((1/2,), (), (1, 'x'))",
+     "MalformedHypergeometric"),
     ("ZeroRescale-rescale(gauge_shear(",
      "from hwmt.picard_fuchs import companion_matrix, gauge_shear, rescale\n"
      "from hwmt.families import get_family",
