@@ -24,9 +24,8 @@ binds nothing on the package, so no import order changes that.  For the
 same reason ``import hwmt.hasse_witt as m``, which Python compiles to a read
 of the name off the package, binds ``m`` to the function; ``from
 hwmt.hasse_witt import hasse_witt_polynomial`` and ``import_module`` read
-the module.  The other
-five lazy submodules are package attributes (``hwmt.families``,
-``hwmt.point_count``, ...).
+the module.  The other five lazy submodules are package attributes
+(``hwmt.families``, ``hwmt.point_count``, ...).
 
 ``hwmt.cli`` imports every layer but the Picard-Fuchs and point-count ones
 at its top, so ``import hwmt.cli`` runs them before any command does; only
