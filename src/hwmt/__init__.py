@@ -6,7 +6,10 @@ extraction, and a census of kernel pairs of reflexive polytopes.
 
 ``import hwmt`` runs only the polytope and census layers: ``errors``,
 ``intlinalg``, ``polytope`` and ``census``, all that ``load_polytopes``
-needs.  ``run_census`` loads ``families`` and ``hypergeometric`` on its
+needs.  Their value types are named tuples and one plain class
+(``LatticePolytope``), so that ``import hwmt`` does not import
+``dataclasses`` and the ``inspect`` it brings; the lazy layers keep their
+dataclasses, which load only with them.  ``run_census`` loads ``families`` and ``hypergeometric`` on its
 first kernel type of rank > 1, which it labels against the families'
 polytopes.  Every other layer (``families``, ``hypergeometric``,
 ``hasse_witt``, ``picard_fuchs``, ``point_count`` and ``ratfunc``) is

@@ -13,9 +13,8 @@ a header line `id dim nvertices` followed by nvertices coordinate lines;
 records are blank-line separated and `#` starts a comment line.
 """
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import (
     HwmtError,
@@ -47,14 +46,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolytopeRecord:
+class PolytopeRecord(NamedTuple):
     id: int
     polytope: LatticePolytope
 
 
-@dataclass(frozen=True)
-class KernelType:
+class KernelType(NamedTuple):
     """Maximal set of records that are pairwise kernel pairs."""
 
     kernel: KernelLattice
@@ -62,8 +59,7 @@ class KernelType:
     label: Optional[str]
 
 
-@dataclass
-class CensusResult:
+class CensusResult(NamedTuple):
     records: List[PolytopeRecord]
     types: List[KernelType]
     pairs: List[Tuple[int, int]]

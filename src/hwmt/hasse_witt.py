@@ -386,15 +386,22 @@ def period_coefficients(source: Union[str, FamilyTag, LatticePolytope],
     takes them.
 
     These are the integer Taylor coefficients of the holomorphic-period
-    expansion at the large complex structure limit.  Two bounds are checked
-    before the walk, each raising BudgetExceeded.  With k dual vertices
-    b_n <= k^n, so b_0..b_n_max hold at most log2(k) * n_max * (n_max + 1)
-    / 2 bits, bounded by PERIOD_BITS_BUDGET.  The fold adds at most
-    C(n_max + r, r) summands for a rank-r kernel (the walk's bound), each of
-    at most log2(k) * n_max bits; their product bounds its time and is
-    bounded by PERIOD_FOLD_BUDGET.
+    expansion at the large complex structure limit.  The bounds of
+    ``_require_period_budget`` are checked before the walk.
     """
     exps = polar_dual(_resolve_polytope(source)[0]).vertices
+    _require_period_budget(exps, n_max)
+    return _multinomial_sums(exps, n_max)
+
+
+def _require_period_budget(exps, n_max):
+    """BudgetExceeded unless the exact b_0..b_n_max of the exponent vectors
+    fit two bounds; it walks nothing.  With k dual vertices b_n <= k^n, so
+    b_0..b_n_max hold at most log2(k) * n_max * (n_max + 1) / 2 bits,
+    bounded by PERIOD_BITS_BUDGET.  The fold adds at most C(n_max + r, r)
+    summands for a rank-r kernel (the walk's bound), each of at most
+    log2(k) * n_max bits; their product bounds its time and is bounded by
+    PERIOD_FOLD_BUDGET."""
     bits = log2(len(exps)) * n_max * (n_max + 1) / 2
     if bits > PERIOD_BITS_BUDGET:
         raise BudgetExceeded(
@@ -408,7 +415,6 @@ def period_coefficients(source: Union[str, FamilyTag, LatticePolytope],
             f"exact periods to n = {n_max} fold up to {summands} summands of a "
             f"rank {r} kernel, of up to {log2(len(exps)) * n_max:.0f} bits each, "
             f"above {PERIOD_FOLD_BUDGET} summand bits")
-    return _multinomial_sums(exps, n_max)
 
 
 def _ratio(x, k):
@@ -459,16 +465,21 @@ def truncation_relation_check(delta_or_family, psi, p: int) -> bool:
     truncated hypergeometric value.
 
     HW_p is ``hasse_witt``'s memoized polynomial at psi, b_n the exact
-    ``period_coefficients``, and binom(p-1, n) = (-1)^n mod p.
+    ``period_coefficients``, and binom(p-1, n) = (-1)^n mod p.  The bounds
+    of the exact periods are checked before the Hasse-Witt walk, so a
+    prime they refuse builds no table of length p.
     """
     psi = rational(psi)
     delta, fam = _resolve_polytope(delta_or_family)
     fam = fam or identify_family(delta)
     if fam is not None and not fam.is_smooth(psi):
         raise SingularMember(f"member at psi = {psi} is singular")
+    require_psi_mod_p(psi, p)
+    exps = polar_dual(delta).vertices
+    _require_period_budget(exps, p - 1)
     hw = hasse_witt(delta, psi, p).value
     x, rhs = frac_mod(psi, p), 0
-    for n, bn in enumerate(period_coefficients(delta, p - 1)):
+    for n, bn in enumerate(_multinomial_sums(exps, p - 1)):
         rhs = (rhs * x + (-bn if n % 2 else bn)) % p
     if hw != rhs:
         return False

@@ -9,6 +9,14 @@ Conventions: a polytope stores an ordered tuple of vertices (order is
 significant -- the vertex-matrix kernel lives in Z^k indexed by that order).
 A facet inequality <normal, x> >= -offset has a primitive integer normal.
 
+``import hwmt`` runs this module, ``errors``, ``intlinalg`` and ``census``
+and no other layer, so their value types import no ``dataclasses``, which
+would bring ``inspect`` with it and cost about a third of importing hwmt
+and loading the bundled fixtures: ``FacetInequality`` and ``KernelLattice``
+are named tuples, and ``LatticePolytope`` is a plain class that computes
+its hash once, for the per-polytope caches below to read.  The lazy layers
+keep their dataclasses, which load only with them.
+
 Facets and the pairing matrix are found once per duality pair.  The
 pairing matrix M of P has the entry <n_F, v> + offset_F for facet F and
 vertex v, rows in facet order.  For P the facets come from the hyperplanes
@@ -71,11 +79,10 @@ least of them.
 """
 
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 from math import prod
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import (
     BudgetExceeded,
@@ -102,16 +109,14 @@ CACHE_SIZE = 1024
 LATTICE_BOX_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class FacetInequality:
+class FacetInequality(NamedTuple):
     """<normal, x> >= -offset, valid on the whole polytope, tight on a facet."""
 
     normal: LatticePoint
     offset: int
 
 
-@dataclass(frozen=True)
-class KernelLattice:
+class KernelLattice(NamedTuple):
     """Integer kernel {a in Z^k : sum a_i v_i = 0} of a vertex matrix.
 
     The basis is the row Hermite normal form of any generating set, so two
@@ -127,33 +132,36 @@ class KernelLattice:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
 class LatticePolytope:
-    """Full-dimensional lattice polytope given by its ordered vertices."""
+    """Full-dimensional lattice polytope given by its ordered vertices.
 
-    dim: int
-    vertices: Tuple[LatticePoint, ...]
-    id: Optional[int] = field(default=None, compare=False)
-    # (facets, pairing matrix), set only by polar_dual: not a field, so no
-    # caller can pass facets that ``_pairing`` would then cache for every
+    Immutable: assignment and deletion raise AttributeError.  Equality and
+    the hash read (dim, vertices) and ignore id; the hash is computed once,
+    as every per-polytope cache looks the polytope up by it.
+    """
+
+    # (facets, pairing matrix), set only by polar_dual: not an argument, so
+    # no caller can pass facets that ``_pairing`` would then cache for every
     # equal polytope
     _known_pairing = None
 
-    def __post_init__(self):
+    def __init__(self, dim: int, vertices: Tuple[LatticePoint, ...],
+                 id: Optional[int] = None):
         try:
-            dim = operator.index(self.dim)
+            dim = operator.index(dim)
         except TypeError:
-            raise DegeneratePolytope(f"dim {self.dim!r} is not an integer") from None
+            raise DegeneratePolytope(f"dim {dim!r} is not an integer") from None
         try:
-            verts = tuple(tuple(map(_coordinate, v)) for v in self.vertices)
+            verts = tuple(tuple(map(_coordinate, v)) for v in vertices)
         except TypeError:
             raise DegeneratePolytope(
-                f"vertices {self.vertices!r} are not a sequence of points") from None
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "vertices", verts)
-        if self.dim < 1 or not verts:
+                f"vertices {vertices!r} are not a sequence of points") from None
+        for name, value in (("dim", dim), ("vertices", verts), ("id", id),
+                            ("_hash", hash((dim, verts)))):
+            object.__setattr__(self, name, value)
+        if dim < 1 or not verts:
             raise DegeneratePolytope("a polytope needs dimension >= 1 and a vertex")
-        if any(len(v) != self.dim for v in verts):
+        if any(len(v) != dim for v in verts):
             raise DegeneratePolytope("vertex length does not match dimension")
         if len(set(verts)) != len(verts):
             raise DegeneratePolytope("duplicate vertices")
@@ -169,6 +177,24 @@ class LatticePolytope:
         for i, v in enumerate(verts):
             if len(listed.intersection(*(f for f in fsets if i in f))) != 1:
                 raise DegeneratePolytope(f"point {v} is not a vertex")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.vertices) == (other.dim, other.vertices)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(dim={self.dim!r}, "
+                f"vertices={self.vertices!r}, id={self.id!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a polytope is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a polytope is immutable")
 
     @property
     def nvertices(self) -> int:

@@ -237,6 +237,18 @@ class TestReport:
         assert len(lines) == 2 + 16  # header + separator + 14 weights + 2 groups
         assert sum(1 for l in lines if "Group" in l) == 2
 
+    def test_records_are_immutable_values(self, census3d):
+        rec, first = census3d.records[0], census3d.types[0]
+        assert (rec.id, rec.polytope.id) == (0, 0)
+        assert (first.kernel, first.members[:2], first.label) == (
+            vertex_kernel(rec.polytope), (0, 8), "(1,1,1,1)")
+        assert census3d.self_dual == [427, 429, 742, 1947, 3038, 4080]
+        for value, name in ((rec, "id"), (first, "label"), (census3d, "pairs")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
     def test_csv_empty_census_header_only(self):
         empty = CensusResult([], [], [])
         assert report(empty, "csv") == "label,kernel,members,pairs\n"

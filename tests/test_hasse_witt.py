@@ -285,7 +285,8 @@ class TestWalkBudget:
     def test_refused_before_the_tables_sized_by_p(self, monkeypatch):
         # the quartic's rank 1 kernel at p = 16777259 bounds C(2^25 + 1, 1)
         # summands; the refusal comes before any list of length p.  The
-        # exact periods there are refused first by their bound in bits.
+        # truncation check and the exact periods there are refused first by
+        # the periods' bound in bits.
         def refuse(p):
             raise AssertionError("factorial table built before the budget")
 
@@ -293,10 +294,23 @@ class TestWalkBudget:
         _hw_coefficients.cache_clear()
         with pytest.raises(BudgetExceeded, match="33554433 summands"):
             hasse_witt("quartic", 1, 16777259)
-        with pytest.raises(BudgetExceeded, match="33554433 summands"):
+        with pytest.raises(BudgetExceeded, match="281476402775822 bits"):
             truncation_relation_check("quartic", 1, 16777259)
         with pytest.raises(BudgetExceeded, match="281476402775822 bits"):
             period_coefficients(get_family("quartic").polytope, 16777258)
+
+    def test_truncation_check_refused_before_the_walk(self, monkeypatch):
+        # the walk's budget admits the quartic at p = 1000003, the exact
+        # periods' bound in bits does not: the check refuses before walking
+        # or building a table of length p
+        def refuse(*args):
+            raise AssertionError("walked before the periods' bounds")
+
+        monkeypatch.setattr(HW_MODULE, "_kernel_runs", refuse)
+        monkeypatch.setattr(HW_MODULE, "_inverse_factorials", refuse)
+        _hw_coefficients.cache_clear()
+        with pytest.raises(BudgetExceeded, match="1000005000006 bits"):
+            truncation_relation_check("quartic", 1, 1000003)
 
     def test_exact_periods_refused_before_the_walk(self, monkeypatch):
         # the quartic's dual has 4 vertices, so b_0..b_n bound n (n + 1) bits

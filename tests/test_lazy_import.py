@@ -54,6 +54,21 @@ print(json.dumps([{RUN}, registered]))
 """) == [CORE, sorted(CORE + LAZY)]
 
 
+def test_import_and_fixtures_load_neither_dataclasses_nor_inspect():
+    # the polytope and census value types are named tuples and a plain
+    # class: dataclasses would bring inspect, ast, dis and tokenize, about a
+    # third of the set-up.  Against the modules held before, so what
+    # ``site`` preloads does not count.
+    assert run("""
+bare = set(sys.modules)
+import hwmt
+from hwmt.census import fixture_path, load_polytopes
+for name in ('polygons2d.txt', 'tables3d.txt'):
+    load_polytopes(fixture_path(name))
+print(json.dumps(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare))))
+""") == []
+
+
 def test_lazy_names_are_their_modules_functions():
     assert run(f"""
 import hwmt

@@ -1,5 +1,7 @@
 """Lattice polytope toolkit: duals, kernels, equivalence, kernel pairs."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -27,6 +29,7 @@ from hwmt.polytope import (
     _canonical_orders,
     _pairing,
     FacetInequality,
+    KernelLattice,
     LatticePolytope,
     vertex_facet_sets,
     facets,
@@ -517,6 +520,95 @@ class TestCaches:
                        _hw_coefficients):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize >= distinct
+
+
+class TestValueType:
+    TRIANGLE = ((1, 0), (0, 1), (-1, -1))
+
+    def test_repr(self):
+        assert repr(LatticePolytope(2, self.TRIANGLE, 5)) == (
+            "LatticePolytope(dim=2, vertices=((1, 0), (0, 1), (-1, -1)), id=5)")
+        assert repr(LatticePolytope(2, [[1, 0], [0, 1], [-1, -1]])) == (
+            "LatticePolytope(dim=2, vertices=((1, 0), (0, 1), (-1, -1)), id=None)")
+
+    def test_equality_ignores_id(self):
+        p, q = LatticePolytope(2, self.TRIANGLE, 5), LatticePolytope(2, self.TRIANGLE)
+        assert p == q and hash(p) == hash(q) == hash((2, self.TRIANGLE))
+        assert p != LatticePolytope(2, self.TRIANGLE[::-1], 5)
+        assert p != (2, self.TRIANGLE) and p != self.TRIANGLE
+        assert len({p, q}) == 1 and {p: 0}[q] == 0
+
+    def test_immutable(self):
+        p = LatticePolytope(2, self.TRIANGLE, 5)
+        for name in ("dim", "vertices", "id", "_known_pairing", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        assert (p.dim, p.vertices, p.id) == (2, self.TRIANGLE, 5)
+
+    @pytest.mark.parametrize("clone", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_round_trip(self, clone):
+        p = LatticePolytope(2, self.TRIANGLE, 5)
+        for value in (p, polar_dual(p)):
+            twin = clone(value)
+            assert (twin, hash(twin), repr(twin)) == (value, hash(value), repr(value))
+            assert facets(twin) == facets(value)
+            with pytest.raises(AttributeError):
+                twin.id = 6
+
+    def test_facet_and_kernel_values(self):
+        f = FacetInequality((1, 0), 1)
+        k = vertex_kernel(LatticePolytope(2, self.TRIANGLE))
+        assert (f.normal, f.offset, k.ambient_rank, k.basis, k.rank) == (
+            (1, 0), 1, 3, ((1, 1, 1),), 1)
+        assert k == KernelLattice(3, ((1, 1, 1),))
+        for value, name in ((f, "offset"), (k, "basis")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+
+
+# coordinates other than an int: a bool, read as 0 or 1, and values refused
+COORDINATES = st.one_of(st.booleans(), st.floats(),
+                        st.fractions(max_denominator=3), st.text(max_size=2),
+                        st.none())
+
+
+@st.composite
+def shapes(draw):
+    """(dim, vertices): integer points, or such points with one part spoilt."""
+    n = draw(st.integers(1, 4))
+    verts = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                          min_size=n + 1, max_size=n + 2, unique_by=tuple))
+    spoil = draw(st.sampled_from(["none", "none", "dim", "vertices", "point",
+                                  "coordinate"]))
+    i = draw(st.integers(0, len(verts) - 1))
+    if spoil == "dim":
+        n = draw(st.one_of(st.integers(-1, 5), COORDINATES))
+    elif spoil == "vertices":
+        verts = draw(COORDINATES)
+    elif spoil == "point":  # ragged, nested or not a sequence
+        verts[i] = draw(st.one_of(
+            st.lists(COORDINATES, max_size=5),
+            st.lists(st.lists(st.integers(-1, 1), max_size=2), max_size=3),
+            COORDINATES))
+    elif spoil == "coordinate":
+        verts[i][draw(st.integers(0, len(verts[i]) - 1))] = draw(COORDINATES)
+    return n, verts
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(shapes())
+def test_constructor_builds_or_refuses(shape):
+    dim, vertices = shape
+    try:
+        p = LatticePolytope(dim, vertices)
+    except DegeneratePolytope:
+        return
+    rebuilt = LatticePolytope(p.dim, p.vertices)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
 
 
 class TestValidation:

@@ -147,6 +147,11 @@ CASES = [
      "from hwmt.hasse_witt import hasse_witt",
      "hasse_witt('quartic', 2, '7')",
      "NotPrime"),
+    # checked before the periods' bounds, which read p - 1 as an int
+    ("NotPrime-truncation_relation_check",
+     "from hwmt.hasse_witt import truncation_relation_check",
+     "truncation_relation_check('quartic', 2, 7.0)",
+     "NotPrime"),
     # a psi or a pFq parameter that Fraction does not read
     ("NotRational-hasse_witt-str",
      "from hwmt.hasse_witt import hasse_witt",
