@@ -5,7 +5,8 @@ here is dimension-generic and allocation-light: the polytopes in this
 package have at most ~14 vertices in dimension <= 4.  One row Hermite
 elimination gives canonical lattice bases, the transform and integer
 kernels; ``det`` (Bareiss) gives the signed maximal minors that are the
-facet normals of ``hwmt.polytope``; ``char_poly`` (Faddeev-LeVerrier)
+facet normals of ``hwmt.polytope`` in dimension >= 4 (below that they are
+in closed form there); ``char_poly`` (Faddeev-LeVerrier)
 gives the polynomials whose rational roots are the Picard-Fuchs exponents.
 """
 

@@ -32,14 +32,15 @@ from a family name:
   the product of those gcds, which is exactly its nonzero affine zeros
   divided by (p-1)^rows.  `_fibered_zeros` counts the zeros: fix every
   free coordinate but the last, read off the univariate polynomial that F
-  becomes in the last one, and add its number of roots.  Root counts are
-  cached by that polynomial's reduced coefficient tuple; a new fiber of
+  becomes in the last one, and add its number of roots.  A fiber of
   degree <= 2 is solved in closed form (a Legendre-symbol lookup on the
   discriminant, p odd), a higher one by evaluating it at every value of
-  the last coordinate.  In n variables of one row the strata visit about
-  p^(n-2) prefixes, and P1 x P1 costs p + 2 fibers and one point.  One
-  power table, built by running products, and one Legendre table serve
-  every stratum of a count.
+  the last coordinate, and only those root counts are cached, by the
+  polynomial's reduced coefficient tuple.  In n variables of one row the
+  strata visit about p^(n-2) prefixes, and P1 x P1 costs p + 2 fibers and
+  one point.  One power table, a machine-integer column per exponent
+  built by running products, and one Legendre table of bytes serve every
+  stratum of a count.
 
 Work is bounded before it starts: `BudgetExceeded` when the strata would
 take more than `FIBERED_PREFIX_BUDGET` steps (one per prefix, p per prefix
@@ -48,11 +49,13 @@ character sum would cost more than `CHARACTER_SUM_BUDGET` (n p^2 steps, or
 the sqrt(p^n) trial divisions that find q).
 """
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import product, repeat
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import (
     BudgetExceeded,
@@ -106,35 +109,19 @@ def _require_budget(work, bound, route):
 
 
 def _tables(p, top):
-    """(powers, legendre): powers[v][e] = v^e mod p for e <= top, built by
-    running products, and legendre[v], the Legendre symbol (v/p)."""
-    columns = [[1] * p]
+    """(powers, legendre): powers[e][v] = v^e mod p for e <= top, one
+    machine-integer column per exponent built by running products, and
+    legendre[v], the Legendre symbol (v/p), an array of bytes: neither
+    holds a Python int per entry."""
+    powers = [array("q", [1]) * p]
     for _ in range(top):
-        columns.append([x * v % p for v, x in enumerate(columns[-1])])
-    legendre = [-1] * p
-    for v in range(p):
+        powers.append(array("q", map(
+            int.__mod__, map(mul, powers[-1], range(p)), repeat(p))))
+    legendre = array("b", [-1]) * p
+    for v in range(1, p // 2 + 1):
         legendre[v * v % p] = 1
     legendre[0] = 0
-    return list(zip(*columns)), legendre
-
-
-def _root_count(coeffs, powers, legendre):
-    """#{t in F_p : sum_d coeffs[d] t^d = 0}."""
-    p = len(powers)
-    top = len(coeffs) - 1
-    while top >= 0 and not coeffs[top]:
-        top -= 1
-    if top > 2 or (top == 2 and p == 2):
-        return sum(
-            1 for row in powers
-            if sum(c * t for c, t in zip(coeffs, row)) % p == 0
-        )
-    if top <= 0:
-        return p if top < 0 else 0
-    if top == 1:
-        return 1
-    c, b, a = coeffs[:3]
-    return 1 + legendre[(b * b - 4 * a * c) % p]
+    return powers, legendre
 
 
 def _fibered_zeros(poly, prefixes, powers, legendre):
@@ -143,30 +130,44 @@ def _fibered_zeros(poly, prefixes, powers, legendre):
     exponent.
 
     The monomials are grouped by their exponent of t; evaluating each group
-    at x gives the coefficients of the fiber polynomial in t, whose root
-    count is cached by that coefficient tuple for the rest of the call.
+    at x gives the coefficients of the fiber polynomial in t.  A fiber of
+    degree <= 2 is solved in closed form: p roots when it is zero, none when
+    it is a nonzero constant, one when linear, and 1 + the Legendre symbol
+    of the discriminant when quadratic (p odd).  A higher one is solved by
+    p evaluations and its root count cached by the coefficient tuple for
+    the rest of the call, so the cache grows with the scanning work, not
+    with the prefixes.
     """
-    p = len(powers)
+    p = len(powers[0])
     groups = [[] for _ in range(1 + max((e[-1] for _, e in poly), default=0))]
     for c, exps in poly:
-        mono = tuple((i, e) for i, e in enumerate(exps[:-1]) if e)
+        mono = tuple((powers[e], i) for i, e in enumerate(exps[:-1]) if e)
         groups[exps[-1]].append((c, mono))
     roots = {}
     total = 0
     for x in prefixes:
-        rows = [powers[v] for v in x]
         coeffs = []
         for group in groups:
             s = 0
             for c, mono in group:
-                for i, e in mono:
-                    c *= rows[i][e]
+                for column, i in mono:
+                    c *= column[x[i]]
                 s += c
             coeffs.append(s % p)
-        key = tuple(coeffs)
-        n = roots.get(key)
-        if n is None:
-            n = roots[key] = _root_count(key, powers, legendre)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        top = len(coeffs) - 1
+        if top > 2 or (top == 2 and p == 2):
+            key = tuple(coeffs)
+            n = roots.get(key)
+            if n is None:
+                n = roots[key] = sum(1 for row in zip(*powers[:len(key)])
+                                     if sum(map(mul, key, row)) % p == 0)
+        elif top == 2:
+            c, b, a = coeffs
+            n = 1 + legendre[(b * b - 4 * a * c) % p]
+        else:
+            n = top if top >= 0 else p
         total += n
     return total
 
@@ -301,11 +302,11 @@ def _blocks(grading):
 def _restrict(poly, values, free, powers):
     """F with each variable in `values` set to its value, as reduced
     [(coeff, exponents of the free variables)] with like terms merged."""
-    p = len(powers)
+    p = len(powers[0])
     merged = {}
     for c, exps in poly:
         for i, v in values.items():
-            c = c * powers[v][exps[i]] % p
+            c = c * powers[exps[i]][v] % p
         if c:
             key = tuple(exps[i] for i in free)
             merged[key] = (merged.get(key, 0) + c) % p

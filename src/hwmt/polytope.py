@@ -21,15 +21,16 @@ Facets and the pairing matrix are found once per duality pair.  The
 pairing matrix M of P has the entry <n_F, v> + offset_F for facet F and
 vertex v, rows in facet order.  For P the facets come from the hyperplanes
 through dim vertices: the normal is the vector of signed maximal minors of
-the dim-1 edge vectors (Bareiss determinants, no HNF), a vertex subset
-already inside the tight set of a facet found earlier is skipped, and the
-values of the vertices on a facet's hyperplane, which decide that it is a
-facet, are also its row of M.  The polar dual of a reflexive P inherits
-its facets, <v, w> >= -1 for the vertices v of P, and M(P*) = M(P)^T: its
-rows follow the sorted vertices of P, its facet order, and its columns
-follow the facets of P, its sorted vertices.  So building and validating
-P*, its vertex-facet incidences and its canonical orders compute no inner
-product.
+the dim-1 edge vectors, in closed form up to dimension 3 ((1,), (a2, -a1)
+and the cross product) and by Bareiss determinants from dimension 4, with
+no HNF.  A vertex subset already inside the tight set of a facet found
+earlier is skipped, and the values of the vertices on a facet's
+hyperplane, which decide that it is a facet, are also its row of M.  The
+polar dual of a reflexive P inherits its facets, <v, w> >= -1 for the
+vertices v of P, and M(P*) = M(P)^T: its rows follow the sorted vertices
+of P, its facet order, and its columns follow the facets of P, its sorted
+vertices.  So building and validating P*, its vertex-facet incidences and
+its canonical orders compute no inner product.
 
 Per-polytope results (facets and pairing matrix, lattice points,
 vertex-facet incidences, vertex kernels, the polar dual, the canonical
@@ -209,6 +210,23 @@ def _coordinate(x) -> int:
         raise DegeneratePolytope(f"coordinate {x!r} is not an integer") from None
 
 
+def _normal(edges):
+    """The signed maximal minors (-1)^j det(edges without column j) of the
+    dim-1 edge vectors, a normal of the hyperplane they span, zero when they
+    are dependent.  In closed form in dimensions 1 to 3: (1,), (a2, -a1) and
+    the cross product; Bareiss determinants from dimension 4."""
+    if len(edges) == 2:
+        (a1, a2, a3), (b1, b2, b3) = edges
+        return (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    if len(edges) == 1:
+        a1, a2 = edges[0]
+        return (a2, -a1)
+    if not edges:
+        return (1,)
+    return tuple((-1) ** j * det([e[:j] + e[j + 1:] for e in edges])
+                 for j in range(len(edges) + 1))
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _pairing(p: LatticePolytope):
     """(facets, M) of p: the facet inequalities, each with primitive normal,
@@ -218,10 +236,10 @@ def _pairing(p: LatticePolytope):
     A polar dual carries both from construction.  Otherwise every
     dim-subset of vertices spans a candidate hyperplane whose normal is the
     vector of signed maximal minors of its dim-1 edge vectors (zero when
-    they are dependent), and the supporting ones are facets, each row read
-    off the values of the vertices on its hyperplane.  A subset inside the
-    tight set of a facet already found spans that facet again, so it is
-    skipped and each facet is found once.
+    they are dependent; see ``_normal``), and the supporting ones are
+    facets, each row read off the values of the vertices on its
+    hyperplane.  A subset inside the tight set of a facet already found
+    spans that facet again, so it is skipped and each facet is found once.
     """
     if p._known_pairing is not None:
         return p._known_pairing
@@ -231,12 +249,11 @@ def _pairing(p: LatticePolytope):
         if any(tight.issuperset(sub) for tight in tight_sets):
             continue
         base = verts[sub[0]]
-        edges = [[x - y for x, y in zip(verts[i], base)] for i in sub[1:]]
-        normal = vec_primitive(tuple(
-            (-1) ** j * det([e[:j] + e[j + 1:] for e in edges]) for j in range(n)))
+        normal = vec_primitive(_normal(
+            [[x - y for x, y in zip(verts[i], base)] for i in sub[1:]]))
         if not any(normal):
             continue
-        vals = [sum(a * x for a, x in zip(normal, v)) for v in verts]
+        vals = [sum(map(operator.mul, normal, v)) for v in verts]
         c = vals[sub[0]]
         if c != min(vals):
             if c != max(vals):

@@ -210,7 +210,7 @@ def hnf_facets(dim, vertices):
     if n == 1:
         lo = min(v[0] for v in verts)
         hi = max(v[0] for v in verts)
-        return (FacetInequality((1,), -lo), FacetInequality((-1,), hi))
+        return (FacetInequality((-1,), hi), FacetInequality((1,), -lo))
     seen = {}
     for sub in combinations(range(len(verts)), n):
         base = verts[sub[0]]

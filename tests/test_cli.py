@@ -1,14 +1,19 @@
 """CLI surface: subcommands, JSON determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwmt.census import fixture_path
 from hwmt.cli import main
+from hwmt.families import FAMILIES
 from hwmt.hasse_witt import _hw_coefficients, _kernel_plan
 
 from conftest import hwmt_env
@@ -583,3 +588,125 @@ class TestUsageErrors:
         assert (code, diagnostic["error"]) == (1, "ParseError")
         assert diagnostic["message"] == (
             "empty_record.txt: record 7: a polytope needs dimension >= 1 and a vertex")
+
+
+# --------------------------------------------------------------------------
+# in-process fuzz of the documented grammar
+# --------------------------------------------------------------------------
+
+# 4317 and 4318 are in the bundled 3D tables, 5 and 99999 are not
+_FUZZ_IDS = st.sampled_from((0, 2, 10, 4317, 4318, 5, 99999)).map(str)
+_FUZZ_FAMILIES = st.sampled_from(sorted(FAMILIES) + ["nope"])
+_FUZZ_RATIONALS = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)))
+# small values, primes among them, and values from 10^12 to 10^30, above
+# every work bound and, from 3.3 * 10^24, above the exact primality test:
+# the primes 10^12 + 39 and 2^61 - 1, and the least refused bound
+_FUZZ_PRIMES = st.one_of(
+    st.sampled_from((2, 3, 5, 7, 11, 13, -3, 0, 1, 9, 10**12 + 39, 2**61 - 1,
+                     3317044064679887385961981)).map(str),
+    st.integers(10**12, 10**30).map(str))
+# what a corrupted argument becomes
+_FUZZ_JUNK = st.sampled_from(("", "x", "1/0", "0.5", "1,,2", ";", "1,0;0", "-"))
+
+
+def _fuzz_list(values, most):
+    return st.lists(values, min_size=1, max_size=most).map(",".join)
+
+
+@st.composite
+def _fuzz_vertices(draw):
+    """Points in dimensions 1 to 5 with entries of size at most 2."""
+    dim = draw(st.integers(1, 5))
+    points = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+        min_size=dim + 1, max_size=dim + 4))
+    return ";".join(",".join(map(str, v)) for v in points)
+
+
+def _fuzz_selector(*flags):
+    values = {"--vertices": _fuzz_vertices(), "--id": _FUZZ_IDS,
+              "--family": _FUZZ_FAMILIES,
+              "--pair": st.lists(_FUZZ_IDS, min_size=2, max_size=2).map(",".join)}
+    # Hypothesis favours the first choice: a selector, then none
+    return st.one_of(*(
+        values[flag].map(lambda value, flag=flag: [f"{flag}={value}"])
+        for flag in flags), st.just([]))
+
+
+def _fuzz_grid():
+    return st.tuples(_fuzz_list(_FUZZ_RATIONALS, 2),
+                     _fuzz_list(_FUZZ_PRIMES, 2)).map(
+        lambda grid: [f"--psi={grid[0]}", f"--primes={grid[1]}"])
+
+
+def _fuzz_commands():
+    parts = {
+        "polytope": st.tuples(
+            st.sampled_from((["dual"], ["reflexive"], ["kernel"])),
+            _fuzz_selector("--vertices", "--id")),
+        "pair": st.tuples(st.just(["check"]), _fuzz_selector("--pair")),
+        "pencil": st.tuples(
+            st.just(["build"]),
+            _fuzz_selector("--vertices", "--id", "--family"),
+            st.one_of(_FUZZ_RATIONALS.map(lambda r: [f"--psi={r}"]), st.just([]))),
+        "hw": st.tuples(_fuzz_selector("--vertices", "--id", "--family"),
+                        _fuzz_grid()),
+        "count": st.tuples(_FUZZ_FAMILIES.map(lambda f: [f"--family={f}"]),
+                           _fuzz_grid()),
+        "hyp": st.tuples(
+            # a pFq shape: one fewer lower parameter than upper ones
+            st.lists(_FUZZ_RATIONALS, min_size=1, max_size=3).flatmap(
+                lambda nums: st.lists(_FUZZ_RATIONALS, min_size=len(nums) - 1,
+                                      max_size=len(nums) - 1).map(
+                    lambda dens: [f"--params={','.join(nums)};{','.join(dens)}"])),
+            st.tuples(_FUZZ_RATIONALS, st.integers(-2, 6).map(str)).map(
+                lambda ce: ["--arg=" + ",".join(ce)]),
+            _FUZZ_RATIONALS.map(lambda r: [f"--psi={r}"]),
+            _FUZZ_PRIMES.map(lambda p: [f"--prime={p}"])),
+        "pf": st.tuples(st.just(["analyze", "--json"]),
+                        _FUZZ_FAMILIES.map(lambda f: [f"--family={f}"])),
+        "verify": st.tuples(
+            st.sampled_from((["key-lemma"], ["truncation"], ["congruence"],
+                             ["clausen"])),
+            _fuzz_selector("--family", "--vertices", "--id", "--pair"),
+            _fuzz_grid()),
+    }
+    return parts
+
+
+_FUZZ_COMMANDS = _fuzz_commands()
+
+
+@st.composite
+def _fuzz_argv(draw, command):
+    """The command with arguments of the documented grammar, each option as
+    --flag=value; in one in four the value of an option is replaced by
+    junk."""
+    argv = [command] + [a for chunk in draw(_FUZZ_COMMANDS[command])
+                        for a in chunk]
+    options = [i for i, a in enumerate(argv) if "=" in a]
+    if options and draw(st.sampled_from((False, False, False, True))):
+        i = draw(st.sampled_from(options))
+        argv[i] = argv[i].split("=")[0] + "=" + draw(_FUZZ_JUNK)
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_COMMANDS))
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_fuzzed_commands_exit_cleanly(command, data):
+    # a command exits 0 or 1 with JSON on stdout, or 2 on a usage error, and
+    # no input escapes as a traceback
+    argv = data.draw(_fuzz_argv(command))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code != 2:
+        json.loads(out.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -46,7 +46,6 @@ from hwmt.point_count import (
     _diagonal_shape,
     _fibered_zeros,
     _reduce_poly,
-    _root_count,
     _tables,
     count_family,
     count_graded,
@@ -759,7 +758,8 @@ def test_vanishing_coefficient_takes_the_fibered_scan():
 @pytest.mark.parametrize("p", _primes_to(200))
 def test_tables_match_pow_and_eulers_criterion(p):
     powers, legendre = _tables(p, 4)
-    assert powers == [tuple(pow(v, e, p) for e in range(5)) for v in range(p)]
+    assert [list(column) for column in powers] == [
+        [pow(v, e, p) for v in range(p)] for e in range(5)]
     assert legendre[0] == 0
     for v in range(1, p):
         assert legendre[v] in (1, -1)
@@ -768,15 +768,18 @@ def test_tables_match_pow_and_eulers_criterion(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_closed_form_fibers_match_evaluation(p):
-    # coeffs[d] is the coefficient of t^d; trailing zeros lower the degree
-    powers, legendre = _tables(p, 3)
+    # coeffs[d] is the coefficient of t^d in the fiber over x = 0 of
+    # sum_d coeffs[d] t^d + x t^length, so trailing zeros lower the degree
+    powers, legendre = _tables(p, 5)
     for length in range(5):
         for coeffs in product(range(p), repeat=length):
             roots = sum(
                 1 for t in range(p)
                 if sum(c * pow(t, d, p) for d, c in enumerate(coeffs)) % p == 0
             )
-            assert _root_count(coeffs, powers, legendre) == roots
+            poly = [(c, (0, d)) for d, c in enumerate(coeffs) if c]
+            poly.append((1, (1, length)))
+            assert _fibered_zeros(poly, [(0,)], powers, legendre) == roots
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -939,16 +942,16 @@ def test_lower_factor_after_an_upper_stop_is_refused_at_its_term():
 # the HNF enumeration
 # --------------------------------------------------------------------------
 
-def _random_point_sets(count, seed=1717):
-    """Seeded point sets in dimensions 2-4 with entries of size at most 1 or
-    2: lattice midpoints of random pairs mixed in as listed non-vertices,
-    some sets squashed onto a hyperplane, and some shifted so that the
-    origin lies on the boundary or outside."""
+def _random_point_sets(count, seed=1717, dims=(2, 3, 4)):
+    """Seeded point sets in the given dimensions, taken in turn, with
+    entries of size at most 1 or 2: lattice midpoints of random pairs mixed
+    in as listed non-vertices, some sets squashed onto a hyperplane, and
+    some shifted so that the origin lies on the boundary or outside."""
     rng = random.Random(seed)
     for i in range(count):
-        dim, r = 2 + i % 3, rng.choice((1, 2))  # r = 1: often reflexive
+        dim, r = dims[i % len(dims)], rng.choice((1, 2))  # r = 1: often reflexive
         box = [v for v in product(range(-r, r + 1), repeat=dim) if any(v)]
-        pts = rng.sample(box, rng.randint(dim + 1, dim + 5))
+        pts = rng.sample(box, min(len(box), rng.randint(dim + 1, dim + 5)))
         if rng.random() < 0.1:  # squash onto the hyperplane x_0 = x_(dim-1)
             pts = [(v[-1],) + v[1:] for v in pts]
         if rng.random() < 0.3:
@@ -970,8 +973,19 @@ def _facets_or_error(dim, pts):
 
 
 def test_facets_match_hnf_oracle():
+    # closed-form normals in dimensions 2 and 3, minors in dimension 4
+    _check_facets_against_hnf(_random_point_sets(900))
+
+
+def test_facets_match_hnf_oracle_in_dimensions_1_and_5():
+    # the constant normal of dimension 1, and the 4x4 minors of dimension 5,
+    # where a polar dual is refused
+    _check_facets_against_hnf(_random_point_sets(240, 2323, (1, 5)))
+
+
+def _check_facets_against_hnf(point_sets):
     seen = Counter()
-    for dim, pts in _random_point_sets(900):
+    for dim, pts in point_sets:
         p, got = _facets_or_error(dim, pts)
         try:
             expected = hnf_polytope(dim, pts)
@@ -988,6 +1002,10 @@ def test_facets_match_hnf_oracle():
         if low < 1:
             assert dual is NotInteriorOrigin
             seen["boundary" if low == 0 else "outside"] += 1
+        elif dim > 4:
+            assert dual is DegeneratePolytope
+            seen["reflexive" if all(f.offset == 1 for f in got[0])
+                 else "interior"] += 1
         elif any(f.offset != 1 for f in got[0]):
             assert dual is NonLatticeDual
             seen["interior"] += 1

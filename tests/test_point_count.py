@@ -1,6 +1,7 @@
 """Exact point counts over F_p and the N == 1 +- truncation congruences."""
 
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -253,6 +254,23 @@ class TestBudget:
         with pytest.raises(BudgetExceeded, match="10007733 steps"):
             count_graded(poly, P3, 3163)
         assert time.perf_counter() - start < 1
+
+    def test_fibered_count_memory_is_its_tables(self):
+        # the elliptic model's fibers are quadratics, solved by a Legendre
+        # lookup and not cached: what a count holds per residue is one
+        # machine integer per power column, a Legendre byte and the prefix
+        # values, about 66 bytes; caching every fiber and tuple rows of
+        # powers took 364
+        count_family("elliptic", 2, 5)  # the family's own caches
+        p = 4999
+        tracemalloc.start()
+        try:
+            count = count_family("elliptic", 2, p).count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 5096
+        assert peak < 100 * p
 
     def test_character_sum_refused_up_front(self):
         # 4 * 1601^2 character-sum steps

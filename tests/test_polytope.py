@@ -24,7 +24,8 @@ from hwmt.hasse_witt import (
     hasse_witt_polynomial,
 )
 from hwmt import polytope
-from hwmt.intlinalg import hnf_rows
+from hwmt.census import fixture_path, load_polytopes
+from hwmt.intlinalg import det, hnf_rows
 from hwmt.polytope import (
     _canonical_orders,
     _pairing,
@@ -510,6 +511,26 @@ class TestCaches:
         assert is_reflexive(p)
         assert facets(polar_dual(p)) == oracles.hnf_facets(
             2, polar_dual(p).vertices)
+
+    def test_fixture_loads_compute_no_determinant(self, monkeypatch):
+        # loading the bundled polytopes and building their duals finds every
+        # normal in closed form; a determinant serves dimension 4 and above
+        calls = []
+
+        def counted(m):
+            calls.append(len(m))
+            return det(m)
+
+        monkeypatch.setattr(polytope, "det", counted)
+        for cached in (_pairing, facets, vertex_facet_sets, polar_dual):
+            cached.cache_clear()
+        for name in ("polygons2d.txt", "tables3d.txt"):
+            for record in load_polytopes(fixture_path(name)):
+                polar_dual(record.polytope)
+        assert calls == []
+        LatticePolytope(4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                            (0, 0, 0, 1), (-1, -1, -1, -1)))
+        assert calls and set(calls) == {3}
 
     def test_every_cache_is_bounded(self, records2d, records3d):
         # a census touches every fixture polytope and its dual
