@@ -594,7 +594,7 @@ class TestUsageErrors:
 # in-process fuzz of the documented grammar
 # --------------------------------------------------------------------------
 
-# 4317 and 4318 are in the bundled 3D tables, 5 and 99999 are not
+# ids in the bundled 3D tables, and two (5, 99999) that are not
 _FUZZ_IDS = st.sampled_from((0, 2, 10, 4317, 4318, 5, 99999)).map(str)
 _FUZZ_FAMILIES = st.sampled_from(sorted(FAMILIES) + ["nope"])
 _FUZZ_RATIONALS = st.one_of(
@@ -641,42 +641,38 @@ def _fuzz_grid():
         lambda grid: [f"--psi={grid[0]}", f"--primes={grid[1]}"])
 
 
-def _fuzz_commands():
-    parts = {
-        "polytope": st.tuples(
-            st.sampled_from((["dual"], ["reflexive"], ["kernel"])),
-            _fuzz_selector("--vertices", "--id")),
-        "pair": st.tuples(st.just(["check"]), _fuzz_selector("--pair")),
-        "pencil": st.tuples(
-            st.just(["build"]),
-            _fuzz_selector("--vertices", "--id", "--family"),
-            st.one_of(_FUZZ_RATIONALS.map(lambda r: [f"--psi={r}"]), st.just([]))),
-        "hw": st.tuples(_fuzz_selector("--vertices", "--id", "--family"),
-                        _fuzz_grid()),
-        "count": st.tuples(_FUZZ_FAMILIES.map(lambda f: [f"--family={f}"]),
-                           _fuzz_grid()),
-        "hyp": st.tuples(
-            # a pFq shape: one fewer lower parameter than upper ones
-            st.lists(_FUZZ_RATIONALS, min_size=1, max_size=3).flatmap(
-                lambda nums: st.lists(_FUZZ_RATIONALS, min_size=len(nums) - 1,
-                                      max_size=len(nums) - 1).map(
-                    lambda dens: [f"--params={','.join(nums)};{','.join(dens)}"])),
-            st.tuples(_FUZZ_RATIONALS, st.integers(-2, 6).map(str)).map(
-                lambda ce: ["--arg=" + ",".join(ce)]),
-            _FUZZ_RATIONALS.map(lambda r: [f"--psi={r}"]),
-            _FUZZ_PRIMES.map(lambda p: [f"--prime={p}"])),
-        "pf": st.tuples(st.just(["analyze", "--json"]),
-                        _FUZZ_FAMILIES.map(lambda f: [f"--family={f}"])),
-        "verify": st.tuples(
-            st.sampled_from((["key-lemma"], ["truncation"], ["congruence"],
-                             ["clausen"])),
-            _fuzz_selector("--family", "--vertices", "--id", "--pair"),
-            _fuzz_grid()),
-    }
-    return parts
-
-
-_FUZZ_COMMANDS = _fuzz_commands()
+# each command's arguments, as chunks of argv
+_FUZZ_COMMANDS = {
+    "polytope": st.tuples(
+        st.sampled_from((["dual"], ["reflexive"], ["kernel"])),
+        _fuzz_selector("--vertices", "--id")),
+    "pair": st.tuples(st.just(["check"]), _fuzz_selector("--pair")),
+    "pencil": st.tuples(
+        st.just(["build"]),
+        _fuzz_selector("--vertices", "--id", "--family"),
+        st.one_of(_FUZZ_RATIONALS.map(lambda r: [f"--psi={r}"]), st.just([]))),
+    "hw": st.tuples(_fuzz_selector("--vertices", "--id", "--family"),
+                    _fuzz_grid()),
+    "count": st.tuples(_FUZZ_FAMILIES.map(lambda f: [f"--family={f}"]),
+                       _fuzz_grid()),
+    "hyp": st.tuples(
+        # a pFq shape: one fewer lower parameter than upper ones
+        st.lists(_FUZZ_RATIONALS, min_size=1, max_size=3).flatmap(
+            lambda nums: st.lists(_FUZZ_RATIONALS, min_size=len(nums) - 1,
+                                  max_size=len(nums) - 1).map(
+                lambda dens: [f"--params={','.join(nums)};{','.join(dens)}"])),
+        st.tuples(_FUZZ_RATIONALS, st.integers(-2, 6).map(str)).map(
+            lambda ce: ["--arg=" + ",".join(ce)]),
+        _FUZZ_RATIONALS.map(lambda r: [f"--psi={r}"]),
+        _FUZZ_PRIMES.map(lambda p: [f"--prime={p}"])),
+    "pf": st.tuples(st.just(["analyze", "--json"]),
+                    _FUZZ_FAMILIES.map(lambda f: [f"--family={f}"])),
+    "verify": st.tuples(
+        st.sampled_from((["key-lemma"], ["truncation"], ["congruence"],
+                         ["clausen"])),
+        _fuzz_selector("--family", "--vertices", "--id", "--pair"),
+        _fuzz_grid()),
+}
 
 
 @st.composite

@@ -256,11 +256,10 @@ class TestBudget:
         assert time.perf_counter() - start < 1
 
     def test_fibered_count_memory_is_its_tables(self):
-        # the elliptic model's fibers are quadratics, solved by a Legendre
-        # lookup and not cached: what a count holds per residue is one
-        # machine integer per power column, a Legendre byte and the prefix
-        # values, about 66 bytes; caching every fiber and tuple rows of
-        # powers took 364
+        # the elliptic model's fibers are quadratics, each a Legendre lookup
+        # with nothing cached, so per residue a count holds one machine
+        # integer per power column, a Legendre byte and the prefix values:
+        # about 66 bytes at p = 4999
         count_family("elliptic", 2, 5)  # the family's own caches
         p = 4999
         tracemalloc.start()
