@@ -21,8 +21,12 @@ from a family name:
   variable) / p.  Points with a zero coordinate contribute prod(1 + S_i) -
   prod S_i.  The sums are taken in F_q for the least prime q = 1 mod
   p(p-1) above p^n, which holds the p-th and (p-1)-th roots of unity; the
-  count lies in [0, p^n], so its residue mod q is the count itself.  Cost
-  O(n p^2) instead of a scan.
+  count lies in [0, p^n], so its residue mod q is the count itself.  Only
+  the character chi_k(c) of the mixed coefficient depends on c, so the rest
+  is summed once per (a, d, e, p) into a constant and a spectrum of p - 1
+  residues, memoized; a pencil member then reads the spectrum at log c.
+  Cost O(n p^2) once per shape and prime, then O(p) per psi, instead of a
+  scan.
 * Stratified scan.  Every other input goes through `_stratified_count`,
   which visits each point of the quotient once.  In each block the points
   are split by their first nonzero coordinate x_i: the coordinates before
@@ -44,15 +48,18 @@ from a family name:
 
 Work is bounded before it starts: `BudgetExceeded` when the strata would
 take more than `FIBERED_PREFIX_BUDGET` steps (one per prefix, p per prefix
-whose fiber may have degree above 2 and is solved by evaluation), or a
-character sum would cost more than `CHARACTER_SUM_BUDGET` (n p^2 steps, or
-the sqrt(p^n) trial divisions that find q).
+whose fiber may have degree above 2 and is solved by evaluation, and p per
+power column and for the Legendre table), or a character sum would cost
+more than `CHARACTER_SUM_BUDGET` (n p^2 steps, or the sqrt(p^n) trial
+divisions that find q), checked on every call, whether its spectrum is
+cached or not.
 """
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product, repeat
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -73,7 +80,7 @@ from .hypergeometric import (
     require_psi_mod_p,
     truncated_pFq,
 )
-from .polytope import vertex_kernel
+from .polytope import CACHE_SIZE, vertex_kernel
 
 # At its bound a stratified scan runs for about half a minute (a prefix with
 # a fiber of degree <= 2 costs about 2 us, one of higher degree p evaluations
@@ -212,8 +219,11 @@ def _element_of_order(m, q):
             return w
 
 
-def _character_sum_zeros(a, d, c, e, p):
-    """#{x in F_p^n : sum_i a_i x_i^(d_i) + c prod_i x_i^(e_i) = 0}.
+@lru_cache(maxsize=CACHE_SIZE)
+def _character_sum_spectrum(a, d, e, p):
+    """(q, g, omega, B, E) for F = sum_i a_i x_i^(d_i) + c prod_i x_i^(e_i)
+    over F_p, everything in its count that does not depend on c: the zeros
+    are (B + sum_k E[k] omega^(k log_g c)) / p in F_q.
 
     With psi(y) = zeta^y and chi_k(g^j) = omega^(jk) for a primitive root g,
       N = (p^n + sum_{t != 0} [prod(1 + S_i) - prod S_i
@@ -221,7 +231,14 @@ def _character_sum_zeros(a, d, c, e, p):
     H_i(t, chi) = sum_{x != 0} psi(t a_i x^(d_i)) chi^(e_i)(x) and S_i =
     H_i(t, chi_0).  Substituting x -> x g^-s gives H_i(t g^(d_i s), chi_k) =
     omega^(-k e_i s) H_i(t, chi_k), so each variable needs transforms only
-    at its gcd(d_i, p-1) coset representatives t = g^r.
+    at its gcd(d_i, p-1) coset representatives t = g^r.  Summing over the
+    cosets r < period = lcm(h_i) first leaves chi_k(c) = omega^(k log_g c)
+    as the only factor that depends on c: B = p^n + sum_r (p-1)/period
+    (with_zero_r - all_units_r), and E[k] = (p-1)^-1 sum_r b_(r,k) sum_(j =
+    r mod period) omega^(k(j - shift_j)) with b_(r,k) = g(chi_-k) prod_i
+    H_i(g^r, chi_k^(e_i)).  Cost O(n p^2), once per (a, d, e, p); E holds
+    one machine integer per character, since q < 2^63 under
+    `CHARACTER_SUM_BUDGET`.
     """
     n, m = len(a), p - 1
     q = -(-p**n // (p * m)) * p * m + 1
@@ -251,9 +268,7 @@ def _character_sum_zeros(a, d, c, e, p):
     # s_i(t) for t = g^j, j = r_i mod h_i: (j - r_i)/h_i * (d_i/h_i)^-1
     inverses = [pow(di // h, -1, m // h) for di, h in zip(d, hs)]
     period = lcm(*hs)
-    log_c = gpow.index(c)
-    inv_m = pow(m, -1, q)
-    total = 0
+    constant, spectrum = p**n, [0] * m
     for r in range(period):
         rows = [transform(ai * gpow[r % h] % p, di)
                 for ai, di, h in zip(a, d, hs)]
@@ -261,21 +276,35 @@ def _character_sum_zeros(a, d, c, e, p):
         for row in rows:
             with_zero = with_zero * (1 + row[0]) % q
             all_units = all_units * row[0] % q
-        coeffs = []
+        constant += (m // period) * (with_zero - all_units)
+        # j - shift_j for the t = g^j of the coset, with multiplicities
+        exponents = Counter(
+            (j - sum(ei * ((j - r % h) // h * inv % (m // h))
+                     for ei, h, inv in zip(e, hs, inverses))) % m
+            for j in range(r, m, period))
         for k in range(m):
             b = gauss[-k % m]
             for row, ei in zip(rows, e):
                 b = b * row[k * ei % m] % q
             if b:
-                coeffs.append((k, b))
-        units = 0
-        for j in range(r, m, period):
-            shift = sum(ei * ((j - r % h) // h * inv % (m // h))
-                        for ei, h, inv in zip(e, hs, inverses))
-            dj = (j + log_c - shift) % m
-            units += sum(b * opow[k * dj % m] for k, b in coeffs)
-        total += (m // period) * (with_zero - all_units) + units % q * inv_m
-    return (p**n + total) * pow(p, -1, q) % q
+                spectrum[k] += b * sum(count * opow[k * s % m]
+                                       for s, count in exponents.items())
+    inv_m = pow(m, -1, q)
+    return (q, g, omega, constant % q,
+            array("q", [v % q * inv_m % q for v in spectrum]))
+
+
+def _character_sum_zeros(a, d, c, e, p):
+    """#{x in F_p^n : sum_i a_i x_i^(d_i) + c prod_i x_i^(e_i) = 0}: the
+    memoized spectrum of (a, d, e, p) read at log_g c, O(p) per c."""
+    q, g, omega, constant, spectrum = _character_sum_spectrum(a, d, e, p)
+    log_c, power = 0, 1
+    while power != c:
+        log_c, power = log_c + 1, power * g % p
+    w, total = pow(omega, log_c, q), 0
+    for coefficient in reversed(spectrum):
+        total = (total * w + coefficient) % q
+    return (constant + total) * pow(p, -1, q) % q
 
 
 def _orbits(zeros, size):
@@ -329,20 +358,23 @@ def _stratified_count(poly, blocks, p):
             cosets *= g
         strata.append((values, sorted(free), cosets))
     # a prefix whose fiber may exceed degree 2 counts p steps, one for each
-    # evaluation of a new fiber
-    _require_budget(sum(
+    # evaluation of a new fiber, and each of the top + 2 tables p steps
+    top = max((max(e) for _, e in poly), default=0)
+    _require_budget((top + 2) * p + sum(
         cosets * p ** (len(free) - 1)
         * (p if max((e[free[-1]] for _, e in poly), default=0) > 2 else 1)
         for _, free, cosets in strata if free
     ), FIBERED_PREFIX_BUDGET, "stratified scan")
-    powers, legendre = _tables(p, max((max(e) for _, e in poly), default=0))
+    powers, legendre = _tables(p, top)
     total = 0
     for values, free, cosets in strata:
         zeros = 0
         for point in product(*values.values()):
             f = _restrict(poly, dict(zip(values, point)), free, powers)
             if free:
-                prefixes = product(range(p), repeat=len(free) - 1)
+                # zip keeps one coordinate lazy; product first copies range(p)
+                prefixes = (zip(range(p)) if len(free) == 2
+                            else product(range(p), repeat=len(free) - 1))
                 zeros += _fibered_zeros(f, prefixes, powers, legendre)
             else:
                 zeros += not f
@@ -370,8 +402,9 @@ def count_graded(poly, grading, p: int) -> int:
     the ambient count always equals that of the straight product of
     projective spaces, which a stabilizer-weighted orbit formula would miss
     whenever gcd(p-1, w_i) > 1.  A one-row diagonal-plus-monomial F is
-    counted by character sums on the whole cone; every other input by one
-    stratified scan that visits each point once.
+    counted by character sums on the whole cone, O(n p^2) once per shape
+    and prime and then O(p) per coefficient of its mixed monomial; every
+    other input by one stratified scan that visits each point once.
     """
     require_prime(p)
     grading = tuple(tuple(row) for row in grading)
@@ -402,7 +435,8 @@ def count_graded(poly, grading, p: int) -> int:
 
 def count_family(family, psi, p: int) -> CountResult:
     """Exact point count of the family's printed ambient model at psi,
-    graded by its polytope's vertex kernel."""
+    graded by its polytope's vertex kernel; for the quartic and sextic, a
+    further psi at a prime already counted costs O(p)."""
     fam = get_family(family)
     psi = rational(psi)
     if fam.model is None:

@@ -730,6 +730,26 @@ def test_random_character_sums_match_exhaustive_scan(p):
                 == _affine_zeros(poly, product(range(p), repeat=n), p))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_whole_pencils_match_fibered_scan(p):
+    # one spectrum per (a, d, e, p) serves every c in F_p^*: each member
+    # of the pencil against the fibered scan of its affine cone
+    rng = random.Random(9800 + p)
+    for _ in range(4):
+        n = rng.randint(2, 4)
+        a = tuple(rng.randint(1, p - 1) for _ in range(n))
+        d = tuple(rng.randint(1, 6) for _ in range(n))
+        e = tuple(rng.randint(1, 3) for _ in range(n))
+        tables = _tables(p, max(d + e))
+        pure = [(ai, tuple(di if j == i else 0 for j in range(n)))
+                for i, (ai, di) in enumerate(zip(a, d))]
+        for c in range(1, p):
+            poly = pure + [(c, e)]
+            assert (_character_sum_zeros(a, d, c, e, p)
+                    == _fibered_zeros(poly, product(range(p), repeat=n - 1),
+                                      *tables)), (a, d, c, e)
+
+
 FERMAT = [(1, (4, 0, 0, 0)), (1, (0, 4, 0, 0)), (1, (0, 0, 4, 0)),
           (1, (0, 0, 0, 4))]
 QUARTIC = FERMAT + [(-8, (1, 1, 1, 1))]

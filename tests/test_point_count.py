@@ -18,6 +18,7 @@ from hwmt.errors import (
     UncountableAmbient,
 )
 from hwmt.families import FAMILIES, get_family
+from hwmt import point_count
 from hwmt.hypergeometric import truncated_pFq
 from hwmt.point_count import (
     congruence_check,
@@ -247,19 +248,35 @@ class TestBudget:
 
     def test_quadratic_fibers_refused_by_their_prefix_count(self):
         # a quadric's fibers are closed-form lookups, one step each; the
-        # strata of P^3 would visit 3163^2 + 3163 + 1 = 10,007,733 prefixes
+        # strata of P^3 would visit 3163^2 + 3163 + 1 = 10,007,733 prefixes,
+        # and its three power columns and Legendre table take 4 * 3163 steps
         poly = [(1, (2, 0, 0, 0)), (1, (0, 2, 0, 0)), (1, (0, 1, 1, 0)),
                 (3, (0, 0, 0, 2))]
         start = time.perf_counter()
-        with pytest.raises(BudgetExceeded, match="10007733 steps"):
+        with pytest.raises(BudgetExceeded, match="10020385 steps"):
             count_graded(poly, P3, 3163)
         assert time.perf_counter() - start < 1
 
+    def test_tables_priced_as_steps(self, monkeypatch):
+        # a quadric on P^1 visits one prefix, but its three power columns
+        # and its Legendre table are p long: 4 p + 1 steps, refused before
+        # they are built
+        quadric = [(1, (2, 0)), (1, (0, 2))]
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="16000149 steps"):
+            count_graded(quadric, ((1, 1),), 4000037)
+        assert time.perf_counter() - start < 1
+        monkeypatch.setattr(point_count, "FIBERED_PREFIX_BUDGET", 4 * 101 + 1)
+        assert count_graded(quadric, ((1, 1),), 101) == 2
+        monkeypatch.setattr(point_count, "FIBERED_PREFIX_BUDGET", 4 * 101)
+        with pytest.raises(BudgetExceeded, match="405 steps"):
+            count_graded(quadric, ((1, 1),), 101)
+
     def test_fibered_count_memory_is_its_tables(self):
         # the elliptic model's fibers are quadratics, each a Legendre lookup
-        # with nothing cached, so per residue a count holds one machine
-        # integer per power column, a Legendre byte and the prefix values:
-        # about 66 bytes at p = 4999
+        # with nothing cached, and its one prefix coordinate is read lazily,
+        # so per residue a count holds one machine integer per power column
+        # and a Legendre byte: about 26 bytes at p = 4999
         count_family("elliptic", 2, 5)  # the family's own caches
         p = 4999
         tracemalloc.start()
@@ -269,7 +286,7 @@ class TestBudget:
         finally:
             tracemalloc.stop()
         assert count == 5096
-        assert peak < 100 * p
+        assert peak < 40 * p
 
     def test_character_sum_refused_up_front(self):
         # 4 * 1601^2 character-sum steps
@@ -277,3 +294,31 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             count_family("quartic", 2, 1601)
         assert time.perf_counter() - start < 1
+
+    def test_character_sum_refusal_ignores_the_cache(self, monkeypatch):
+        # the bound is checked before the spectrum lookup, so a cached
+        # spectrum admits nothing the bound refuses
+        count_family("quartic", 2, 13)
+        monkeypatch.setattr(point_count, "CHARACTER_SUM_BUDGET", 4 * 13**2 - 1)
+        with pytest.raises(BudgetExceeded, match="676 steps"):
+            count_family("quartic", 2, 13)
+        with pytest.raises(BudgetExceeded, match="676 steps"):
+            count_family("quartic", 3, 13)
+
+
+def test_second_psi_builds_no_table(monkeypatch):
+    # the spectrum depends on the shape (a, d, e) and p only: a further psi
+    # at that prime finds no q (no is_prime call) and costs O(p)
+    calls = []
+    search = point_count.is_prime
+    monkeypatch.setattr(point_count, "is_prime",
+                        lambda q: calls.append(q) or search(q))
+    point_count._character_sum_spectrum.cache_clear()
+    for name in ("quartic", "sextic"):
+        first = count_family(name, 2, 101).count
+        assert calls
+        calls.clear()
+        for psi in (3, 5, 7, F(1, 2)):
+            count_family(name, psi, 101)
+        assert not calls
+        assert first == count_family(name, 2, 101).count
