@@ -107,6 +107,10 @@ class ZeroDenominator(HwmtError, ZeroDivisionError):
     denominator."""
 
 
+class BadPower(HwmtError, ValueError):
+    """A substitution z = psi^k was asked for with k not an integer >= 1."""
+
+
 class DegreeTooSmall(HwmtError):
     """A polynomial reversal asked for a degree below the polynomial's."""
 

@@ -17,13 +17,14 @@ exists.
 The two coefficient conventions deliberately coexist: the vertex pencil
 x^4-type sum + psi*(product) pairs with argument 256/psi^4, while the
 printed model with -4*psi pairs with 1/psi^4.  They are related by
-psi -> -4*psi, so only `hg` is stored: the printed target `model_hg` and
-the printed model's smoothness are derived from it through that
-substitution.
+psi -> -4*psi, so only `hg` is a field: the printed target `model_hg`
+(built once per tag) and the printed model's smoothness are derived from
+it through that substitution.
 """
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .errors import UnknownFamily
@@ -60,9 +61,10 @@ class FamilyTag:
             a, b, e = b, a, -e
         return psi.numerator != 0 and c.numerator * a**e != c.denominator * b**e
 
-    @property
+    @cached_property
     def model_hg(self) -> HypergeometricData:
-        """Printed-convention target: hg with psi -> model_psi_coeff * psi."""
+        """Printed-convention target: hg with psi -> model_psi_coeff * psi,
+        built on first read and kept on the tag (not a field)."""
         c, e = self.hg.argument
         return replace(self.hg, argument=(c * self.model_psi_coeff ** e, e))
 

@@ -118,6 +118,16 @@ def rational(x) -> Fraction:
         raise NotRational(f"{x!r} is not a rational number") from None
 
 
+def psi_exponent(e) -> int:
+    """e as an exponent of psi: an int, with a float or a string refused,
+    not cut (MalformedHypergeometric)."""
+    try:
+        return operator.index(e)
+    except TypeError:
+        raise MalformedHypergeometric(
+            f"exponent {e!r} of psi is not an integer") from None
+
+
 def frac_mod(x, p: int) -> int:
     """Image of a rational in F_p; BadDenominator if p divides its
     denominator."""
@@ -141,12 +151,7 @@ class HypergeometricData:
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominators", dens)
         c, e = self.argument
-        try:
-            e = operator.index(e)  # a float or a string is refused, not cut
-        except TypeError:
-            raise MalformedHypergeometric(
-                f"exponent {e!r} of psi is not an integer") from None
-        object.__setattr__(self, "argument", (rational(c), e))
+        object.__setattr__(self, "argument", (rational(c), psi_exponent(e)))
         if len(dens) != len(nums) - 1:
             raise MalformedHypergeometric(
                 "pFq shape requires one fewer lower parameter")

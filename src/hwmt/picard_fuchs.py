@@ -9,11 +9,13 @@ the published displays can be compared entry for entry.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import (
+    BadPower,
     BudgetExceeded,
     IrrationalEigenvalue,
     NoZeroExponent,
@@ -26,7 +28,7 @@ from .errors import (
     ZeroRescale,
 )
 from .families import get_family
-from .hypergeometric import HypergeometricData
+from .hypergeometric import HypergeometricData, psi_exponent, rational
 from .intlinalg import char_poly, vec_primitive
 from .ratfunc import Poly, RatFunc, RF_ONE, RF_ZERO
 
@@ -59,13 +61,6 @@ class ExponentData:
     exponents_at_infinity: Tuple[Fraction, ...]
 
 
-def _to_ratfunc(coeff) -> RatFunc:
-    if isinstance(coeff, RatFunc):
-        return coeff
-    num, den = coeff
-    return RatFunc(Poly.of(*num), Poly.of(*den))
-
-
 def _require_form(system: FuchsianSystem, form: str) -> None:
     if system.form != form:
         raise WrongSystemForm(f"expected a {form} system, got {system.form}")
@@ -82,7 +77,7 @@ def _map_entries(system: FuchsianSystem, var: str, f) -> FuchsianSystem:
 def companion_matrix(ode_coeffs) -> FuchsianSystem:
     """Companion system of the monic ODE F^(n) + c_{n-1} F^(n-1) + ... +
     c_0 F = 0; coefficients are RatFuncs or (num_coeffs, den_coeffs) pairs."""
-    coeffs = [_to_ratfunc(c) for c in ode_coeffs]
+    coeffs = [c if isinstance(c, RatFunc) else RatFunc(*c) for c in ode_coeffs]
     n = len(coeffs)
     if n == 0:
         raise ZeroLeadingCoefficient("empty coefficient list")
@@ -109,8 +104,15 @@ def gauge_shear(system: FuchsianSystem) -> FuchsianSystem:
 
 def substitute_power(system: FuchsianSystem, k: int) -> FuchsianSystem:
     """Rewrite a scaled system whose matrix depends only on psi^k in the
-    variable z = psi^k; dz/z = k dpsi/psi divides the matrix by k."""
+    variable z = psi^k; dz/z = k dpsi/psi divides the matrix by k.  BadPower
+    unless k is an integer >= 1."""
     _require_form(system, "scaled")
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise BadPower(f"power {k!r} is not an integer") from None
+    if k < 1:
+        raise BadPower(f"power {k} is below 1")
     if k == 1:
         return system
     inv_k = Fraction(1, k)
@@ -121,7 +123,7 @@ def substitute_power(system: FuchsianSystem, k: int) -> FuchsianSystem:
 def rescale(system: FuchsianSystem, c) -> FuchsianSystem:
     """Substitute z = c * lambda, moving the singularity at z = c to 1."""
     _require_form(system, "scaled")
-    c = Fraction(c)
+    c = rational(c)
     if c == 0:
         raise ZeroRescale("rescale constant must be nonzero")
     return _map_entries(system, "lambda", lambda i, j, e: e.scale_variable(c))
@@ -137,16 +139,16 @@ def invert_system(system: FuchsianSystem) -> FuchsianSystem:
 def _value_at_zero(system: FuchsianSystem, error, where: str):
     """M(0), raising error when an entry has a pole there.  Each entry is
     reduced with 0 stored as 0/1, so it has a pole at 0 exactly when its
-    denominator's constant term is 0, and otherwise its value is the ratio
-    of the constant terms."""
+    integer denominator's constant term is 0, and otherwise its value is the
+    ratio of the integer constant terms."""
     rows = []
     for row in system.matrix:
         values = []
         for e in row:
-            den = e.den.coeffs[0]
+            den = e.int_den[0]
             if not den:
                 raise error(f"entry {e} has a pole at {where}")
-            values.append(e.num.coeffs[0] / den if e.num.coeffs else Fraction(0))
+            values.append(Fraction(e.int_num[0] if e.int_num else 0, den))
         rows.append(tuple(values))
     return tuple(rows)
 
@@ -260,7 +262,8 @@ def mum_normalize(exponents: ExponentData, argument) -> HypergeometricData:
 
     Requires all exponents at infinity equal (a single value mu); the new
     upper parameters are mu + (exponents at 0), all lower parameters are 1,
-    and the argument (c, k) becomes c / psi^k.
+    and the argument (c, k) becomes c / psi^k; c is read as a rational and
+    k as an integer, never cut.
     """
     mus = set(exponents.exponents_at_infinity)
     if len(mus) != 1:
@@ -268,7 +271,7 @@ def mum_normalize(exponents: ExponentData, argument) -> HypergeometricData:
             f"exponents at infinity {sorted(mus)} are not all equal"
         )
     mu = mus.pop()
-    c, k = Fraction(argument[0]), int(argument[1])
+    c, k = rational(argument[0]), psi_exponent(argument[1])
     return HypergeometricData(
         tuple(e + mu for e in exponents.exponents_at_zero),
         (Fraction(1),) * (len(exponents.exponents_at_zero) - 1),

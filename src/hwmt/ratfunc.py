@@ -1,32 +1,38 @@
 """Dense univariate polynomials and rational functions over Q.
 
-Minimal exact arithmetic for the Picard-Fuchs pipeline: everything is a
-Fraction, rational functions are kept gcd-reduced with monic denominator,
-and the only fancy operations are power substitution t -> t^(1/k), variable
-scaling, inversion t -> 1/t and the shift t^e * f.
+Minimal exact arithmetic for the Picard-Fuchs pipeline.  A ``Poly`` has
+Fraction coefficients.  A ``RatFunc`` stores its numerator and denominator
+with integer coefficients (``int_num``, ``int_den``), coprime as
+polynomials, jointly primitive (the gcd of all their coefficients is 1),
+with a positive leading denominator coefficient, and 0 as 0/1.  That form
+is unique, so equality compares the integer tuples, and no coefficient is
+a Fraction running its own gcd; ``num`` and ``den``, the Polys of the
+reduced form with monic denominator, are built when read.
 
 Euclid's algorithm runs in one place, the ``RatFunc(num, den)``
-constructor.  Every other operation is a map that provably keeps a reduced
-num/den reduced, so it skips Euclid and only makes the denominator monic:
-negation, multiplying by a number, adding a number, t -> c*t, t -> t^(1/k),
-t -> 1/t, and t^e * f, which cancels only a power of t.  Each method's
-docstring gives the reason; the reduced form with monic denominator is
-unique, so both routes give the same value.  There is no general sum,
-product, quotient or evaluation: the pipeline needs none.
+constructor, on the integer primitive parts.  Every other operation is a
+map that provably keeps a coprime num/den coprime, so it skips Euclid and
+runs at most one gcd, of the coefficients: negation, multiplying by a
+number, adding a number, t -> c*t, t -> t^(1/k), t -> 1/t, and t^e * f,
+which cancels only a power of t.  Each method's docstring gives the
+reason.  There is no general sum, product, quotient or evaluation, nor any
+arithmetic on Polys: the pipeline needs none; the tests' oracles have it.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import DegreeTooSmall, NotAPowerFunction, ZeroDenominator, ZeroRescale
+from .errors import NotAPowerFunction, ZeroDenominator, ZeroRescale
+from .hypergeometric import rational
 
 
-def _trim(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def _trim(p: list) -> list:
+    """p without its top zero coefficients, trimmed in place."""
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
 
 @dataclass(frozen=True)
@@ -36,83 +42,15 @@ class Poly:
     coeffs: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(
-            c if c.__class__ is Fraction else Fraction(c) for c in self.coeffs
-        ))
+        object.__setattr__(self, "coeffs", tuple(_trim(
+            [c if c.__class__ is Fraction else Fraction(c) for c in self.coeffs])))
 
     @staticmethod
     def of(*coeffs) -> "Poly":
-        return Poly(tuple(Fraction(c) for c in coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return Poly(coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Poly(
-            tuple(
-                (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                for i in range(n)
-            )
-        )
-
-    def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, c):
-        """p * c for a number c."""
-        return Poly(tuple(a * c for a in self.coeffs))
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDenominator("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.coeffs
-        while len(rem) >= len(d) and any(rem):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            shift = len(rem) - len(d)
-            c = rem[-1] / d[-1]
-            q[shift] = c
-            for i, b in enumerate(d):
-                rem[shift + i] -= c * b
-            rem.pop()
-        return Poly(tuple(q)), Poly(tuple(rem))
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a * (1 / a.coeffs[-1])  # monic
-
-    def scale_variable(self, c) -> "Poly":
-        """p(c*t)."""
-        c = Fraction(c)
-        return Poly(tuple(a * c**i for i, a in enumerate(self.coeffs)))
-
-    def power_substitute(self, k: int) -> "Poly":
-        """Write p as q(t^k); NotAPowerFunction if impossible."""
-        if any(c and i % k for i, c in enumerate(self.coeffs)):
-            raise NotAPowerFunction(f"{self} is not a polynomial in t^{k}")
-        return Poly(tuple(self.coeffs[i] for i in range(0, len(self.coeffs), k)))
-
-    def reversed_to(self, degree: int) -> "Poly":
-        """t^degree * p(1/t); degree must be >= deg p."""
-        if degree < self.degree:
-            raise DegreeTooSmall(f"cannot reverse {self} to degree {degree}")
-        out = [Fraction(0)] * (degree + 1)
-        for i, c in enumerate(self.coeffs):
-            out[degree - i] = c
-        return Poly(tuple(out))
 
     def __str__(self):
         if self.is_zero():
@@ -133,60 +71,91 @@ ZERO = Poly(())
 ONE = Poly.of(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class RatFunc:
-    """Reduced rational function num/den with monic denominator."""
+    """Reduced rational function num/den, stored as the integer
+    polynomials int_num/int_den (ascending coefficient tuples)."""
 
-    num: Poly
-    den: Poly
+    int_num: Tuple[int, ...]
+    int_den: Tuple[int, ...]
 
-    def __post_init__(self):
-        num, den = self.num, self.den
-        if den.is_zero():
+    def __init__(self, num, den):
+        """num/den for Polys or coefficient sequences of ints and
+        Fractions, reduced by Euclid."""
+        num, den = (p.coeffs if isinstance(p, Poly) else tuple(p)
+                    for p in (num, den))
+        lcm = math.lcm(*(c.denominator for c in num + den))
+        n, d = (_trim([c.numerator * (lcm // c.denominator) for c in p])
+                for p in (num, den))
+        if not d:
             raise ZeroDenominator("zero denominator")
-        if not num.is_zero():
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-        _settle(self, num, den)
+        if n:
+            g = _gcd(n, d)
+            if len(g) > 1:
+                n, d = _quotient(n, g), _quotient(d, g)
+        RatFunc._stored(*_settle(n, d), self)
 
     @staticmethod
-    def _coprime(num: Poly, den: Poly) -> "RatFunc":
-        """num/den for coprime num and nonzero den, without Euclid."""
-        return _settle(object.__new__(RatFunc), num, den)
+    def _stored(n: tuple, d: tuple, f=None) -> "RatFunc":
+        """f, a new RatFunc by default, holding n/d in the stored form."""
+        f = object.__new__(RatFunc) if f is None else f
+        object.__setattr__(f, "int_num", n)
+        object.__setattr__(f, "int_den", d)
+        return f
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
+    @property
+    def num(self) -> Poly:
+        """The numerator over the monic denominator ``den``."""
+        lead = self.int_den[-1]
+        return Poly(tuple(Fraction(c, lead) for c in self.int_num))
+
+    @property
+    def den(self) -> Poly:
+        """The monic denominator."""
+        lead = self.int_den[-1]
+        return Poly(tuple(Fraction(c, lead) for c in self.int_den))
 
     def __add__(self, c):
-        """f + c for a number c, without Euclid, since gcd(p + c*q, q) =
-        gcd(p, q)."""
-        return RatFunc._coprime(self.num + self.den * c, self.den)
+        """f + c for a number c = a/b, without Euclid, since gcd(b p + a q,
+        b q) = gcd(p, q) for coprime p, q."""
+        a, b = _ratio(c)
+        n, d = self.int_num, self.int_den
+        out = [b * x for x in n] + [0] * (len(d) - len(n))
+        for i, y in enumerate(d):
+            out[i] += a * y
+        return RatFunc._stored(*_settle(out, [b * y for y in d]))
 
     def __neg__(self):
-        return RatFunc._coprime(-self.num, self.den)
+        return RatFunc._stored(tuple([-c for c in self.int_num]), self.int_den)
 
     def __mul__(self, c):
-        """f * c for a number c.  A nonzero constant is a unit of Q[t], so
-        multiplying by it keeps num/den coprime (and 0 gives 0/1)."""
-        return RatFunc._coprime(self.num * c, self.den)
+        """f * c for a number c = a/b.  A nonzero constant is a unit of
+        Q[t], so a p / b q keeps p, q coprime (and 0 gives 0/1)."""
+        a, b = _ratio(c)
+        return RatFunc._stored(*_settle([a * x for x in self.int_num],
+                                        [b * y for y in self.int_den]))
 
     def scale_variable(self, c) -> "RatFunc":
-        """f(c*t) for c != 0.  t -> c*t is an automorphism of Q[t], so it
-        maps coprime num, den to coprime polynomials."""
-        c = Fraction(c)
-        if c == 0:
+        """f(c*t) for c = a/b != 0.  t -> c*t is an automorphism of Q[t], so
+        it maps coprime p, q to coprime polynomials; both are multiplied by
+        b^D, D the larger degree, to keep integer coefficients."""
+        a, b = _ratio(c)
+        if a == 0:
             raise ZeroRescale("t -> 0*t is not a change of variable")
-        return RatFunc._coprime(self.num.scale_variable(c),
-                                self.den.scale_variable(c))
+        top = max(len(self.int_num), len(self.int_den)) - 1
+        return RatFunc._stored(*_settle(
+            *([x * a**i * b**(top - i) for i, x in enumerate(p)]
+              for p in (self.int_num, self.int_den))))
 
     def power_substitute(self, k: int) -> "RatFunc":
         """g with f(t) = g(t^k).  t -> t^k is an injective endomorphism of
         Q[t]: a common factor h of g's num and den would give the common
-        factor h(t^k) of f's, so g is reduced when f is."""
-        return RatFunc._coprime(self.num.power_substitute(k),
-                                self.den.power_substitute(k))
+        factor h(t^k) of f's, so g is reduced when f is.  The coefficients
+        are f's nonzero ones, so g is jointly primitive too."""
+        for p in (self.int_num, self.int_den):
+            if any(c for i, c in enumerate(p) if i % k):
+                raise NotAPowerFunction(f"{self} is not a function of t^{k}")
+        return RatFunc._stored(self.int_num[::k], self.int_den[::k])
 
     def invert_variable(self) -> "RatFunc":
         """f(1/t) as a reduced rational function of t.
@@ -194,12 +163,14 @@ class RatFunc:
         Both sides are reversed to d = max(deg num, deg den), so one of them
         has full degree d and t divides at most one reversal.  A common
         factor h with h(0) != 0 of the reversals would give, reversed, a
-        common factor of num and den.  So the reversals are coprime."""
-        if self.is_zero():
+        common factor of num and den.  So the reversals are coprime; only
+        the sign of the new leading denominator coefficient is set."""
+        n, d = self.int_num, self.int_den
+        if not n:
             return self
-        d = max(self.num.degree, self.den.degree)
-        return RatFunc._coprime(self.num.reversed_to(d),
-                                self.den.reversed_to(d))
+        top = max(len(n), len(d))
+        return RatFunc._stored(*_settle(*([0] * (top - len(p)) + list(p[::-1])
+                                          for p in (n, d))))
 
     def shift(self, e: int) -> "RatFunc":
         """t^e * f for any integer e.
@@ -207,43 +178,86 @@ class RatFunc:
         For coprime p, q, gcd(t^e p, q) = gcd(t^e, q) and gcd(p, t^e q) =
         gcd(p, t^e), so only a power of t cancels: as many factors as the
         other side has low-order zero coefficients, at most |e|."""
-        num, den = self.num, self.den
-        if num.is_zero():
+        n, d = self.int_num, self.int_den
+        if not n:
             return self
         if e >= 0:
-            m = min(e, _order(den))
-            return RatFunc._coprime(_times_t(num, e - m), _times_t(den, -m))
-        m = min(-e, _order(num))
-        return RatFunc._coprime(_times_t(num, -m), _times_t(den, -e - m))
+            m = min(e, _order(d))
+            return RatFunc._stored((0,) * (e - m) + n, d[m:])
+        m = min(-e, _order(n))
+        return RatFunc._stored(n[m:], (0,) * (-e - m) + d)
 
     def __str__(self):
-        if self.den == ONE:
+        if len(self.int_den) == 1:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
 
-def _settle(f: RatFunc, num: Poly, den: Poly) -> RatFunc:
-    """Store coprime num, den in f with monic denominator, 0 as 0/1."""
-    if num.is_zero():
-        num, den = ZERO, ONE
-    else:
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-    object.__setattr__(f, "num", num)
-    object.__setattr__(f, "den", den)
-    return f
+def _ratio(c) -> Tuple[int, int]:
+    """(a, b) with c = a/b, b > 0, for a number c that Fraction reads."""
+    if not isinstance(c, (int, Fraction)):
+        c = rational(c)
+    return c.numerator, c.denominator
 
 
-def _order(p: Poly) -> int:
+def _settle(n: list, d: list):
+    """The stored form of n/d for coprime integer lists n and d != 0,
+    without Euclid: one gcd of the coefficients makes them jointly
+    primitive, a sign makes d's leading coefficient positive, 0 is 0/1."""
+    n, d = _trim(n), _trim(d)
+    if not n:
+        n, d = [], [1]
+    g = math.gcd(*n, *d)
+    if d[-1] < 0:
+        g = -g
+    if g != 1:
+        n, d = [x // g for x in n], [x // g for x in d]
+    return tuple(n), tuple(d)
+
+
+def _primitive(p):
+    """The integer polynomial p != 0 divided by the gcd of its
+    coefficients."""
+    g = math.gcd(*p)
+    return [x // g for x in p]
+
+
+def _gcd(a, b):
+    """A greatest common divisor of the nonzero integer polynomials a and b,
+    primitive: Euclid's algorithm with each remainder replaced by the
+    primitive part of a pseudo-remainder, which stays in Z[t]."""
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r = list(a)
+        while len(r) >= len(b):
+            # r -> (lc(b) r - lc(r) t^s b) / g, which drops r's top term
+            g = math.gcd(b[-1], r[-1])
+            u, v, s = b[-1] // g, r[-1] // g, len(r) - len(b)
+            r = [u * x for x in r]
+            for i, y in enumerate(b):
+                r[s + i] -= v * y
+            _trim(r)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _quotient(a, b):
+    """a / b in Z[t], for a primitive b that divides a in Q[t] (then the
+    quotient has integer coefficients, by Gauss's lemma)."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for s in range(len(q) - 1, -1, -1):
+        c = q[s] = r[s + len(b) - 1] // b[-1]
+        for i, y in enumerate(b):
+            r[s + i] -= c * y
+    return q
+
+
+def _order(p) -> int:
     """The power of t dividing the nonzero p: its low-order zero count."""
-    return next(i for i, c in enumerate(p.coeffs) if c)
-
-
-def _times_t(p: Poly, k: int) -> Poly:
-    """t^k * p; for k < 0, t^-k must divide p."""
-    return Poly((Fraction(0),) * k + p.coeffs if k >= 0 else p.coeffs[-k:])
+    return next(i for i, c in enumerate(p) if c)
 
 
 RF_ZERO = RatFunc(ZERO, ONE)

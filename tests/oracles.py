@@ -18,9 +18,14 @@ Each is independent of the engine it checks:
   vertex subset, against the cofactor normals of ``hwmt.polytope.facets``
   and the facets a polar dual inherits;
 - ``poly_product`` and ``evaluate``, the schoolbook product and Horner
-  evaluation of polynomials and rational functions, which ``hwmt.ratfunc``
-  leaves out: its maps are checked against Euclid on products built here,
-  and the Picard-Fuchs tests evaluate the systems' entries pointwise;
+  evaluation of polynomials and rational functions, and the rest of the
+  arithmetic on Fraction polynomials (``poly_degree``, ``poly_sum``,
+  ``poly_times``, ``poly_divmod``, ``poly_gcd``, ``poly_scale_variable``,
+  ``poly_power_substitute`` and ``poly_reversed_to``), which
+  ``hwmt.ratfunc`` leaves out: its maps on integer coefficients are
+  checked against Euclid on polynomials built here, its integer Euclid
+  against Euclid over Q, and the Picard-Fuchs tests evaluate the systems'
+  entries pointwise;
 - ``cofactor_char_poly``, the characteristic polynomial by cofactor
   expansion, against the Faddeev-LeVerrier ``hwmt.intlinalg.char_poly``
   and the integer polynomial that ``hwmt.picard_fuchs`` searches;
@@ -52,7 +57,13 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Optional, Tuple
 
-from hwmt.errors import BadDenominator, DegeneratePolytope
+from hwmt.errors import (
+    BadDenominator,
+    DegeneratePolytope,
+    DegreeTooSmall,
+    NotAPowerFunction,
+    ZeroDenominator,
+)
 from hwmt.hasse_witt import _kernel_plan, _kernel_runs
 from hwmt.hypergeometric import HypergeometricData, require_prime
 from hwmt.intlinalg import det, hnf_rows, left_kernel, vec_primitive
@@ -263,6 +274,71 @@ def poly_product(p: Poly, q: Poly) -> Poly:
     return Poly(tuple(out))
 
 
+def poly_degree(p: Poly) -> int:
+    """The degree of p, -1 for the zero polynomial."""
+    return len(p.coeffs) - 1
+
+
+def poly_sum(p: Poly, q: Poly) -> Poly:
+    """p + q."""
+    a, b = p.coeffs, q.coeffs
+    return Poly(tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                      for i in range(max(len(a), len(b)))))
+
+
+def poly_times(p: Poly, c) -> Poly:
+    """p * c for a number c."""
+    return Poly(tuple(a * c for a in p.coeffs))
+
+
+def poly_divmod(p: Poly, q: Poly):
+    """(quotient, remainder) of p by q over Q, by long division."""
+    if q.is_zero():
+        raise ZeroDenominator("polynomial division by zero")
+    rem = list(p.coeffs)
+    quot = [Fraction(0)] * max(len(rem) - len(q.coeffs) + 1, 0)
+    d = q.coeffs
+    while len(rem) >= len(d) and any(rem):
+        if rem[-1] == 0:
+            rem.pop()
+            continue
+        shift = len(rem) - len(d)
+        c = rem[-1] / d[-1]
+        quot[shift] = c
+        for i, b in enumerate(d):
+            rem[shift + i] -= c * b
+        rem.pop()
+    return Poly(tuple(quot)), Poly(tuple(rem))
+
+
+def poly_gcd(p: Poly, q: Poly) -> Poly:
+    """The monic gcd of p and q over Q by Euclid's algorithm (0 for two
+    zeros)."""
+    while not q.is_zero():
+        p, q = q, poly_divmod(p, q)[1]
+    return p if p.is_zero() else poly_times(p, 1 / p.coeffs[-1])
+
+
+def poly_scale_variable(p: Poly, c) -> Poly:
+    """p(c*t)."""
+    c = Fraction(c)
+    return Poly(tuple(a * c**i for i, a in enumerate(p.coeffs)))
+
+
+def poly_power_substitute(p: Poly, k: int) -> Poly:
+    """q with p = q(t^k); NotAPowerFunction if there is none."""
+    if any(c and i % k for i, c in enumerate(p.coeffs)):
+        raise NotAPowerFunction(f"{p} is not a polynomial in t^{k}")
+    return Poly(p.coeffs[::k])
+
+
+def poly_reversed_to(p: Poly, degree: int) -> Poly:
+    """t^degree * p(1/t); degree must be >= deg p."""
+    if degree < poly_degree(p):
+        raise DegreeTooSmall(f"cannot reverse {p} to degree {degree}")
+    return Poly((Fraction(0),) * (degree - poly_degree(p)) + p.coeffs[::-1])
+
+
 def evaluate(f, x) -> Fraction:
     """f(x) for a Poly or a RatFunc f, by Horner's rule; a RatFunc at a
     pole raises ZeroDivisionError."""
@@ -291,7 +367,7 @@ def cofactor_char_poly(matrix) -> Poly:
         for k, c in enumerate(cols):
             minor = det(rows[1:], cols[:k] + cols[k + 1:])
             term = poly_product(entries[rows[0]][c], minor)
-            total = total + (term if k % 2 == 0 else -term)
+            total = poly_sum(total, term if k % 2 == 0 else poly_times(term, -1))
         return total
 
     # det of the 0 x 0 matrix is the empty product 1

@@ -28,6 +28,17 @@ def test_model_hg_is_not_stored():
 
 
 @pytest.mark.parametrize("name", sorted(PRINTED))
+def test_model_hg_is_built_once_per_tag(name, monkeypatch):
+    fam = replace(get_family(name))  # a fresh tag, nothing cached yet
+    built = []
+    post_init = HypergeometricData.__post_init__
+    monkeypatch.setattr(HypergeometricData, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    assert fam.model_hg is fam.model_hg and len(built) == 1
+    assert fam == get_family(name) and hash(fam) == hash(get_family(name))
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED))
 def test_derived_target_is_the_printed_one(name):
     data, text = PRINTED[name]
     target = get_family(name).model_hg

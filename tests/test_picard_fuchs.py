@@ -36,7 +36,13 @@ from hwmt.picard_fuchs import (
 )
 from hwmt.ratfunc import Poly, RatFunc
 
-from oracles import cofactor_char_poly, evaluate, poly_product
+from oracles import (
+    cofactor_char_poly,
+    evaluate,
+    poly_degree,
+    poly_divmod,
+    poly_product,
+)
 
 F = Fraction
 
@@ -66,9 +72,9 @@ def matrices_equal(system, expected):
 
 def eigenvalues_by_evaluation(chi):
     """Roots of chi by the rational-root theorem with Fraction evaluation of
-    every candidate, deflated by Poly.divmod; None if one is irrational."""
+    every candidate, deflated by poly_divmod; None if one is irrational."""
     roots = []
-    while chi.degree > 0:
+    while poly_degree(chi) > 0:
         lcm = math.lcm(*(c.denominator for c in chi.coeffs))
         a0, an = (abs(int(c * lcm)) for c in (chi.coeffs[0], chi.coeffs[-1]))
         candidates = [F(s * num, den)
@@ -80,7 +86,7 @@ def eigenvalues_by_evaluation(chi):
         if root is None:
             return None
         roots.append(root)
-        chi = chi.divmod(Poly.of(-root, 1))[0]
+        chi = poly_divmod(chi, Poly.of(-root, 1))[0]
     return tuple(sorted(roots))
 
 

@@ -35,10 +35,6 @@ CASES = [
      # squares but not at 2, so its one stratum has 1 zero for 2 cosets
      "_stratified_count([(4, (0,)), (1, (1,))], [[(0, 2)]], 5)",
      "NonIntegerOrbitSum"),
-    ("DegreeTooSmall-Poly.of(1, 2, 3).rev",
-     "from hwmt.ratfunc import Poly",
-     "Poly.of(1, 2, 3).reversed_to(1)",
-     "DegreeTooSmall"),
     ("WrongSystemForm-gauge_shear(gauge_sh",
      "from hwmt.picard_fuchs import companion_matrix, gauge_shear\n"
      "from hwmt.families import get_family",
@@ -94,9 +90,10 @@ CASES = [
      "from hwmt.polytope import LatticePolytope",
      "LatticePolytope(0, ((),))",
      "DegeneratePolytope"),
-    ("ZeroDenominator-Poly.of(1, 2).divmod",
-     "from hwmt.ratfunc import Poly",
-     "Poly.of(1, 2).divmod(Poly.of(0))",
+    # a denominator given as a coefficient sequence of zeros
+    ("ZeroDenominator-RatFunc-sequence",
+     "from hwmt.ratfunc import RatFunc",
+     "RatFunc((1, 2), (0, 0))",
      "ZeroDenominator"),
     ("ZeroDenominator-RatFunc(Poly.of(1), ",
      "from hwmt.ratfunc import Poly, RatFunc",
@@ -178,6 +175,35 @@ CASES = [
      "from hwmt.families import get_family",
      "truncated_pFq(get_family('quartic').hg, '1/0', 7)",
      "NotRational"),
+    # the Picard-Fuchs stages read a constant as a rational, an exponent
+    # or a power as an integer, and a power below 1 is refused
+    ("MalformedHypergeometric-mum_normalize-float",
+     "from hwmt.picard_fuchs import ExponentData, mum_normalize",
+     "mum_normalize(ExponentData((0, 0), (1, 1)), (16, 2.5))",
+     "MalformedHypergeometric"),
+    ("MalformedHypergeometric-mum_normalize-str",
+     "from hwmt.picard_fuchs import ExponentData, mum_normalize",
+     "mum_normalize(ExponentData((0, 0), (1, 1)), (16, 'x'))",
+     "MalformedHypergeometric"),
+    ("NotRational-mum_normalize",
+     "from hwmt.picard_fuchs import ExponentData, mum_normalize",
+     "mum_normalize(ExponentData((0, 0), (1, 1)), ('x', 2))",
+     "NotRational"),
+    ("NotRational-rescale",
+     "from hwmt.picard_fuchs import companion_matrix, gauge_shear, rescale\n"
+     "from hwmt.families import get_family",
+     "rescale(gauge_shear(companion_matrix(get_family('elliptic').pf_ode)), 'x')",
+     "NotRational"),
+    ("BadPower-substitute_power-zero",
+     "from hwmt.picard_fuchs import companion_matrix, gauge_shear, substitute_power\n"
+     "from hwmt.families import get_family",
+     "substitute_power(gauge_shear(companion_matrix(get_family('elliptic').pf_ode)), 0)",
+     "BadPower"),
+    ("BadPower-substitute_power-float",
+     "from hwmt.picard_fuchs import companion_matrix, gauge_shear, substitute_power\n"
+     "from hwmt.families import get_family",
+     "substitute_power(gauge_shear(companion_matrix(get_family('elliptic').pf_ode)), 2.0)",
+     "BadPower"),
     ("UnknownFamily-period_coefficients",
      "from hwmt.hasse_witt import period_coefficients",
      "period_coefficients(3, 5)",
