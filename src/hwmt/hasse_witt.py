@@ -16,12 +16,16 @@ each pivot bounds its coefficient and partial sums on the free columns
 prune, so the cost follows the rank of the kernel and the number of
 surviving vectors rather than the number of monomials.  At the last basis
 row the points left are an arithmetic progression, and the walk returns
-each such progression as one run, not as vectors.  What depends only on
-the exponents (basis, pivots, back substitution, bounds) is one cached
-``_kernel_plan`` per exponent tuple, shared by every budget and prime.
+each such progression as one run, not as vectors.  The walk reads
+nothing but the lattice, the dual's ``vertex_kernel`` (its HNF basis and
+ambient rank, in the dual's stored vertex order): two duals with the same
+kernel have the same points and the same weights.  So what depends only
+on the lattice (pivots, back substitution, bounds) is one cached
+``_kernel_plan`` per lattice, shared by every polytope whose dual has it
+and by every budget and prime.
 The plan also holds walks made at powers of two: a budget e is served by
 the walk at the least power of two >= e, its horizon, and cuts each run
-of it instead of walking again, so one walk per exponent set serves every
+of it instead of walking again, so one walk per kernel serves every
 prime p with p - 1 in (2^(k-1), 2^k].  The cut is exact because the
 walk's last row is: a run is every point of its prefix within the
 budget, and sum(a) moves by the constant sum of the last basis row along
@@ -40,9 +44,12 @@ factorials, so it reads no factorial table.  The tests compare the engine
 with an independent depth-first search over every exponent coordinate.
 
 For a fixed polytope and prime the invariant is one polynomial in psi of
-degree <= p-1, with coefficients binom(p-1, n) b_n mod p.
-``hasse_witt_polynomial`` enumerates once per (polytope, p) and memoizes
-the coefficients; ``hasse_witt`` evaluates them at psi mod p.  The fold
+degree <= p-1, with coefficients binom(p-1, n) b_n mod p.  It is
+enumerated and memoized once per (kernel, p), ``_kernel_coefficients``,
+and the per-(polytope, p) memo ``_hw_coefficients`` above it holds the
+same tuple, so a polytope seen before costs one lookup and a new polytope
+with a known kernel costs its dual's kernel and a second lookup;
+``hasse_witt`` evaluates the polynomial at psi mod p.  The fold
 reads one table per prime, 1/x! mod p for x < p, stepped down from
 1/(p-1)! = -1 (Wilson's theorem), so it takes no inverse and keeps no
 table of x!.  With (p-1)! = -1 the coefficient of psi^d is
@@ -74,8 +81,14 @@ from .hypergeometric import (
     require_psi_mod_p,
     truncated_pFq,
 )
-from .intlinalg import left_kernel
-from .polytope import CACHE_SIZE, LatticePolytope, kernel_invariant, polar_dual
+from .polytope import (
+    CACHE_SIZE,
+    KernelLattice,
+    LatticePolytope,
+    kernel_invariant,
+    polar_dual,
+    vertex_kernel,
+)
 
 
 # The greatest C(h + r, r) a walk may bound.  Cold, on a 2-vCPU machine with
@@ -110,7 +123,7 @@ class HWInvariant:
     psi: Optional[Fraction] = None
 
 
-# the part of the kernel-lattice walk that depends only on the exponents,
+# the part of the kernel-lattice walk that depends only on the lattice,
 # and ``walked``, a dict from each horizon walked so far to its runs.  An
 # entry is stored whole, never edited, so a thread always reads complete
 # runs; two threads racing to store one can only cost a repeat walk.
@@ -118,9 +131,10 @@ _Plan = namedtuple("_Plan", "fixed varying incs d m most step above gain walked"
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _kernel_plan(exps) -> _Plan:
-    """Set up the walk over the nonnegative points of the left kernel of a
-    tuple of exponent vectors; nothing here depends on the budget or p.
+def _kernel_plan(kernel: KernelLattice) -> _Plan:
+    """Set up the walk over the nonnegative points of a kernel lattice, the
+    left kernel of a tuple of exponent vectors; nothing here depends on the
+    budget or p.
 
     Every such point a is c @ B for one integer vector c, where B is the
     row-HNF basis of the kernel, and the walk fixes c row by row.  Row t
@@ -140,8 +154,7 @@ def _kernel_plan(exps) -> _Plan:
     basis row, so the ``varying`` columns (the last pivot, then the free
     columns) advance by ``incs``, that row's entries on them.
     """
-    k = len(exps)
-    basis = left_kernel(exps)
+    k, basis = kernel
     r = len(basis)
     if r == 0:
         return _Plan((), tuple(range(k)), (0,) * k, 1, (), (), (), (), (), {})
@@ -289,17 +302,17 @@ def _inverse_factorials(p):
     return inv_fact
 
 
-def _budget_weights(exps, e, p):
-    """W[s] = sum of prod_i 1/a_i! over the kernel points a of the exponent
-    vectors with sum(a) = s, for s = 0..e < p; each W[s] is correct mod p
-    but not reduced.
+def _budget_weights(kernel, e, p):
+    """W[s] = sum of prod_i 1/a_i! over the nonnegative points a of the
+    kernel lattice with sum(a) = s, for s = 0..e < p; each W[s] is correct
+    mod p but not reduced.
 
     Each run multiplies its prefix's 1/m! once; along the run each varying
     column reads a slice of the 1/m! table, and the slices multiply
     pointwise.  The table, sized by p, is built after the walk, so a walk
     refused by its budget builds none.
     """
-    plan = _kernel_plan(tuple(exps))
+    plan = _kernel_plan(kernel)
     runs = _kernel_runs(plan, e)
     inv_fact = _inverse_factorials(p)
     ds = sum(plan.incs)
@@ -362,7 +375,7 @@ def hasse_witt_polynomial(source: Union[str, FamilyTag, LatticePolytope],
     The result always has length p, i.e. degree <= p-1 in psi: the origin
     monomial can absorb at most the whole exponent budget.  One enumeration
     with budget <= p-1 on the dual-vertex monomials covers every power of
-    psi, and the result is memoized per (polytope, p).
+    psi, and the result is memoized per (kernel of the dual, p).
     """
     return _hw_coefficients(_resolve_polytope(source)[0], p)
 
@@ -371,8 +384,15 @@ def hasse_witt_polynomial(source: Union[str, FamilyTag, LatticePolytope],
 def _hw_coefficients(delta: LatticePolytope, p: int) -> Tuple[int, ...]:
     # an exception is not cached, so NotPrime is raised on every call
     require_prime(p)
+    return _kernel_coefficients(vertex_kernel(polar_dual(delta)), p)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _kernel_coefficients(kernel: KernelLattice, p: int) -> Tuple[int, ...]:
+    """The Hasse-Witt coefficients of every polytope whose dual has this
+    kernel lattice, for a prime p."""
     e = p - 1
-    weights = _budget_weights(polar_dual(delta).vertices, e, p)
+    weights = _budget_weights(kernel, e, p)
     inv_fact = _inverse_factorials(p)
     # budget s on the vertex monomials leaves e - s for psi * x^0, and
     # e! = -1 mod p (Wilson)
@@ -389,31 +409,31 @@ def period_coefficients(source: Union[str, FamilyTag, LatticePolytope],
     expansion at the large complex structure limit.  The bounds of
     ``_require_period_budget`` are checked before the walk.
     """
-    exps = polar_dual(_resolve_polytope(source)[0]).vertices
-    _require_period_budget(exps, n_max)
-    return _multinomial_sums(exps, n_max)
+    kernel = vertex_kernel(polar_dual(_resolve_polytope(source)[0]))
+    _require_period_budget(kernel, n_max)
+    return _multinomial_sums(kernel, n_max)
 
 
-def _require_period_budget(exps, n_max):
-    """BudgetExceeded unless the exact b_0..b_n_max of the exponent vectors
-    fit two bounds; it walks nothing.  With k dual vertices b_n <= k^n, so
+def _require_period_budget(kernel, n_max):
+    """BudgetExceeded unless the exact b_0..b_n_max of a kernel lattice in
+    Z^k fit two bounds; it walks nothing.  With k dual vertices b_n <= k^n, so
     b_0..b_n_max hold at most log2(k) * n_max * (n_max + 1) / 2 bits,
     bounded by PERIOD_BITS_BUDGET.  The fold adds at most C(n_max + r, r)
     summands for a rank-r kernel (the walk's bound), each of at most
     log2(k) * n_max bits; their product bounds its time and is bounded by
     PERIOD_FOLD_BUDGET."""
-    bits = log2(len(exps)) * n_max * (n_max + 1) / 2
+    k, r = kernel.ambient_rank, kernel.rank
+    bits = log2(k) * n_max * (n_max + 1) / 2
     if bits > PERIOD_BITS_BUDGET:
         raise BudgetExceeded(
-            f"exact periods to n = {n_max} over {len(exps)} dual vertices bound "
+            f"exact periods to n = {n_max} over {k} dual vertices bound "
             f"{bits:.0f} bits, above {PERIOD_BITS_BUDGET}")
-    r = len(_kernel_plan(tuple(exps)).step)
     summands = comb(n_max + r, r)
     # an int compared with a float is exact and never overflows; k >= 2
-    if summands * n_max > PERIOD_FOLD_BUDGET / log2(len(exps)):
+    if summands * n_max > PERIOD_FOLD_BUDGET / log2(k):
         raise BudgetExceeded(
             f"exact periods to n = {n_max} fold up to {summands} summands of a "
-            f"rank {r} kernel, of up to {log2(len(exps)) * n_max:.0f} bits each, "
+            f"rank {r} kernel, of up to {log2(k) * n_max:.0f} bits each, "
             f"above {PERIOD_FOLD_BUDGET} summand bits")
 
 
@@ -422,10 +442,10 @@ def _ratio(x, k):
     return (perm(x + k, k), 1) if k >= 0 else (1, perm(x, -k))
 
 
-def _multinomial_sums(exps, n_max):
-    """Sum of n!/prod_i a_i! over the kernel points a of the exponent
-    vectors with sum(a) = n, exactly, for n = 0..n_max: one run at a time."""
-    plan = _kernel_plan(tuple(exps))
+def _multinomial_sums(kernel, n_max):
+    """Sum of n!/prod_i a_i! over the nonnegative points a of the kernel
+    lattice with sum(a) = n, exactly, for n = 0..n_max: one run at a time."""
+    plan = _kernel_plan(kernel)
     ds, values = sum(plan.incs), [0] * (n_max + 1)
     for prefix, count, starts in _kernel_runs(plan, n_max):
         n, w, a = 0, 1, list(starts)
@@ -449,6 +469,13 @@ def key_lemma_check(delta: LatticePolytope, gamma: LatticePolytope,
     The hypotheses are enforced: (delta, gamma) must be a kernel pair whose
     polar duals are also a kernel pair.  A False first component would be a
     counterexample -- equality is a theorem for such pairs.
+
+    Both sides come from the engine's polynomial memo, which is keyed by the
+    dual's kernel lattice in its stored vertex order.  When the two duals
+    have the same kernel in that order, both sides read one memo entry and
+    the comparison holds whatever the entry is: the check is then not
+    independent of the engine.  Only where the stored orders differ do the
+    two sides come from two walks.
     """
     if kernel_invariant(delta) != kernel_invariant(gamma):
         raise NotKernelPair("polytopes are not a kernel pair")
@@ -475,11 +502,11 @@ def truncation_relation_check(delta_or_family, psi, p: int) -> bool:
     if fam is not None and not fam.is_smooth(psi):
         raise SingularMember(f"member at psi = {psi} is singular")
     require_psi_mod_p(psi, p)
-    exps = polar_dual(delta).vertices
-    _require_period_budget(exps, p - 1)
+    kernel = vertex_kernel(polar_dual(delta))
+    _require_period_budget(kernel, p - 1)
     hw = hasse_witt(delta, psi, p).value
     x, rhs = frac_mod(psi, p), 0
-    for n, bn in enumerate(_multinomial_sums(exps, p - 1)):
+    for n, bn in enumerate(_multinomial_sums(kernel, p - 1)):
         rhs = (rhs * x + (-bn if n % 2 else bn)) % p
     if hw != rhs:
         return False

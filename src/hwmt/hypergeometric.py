@@ -111,7 +111,10 @@ def require_psi_mod_p(psi: Fraction, p: int):
 def rational(x) -> Fraction:
     """x as a Fraction, from anything Fraction reads (an int, a Fraction, a
     float, a Decimal, a string such as '3/2'); NotRational for any other
-    value, and for a float or string that names no rational."""
+    value, and for a float or string that names no rational.  A Fraction
+    (not a subclass) is returned as it is: it is immutable."""
+    if type(x) is Fraction:
+        return x
     try:
         return Fraction(x)
     except (TypeError, ValueError, ArithmeticError):

@@ -207,13 +207,20 @@ def rational_eigenvalues(matrix) -> Tuple[Fraction, ...]:
 def _rational_root(ints):
     """A root (p, q), q > 0, gcd(p, q) = 1, of the integer polynomial
     sum ints[i] x^i with ints[0] != 0, or None.  The first hit is in lowest
-    terms: p/g over q/g is tried before p over q, as |p|/g < |p|."""
-    n = len(ints) - 1
+    terms: p/g over q/g is tried before p over q, as |p|/g < |p|.
+
+    A candidate p/q is tested by one Horner pass in integers for
+    q^n f(p/q) = sum_i ints[i] p^i q^(n-i): each step multiplies the value
+    by p and adds the next coefficient times the next power of q."""
     dens = _divisors(ints[-1])
     for num in _divisors(ints[0]):
         for den in dens:
             for p in (num, -num):
-                if sum(a * p**i * den**(n - i) for i, a in enumerate(ints)) == 0:
+                value, power = ints[-1], 1
+                for a in reversed(ints[:-1]):
+                    power *= den
+                    value = value * p + a * power
+                if value == 0:
                     return p, den
     return None
 

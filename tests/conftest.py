@@ -1,3 +1,4 @@
+import importlib
 import os
 from pathlib import Path
 
@@ -14,6 +15,19 @@ def hwmt_env():
     PYTHONPATH naming the source tree of the imported hwmt."""
     return {**os.environ,
             "PYTHONPATH": str(Path(hwmt.__file__).resolve().parent.parent)}
+
+
+def cold_hasse_witt():
+    """Empty every lru_cache of ``hwmt.hasse_witt``, as in a fresh process.
+
+    The caches are found by introspection, every function of the module
+    with a ``cache_clear``, so a memo added to the engine cannot be missed.
+    A name that a test has monkeypatched to a plain function is skipped."""
+    module = importlib.import_module("hwmt.hasse_witt")
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) == module.__name__ and \
+                hasattr(value, "cache_clear"):
+            value.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -29,6 +29,9 @@ Each is independent of the engine it checks:
 - ``cofactor_char_poly``, the characteristic polynomial by cofactor
   expansion, against the Faddeev-LeVerrier ``hwmt.intlinalg.char_poly``
   and the integer polynomial that ``hwmt.picard_fuchs`` searches;
+- ``rational_root_by_powers``, the rational-root search with each
+  candidate p/q tested by the sum of a_i p^i q^(n-i) and divisors found by
+  trial division, against the Horner search of ``hwmt.picard_fuchs``;
 - ``adjugate_det``, the adjugate by cofactors, for the lattice maps below;
 - ``frac_rank``, the rank over Q, against the vertex checks of
   ``hwmt.polytope`` and the kernels and Hermite forms of
@@ -71,6 +74,7 @@ from hwmt.ratfunc import Poly, RatFunc
 from hwmt.polytope import (
     CACHE_SIZE,
     FacetInequality,
+    KernelLattice,
     LatticePolytope,
     _require_reflexive,
     facets,
@@ -148,11 +152,18 @@ def zero_sum_exponents(exponents, e):
     yield from rec(0, e)
 
 
+def kernel_of(exps):
+    """The kernel lattice of a list of exponent vectors, the input of the
+    Hasse-Witt walk: what ``vertex_kernel`` gives for a polytope with these
+    vertices."""
+    return KernelLattice(len(exps), left_kernel(exps))
+
+
 def kernel_points(exps, e):
     """Every nonnegative integer vector a with sum_i a_i exps[i] = 0 and
     sum(a) <= e, as a list of tuples: the runs of the walk, expanded, for
     comparison with ``zero_sum_exponents``."""
-    plan = _kernel_plan(tuple(exps))
+    plan = _kernel_plan(kernel_of(exps))
     where = [0] * len(exps)  # a[j] = (prefix + varying values)[where[j]]
     for s, j in enumerate(plan.fixed + plan.varying):
         where[j] = s
@@ -372,6 +383,25 @@ def cofactor_char_poly(matrix) -> Poly:
 
     # det of the 0 x 0 matrix is the empty product 1
     return det(tuple(range(n)), tuple(range(n))) if n else Poly.of(1)
+
+
+def rational_root_by_powers(ints):
+    """The first root (p, q) of sum ints[i] x^i, ints[0] != 0, in the order
+    of ``hwmt.picard_fuchs._rational_root``: p over the divisors of ints[0]
+    and q over those of ints[-1], both increasing, +p before -p; or None.
+    Each candidate is tested by sum(a * p**i * q**(n - i)), both powers
+    recomputed for every term."""
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    n = len(ints) - 1
+    dens = divisors(ints[-1])
+    for num in divisors(ints[0]):
+        for den in dens:
+            for p in (num, -num):
+                if sum(a * p**i * den**(n - i) for i, a in enumerate(ints)) == 0:
+                    return p, den
+    return None
 
 
 def adjugate_det(m):

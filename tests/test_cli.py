@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from hwmt.census import fixture_path
 from hwmt.cli import main
 from hwmt.families import FAMILIES
-from hwmt.hasse_witt import _hw_coefficients, _kernel_plan
 
-from conftest import hwmt_env
+from conftest import cold_hasse_witt, hwmt_env
 
 
 def run(capsys, *argv):
@@ -214,8 +213,7 @@ GOLDEN = [
 def test_cli_output_matches_golden(capsys, command, code, digest):
     # cold Hasse-Witt caches, as in a fresh process: each row walks its own
     # kernels, whatever rows or tests ran before it
-    _kernel_plan.cache_clear()
-    _hw_coefficients.cache_clear()
+    cold_hasse_witt()
     argv = [str(fixture_path("polygons2d.txt")) if a == "{polygons2d}" else a
             for a in command.split()]
     got_code, out = run(capsys, *argv)
@@ -224,8 +222,7 @@ def test_cli_output_matches_golden(capsys, command, code, digest):
 
 def test_hw_grid_is_the_same_in_any_prime_order(capsys):
     # cold caches, so the primes after 17 are cuts of its kernel walk
-    _kernel_plan.cache_clear()
-    _hw_coefficients.cache_clear()
+    cold_hasse_witt()
     code, out = run(capsys, "hw", "--family", "group1", "--psi", "2,3",
                     "--primes", "17,5,13")
     assert code == 0

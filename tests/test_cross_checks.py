@@ -19,6 +19,7 @@ from hwmt.hasse_witt import (
     _horizon,
     _hw_coefficients,
     _inverse_factorials,
+    _kernel_coefficients,
     _kernel_plan,
     _kernel_runs,
     _multinomial_sums,
@@ -63,6 +64,7 @@ from hwmt.polytope import (
     vertex_kernel,
 )
 
+from conftest import cold_hasse_witt
 from oracles import (
     P1_X_P1,
     _series_term,
@@ -72,6 +74,7 @@ from oracles import (
     frac_rank,
     hnf_facets,
     hnf_polytope,
+    kernel_of,
     kernel_points,
     lattice_isomorphism,
     member_terms,
@@ -262,13 +265,13 @@ def test_cut_of_a_larger_walk_is_a_fresh_walk(fixture_polytopes):
     for exps in exponent_sets:
         budgets = list(range(9))
         rng.shuffle(budgets)
-        fresh = {}
+        fresh, kernel = {}, kernel_of(exps)
         for e in budgets:
-            _kernel_plan.cache_clear()
-            fresh[e] = (_walk(_kernel_plan(tuple(exps)), e),
+            cold_hasse_witt()
+            fresh[e] = (_walk(_kernel_plan(kernel), e),
                         sorted(kernel_points(exps, e)))
-        _kernel_plan.cache_clear()
-        plan = _kernel_plan(tuple(exps))
+        cold_hasse_witt()
+        plan = _kernel_plan(kernel)
         for e in budgets:
             cuts += _horizon(e) > e
             assert _kernel_runs(plan, e) == fresh[e][0], (exps, e)
@@ -296,13 +299,13 @@ def test_walks_do_not_depend_on_budget_order(fixture_polytopes, monkeypatch):
         for budgets in ([42, 46, 52, 58], [4, 6, 10, 12, 16]):
             made = set()
             for order in (budgets, budgets[::-1], rng.sample(budgets, len(budgets))):
-                _kernel_plan.cache_clear()
+                cold_hasse_witt()
                 walks.clear()
                 for e in order:
                     kernel_points(exps, e)
                 made.add(tuple(sorted(walks)))
             assert made == {tuple(sorted({_horizon(e) for e in budgets}))}, exps
-    _kernel_plan.cache_clear()
+    cold_hasse_witt()
 
 
 def test_threads_sharing_a_plan_get_their_own_budgets(fixture_polytopes):
@@ -320,7 +323,7 @@ def test_threads_sharing_a_plan_get_their_own_budgets(fixture_polytopes):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        _kernel_plan.cache_clear()
+        cold_hasse_witt()
         threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
         for t in threads:
             t.start()
@@ -354,9 +357,10 @@ def test_folded_weights_match_per_vector_weights(fixture_polytopes):
     ranks = {len(left_kernel(exps)) for exps in exponent_sets}
     assert {0, 1, 2, 3} <= ranks
     for exps in exponent_sets + [[]]:
+        kernel = kernel_of(exps)
         for p in (2, 3, 5, 7, 11):
             for e in range(p):
-                folded = [w % p for w in _budget_weights(exps, e, p)]
+                folded = [w % p for w in _budget_weights(kernel, e, p)]
                 assert folded == _weights_per_vector(exps, e, p), (exps, e)
 
 
@@ -396,9 +400,9 @@ def test_constant_term_edge_cases_match_dfs(name):
             assert hasse_witt(delta, psi, p).value == dfs_constant_term(
                 f, p - 1, p) == dfs_constant_term(f[:-1], p - 1, p)
         # e = 0 and every e below p, not only p - 1
-        exps = polar_dual(delta).vertices
+        exps, kernel = polar_dual(delta).vertices, vertex_kernel(polar_dual(delta))
         for e in range(p):
-            folded = [w % p for w in _budget_weights(exps, e, p)]
+            folded = [w % p for w in _budget_weights(kernel, e, p)]
             assert folded == _weights_per_vector(exps, e, p)
 
 
@@ -407,7 +411,7 @@ def test_constant_term_rank_zero_kernel():
     # with weight 1 at budget 0: the constant term of (x + 1)^e is 1
     for p in (5, 7):
         for e in range(p):
-            assert _budget_weights([(1,)], e, p) == [1] + [0] * e
+            assert _budget_weights(kernel_of([(1,)]), e, p) == [1] + [0] * e
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -419,10 +423,12 @@ def test_hasse_witt_polynomial_matches_dfs(name, p):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
 def test_hasse_witt_matches_dfs_at_each_psi(fixture_polytopes, p):
-    # hasse_witt evaluates one memoized polynomial per (polytope, p); the DFS
-    # takes the constant term of the member specialized at psi.  Both psi
-    # orders start from an empty cache, so the value cannot depend on which
-    # psi filled it; psi = p is 0 mod p.
+    # hasse_witt evaluates one memoized polynomial per (kernel, p), and
+    # polytopes whose duals share a kernel read one entry; the DFS takes the
+    # constant term of the member specialized at psi.  The memo is filled
+    # from empty twice, in fixture and psi order and then both reversed, so
+    # no value can depend on which psi, or which polytope of a kernel,
+    # filled it; psi = p is 0 mod p.
     polys = fixture_polytopes + [get_family(name).polytope for name in sorted(FAMILIES)]
     psis = (F(-1), F(1, 2), F(1), F(2), F(3), F(p))
     expected = {
@@ -430,11 +436,27 @@ def test_hasse_witt_matches_dfs_at_each_psi(fixture_polytopes, p):
         for i, d in enumerate(polys)
         for psi in psis
     }
-    for order in (psis, psis[::-1]):
-        _hw_coefficients.cache_clear()
-        for i, d in enumerate(polys):
-            for psi in order:
+    order = list(enumerate(polys))
+    for poly_order, psi_order in ((order, psis), (order[::-1], psis[::-1])):
+        cold_hasse_witt()
+        for i, d in poly_order:
+            for psi in psi_order:
                 assert hasse_witt(d, psi, p).value == expected[i, psi], (i, psi)
+
+
+def test_fixtures_share_one_plan_and_polynomial_per_dual_kernel(fixture_polytopes):
+    # the polynomial memo under the per-polytope one, and the plan, are keyed
+    # by the dual's kernel lattice: the 74 fixtures have 42 distinct ones
+    kernels = {vertex_kernel(polar_dual(d)) for d in fixture_polytopes}
+    assert len(kernels) == 42
+    cold_hasse_witt()
+    for d in fixture_polytopes:
+        hasse_witt(d, 2, 13)
+    assert _hw_coefficients.cache_info().currsize == 74
+    assert _kernel_coefficients.cache_info().currsize == len(kernels)
+    assert _kernel_plan.cache_info().currsize == len(kernels)
+    # one walk per kernel, at p - 1 = 12's horizon 16
+    assert all(list(_kernel_plan(k).walked) == [16] for k in kernels)
 
 
 def test_period_coefficients_match_dfs(fixture_polytopes):
@@ -452,12 +474,13 @@ def test_multinomial_sums_match_dfs(fixture_polytopes):
     exponent_sets += list(_random_exponent_sets(400, seed=2027))
     signs = Counter()
     for exps in exponent_sets:
-        plan = _kernel_plan(tuple(exps))
+        kernel = kernel_of(exps)
+        plan = _kernel_plan(kernel)
         if plan.step:
             ds = sum(plan.incs)
             signs[(ds > 0) - (ds < 0)] += 1
         for n_max in (0, 3, 6, 9):
-            assert _multinomial_sums(exps, n_max) == \
+            assert _multinomial_sums(kernel, n_max) == \
                 dfs_multinomial_sums(exps, n_max), (exps, n_max)
     assert min(signs[-1], signs[0], signs[1]) >= 5, signs
 

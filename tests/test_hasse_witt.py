@@ -17,7 +17,6 @@ from hwmt.errors import (
 from hwmt.families import FAMILIES, get_family
 from hwmt.hasse_witt import (
     _hw_coefficients,
-    _kernel_plan,
     hasse_witt,
     hasse_witt_polynomial,
     key_lemma_check,
@@ -28,6 +27,7 @@ from hwmt.hypergeometric import truncated_pFq
 from hwmt.polytope import LatticePolytope
 from hwmt import cli
 
+from conftest import cold_hasse_witt
 from oracles import member_terms, zero_sum_exponents
 
 # the module, which the package's hasse_witt function shadows as an attribute
@@ -125,7 +125,7 @@ class TestHasseWitt:
         # the memo key is the polytope, and polytope equality ignores the id
         fam = get_family("sextic")
         fixture = LatticePolytope(3, fam.polytope.vertices, 7)
-        _hw_coefficients.cache_clear()
+        cold_hasse_witt()
         first = hasse_witt(fam, 2, 11).value
         assert hasse_witt(fixture, 2, 11).value == first
         info = _hw_coefficients.cache_info()
@@ -229,12 +229,12 @@ class TestTruncationRelation:
 
         argv = ["verify", "truncation", "--psi", "2", "--primes", "7", "--id"]
         monkeypatch.setattr(HW_MODULE, "_inverse_factorials", wrong)
-        _hw_coefficients.cache_clear()
+        cold_hasse_witt()
         try:
             failed = [i for i in sorted(records3d) if cli.main(argv + [str(i)]) == 1]
         finally:
             monkeypatch.undo()
-            _hw_coefficients.cache_clear()
+            cold_hasse_witt()
         assert failed
         assert all(cli.main(argv + [str(i)]) == 0 for i in failed)
 
@@ -258,7 +258,7 @@ class TestErrorPaths:
                   "psi = 1/5 has denominator divisible by 5"),
                  ((2, 6), NotPrime, "6 is not prime"),
                  ((Fraction(1, 6), 6), NotPrime, "6 is not prime")]
-        _hw_coefficients.cache_clear()
+        cold_hasse_witt()
         for warm in (False, True):
             for args, error, message in cases:
                 with pytest.raises(error) as exc:
@@ -274,8 +274,7 @@ class TestWalkBudget:
         walked = []
         monkeypatch.setattr(HW_MODULE, "_walk",
                             lambda plan, e: walked.append(e))
-        _hw_coefficients.cache_clear()
-        _kernel_plan.cache_clear()
+        cold_hasse_witt()
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded, match="46261908225 summands"):
             hasse_witt(records2d[9].polytope, 2, 1009)
@@ -291,7 +290,7 @@ class TestWalkBudget:
             raise AssertionError("factorial table built before the budget")
 
         monkeypatch.setattr(HW_MODULE, "_inverse_factorials", refuse)
-        _hw_coefficients.cache_clear()
+        cold_hasse_witt()
         with pytest.raises(BudgetExceeded, match="33554433 summands"):
             hasse_witt("quartic", 1, 16777259)
         with pytest.raises(BudgetExceeded, match="281476402775822 bits"):
@@ -308,7 +307,7 @@ class TestWalkBudget:
 
         monkeypatch.setattr(HW_MODULE, "_kernel_runs", refuse)
         monkeypatch.setattr(HW_MODULE, "_inverse_factorials", refuse)
-        _hw_coefficients.cache_clear()
+        cold_hasse_witt()
         with pytest.raises(BudgetExceeded, match="1000005000006 bits"):
             truncation_relation_check("quartic", 1, 1000003)
 
@@ -362,8 +361,7 @@ class TestWalkBudget:
         # elliptic at p = 13: rank 2, horizon 16, C(18, 2) = 153 summands
         monkeypatch.setattr(HW_MODULE, "KERNEL_WALK_BUDGET",
                             comb(18, 2) + slack)
-        _hw_coefficients.cache_clear()
-        _kernel_plan.cache_clear()
+        cold_hasse_witt()
         if refused:
             with pytest.raises(BudgetExceeded):
                 hasse_witt("elliptic", 3, 13)

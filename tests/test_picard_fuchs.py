@@ -23,6 +23,7 @@ from hwmt.picard_fuchs import (
     FuchsianSystem,
     _char_poly,
     _cleared_char_poly,
+    _rational_root,
     analyze_family,
     companion_matrix,
     extract_parameters,
@@ -42,6 +43,7 @@ from oracles import (
     poly_degree,
     poly_divmod,
     poly_product,
+    rational_root_by_powers,
 )
 
 F = Fraction
@@ -362,6 +364,29 @@ class TestEigenvalues:
             lcm = math.lcm(*(c.denominator for c in chi.coeffs))
             want = tuple(c.numerator * (lcm // c.denominator) for c in chi.coeffs)
             assert _cleared_char_poly(m) == want, m
+
+    def test_horner_root_search_matches_the_power_sums(self):
+        # integer polynomials with planted rational roots p/q times a random
+        # cofactor, which may add roots of its own or have none
+        rng = random.Random(2035)
+        planted = 0
+        for _ in range(600):
+            ints = [rng.choice((-1, 1)) * rng.randint(1, 12)]
+            for _ in range(rng.randint(0, 3)):
+                p, q = rng.randint(-6, 6) or 1, rng.randint(1, 6)
+                # times (q x - p)
+                ints = [a * -p + b * q for a, b in zip(ints + [0], [0] + ints)]
+            for _ in range(rng.randint(0, 2)):
+                # times a quadratic with random integer coefficients
+                c = [rng.randint(-5, 5) or 1, rng.randint(-5, 5),
+                     rng.randint(-5, 5) or 1]
+                ints = [sum(ints[i - j] * c[j] for j in range(3)
+                            if 0 <= i - j < len(ints))
+                        for i in range(len(ints) + 2)]
+            want = rational_root_by_powers(ints)
+            planted += want is not None
+            assert _rational_root(ints) == want, ints
+        assert 300 < planted < 600
 
     def test_matches_evaluation_oracle_on_known_spectra(self):
         rng = random.Random(1019)

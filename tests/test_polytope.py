@@ -20,6 +20,7 @@ from hwmt.errors import (
 from hwmt.hasse_witt import (
     _hw_coefficients,
     _inverse_factorials,
+    _kernel_coefficients,
     _kernel_plan,
     hasse_witt_polynomial,
 )
@@ -538,7 +539,7 @@ class TestCaches:
         for cached in (_pairing, facets, lattice_points, vertex_facet_sets,
                        polar_dual, vertex_kernel, _canonical_orders, normal_form,
                        kernel_invariant, _kernel_plan, _inverse_factorials,
-                       _hw_coefficients):
+                       _kernel_coefficients, _hw_coefficients):
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize >= distinct
 
